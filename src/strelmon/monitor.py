@@ -8,7 +8,9 @@ Structure: atoms apply the interpretation pointwise, Boolean connectives act
 stepwise on merged step grids, until/since run an exact event sweep per
 location, and the spatial operators evaluate the graph snapshot at every time
 where any input signal or the graph itself changes.  The spatial evaluations
-are the flooding / fixpoint algorithms; their contracts are spelled out on
+read the snapshot's cached sparse weights: Boolean reach with lower bound
+zero and Boolean unbounded reach are shortest-path searches, every other
+case floods or iterates to a fixpoint.  Their contracts are spelled out on
 the functions and cross-checked against brute-force oracles in the tests.
 """
 
@@ -17,6 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
+
+import numpy as np
+from scipy.sparse import csgraph, csr_array
 
 from .algebra import SignalDomain
 from .logic import (
@@ -42,7 +47,7 @@ from .space import (
     DistanceFunction,
     DynamicalSpatialModel,
     SpatialModel,
-    check_strictly_positive,
+    check_strictly_positive,  # noqa: F401  re-exported; spatial kernels check via incoming_weights
     min_distance_matrix,
 )
 
@@ -310,14 +315,19 @@ def bounded_reach(
     s2: list,
     domain: SignalDomain,
 ) -> list:
-    """Flooding over route prefixes with accumulated distance at most d2.
+    """Choose over route prefixes with accumulated distance in [d1, d2].
 
     The result at l is the choose over finite route prefixes from l whose
     accumulated distance lands in [d1, d2] of (s2 at the endpoint) combined
-    with s1 over the strict prefix.  The queue holds one merged value per
-    (location, accumulated distance); a round extends every queue entry
-    backwards along incoming edges, contributes to the output when the new
-    distance is inside the interval, and re-enqueues only strictly below d2.
+    with s1 over the strict prefix.
+
+    Boolean verdicts with d1 the distance zero are a shortest-path question:
+    l holds iff s2 holds at l or some s2 location lies within d2 of l along
+    a route whose strict prefix satisfies s1 (``_reached_within``).  Every
+    other case floods: the queue holds one merged value per (location,
+    accumulated distance); a round extends every queue entry backwards along
+    incoming edges, contributes to the output when the new distance is
+    inside the interval, and re-enqueues only strictly below d2.
 
     Entries whose value is the domain bottom are dropped (they can never
     change the output), and when d1 is the distance zero an entry dominated
@@ -325,15 +335,19 @@ def bounded_reach(
     output-invariant and keep the round structure intact.
     """
     dom = f.domain
-    check_strictly_positive(model, f)
+    incoming = model.incoming_weights(f)
     if not dom.leq(d1, d2):
         raise SemanticError(f"malformed distance interval [{d1}, {d2}]")
+    unconstrained_lo = d1 == dom.zero
+    if unconstrained_lo and domain.name == "boolean":
+        return _reached_within(incoming, s1, s2, d2)
     n = model.location_count
     bottom = domain.bottom
     choose, combine = domain.choose, domain.combine
-    unconstrained_lo = d1 == dom.zero
     s = list(s2) if unconstrained_lo else [bottom] * n
-    in_edges = [[(src, f.map(w)) for src, w in model.in_edges[l]] for l in range(n)]
+    bounds = incoming.indptr.tolist()
+    sources = incoming.indices.tolist()
+    steps = incoming.data.tolist()
     queue: dict[tuple[int, Any], Any] = {(l, dom.zero): s2[l] for l in range(n)}
     fronts: list[list[tuple[Any, Any]]] = [[] for _ in range(n)]
     while queue:
@@ -341,7 +355,8 @@ def bounded_reach(
         for (l, d), v in queue.items():
             if v == bottom:
                 continue
-            for src, step in in_edges[l]:
+            lo, hi = bounds[l], bounds[l + 1]
+            for src, step in zip(sources[lo:hi], steps[lo:hi]):
                 v2 = combine(v, s1[src])
                 d2_new = dom.add(d, step)
                 if dom.leq(d1, d2_new) and dom.leq(d2_new, d2):
@@ -354,6 +369,34 @@ def bounded_reach(
             nxt = _prune_dominated(nxt, fronts, dom, domain)
         queue = nxt
     return s
+
+
+def _reached_within(incoming: csr_array, s1: list, targets: list, limit: float) -> list:
+    """Boolean reach with lower bound zero, as one multi-source search.
+
+    A location holds iff it is a target or a target lies within ``limit`` of
+    it along a route whose strict prefix satisfies s1.  The search runs from
+    all targets at once over the incoming edges whose source satisfies s1.
+    Dijkstra sums a route's distances from the target end, as the flooding
+    does, so the ``<= limit`` boundary agrees exactly.  An infinite limit
+    asks only for a route, whatever its weights, so the search is
+    unweighted.
+    """
+    keep = np.asarray(s1, dtype=bool)[incoming.indices]
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    graph = csr_array(
+        (incoming.data[keep], incoming.indices[keep], kept_before[incoming.indptr]),
+        shape=incoming.shape,
+    )
+    hit = np.asarray(targets, dtype=bool)
+    sources = np.flatnonzero(hit)
+    if limit == math.inf:
+        dist = csgraph.dijkstra(graph, indices=sources, min_only=True, unweighted=True)
+        reached = np.isfinite(dist)
+    else:
+        dist = csgraph.dijkstra(graph, indices=sources, min_only=True, limit=limit)
+        reached = dist <= limit
+    return (hit | reached).tolist()
 
 
 def _prune_dominated(
@@ -414,18 +457,20 @@ def unbounded_reach(
     bounded flooding over [d1, d1 + max edge distance] seeds every endpoint
     whose route first crosses d1.  Seeds are then back-propagated along
     incoming edges until a fixpoint: s[src] absorbs s[dst] combined with
-    s1[src] for every edge src -> dst.
+    s1[src] for every edge src -> dst.  The fixpoint ignores weights, so for
+    Boolean verdicts it is plain reachability from the seeds
+    (``_reached_within`` with no limit).
     """
     dom = f.domain
-    check_strictly_positive(model, f)
+    incoming = model.incoming_weights(f)
     n = model.location_count
     if d1 == dom.zero:
         s = list(s2)
     else:
-        d_max = dom.zero
-        for _src, w, _dst in model.edges:
-            d_max = dom.max(d_max, f.map(w))
+        d_max = incoming.data.max().item() if incoming.nnz else dom.zero
         s = bounded_reach(model, f, d1, dom.add(d1, d_max), s1, s2, domain)
+    if domain.name == "boolean":
+        return _reached_within(incoming, s1, s, math.inf)
     choose, combine = domain.choose, domain.combine
     in_edges = model.in_edges
     active = set(range(n))

@@ -10,6 +10,7 @@ raw monitored variables.
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
@@ -212,7 +213,10 @@ def resample_to_union(trace: Trace) -> Trace:
 
 
 def load_trace(path: str) -> Trace:
-    """Read a trace CSV: header location,time,<var...>, rows sorted by (location, time)."""
+    """Read a trace CSV: header location,time,<var...>, rows sorted by (location, time).
+
+    Times and values must be finite numbers.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -235,6 +239,14 @@ def load_trace(path: str) -> Trace:
                 vals = tuple(float(x) for x in row[2:])
             except ValueError as exc:
                 raise SignalError(f"{path}:{lineno}: {exc}") from None
+            if not math.isfinite(t):
+                raise SignalError(f"{path}:{lineno}: non-finite time {row[1]!r}")
+            if not all(map(math.isfinite, vals)):
+                name, text = next(
+                    (name, text) for name, text, v in zip(variables, row[2:], vals)
+                    if not math.isfinite(v)
+                )
+                raise SignalError(f"{path}:{lineno}: non-finite value {text!r} for {name!r}")
             key = (loc, t)
             if last_key is not None and key <= last_key:
                 raise SignalError(f"{path}:{lineno}: rows must be sorted by (location, time)")

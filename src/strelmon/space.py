@@ -9,7 +9,6 @@ distance between two locations is the choose-minimum over all routes.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from bisect import bisect_right
@@ -18,6 +17,7 @@ from functools import cached_property
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
+from scipy.sparse import csgraph, csr_array
 
 from .algebra import DistanceDomain, hop_distance_domain, real_distance_domain
 
@@ -62,6 +62,28 @@ class SpatialModel:
         return tuple(tuple(lst) for lst in acc)
 
     @cached_property
+    def _incoming_by_distance(self) -> dict["DistanceFunction", csr_array]:
+        return {}
+
+    def incoming_weights(self, f: "DistanceFunction") -> csr_array:
+        """Reversed adjacency as CSR: row dst, column src, data f(weight).
+
+        Built once per distance function and kept with the snapshot, so every
+        edge weight is mapped and checked for strict positivity once.  Raises
+        ModelError if f is not strictly positive on some edge.
+        """
+        cache = self._incoming_by_distance
+        incoming = cache.get(f)
+        if incoming is None:
+            data = np.array(check_strictly_positive(self, f), dtype=float)
+            rows = np.array([dst for _src, _w, dst in self.edges], dtype=np.int64)
+            cols = np.array([src for src, _w, _dst in self.edges], dtype=np.int64)
+            n = self.location_count
+            incoming = csr_array((data, (rows, cols)), shape=(n, n))
+            cache[f] = incoming
+        return incoming
+
+    @cached_property
     def weight_map(self) -> dict[tuple[int, int], Weight]:
         return {(src, dst): w for src, w, dst in self.edges}
 
@@ -95,7 +117,7 @@ class DynamicalSpatialModel:
     def __post_init__(self):
         if not self.snapshots:
             raise ModelError("need at least one snapshot")
-        times = [t for t, _ in self.snapshots]
+        times = self._times
         for a, b in zip(times, times[1:]):
             if not a < b:
                 raise ModelError(f"snapshot times must strictly increase, got {a} then {b}")
@@ -115,13 +137,17 @@ class DynamicalSpatialModel:
     def start(self) -> float:
         return self.snapshots[0][0]
 
+    @cached_property
+    def _times(self) -> tuple[float, ...]:
+        return tuple(t for t, _ in self.snapshots)
+
     def snapshot_times(self) -> list[float]:
-        return [t for t, _ in self.snapshots]
+        return list(self._times)
 
     def snapshot_at(self, t: float) -> SpatialModel:
         if t < self.snapshots[0][0]:
             raise ModelError(f"time {t} precedes first snapshot at {self.snapshots[0][0]}")
-        idx = bisect_right([tt for tt, _ in self.snapshots], t) - 1
+        idx = bisect_right(self._times, t) - 1
         return self.snapshots[idx][1]
 
 
@@ -167,13 +193,19 @@ BUILTIN_DISTANCES = {
 }
 
 
-def check_strictly_positive(model: SpatialModel, f: DistanceFunction) -> None:
+def check_strictly_positive(model: SpatialModel, f: DistanceFunction) -> list:
+    """Map every edge weight through f and return the results in edge order;
+    raises ModelError at the first one that is not strictly positive."""
+    mapped = []
     for src, w, dst in model.edges:
-        if not f.domain.is_positive(f.map(w)):
+        d = f.map(w)
+        if not f.domain.is_positive(d):
             raise ModelError(
                 f"distance function {f.name!r} is not strictly positive on edge "
                 f"({src}, {dst}) with weight {w!r}"
             )
+        mapped.append(d)
+    return mapped
 
 
 def route_prefix_distance(model: SpatialModel, f: DistanceFunction, path: Sequence[int], i: int) -> Any:
@@ -188,50 +220,16 @@ def route_prefix_distance(model: SpatialModel, f: DistanceFunction, path: Sequen
     return d
 
 
-class _HeapKey:
-    """Wraps a distance value so heapq can order by the domain's total order."""
-
-    __slots__ = ("value", "leq")
-
-    def __init__(self, value: Any, leq: Callable[[Any, Any], bool]):
-        self.value = value
-        self.leq = leq
-
-    def __lt__(self, other: "_HeapKey") -> bool:
-        return self.leq(self.value, other.value) and self.value != other.value
-
-
 def min_distance_matrix(model: SpatialModel, f: DistanceFunction) -> list[list[Any]]:
-    """All-pairs minimum route distance: one generalized Dijkstra per source.
+    """All-pairs minimum route distance: one Dijkstra per source.
 
-    Entry [i][j] is the choose-minimum accumulated distance over routes from
-    i to j, zero on the diagonal, infinity for unreachable pairs.  Requires a
+    Entry [i][j] is the minimum accumulated distance over routes from i to j,
+    zero on the diagonal, infinity for unreachable pairs.  Requires a
     strictly positive distance function (monotone accumulation makes the
-    greedy settling order correct).
+    greedy settling order correct).  Searching the forward graph sums each
+    route from its source, as route enumeration does.
     """
-    check_strictly_positive(model, f)
-    dom = f.domain
-    n = model.location_count
-    out = model.out_edges
-    mapped = [[(dst, f.map(w)) for dst, w in out[src]] for src in range(n)]
-    matrix: list[list[Any]] = []
-    for source in range(n):
-        dist: list[Any] = [dom.infinity] * n
-        dist[source] = dom.zero
-        done = [False] * n
-        heap: list[tuple[_HeapKey, int]] = [(_HeapKey(dom.zero, dom.leq), source)]
-        while heap:
-            key, u = heapq.heappop(heap)
-            if done[u]:
-                continue
-            done[u] = True
-            for v, step in mapped[u]:
-                cand = dom.add(key.value, step)
-                if dom.lt(cand, dist[v]):
-                    dist[v] = cand
-                    heapq.heappush(heap, (_HeapKey(cand, dom.leq), v))
-        matrix.append(dist)
-    return matrix
+    return csgraph.dijkstra(model.incoming_weights(f).T, directed=True).tolist()
 
 
 @dataclass(frozen=True)
@@ -378,7 +376,7 @@ def load_model(path: str) -> DynamicalSpatialModel:
 
     Each snapshot lists edges as [src, dst, weight] with weight a number or a
     two-element array; "undirected": true expands every edge to both
-    directions.
+    directions.  Non-finite weights and times are rejected.
     """
     with open(path) as fh:
         try:
@@ -390,13 +388,21 @@ def load_model(path: str) -> DynamicalSpatialModel:
     n = doc["locations"]
     undirected = bool(doc.get("undirected", False))
     snapshots = []
-    for snap in doc["snapshots"]:
+    for index, snap in enumerate(doc["snapshots"]):
         edges = []
         for entry in snap.get("edges", []):
             if len(entry) != 3:
                 raise ModelError(f"{path}: edge entry must be [src, dst, weight], got {entry!r}")
             src, dst, w = entry
-            edges.append((int(src), _weight_from_json(w), int(dst)))
+            weight = _weight_from_json(w)
+            if not all(map(math.isfinite, weight if isinstance(weight, tuple) else (weight,))):
+                raise ModelError(
+                    f"{path}: snapshot {index}: edge [{src}, {dst}] has non-finite weight {w!r}"
+                )
+            edges.append((int(src), weight, int(dst)))
         model = undirected_model(n, edges) if undirected else build_spatial_model(n, edges)
-        snapshots.append((float(snap["time"]), model))
+        t = float(snap["time"])
+        if not math.isfinite(t):
+            raise ModelError(f"{path}: snapshot {index}: non-finite time {snap['time']!r}")
+        snapshots.append((t, model))
     return DynamicalSpatialModel(tuple(snapshots))

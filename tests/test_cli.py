@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from conftest import NETWORK16_COORD, NETWORK16_EDGES, NETWORK16_END_DEV, NETWORK16_ROUTER
 from strelmon.cli import main
 
@@ -125,6 +127,45 @@ def test_monitor_missing_file_exit_code(tmp_path, capsys):
     )
     assert code == 3
     assert capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad_row", ["0,0,nan,0,1", "0,nan,0,0,1", "0,0,0,inf,1", "0,0,0,0,-inf"]
+)
+def test_monitor_non_finite_trace_exit_code(tmp_path, capsys, bad_row):
+    model, trace = write_network16(tmp_path)
+    with open(trace) as fh:
+        lines = fh.read().splitlines()
+    lines[1] = bad_row
+    with open(trace, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    code = main(["monitor", "--model", model, "--trace", trace, "--formula", "coord"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{trace}:2: non-finite" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "snapshot",
+    [
+        '{"time": 1, "edges": [[0, 1, Infinity]]}',
+        '{"time": 1, "edges": [[0, 1, NaN]]}',
+        '{"time": 1, "edges": [[0, 1, [3.0, -Infinity]]]}',
+        '{"time": Infinity, "edges": [[0, 1, 1.0]]}',
+    ],
+)
+def test_monitor_non_finite_model_exit_code(tmp_path, capsys, snapshot):
+    _model, trace = write_network16(tmp_path)
+    model = tmp_path / "bad.json"
+    model.write_text(
+        '{"locations": 16, "snapshots": [{"time": 0, "edges": [[0, 1, 1.0]]}, %s]}' % snapshot
+    )
+    code = main(["monitor", "--model", str(model), "--trace", trace, "--formula", "coord"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{model}: snapshot 1: " in err and "non-finite" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_dist_binding(tmp_path, capsys):

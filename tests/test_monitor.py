@@ -324,6 +324,68 @@ def _random_spatial(rng, domain, n):
     return [rng.randint(-8, 8) / 4 for _ in range(n)]
 
 
+def _backward_walk_sum(rng, model, f, s1, target, steps):
+    """Start and distance of a random route ending at target whose strict
+    prefix satisfies s1, summed from the target end as route distances are."""
+    loc, dist = target, 0.0
+    for _ in range(steps):
+        options = [(src, w) for src, w in model.in_edges[loc] if s1[src]]
+        if not options:
+            break
+        loc, w = rng.choice(options)
+        dist = dist + f.map(w)
+    return loc, dist
+
+
+def test_boolean_reach_kernels_on_large_random_digraphs():
+    """Boolean reach on 50-300 locations with non-dyadic weights agrees with
+    the flooding (the quantitative domain on +-inf-coded inputs) and with the
+    dense fixpoint, at radii equal to achievable route sums."""
+    rng = random.Random(2718)
+    f = weight_sum_distance()
+    weights = [0.1, 0.2, 0.3, 0.7, -math.log(0.9), -math.log(0.35)]
+
+    def coded(s):
+        return [math.inf if v else -math.inf for v in s]
+
+    for trial in range(10):
+        n = rng.randint(50, 300)
+        s1 = [rng.random() < 0.7 for _ in range(n)]
+        s2 = [False] * n if trial == 4 else [rng.random() < 0.05 for _ in range(n)]
+        pairs = set()
+        while len(pairs) < 3 * n:
+            a, b = rng.randrange(n - 1), rng.randrange(n - 1)
+            if a != b:
+                pairs.add((a, b))
+        edges = [(a, rng.choice(weights), b) for a, b in sorted(pairs)]
+        with_inf = trial % 3 == 0
+        if with_inf:
+            # the last location reaches a target only over an infinite-weight edge
+            edges.append((n - 1, math.inf, 0))
+            s1[n - 1], s2[n - 1], s2[0] = True, False, True
+        model = build_spatial_model(n, edges)
+        radii = [0.0, 0.3]
+        walk_starts = []
+        for target in [l for l in range(n) if s2[l]][:3]:
+            start, dist = _backward_walk_sum(rng, model, f, s1, target, rng.randint(2, 6))
+            radii.append(dist)
+            walk_starts.append((start, dist))
+        for d2 in radii:
+            got = bounded_reach(model, f, 0.0, d2, s1, s2, BOOL)
+            flooded = bounded_reach(model, f, 0.0, d2, coded(s1), coded(s2), QUANT)
+            assert got == [v > 0 for v in flooded]
+            assert all(v is True or v is False for v in got)
+            for start, dist in walk_starts:
+                if dist <= d2:
+                    assert got[start] is True
+        for d1 in [0.0] if with_inf else [0.0, 0.25]:
+            got = unbounded_reach(model, f, d1, s1, s2, BOOL)
+            assert got == dense_unbounded_reach(model, f, d1, s1, s2, BOOL)
+            assert all(v is True or v is False for v in got)
+            if with_inf:
+                assert got[n - 1] is True
+
+
 # ---------------------------------------------------------------------------
 # whole-formula behaviour
 

@@ -81,7 +81,7 @@ def test_min_distance_matches_enumeration_random():
         n = rng.randint(1, 6)
         pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
         rng.shuffle(pairs)
-        edges = [(a, rng.choice([0.5, 1.0, 2.5]), b) for a, b in pairs[: rng.randint(0, 10)]]
+        edges = [(a, rng.choice([0.1, 0.2, 0.3, 0.5, 1.0, 2.5]), b) for a, b in pairs[: rng.randint(0, 10)]]
         m = build_spatial_model(n, edges)
         f = weight_sum_distance()
         dist = min_distance_matrix(m, f)
