@@ -1,14 +1,7 @@
 """Offline monitoring of spatio-temporal reach/escape properties over
 dynamic weighted graphs, with Boolean and quantitative verdicts."""
 
-from .algebra import (
-    DistanceDomain,
-    SignalDomain,
-    boolean_domain,
-    hop_distance_domain,
-    maxmin_domain,
-    real_distance_domain,
-)
+from .algebra import SignalDomain, boolean_domain, maxmin_domain
 from .logic import Formula, Interval, ParseError, desugar, format_formula, parse
 from .monitor import MonitorContext, SemanticError, monitor, satisfied_locations
 from .oracle import oracle_monitor

@@ -1,96 +1,34 @@
-"""Verdict and distance algebras.
+"""Verdict domains.
 
-Monitoring verdicts live in a signal domain: an idempotent semiring with a
-De Morgan negation.  Route lengths accumulate in a distance domain: a totally
-ordered monoid.  Everything downstream (signals, spatial operators, the
-monitor itself) is written against these two interfaces, so adding a new
-verdict domain requires no change to the monitoring code.
+STREL's two shipped semirings are total orders in which choose is ``max``
+and combine is ``min``: the Boolean domain ({False, True}, or, and) and the
+max/min domain over the extended reals.  A domain therefore only names its
+bottom, its top and its De Morgan negation; the monitor writes ``max`` and
+``min`` as inline comparisons.  Route distances are plain numbers: strictly
+positive per edge, summed along a route, with ``math.inf`` as "unbounded".
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 
 @dataclass(frozen=True)
 class SignalDomain:
-    """Idempotent semiring with negation.
-
-    ``choose`` picks among values (join, the verdict-improving direction),
-    ``combine`` merges requirements (meet), ``negate`` is a De Morgan
-    involution swapping ``bottom`` and ``top``.
-    """
+    """A verdict domain: ``negate`` is an involution swapping bottom and top."""
 
     name: str
-    carrier: str
     bottom: Any
     top: Any
-    choose: Callable[[Any, Any], Any]
-    combine: Callable[[Any, Any], Any]
     negate: Callable[[Any], Any]
-
-    def choose_all(self, values: Iterable[Any]) -> Any:
-        out = self.bottom
-        for v in values:
-            out = self.choose(out, v)
-        return out
-
-    def combine_all(self, values: Iterable[Any]) -> Any:
-        out = self.top
-        for v in values:
-            out = self.combine(out, v)
-        return out
-
-    def leq(self, a: Any, b: Any) -> bool:
-        """Induced order: a is below b when choosing between them yields b."""
-        return self.choose(a, b) == b
-
-
-@dataclass(frozen=True)
-class DistanceDomain:
-    """Totally ordered monoid in which route lengths accumulate.
-
-    ``add`` must be monotone in each argument with respect to ``leq``; the
-    bounded-reach flooding and the generalized shortest-distance computation
-    rely on accumulated distances never decreasing along a route.
-    """
-
-    name: str
-    zero: Any
-    infinity: Any
-    add: Callable[[Any, Any], Any]
-    leq: Callable[[Any, Any], bool]
-
-    def lt(self, a: Any, b: Any) -> bool:
-        return self.leq(a, b) and a != b
-
-    def is_positive(self, v: Any) -> bool:
-        """Strictly above zero; required of every distance-function value."""
-        return self.leq(self.zero, v) and v != self.zero
-
-    def in_interval(self, v: Any, lo: Any, hi: Any) -> bool:
-        return self.leq(lo, v) and self.leq(v, hi)
-
-    def min(self, a: Any, b: Any) -> Any:
-        return a if self.leq(a, b) else b
-
-    def max(self, a: Any, b: Any) -> Any:
-        return b if self.leq(a, b) else a
 
 
 def boolean_domain() -> SignalDomain:
-    """Two-point domain: choose is disjunction, combine is conjunction."""
-    return SignalDomain(
-        name="boolean",
-        carrier="bool",
-        bottom=False,
-        top=True,
-        choose=lambda a, b: a or b,
-        combine=lambda a, b: a and b,
-        negate=lambda a: not a,
-    )
+    """Python bools: choose is disjunction, combine is conjunction."""
+    return SignalDomain("boolean", False, True, operator.not_)
 
 
 def maxmin_domain() -> SignalDomain:
@@ -99,37 +37,7 @@ def maxmin_domain() -> SignalDomain:
     Verdicts are real-valued satisfaction margins; the sign carries the
     Boolean answer, the magnitude a degree of robustness.
     """
-    return SignalDomain(
-        name="quantitative",
-        carrier="extended-real",
-        bottom=-math.inf,
-        top=math.inf,
-        choose=lambda a, b: a if a >= b else b,
-        combine=lambda a, b: a if a <= b else b,
-        negate=lambda a: -a,
-    )
-
-
-def hop_distance_domain() -> DistanceDomain:
-    """Naturals with infinity under addition; counts route steps."""
-    return DistanceDomain(
-        name="hop",
-        zero=0,
-        infinity=math.inf,
-        add=lambda a, b: a + b,
-        leq=lambda a, b: a <= b,
-    )
-
-
-def real_distance_domain() -> DistanceDomain:
-    """Nonnegative reals with infinity under addition."""
-    return DistanceDomain(
-        name="real",
-        zero=0.0,
-        infinity=math.inf,
-        add=lambda a, b: a + b,
-        leq=lambda a, b: a <= b,
-    )
+    return SignalDomain("quantitative", -math.inf, math.inf, operator.neg)
 
 
 DOMAINS = {

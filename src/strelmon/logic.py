@@ -164,6 +164,14 @@ class Surround(Formula):
     right: Formula
 
 
+# The parser, the desugarer and the monitor all recurse once per tree level,
+# so deeper input is refused with a ParseError: both the operands nested
+# while parsing and the levels of the desugared core tree are capped.
+MAX_DEPTH = 200
+
+# core-tree levels each operator adds once desugared (all others add one)
+_CORE_LEVELS = {Or: 3, Globally: 3, Everywhere: 3, Surround: 6}
+
 KEYWORDS = {"U", "S", "F", "G", "reach", "escape", "somewhere", "everywhere", "surround", "inf"}
 
 _TOKEN_RE = re.compile(
@@ -210,6 +218,8 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = list(_tokenize(text))
         self.pos = 0
+        self.nesting = 0
+        self.heights: dict[int, int] = {}  # id -> core-tree height; nodes stay alive in the tree
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -230,6 +240,19 @@ class _Parser:
             raise self.error(f"expected {text!r}", (text,))
         return self.advance()
 
+    def build(self, tok: _Token, cls, *fields) -> Formula:
+        """Build a node at an operator token, refusing it once its desugared
+        tree gets deeper than MAX_DEPTH."""
+        node = cls(*fields)
+        below = [self.heights[id(f)] for f in fields if isinstance(f, Formula)]
+        height = _CORE_LEVELS.get(cls, 1) + max(below, default=0)
+        if height > MAX_DEPTH:
+            raise ParseError(
+                f"formula nests deeper than {MAX_DEPTH} levels once desugared", tok.line, tok.column
+            )
+        self.heights[id(node)] = height
+        return node
+
     def parse(self) -> Formula:
         node = self.parse_or()
         if self.peek().kind != "end":
@@ -239,15 +262,13 @@ class _Parser:
     def parse_or(self) -> Formula:
         node = self.parse_and()
         while self.peek().text == "|":
-            self.advance()
-            node = Or(node, self.parse_and())
+            node = self.build(self.advance(), Or, node, self.parse_and())
         return node
 
     def parse_and(self) -> Formula:
         node = self.parse_temporal()
         while self.peek().text == "&":
-            self.advance()
-            node = And(node, self.parse_temporal())
+            node = self.build(self.advance(), And, node, self.parse_temporal())
         return node
 
     def parse_temporal(self) -> Formula:
@@ -258,55 +279,59 @@ class _Parser:
                 self.advance()
                 interval = self.parse_interval(temporal=True, operator=tok.text)
                 right = self.parse_unary()
-                node = (Until if tok.text == "U" else Since)(interval, node, right)
+                node = self.build(tok, Until if tok.text == "U" else Since, interval, node, right)
             elif tok.kind == "ident" and tok.text in ("reach", "surround"):
                 self.advance()
                 dist = self.parse_distance_name()
                 interval = self.parse_optional_interval(operator=tok.text)
                 right = self.parse_unary()
-                node = (Reach if tok.text == "reach" else Surround)(interval, dist, node, right)
+                cls = Reach if tok.text == "reach" else Surround
+                node = self.build(tok, cls, interval, dist, node, right)
             else:
                 return node
 
     def parse_unary(self) -> Formula:
         tok = self.peek()
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise self.error(f"formula nests deeper than {MAX_DEPTH} levels")
         if tok.text == "!":
             self.advance()
-            return Not(self.parse_unary())
-        if tok.kind == "ident" and tok.text in ("F", "G"):
+            node = self.build(tok, Not, self.parse_unary())
+        elif tok.kind == "ident" and tok.text in ("F", "G"):
             self.advance()
             interval = self.parse_optional_interval(operator=tok.text, temporal=True)
-            child = self.parse_unary()
-            return (Eventually if tok.text == "F" else Globally)(interval, child)
-        if tok.kind == "ident" and tok.text in ("escape", "somewhere", "everywhere"):
+            cls = Eventually if tok.text == "F" else Globally
+            node = self.build(tok, cls, interval, self.parse_unary())
+        elif tok.kind == "ident" and tok.text in ("escape", "somewhere", "everywhere"):
             self.advance()
             dist = self.parse_distance_name()
             interval = self.parse_optional_interval(operator=tok.text)
-            child = self.parse_unary()
             ctor = {"escape": Escape, "somewhere": Somewhere, "everywhere": Everywhere}[tok.text]
-            return ctor(interval, dist, child)
-        if tok.text == "(":
+            node = self.build(tok, ctor, interval, dist, self.parse_unary())
+        elif tok.text == "(":
             self.advance()
             node = self.parse_or()
             self.expect(")")
-            return node
-        if tok.kind == "ident":
+        elif tok.kind == "ident":
             if tok.text in KEYWORDS:
                 raise self.error(f"{tok.text!r} is a reserved word, not an atom", ("atom",))
-            return self.parse_atom()
-        raise self.error("expected a formula", ("atom", "!", "(", "F", "G"))
+            node = self.parse_atom()
+        else:
+            raise self.error("expected a formula", ("atom", "!", "(", "F", "G"))
+        self.nesting -= 1
+        return node
 
     def parse_atom(self) -> Formula:
-        name = self.advance().text
-        tok = self.peek()
-        if tok.kind == "cmp":
+        tok = self.advance()
+        if self.peek().kind == "cmp":
             op = self.advance().text
             num = self.peek()
             if num.kind != "number":
                 raise self.error("expected a number after comparison operator", ("number",))
             self.advance()
-            return Atomic(name, op, float(num.text))
-        return Atomic(name)
+            return self.build(tok, Atomic, tok.text, op, float(num.text))
+        return self.build(tok, Atomic, tok.text)
 
     def parse_distance_name(self) -> str:
         self.expect("(")

@@ -1,8 +1,10 @@
 """Offline monitoring engine.
 
 ``monitor`` evaluates a formula over a trace on a dynamic weighted graph and
-returns one piecewise-constant verdict signal per location.  Verdicts live in
-the signal domain carried by the context (Boolean or extended-real max/min).
+returns one piecewise-constant verdict signal per location.  Verdicts are
+Python bools or extended reals, as the context's domain says; choose is
+``max`` and combine is ``min``, both written as inline comparisons that keep
+the left operand on ties (signed zeros depend on it).
 
 Structure: atoms apply the interpretation pointwise, Boolean connectives act
 stepwise on merged step grids, until/since run an exact event sweep per
@@ -17,6 +19,7 @@ the functions and cross-checked against brute-force oracles in the tests.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
@@ -86,9 +89,6 @@ class MonitorContext:
                 f"first snapshot at {self.model.start} is after the trace start {self.trace.start}"
             )
 
-    def to_verdict(self, truth: bool) -> Any:
-        return self.domain.top if truth else self.domain.bottom
-
 
 def _atom_signal(ctx: MonitorContext, atom: Atomic, loc: int) -> TemporalSignal:
     """Interpretation of one atom at one location, as a step function."""
@@ -101,28 +101,20 @@ def _atom_signal(ctx: MonitorContext, atom: Atomic, loc: int) -> TemporalSignal:
         if name == "false":
             return TemporalSignal(trace_sig.times[:1], (dom.bottom,), trace_sig.end_time)
         if name.startswith(_AT_PREFIX) and name[len(_AT_PREFIX):].isdigit():
-            here = int(name[len(_AT_PREFIX):]) == loc
-            return TemporalSignal(trace_sig.times[:1], (ctx.to_verdict(here),), trace_sig.end_time)
+            here = dom.top if int(name[len(_AT_PREFIX):]) == loc else dom.bottom
+            return TemporalSignal(trace_sig.times[:1], (here,), trace_sig.end_time)
         if ctx.interpretation is not None and name in ctx.interpretation:
             fn = ctx.interpretation[name]
             values = tuple(fn(v) for v in trace_sig.values)
             return TemporalSignal(trace_sig.times, values, trace_sig.end_time).minimize()
         idx = _resolve_variable(ctx, name)
-        if dom.name == "boolean":
-            values = tuple(v[idx] != 0 for v in trace_sig.values)
-        else:
-            values = tuple(math.inf if v[idx] != 0 else -math.inf for v in trace_sig.values)
+        values = tuple(dom.top if v[idx] != 0 else dom.bottom for v in trace_sig.values)
         return TemporalSignal(trace_sig.times, values, trace_sig.end_time).minimize()
     idx = _resolve_variable(ctx, atom.name)
     c = atom.threshold
     if dom.name == "boolean":
-        cmp = {
-            ">": lambda x: x > c,
-            ">=": lambda x: x >= c,
-            "<": lambda x: x < c,
-            "<=": lambda x: x <= c,
-        }[atom.op]
-        values = tuple(cmp(v[idx]) for v in trace_sig.values)
+        cmp = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}[atom.op]
+        values = tuple(cmp(v[idx], c) for v in trace_sig.values)
     else:
         # satisfaction margin: positive iff the comparison holds strictly
         if atom.op in (">", ">="):
@@ -219,7 +211,6 @@ def monitor_until(interval: Interval, s1: TemporalSignal, s2: TemporalSignal, do
             e = s - shift
             if t0 <= e <= out_end:
                 events.add(e)
-    choose, combine = domain.choose, domain.combine
     out_times = sorted(events)
     out_values = []
     for e in out_times:
@@ -232,9 +223,12 @@ def monitor_until(interval: Interval, s1: TemporalSignal, s2: TemporalSignal, do
         running = domain.top
         acc = domain.bottom
         for u in sorted(samples):
-            running = combine(running, s1.value_at(u))
+            x = s1.value_at(u)
+            running = running if running <= x else x
             if u >= win_lo:
-                acc = choose(acc, combine(s2.value_at(u), running))
+                y = s2.value_at(u)
+                y = y if y <= running else running
+                acc = acc if acc >= y else y
         out_values.append(acc)
     return TemporalSignal(tuple(out_times), tuple(out_values), out_end).minimize()
 
@@ -263,7 +257,6 @@ def monitor_since(interval: Interval, s1: TemporalSignal, s2: TemporalSignal, do
             e = s + shift
             if out_start <= e <= t_end:
                 events.add(e)
-    choose, combine = domain.choose, domain.combine
     out_times = sorted(events)
     out_values = []
     for e in out_times:
@@ -276,9 +269,12 @@ def monitor_since(interval: Interval, s1: TemporalSignal, s2: TemporalSignal, do
         running = domain.top
         acc = domain.bottom
         for u in sorted(samples, reverse=True):
-            running = combine(running, s1.value_at(u))
+            x = s1.value_at(u)
+            running = running if running <= x else x
             if u <= win_hi:
-                acc = choose(acc, combine(s2.value_at(u), running))
+                y = s2.value_at(u)
+                y = y if y <= running else running
+                acc = acc if acc >= y else y
         out_values.append(acc)
     return TemporalSignal(tuple(out_times), tuple(out_values), t_end).minimize()
 
@@ -297,20 +293,18 @@ def reach(
 ) -> SpatialSignal:
     """Dispatch on the upper distance bound: flooding when bounded, fixpoint
     back-propagation when unbounded."""
-    dom = f.domain
-    hi = dom.infinity if interval.hi is None else interval.hi
-    if hi != dom.infinity:
-        values = bounded_reach(model, f, interval.lo, hi, list(s1.values), list(s2.values), domain)
-    else:
+    if interval.hi is None or interval.hi == math.inf:
         values = unbounded_reach(model, f, interval.lo, list(s1.values), list(s2.values), domain)
+    else:
+        values = bounded_reach(model, f, interval.lo, interval.hi, list(s1.values), list(s2.values), domain)
     return SpatialSignal(tuple(values))
 
 
 def bounded_reach(
     model: SpatialModel,
     f: DistanceFunction,
-    d1: Any,
-    d2: Any,
+    d1: float,
+    d2: float,
     s1: list,
     s2: list,
     domain: SignalDomain,
@@ -321,52 +315,51 @@ def bounded_reach(
     accumulated distance lands in [d1, d2] of (s2 at the endpoint) combined
     with s1 over the strict prefix.
 
-    Boolean verdicts with d1 the distance zero are a shortest-path question:
-    l holds iff s2 holds at l or some s2 location lies within d2 of l along
-    a route whose strict prefix satisfies s1 (``_reached_within``).  Every
-    other case floods: the queue holds one merged value per (location,
-    accumulated distance); a round extends every queue entry backwards along
-    incoming edges, contributes to the output when the new distance is
-    inside the interval, and re-enqueues only strictly below d2.
+    Boolean verdicts with d1 = 0 are a shortest-path question: l holds iff
+    s2 holds at l or some s2 location lies within d2 of l along a route
+    whose strict prefix satisfies s1 (``_reached_within``).  Every other case
+    floods: the queue holds one merged value per (location, accumulated
+    distance); a round extends every queue entry backwards along incoming
+    edges, contributes to the output when the new distance is inside the
+    interval, and re-enqueues only strictly below d2.
 
     Entries whose value is the domain bottom are dropped (they can never
-    change the output), and when d1 is the distance zero an entry dominated
-    by a cheaper-and-better one at the same location is pruned; both cuts are
+    change the output), and when d1 = 0 an entry dominated by a
+    cheaper-and-better one at the same location is pruned; both cuts are
     output-invariant and keep the round structure intact.
     """
-    dom = f.domain
     incoming = model.incoming_weights(f)
-    if not dom.leq(d1, d2):
+    if not d1 <= d2:
         raise SemanticError(f"malformed distance interval [{d1}, {d2}]")
-    unconstrained_lo = d1 == dom.zero
+    unconstrained_lo = d1 == 0
     if unconstrained_lo and domain.name == "boolean":
         return _reached_within(incoming, s1, s2, d2)
     n = model.location_count
     bottom = domain.bottom
-    choose, combine = domain.choose, domain.combine
     s = list(s2) if unconstrained_lo else [bottom] * n
     bounds = incoming.indptr.tolist()
     sources = incoming.indices.tolist()
     steps = incoming.data.tolist()
-    queue: dict[tuple[int, Any], Any] = {(l, dom.zero): s2[l] for l in range(n)}
-    fronts: list[list[tuple[Any, Any]]] = [[] for _ in range(n)]
+    queue: dict[tuple[int, float], Any] = {(l, 0): s2[l] for l in range(n)}
+    fronts: list[list[tuple[float, Any]]] = [[] for _ in range(n)]
     while queue:
-        nxt: dict[tuple[int, Any], Any] = {}
+        nxt: dict[tuple[int, float], Any] = {}
         for (l, d), v in queue.items():
             if v == bottom:
                 continue
             lo, hi = bounds[l], bounds[l + 1]
             for src, step in zip(sources[lo:hi], steps[lo:hi]):
-                v2 = combine(v, s1[src])
-                d2_new = dom.add(d, step)
-                if dom.leq(d1, d2_new) and dom.leq(d2_new, d2):
-                    s[src] = choose(s[src], v2)
-                if dom.lt(d2_new, d2):
-                    key = (src, d2_new)
+                x = s1[src]
+                v2 = v if v <= x else x
+                d_new = d + step
+                if d1 <= d_new <= d2 and v2 > s[src]:
+                    s[src] = v2
+                if d_new < d2:
+                    key = (src, d_new)
                     prev = nxt.get(key)
-                    nxt[key] = v2 if prev is None else choose(prev, v2)
+                    nxt[key] = v2 if prev is None or v2 > prev else prev
         if unconstrained_lo and nxt:
-            nxt = _prune_dominated(nxt, fronts, dom, domain)
+            nxt = _prune_dominated(nxt, fronts)
         queue = nxt
     return s
 
@@ -400,11 +393,9 @@ def _reached_within(incoming: csr_array, s1: list, targets: list, limit: float) 
 
 
 def _prune_dominated(
-    queue: dict[tuple[int, Any], Any],
-    fronts: list[list[tuple[Any, Any]]],
-    dom,
-    domain: SignalDomain,
-) -> dict[tuple[int, Any], Any]:
+    queue: dict[tuple[int, float], Any],
+    fronts: list[list[tuple[float, Any]]],
+) -> dict[tuple[int, float], Any]:
     """Keep, per location, only entries not dominated closer-and-better.
 
     Only used with an unconstrained lower bound: an entry at distance d with
@@ -414,73 +405,70 @@ def _prune_dominated(
     still explored.  ``fronts`` carries each location's surviving (distance,
     value) pairs across rounds.
     """
-    per_loc: dict[int, list[tuple[Any, Any]]] = {}
+    per_loc: dict[int, list[tuple[float, Any]]] = {}
     for (l, d), v in queue.items():
         per_loc.setdefault(l, []).append((d, v))
-    out: dict[tuple[int, Any], Any] = {}
+    out: dict[tuple[int, float], Any] = {}
     for l, entries in per_loc.items():
         front = fronts[l]
-        entries.sort(key=lambda pair: _SortKey(pair[0], dom.leq))
+        entries.sort(key=lambda pair: pair[0])
         for d, v in entries:
-            dominated = any(
-                dom.leq(d_old, d) and domain.leq(v, v_old) for d_old, v_old in front
-            )
-            if dominated:
+            if any(d_old <= d and v <= v_old for d_old, v_old in front):
                 continue
             out[(l, d)] = v
             front.append((d, v))
     return out
 
 
-class _SortKey:
-    __slots__ = ("value", "leq")
-
-    def __init__(self, value, leq):
-        self.value = value
-        self.leq = leq
-
-    def __lt__(self, other):
-        return self.leq(self.value, other.value) and self.value != other.value
-
-
 def unbounded_reach(
     model: SpatialModel,
     f: DistanceFunction,
-    d1: Any,
+    d1: float,
     s1: list,
     s2: list,
     domain: SignalDomain,
 ) -> list:
     """Reach with no upper distance bound.
 
-    With an unconstrained lower bound the seed is s2 itself; otherwise a
-    bounded flooding over [d1, d1 + max edge distance] seeds every endpoint
-    whose route first crosses d1.  Seeds are then back-propagated along
-    incoming edges until a fixpoint: s[src] absorbs s[dst] combined with
-    s1[src] for every edge src -> dst.  The fixpoint ignores weights, so for
-    Boolean verdicts it is plain reachability from the seeds
-    (``_reached_within`` with no limit).
+    With d1 = 0 the seed is s2 itself.  Otherwise a route counts from its
+    shortest suffix that is at least d1 long.  When that suffix starts with
+    a finite edge it is at most d1 plus the largest finite edge distance
+    long, so a bounded flooding over that interval seeds its start.  When it
+    starts with an infinite edge src -> dst, every route on from dst
+    completes it, so src is seeded with s1[src] combined with the d1 = 0
+    value at dst.  Seeds are then back-propagated until a fixpoint
+    (``_back_propagate``).
     """
-    dom = f.domain
     incoming = model.incoming_weights(f)
-    n = model.location_count
-    if d1 == dom.zero:
-        s = list(s2)
-    else:
-        d_max = incoming.data.max().item() if incoming.nnz else dom.zero
-        s = bounded_reach(model, f, d1, dom.add(d1, d_max), s1, s2, domain)
+    if d1 == 0:
+        return _back_propagate(model, incoming, s1, list(s2), domain)
+    finite = np.isfinite(incoming.data)
+    d_max = incoming.data[finite].max().item() if finite.any() else 0
+    s = bounded_reach(model, f, d1, d1 + d_max, s1, s2, domain)
+    if not finite.all():
+        anywhere = _back_propagate(model, incoming, s1, list(s2), domain)
+        edges = incoming.tocoo()
+        for dst, src in zip(edges.row[~finite].tolist(), edges.col[~finite].tolist()):
+            s[src] = max(s[src], min(s1[src], anywhere[dst]))
+    return _back_propagate(model, incoming, s1, s, domain)
+
+
+def _back_propagate(model: SpatialModel, incoming: csr_array, s1: list, s: list, domain: SignalDomain) -> list:
+    """Fixpoint in which s[src] absorbs s[dst] combined with s1[src] for every
+    edge src -> dst.  It ignores weights, so for Boolean verdicts it is plain
+    reachability from the seeds (``_reached_within`` with no limit)."""
     if domain.name == "boolean":
         return _reached_within(incoming, s1, s, math.inf)
-    choose, combine = domain.choose, domain.combine
     in_edges = model.in_edges
-    active = set(range(n))
+    active = set(range(model.location_count))
     while active:
         nxt: set[int] = set()
         for l in active:
             base = s[l]
             for src, _w in in_edges[l]:
-                v2 = choose(combine(base, s1[src]), s[src])
-                if v2 != s[src]:
+                x = s1[src]
+                v2 = base if base <= x else x
+                if v2 > s[src]:
                     s[src] = v2
                     nxt.add(src)
         active = nxt
@@ -503,17 +491,15 @@ def escape(
     (at most one round per location).  The result gates e by the all-pairs
     minimum-distance matrix.
     """
-    dom = f.domain
     if isinstance(s1, SpatialSignal):
         s1 = list(s1.values)
     d1 = interval.lo
-    d2 = dom.infinity if interval.hi is None else interval.hi
-    if not dom.leq(d1, d2):
+    d2 = math.inf if interval.hi is None else interval.hi
+    if not d1 <= d2:
         raise SemanticError(f"malformed distance interval [{d1}, {d2}]")
     dist = min_distance_matrix(model, f)
     n = model.location_count
     bottom = domain.bottom
-    choose, combine = domain.choose, domain.combine
     e = [[bottom] * n for _ in range(n)]
     for l in range(n):
         e[l][l] = s1[l]
@@ -525,8 +511,9 @@ def escape(
         for l1, l2 in active:
             base = e[l1][l2]
             for src, _w in in_edges[l1]:
-                v = choose(e_next[src][l2], combine(s1[src], base))
-                if v != e_next[src][l2]:
+                x = s1[src]
+                v = x if x <= base else base
+                if v > e_next[src][l2]:
                     e_next[src][l2] = v
                     nxt.add((src, l2))
         e = e_next
@@ -537,8 +524,8 @@ def escape(
         row_dist = dist[l]
         row_e = e[l]
         for l2 in range(n):
-            if dom.in_interval(row_dist[l2], d1, d2):
-                acc = choose(acc, row_e[l2])
+            if d1 <= row_dist[l2] <= d2 and row_e[l2] > acc:
+                acc = row_e[l2]
         out.append(acc)
     return SpatialSignal(tuple(out))
 
@@ -580,7 +567,8 @@ def _eval_node(ctx: MonitorContext, node: Formula, cache: dict) -> SpatioTempora
         for sl, sr in zip(left.signals, right.signals):
             sl, sr = _common_domain(sl, sr)
             times = sorted(set(sl.times) | set(sr.times))
-            values = tuple(dom.combine(sl.value_at(t), sr.value_at(t)) for t in times)
+            pairs = [(sl.value_at(t), sr.value_at(t)) for t in times]
+            values = tuple(a if a <= b else b for a, b in pairs)
             out.append(TemporalSignal(tuple(times), values, sl.end_time).minimize())
         return SpatioTemporalSignal(tuple(out))
     if isinstance(node, Until):
@@ -656,9 +644,4 @@ def satisfied_locations(result: SpatioTemporalSignal, ctx: MonitorContext, t: fl
     """Locations whose verdict at t (or at the domain start if t precedes it)
     is positive/true."""
     probe = max(t, result.start)
-    out = []
-    for loc in range(result.location_count):
-        v = result.value_at(loc, probe)
-        if (v is True) or (v is not False and isinstance(v, (int, float)) and v > 0):
-            out.append(loc)
-    return out
+    return [loc for loc in range(result.location_count) if result.value_at(loc, probe) > 0]

@@ -15,6 +15,7 @@ trust, not speed.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 from .algebra import SignalDomain
@@ -90,7 +91,7 @@ def _eval(ctx: MonitorContext, node: Formula) -> tuple[list[float], list[list[An
         times = sorted({t for t in set(t1) | set(t2) | {start} if start <= t <= end})
         values = [
             [
-                dom.combine(_value_at(t1, v1[loc], t), _value_at(t2, v2[loc], t))
+                min(_value_at(t1, v1[loc], t), _value_at(t2, v2[loc], t))
                 for t in times
             ]
             for loc in range(n)
@@ -163,8 +164,8 @@ def _window_value(dom, base, row1, row2, t, w_lo, w_hi, future: bool) -> Any:
                 inner.add(s)
         prod = dom.top
         for u in inner:
-            prod = dom.combine(prod, _value_at(base, row1, u))
-        acc = dom.choose(acc, dom.combine(_value_at(base, row2, tp), prod))
+            prod = min(prod, _value_at(base, row1, u))
+        acc = max(acc, min(_value_at(base, row2, tp), prod))
     return acc
 
 
@@ -189,16 +190,15 @@ def _eval_spatial(ctx: MonitorContext, node, binary: bool):
             set(t1) | {t for t in ctx.model.snapshot_times() if start <= t <= end}
         )
     f = ctx.distances[node.distance]
-    bdom = f.domain
     lo = node.interval.lo
-    hi = bdom.infinity if node.interval.hi is None else node.interval.hi
+    hi = math.inf if node.interval.hi is None else node.interval.hi
     values: list[list[Any]] = [[] for _ in range(n)]
     for t in times:
         model = ctx.model.snapshot_at(t)
         s1 = [_value_at(t1, v1[loc], t) for loc in range(n)]
         if binary:
             s2 = [_value_at(t2, v2[loc], t) for loc in range(n)]
-            if hi != bdom.infinity:
+            if hi != math.inf:
                 out = [walk_reach(model, f, lo, hi, s1, s2, dom, loc) for loc in range(n)]
             else:
                 out = dense_unbounded_reach(model, f, lo, s1, s2, dom)
@@ -215,23 +215,22 @@ def walk_reach(model: SpatialModel, f, d1, d2, s1, s2, dom: SignalDomain, start:
     Strict positivity of f makes the enumeration finite: distances only grow
     along a prefix, so anything beyond d2 can never contribute.
     """
-    bdom = f.domain
     out_edges = model.out_edges
     acc = dom.bottom
 
     def visit(loc: int, dist, prefix) -> None:
         nonlocal acc
-        if bdom.in_interval(dist, d1, d2):
-            acc = dom.choose(acc, dom.combine(s2[loc], prefix))
-        prefix2 = dom.combine(prefix, s1[loc])
+        if d1 <= dist <= d2:
+            acc = max(acc, min(s2[loc], prefix))
+        prefix2 = min(prefix, s1[loc])
         if prefix2 == dom.bottom:
             return
         for dst, w in out_edges[loc]:
-            nd = bdom.add(dist, f.map(w))
-            if bdom.leq(nd, d2):
+            nd = dist + f.map(w)
+            if nd <= d2:
                 visit(dst, nd, prefix2)
 
-    visit(start, bdom.zero, dom.top)
+    visit(start, 0, dom.top)
     return acc
 
 
@@ -241,10 +240,9 @@ def dense_unbounded_reach(model: SpatialModel, f, d1, s1, s2, dom: SignalDomain)
     V is the least fixpoint of the unconstrained equation
     V(l) = s2(l) choose (choose over out-edges of s1(l) combine V(dst)),
     computed by dense iteration.  U(l, need) demands the route cross the
-    remaining bound `need` before contributions start; distance values of the
-    shipped domains are numbers, so the budget decreases by plain arithmetic.
+    remaining bound `need` before contributions start; the budget decreases
+    by each step's distance.
     """
-    bdom = f.domain
     n = model.location_count
     out_edges = model.out_edges
     v = list(s2)
@@ -253,18 +251,18 @@ def dense_unbounded_reach(model: SpatialModel, f, d1, s1, s2, dom: SignalDomain)
         for l in range(n):
             val = s2[l]
             for dst, w in out_edges[l]:
-                val = dom.choose(val, dom.combine(s1[l], v[dst]))
+                val = max(val, min(s1[l], v[dst]))
             nxt.append(val)
         if nxt == v:
             break
         v = nxt
-    if d1 == bdom.zero:
+    if d1 == 0:
         return v
 
     memo: dict[tuple[int, Any], Any] = {}
 
     def unbounded(loc: int, need) -> Any:
-        if bdom.leq(need, bdom.zero):
+        if need <= 0:
             return v[loc]
         key = (loc, need)
         if key in memo:
@@ -273,29 +271,28 @@ def dense_unbounded_reach(model: SpatialModel, f, d1, s1, s2, dom: SignalDomain)
         acc = dom.bottom
         for dst, w in out_edges[loc]:
             step = f.map(w)
-            acc = dom.choose(acc, dom.combine(s1[loc], unbounded(dst, need - step)))
+            acc = max(acc, min(s1[loc], unbounded(dst, need - step)))
         memo[key] = acc
         return acc
 
     return [unbounded(l, d1) for l in range(n)]
 
 
-def floyd_warshall(model: SpatialModel, f) -> list[list[Any]]:
-    bdom = f.domain
+def floyd_warshall(model: SpatialModel, f) -> list[list[float]]:
     n = model.location_count
-    dist = [[bdom.infinity] * n for _ in range(n)]
+    dist = [[math.inf] * n for _ in range(n)]
     for i in range(n):
-        dist[i][i] = bdom.zero
+        dist[i][i] = 0
     for src, w, dst in model.edges:
-        dist[src][dst] = bdom.min(dist[src][dst], f.map(w))
+        dist[src][dst] = min(dist[src][dst], f.map(w))
     for k in range(n):
         for i in range(n):
             dik = dist[i][k]
-            if dik == bdom.infinity:
+            if dik == math.inf:
                 continue
             for j in range(n):
-                cand = bdom.add(dik, dist[k][j])
-                if bdom.lt(cand, dist[i][j]):
+                cand = dik + dist[k][j]
+                if cand < dist[i][j]:
                     dist[i][j] = cand
     return dist
 
@@ -308,22 +305,21 @@ def simple_path_escape(model: SpatialModel, f, d1, d2, s1, dom: SignalDomain) ->
     the endpoint is admitted when its minimum graph distance from the start
     lies in the interval.
     """
-    bdom = f.domain
     dist = floyd_warshall(model, f)
     n = model.location_count
     out_edges = model.out_edges
     results = []
     for start in range(n):
         acc = dom.bottom
-        admitted = [bdom.in_interval(dist[start][l], d1, d2) for l in range(n)]
+        admitted = [d1 <= dist[start][l] <= d2 for l in range(n)]
 
         def visit(loc: int, product, visited: set) -> None:
             nonlocal acc
             if admitted[loc]:
-                acc = dom.choose(acc, product)
+                acc = max(acc, product)
             for dst, _w in out_edges[loc]:
                 if dst not in visited:
-                    visit(dst, dom.combine(product, s1[dst]), visited | {dst})
+                    visit(dst, min(product, s1[dst]), visited | {dst})
 
         visit(start, s1[start], {start})
         results.append(acc)

@@ -76,10 +76,6 @@ class TemporalSignal:
         return TemporalSignal(self.times, tuple(fn(v) for v in self.values), self.end_time)
 
 
-def constant_signal(value: Any, start: float, end: float) -> TemporalSignal:
-    return TemporalSignal((start,), (value,), end)
-
-
 def _check_same_domain(signals: Sequence[TemporalSignal]) -> None:
     first = signals[0]
     for s in signals[1:]:
@@ -99,17 +95,6 @@ def time_step_union(signals: Iterable[TemporalSignal]) -> list[float]:
     for s in sigs:
         out.update(s.times)
     return sorted(out)
-
-
-def pointwise_binary(op: Callable[[Any, Any], Any], s1: TemporalSignal, s2: TemporalSignal) -> TemporalSignal:
-    """Apply op at every time; exact because both inputs are step functions."""
-    times = time_step_union([s1, s2])
-    values = tuple(op(s1.value_at(t), s2.value_at(t)) for t in times)
-    return TemporalSignal(tuple(times), values, s1.end_time).minimize()
-
-
-def pointwise_unary(op: Callable[[Any], Any], s: TemporalSignal) -> TemporalSignal:
-    return s.map_values(op).minimize()
 
 
 @dataclass(frozen=True)
@@ -156,10 +141,6 @@ class SpatioTemporalSignal:
         return time_step_union(self.signals)
 
 
-def spatial_slice(sig: SpatioTemporalSignal, t: float) -> SpatialSignal:
-    return sig.spatial_slice(t)
-
-
 @dataclass(frozen=True)
 class Trace:
     """Vector-valued input signals: one tuple of variable values per step."""
@@ -190,12 +171,6 @@ class Trace:
     @property
     def end_time(self) -> float:
         return self.signals[0].end_time
-
-    def variable_index(self, name: str) -> int:
-        try:
-            return self.variables.index(name)
-        except ValueError:
-            raise SignalError(f"unknown trace variable {name!r}") from None
 
     def step_times(self) -> list[float]:
         return time_step_union(self.signals)

@@ -2,9 +2,9 @@
 
 Locations are integer ids 0..n-1.  Edge weights are either scalars or 2d
 vectors (for models embedded in the plane).  Undirected graphs are encoded as
-two opposite edges.  A distance function maps edge weights into a distance
-domain; route distances are the monoid sum of the mapped weights, and the
-distance between two locations is the choose-minimum over all routes.
+two opposite edges.  A distance function maps edge weights to strictly
+positive numbers; a route's distance is the sum of its mapped weights, and
+the distance between two locations is the minimum over all routes.
 """
 
 from __future__ import annotations
@@ -14,12 +14,10 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 import numpy as np
 from scipy.sparse import csgraph, csr_array
-
-from .algebra import DistanceDomain, hop_distance_domain, real_distance_domain
 
 Weight = Any  # float or (float, float)
 
@@ -157,15 +155,14 @@ def snapshot_at(dm: DynamicalSpatialModel, t: float) -> SpatialModel:
 
 @dataclass(frozen=True)
 class DistanceFunction:
-    """Maps edge weights into a distance domain; must be strictly positive."""
+    """Maps edge weights to numbers (``math.inf`` allowed); must be strictly positive."""
 
     name: str
-    map: Callable[[Weight], Any]
-    domain: DistanceDomain
+    map: Callable[[Weight], float]
 
 
 def hop_distance() -> DistanceFunction:
-    return DistanceFunction("hop", lambda w: 1, hop_distance_domain())
+    return DistanceFunction("hop", lambda w: 1)
 
 
 def weight_sum_distance() -> DistanceFunction:
@@ -174,7 +171,7 @@ def weight_sum_distance() -> DistanceFunction:
             return float(w)
         raise ModelError(f"weight-sum distance needs scalar edge weights, got {w!r}")
 
-    return DistanceFunction("weight", as_scalar, real_distance_domain())
+    return DistanceFunction("weight", as_scalar)
 
 
 def euclidean_norm_distance() -> DistanceFunction:
@@ -183,7 +180,7 @@ def euclidean_norm_distance() -> DistanceFunction:
             return math.hypot(w[0], w[1])
         raise ModelError(f"euclidean distance needs 2d vector edge weights, got {w!r}")
 
-    return DistanceFunction("euclid", norm, real_distance_domain())
+    return DistanceFunction("euclid", norm)
 
 
 BUILTIN_DISTANCES = {
@@ -199,7 +196,7 @@ def check_strictly_positive(model: SpatialModel, f: DistanceFunction) -> list:
     mapped = []
     for src, w, dst in model.edges:
         d = f.map(w)
-        if not f.domain.is_positive(d):
+        if not d > 0:
             raise ModelError(
                 f"distance function {f.name!r} is not strictly positive on edge "
                 f"({src}, {dst}) with weight {w!r}"
@@ -208,19 +205,7 @@ def check_strictly_positive(model: SpatialModel, f: DistanceFunction) -> list:
     return mapped
 
 
-def route_prefix_distance(model: SpatialModel, f: DistanceFunction, path: Sequence[int], i: int) -> Any:
-    """Accumulated distance of the first i steps of a path along edges."""
-    if not 0 <= i < len(path) or len(path) == 0:
-        raise ModelError(f"prefix index {i} out of range for path of length {len(path)}")
-    dom = f.domain
-    d = dom.zero
-    for k in range(i):
-        w = model.weight(path[k], path[k + 1])
-        d = dom.add(d, f.map(w))
-    return d
-
-
-def min_distance_matrix(model: SpatialModel, f: DistanceFunction) -> list[list[Any]]:
+def min_distance_matrix(model: SpatialModel, f: DistanceFunction) -> list[list[float]]:
     """All-pairs minimum route distance: one Dijkstra per source.
 
     Entry [i][j] is the minimum accumulated distance over routes from i to j,

@@ -239,7 +239,7 @@ def test_criterion_3_enumeration_oracles():
         hi = rng.choice([1.0, 3.0, None])
         got = escape(model, f, Interval(d1, None if hi is None else d1 + hi), s1, domain)
         want = simple_path_escape(
-            model, f, d1, f.domain.infinity if hi is None else d1 + hi, s1, domain
+            model, f, d1, math.inf if hi is None else d1 + hi, s1, domain
         )
         mismatches += _count_mismatch(list(got.values), want, domain)
     ok = report(

@@ -1,15 +1,18 @@
 import math
+from functools import reduce
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from strelmon.algebra import (
-    boolean_domain,
-    hop_distance_domain,
-    maxmin_domain,
-    real_distance_domain,
-    signal_domain_by_name,
+from strelmon.algebra import boolean_domain, maxmin_domain, signal_domain_by_name
+from strelmon.space import (
+    ModelError,
+    build_spatial_model,
+    check_strictly_positive,
+    euclidean_norm_distance,
+    hop_distance,
+    weight_sum_distance,
 )
 
 BOOLS = [False, True]
@@ -21,85 +24,82 @@ REALS = st.one_of(
 
 def test_boolean_domain_examples():
     d = boolean_domain()
-    assert d.choose(False, True) is True
-    assert d.combine(True, False) is False
+    assert max(False, True) is True
+    assert min(True, False) is False
     for a in BOOLS:
-        assert d.negate(d.negate(a)) == a
+        assert d.negate(d.negate(a)) is a
+    assert d.negate(True) is False and d.negate(False) is True
 
 
 def test_boolean_laws_exhaustive():
     d = boolean_domain()
     for a in BOOLS:
-        assert d.choose(d.bottom, a) == a
-        assert d.choose(d.top, a) == d.top
-        assert d.combine(d.top, a) == a
-        assert d.combine(d.bottom, a) == d.bottom
-        assert d.choose(a, a) == a
-        assert d.combine(a, a) == a
+        assert d.bottom <= a <= d.top
+        assert max(d.bottom, a) == a and max(d.top, a) == d.top
+        assert min(d.top, a) == a and min(d.bottom, a) == d.bottom
         for b in BOOLS:
-            assert d.choose(a, b) == d.choose(b, a)
-            assert d.combine(a, b) == d.combine(b, a)
-            assert d.negate(d.choose(a, b)) == d.combine(d.negate(a), d.negate(b))
-            assert d.negate(d.combine(a, b)) == d.choose(d.negate(a), d.negate(b))
+            assert d.negate(max(a, b)) == min(d.negate(a), d.negate(b))
+            assert d.negate(min(a, b)) == max(d.negate(a), d.negate(b))
             for c in BOOLS:
-                assert d.combine(a, d.choose(b, c)) == d.choose(d.combine(a, b), d.combine(a, c))
-                assert d.choose(a, d.choose(b, c)) == d.choose(d.choose(a, b), c)
+                assert min(a, max(b, c)) == max(min(a, b), min(a, c))
     assert d.negate(d.top) == d.bottom
     assert d.negate(d.bottom) == d.top
 
 
 def test_maxmin_examples():
     d = maxmin_domain()
-    assert d.choose(2.0, 5.0) == 5.0
-    assert d.combine(2.0, 5.0) == 2.0
-    assert d.choose(-math.inf, 3.0) == 3.0
-    assert d.combine(math.inf, 3.0) == 3.0
+    assert max(d.bottom, 3.0) == 3.0 and min(d.top, 3.0) == 3.0
+    assert d.negate(d.top) == d.bottom and d.negate(d.bottom) == d.top
+    assert d.negate(2.5) == -2.5
 
 
 @given(REALS, REALS)
 def test_maxmin_de_morgan(a, b):
     d = maxmin_domain()
-    assert d.negate(d.choose(a, b)) == d.combine(d.negate(a), d.negate(b))
-    assert d.negate(d.combine(a, b)) == d.choose(d.negate(a), d.negate(b))
+    assert d.negate(max(a, b)) == min(d.negate(a), d.negate(b))
+    assert d.negate(min(a, b)) == max(d.negate(a), d.negate(b))
 
 
 @given(REALS, REALS, REALS)
 def test_maxmin_semiring_laws(a, b, c):
     d = maxmin_domain()
-    assert d.choose(d.bottom, a) == a
-    assert d.choose(d.top, a) == d.top
-    assert d.combine(d.top, a) == a
-    assert d.combine(d.bottom, a) == d.bottom
-    assert d.choose(a, a) == a
-    assert d.combine(a, a) == a
-    assert d.choose(a, b) == d.choose(b, a)
-    assert d.combine(a, b) == d.combine(b, a)
-    assert d.combine(a, d.choose(b, c)) == d.choose(d.combine(a, b), d.combine(a, c))
-    assert d.combine(a, d.combine(b, c)) == d.combine(d.combine(a, b), c)
+    assert d.bottom <= a <= d.top
+    assert max(d.bottom, a) == a and max(d.top, a) == d.top
+    assert min(d.top, a) == a and min(d.bottom, a) == d.bottom
+    assert min(a, max(b, c)) == max(min(a, b), min(a, c))
 
 
 @given(REALS, REALS)
 def test_maxmin_total_order(a, b):
     d = maxmin_domain()
-    assert d.leq(a, b) or d.leq(b, a)
+    assert a <= b or b <= a
     assert d.negate(d.negate(a)) == a
 
 
+def test_fold_helpers():
+    # the temporal and spatial sweeps fold choose from bottom and combine from top
+    for d, values in ((maxmin_domain(), [1.0, 3.0, -2.0]), (boolean_domain(), [False, True])):
+        assert reduce(max, [], d.bottom) == d.bottom
+        assert reduce(min, [], d.top) == d.top
+        assert reduce(max, values, d.bottom) == max(values)
+        assert reduce(min, values, d.top) == min(values)
+
+
 def test_hop_domain():
-    b = hop_distance_domain()
-    assert b.add(0, 3) == 3
-    assert b.add(2, math.inf) == math.inf
-    assert b.leq(3, math.inf)
-    assert b.leq(b.zero, 0) and b.leq(0, b.zero)
-    assert not b.is_positive(0)
-    assert b.is_positive(1)
+    h = hop_distance()
+    for w in (0.25, 7.0, (3.0, -4.0)):
+        assert h.map(w) == 1
+    assert 2 + math.inf == math.inf
+    m = build_spatial_model(3, [(0, 0.0, 1), (1, (0.0, 0.0), 2)])
+    assert check_strictly_positive(m, h) == [1, 1]
 
 
 def test_real_domain():
-    b = real_distance_domain()
-    assert b.add(1.5, 2.5) == 4.0
-    assert b.leq(0.0, 17.25)
-    assert b.min(2.0, 3.0) == 2.0 and b.max(2.0, 3.0) == 3.0
+    m = build_spatial_model(3, [(0, 1.5, 1), (1, 2.5, 2)])
+    assert check_strictly_positive(m, weight_sum_distance()) == [1.5, 2.5]
+    assert euclidean_norm_distance().map((3.0, -4.0)) == 5.0
+    with pytest.raises(ModelError, match=r"edge \(1, 2\)"):
+        check_strictly_positive(build_spatial_model(3, [(0, 1.0, 1), (1, 0.0, 2)]), weight_sum_distance())
 
 
 @given(
@@ -108,21 +108,20 @@ def test_real_domain():
     st.floats(min_value=0, max_value=1e9),
 )
 def test_real_add_associative_and_monotone(a, b, c):
-    dom = real_distance_domain()
-    assert abs(dom.add(dom.add(a, b), c) - dom.add(a, dom.add(b, c))) <= 1e-12 * max(1.0, a + b + c)
-    if dom.leq(a, b):
-        assert dom.leq(dom.add(a, c), dom.add(b, c))
-        assert dom.leq(dom.add(c, a), dom.add(c, b))
+    # the bounded-reach flooding relies on float sums never decreasing along a route
+    assert abs((a + b) + c - (a + (b + c))) <= 1e-12 * max(1.0, a + b + c)
+    if a <= b:
+        assert a + c <= b + c
+        assert c + a <= c + b
 
 
 def test_hop_add_monotone():
-    dom = hop_distance_domain()
     values = [0, 1, 2, 5, math.inf]
     for a in values:
         for b in values:
             for c in values:
-                if dom.leq(a, b):
-                    assert dom.leq(dom.add(a, c), dom.add(b, c))
+                if a <= b:
+                    assert a + c <= b + c
 
 
 def test_domain_lookup():
@@ -130,11 +129,3 @@ def test_domain_lookup():
     assert signal_domain_by_name("quantitative").name == "quantitative"
     with pytest.raises(ValueError):
         signal_domain_by_name("tropical")
-
-
-def test_fold_helpers():
-    d = maxmin_domain()
-    assert d.choose_all([]) == d.bottom
-    assert d.combine_all([]) == d.top
-    assert d.choose_all([1.0, 3.0, 2.0]) == 3.0
-    assert d.combine_all([1.0, 3.0, 2.0]) == 1.0

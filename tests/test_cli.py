@@ -5,6 +5,7 @@ import pytest
 
 from conftest import NETWORK16_COORD, NETWORK16_EDGES, NETWORK16_END_DEV, NETWORK16_ROUTER
 from strelmon.cli import main
+from strelmon.logic import MAX_DEPTH
 
 
 def write_network16(tmp_path):
@@ -111,6 +112,23 @@ def test_monitor_parse_error_exit_code(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "formula error" in err and "1:" in err
+
+
+def test_monitor_deep_formula_exit_codes(tmp_path, capsys):
+    model, trace = write_network16(tmp_path)
+    args = ["monitor", "--model", model, "--trace", trace, "--dist", "hop=hop", "--formula"]
+    assert main(args + ["!" * 3000 + "router"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "deeper than" in err[0]
+    # each nested surround adds six core levels once desugared
+    deepest = (MAX_DEPTH - 1) // 6
+
+    def nested(k):
+        return "router surround(hop)[0,2] (" * k + "coord" + ")" * k
+
+    assert main(args + [nested(deepest)]) == 0
+    assert main(args + [nested(deepest + 1)]) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_monitor_name_error_exit_code(tmp_path, capsys):

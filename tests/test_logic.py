@@ -11,6 +11,7 @@ from strelmon.logic import (
     FULL,
     Globally,
     Interval,
+    MAX_DEPTH,
     Not,
     Or,
     ParseError,
@@ -107,6 +108,36 @@ def test_parse_error_reports_position_and_expectations():
 
     with pytest.raises(ParseError):
         parse("a ? b")
+
+
+def _core_height(node):
+    children = [getattr(node, a) for a in ("child", "left", "right") if hasattr(node, a)]
+    return 1 + max((_core_height(c) for c in children), default=0)
+
+
+@pytest.mark.parametrize(
+    "nest, levels",
+    [
+        (lambda k: "!" * k + "q", 1),
+        (lambda k: " & ".join(["p"] * k + ["q"]), 1),
+        (lambda k: "G[0,1] " * k + "q", 3),
+        (lambda k: "p | (" * k + "q" + ")" * k, 3),
+        (lambda k: "everywhere(hop) " * k + "q", 3),
+        (lambda k: "p surround(hop)[0,1] (" * k + "q" + ")" * k, 6),
+    ],
+)
+def test_depth_cap_counts_desugared_levels(nest, levels):
+    """A formula parses iff its desugared tree has at most MAX_DEPTH levels;
+    deeper ones are a ParseError, not a RecursionError."""
+    boundary = (MAX_DEPTH - 1) // levels
+    for k in range(boundary - 2, boundary + 3):
+        if levels * k + 1 <= MAX_DEPTH:
+            assert _core_height(desugar(parse(nest(k)))) == levels * k + 1
+        else:
+            with pytest.raises(ParseError, match="deeper than"):
+                parse(nest(k))
+    with pytest.raises(ParseError, match="deeper than"):
+        parse("(" * MAX_DEPTH + "q" + ")" * MAX_DEPTH)
 
 
 def test_interval_validation():

@@ -1,5 +1,7 @@
+import contextlib
 import math
 import random
+import signal
 
 import pytest
 
@@ -103,8 +105,8 @@ def until_dense_oracle(interval, s1, s2, domain, t):
         inner = {t, tp} | {u for u in grid if t <= u <= tp}
         prod = domain.top
         for u in inner:
-            prod = domain.combine(prod, s1.value_at(u))
-        acc = domain.choose(acc, domain.combine(s2.value_at(tp), prod))
+            prod = min(prod, s1.value_at(u))
+        acc = max(acc, min(s2.value_at(tp), prod))
     return acc
 
 
@@ -300,6 +302,49 @@ def test_unbounded_reach_matches_dense_fixpoint(domain):
         assert got == want
 
 
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail instead of hanging when the body runs longer than ``seconds``."""
+
+    def expire(_signum, _frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("domain", [BOOL, QUANT])
+def test_unbounded_reach_with_infinite_edges(domain):
+    """A positive lower bound with an infinite-weight edge used to seed an
+    endless flooding; every verdict must match the dense fixpoint."""
+    f = weight_sum_distance()
+    top, bottom = domain.top, domain.bottom
+    # 0 <-> 1 weigh 1 and 1 -> 2 weighs inf; s1 holds everywhere, s2 only at 0
+    model = build_spatial_model(3, [(0, 1.0, 1), (1, 1.0, 0), (1, math.inf, 2)])
+    s1, s2 = [top] * 3, [top, bottom, bottom]
+    rng = random.Random(105)
+    with _deadline(30):
+        assert unbounded_reach(model, f, 0.5, s1, s2, domain) == [top, top, bottom]
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+            rng.shuffle(pairs)
+            edges = [
+                (a, rng.choice([1.0, 2.0, math.inf]), b)
+                for a, b in pairs[: rng.randint(0, min(10, len(pairs)))]
+            ]
+            model = build_spatial_model(n, edges)
+            s1, s2 = _random_spatial(rng, domain, n), _random_spatial(rng, domain, n)
+            d1 = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0, 5.0])
+            got = unbounded_reach(model, f, d1, s1, s2, domain)
+            assert got == dense_unbounded_reach(model, f, d1, s1, s2, domain)
+
+
 @pytest.mark.parametrize("domain", [BOOL, QUANT])
 def test_escape_matches_simple_path_enumeration(domain):
     rng = random.Random(103)
@@ -313,7 +358,7 @@ def test_escape_matches_simple_path_enumeration(domain):
         d2 = None if hi is None else d1 + hi
         got = escape(model, f, Interval(d1, d2), s1, domain)
         want = simple_path_escape(
-            model, f, d1, f.domain.infinity if d2 is None else d2, s1, domain
+            model, f, d1, math.inf if d2 is None else d2, s1, domain
         )
         assert list(got.values) == want
 
@@ -466,7 +511,7 @@ def test_interval_monotonicity_of_reach():
         inner = bounded_reach(model, f, d1_large, d2_small, s1, s2, QUANT)
         outer = bounded_reach(model, f, d1_small, d2_large, s1, s2, QUANT)
         for a, b in zip(inner, outer):
-            assert QUANT.leq(a, b)
+            assert a <= b
 
 
 def test_boolean_quantitative_sign_soundness():
@@ -554,6 +599,30 @@ def test_globally_horizon_clipping():
     assert out2.value_at(0, 0.0) is True
     assert out2.value_at(0, 4.0) is False  # window [4, 6] touches the step at 6
     assert out2.end_time == 8.0
+
+
+def test_quantitative_tie_order_keeps_signed_zeros():
+    """Choose keeps its left operand unless the right one is larger, and
+    combine unless it is smaller, so 0.0 and -0.0 come out as they always did."""
+    model = DynamicalSpatialModel.static(build_spatial_model(2, [(0, 1.0, 1), (1, 1.0, 0)]))
+    trace = Trace(
+        ("x",),
+        (
+            TemporalSignal((0.0, 1.0), ((1.0,), (2.0,)), 2.0),
+            TemporalSignal((0.0,), ((1.0,),), 2.0),
+        ),
+    )
+    ctx = MonitorContext(model=model, trace=trace, domain=QUANT, distances={"hop": hop_distance()})
+    expected = {
+        "(x > 1) & !(x > 1)": "[((0.0, 1.0), (0.0, -1.0)), ((0.0,), (0.0,))]",
+        "!(x > 1) & (x > 1)": "[((0.0, 1.0), (-0.0, -1.0)), ((0.0,), (-0.0,))]",
+        "(x < 1) U[0,1] !(x > 1)": "[((0.0, 1.0), (-0.0, -1.0)), ((0.0,), (-0.0,))]",
+        "(x > 1) reach(hop)[1,2] !(x > 1)": "[((0.0,), (-0.0,)), ((0.0,), (-0.0,))]",
+        "escape(hop)[1,inf] !(x > 1)": "[((0.0, 1.0), (-0.0, -1.0)), ((0.0, 1.0), (-0.0, -1.0))]",
+    }
+    for text, want in expected.items():
+        out = monitor(ctx, parse(text))
+        assert repr([(s.times, s.values) for s in out.signals]) == want, text
 
 
 def test_quantitative_network16_consistency():

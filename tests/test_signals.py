@@ -9,10 +9,7 @@ from strelmon.signals import (
     SpatioTemporalSignal,
     TemporalSignal,
     Trace,
-    constant_signal,
     load_trace,
-    pointwise_binary,
-    pointwise_unary,
     resample_to_union,
     save_trace,
     time_step_union,
@@ -63,23 +60,6 @@ def test_time_step_union_domain_mismatch():
         time_step_union([sig([(0, "a")], 5), sig([(0, "a")], 6)])
 
 
-def test_pointwise_binary():
-    s1 = sig([(0, True)], 5)
-    s2 = sig([(0, False), (2, True), (4, False)], 5)
-    both = pointwise_binary(lambda a, b: a and b, s1, s2)
-    assert both.times == s2.times and both.values == s2.values
-
-    a = sig([(0, 1), (4, 3)], 6)
-    b = sig([(0, 2)], 6)
-    low = pointwise_binary(min, a, b)
-    assert low.times == (0, 4) and low.values == (1, 2)
-
-    c = sig([(0, 1), (4, 1)], 6)
-    d = sig([(0, 0)], 6)
-    high = pointwise_binary(max, c, d)
-    assert high.times == (0,) and high.values == (1,)  # equal steps coalesce
-
-
 def test_minimize():
     s = sig([(0, "a"), (3, "a"), (7, "b")], 9)
     m = s.minimize()
@@ -120,30 +100,11 @@ def test_spatial_slice():
         )
 
 
-def test_pipeline_matches_pointwise_semantics():
-    rng = random.Random(3)
-    for _ in range(30):
-        times = sorted(rng.sample([i / 2 for i in range(10)], rng.randint(1, 5)))
-        times[0] = 0.0
-        mk = lambda: TemporalSignal(
-            tuple(times), tuple(rng.randint(-4, 4) for _ in times), 5.0
-        )
-        s1, s2 = mk(), mk()
-        combo = pointwise_unary(
-            lambda v: -v, pointwise_binary(max, s1, s2)
-        )
-        for _ in range(10):
-            t = rng.uniform(0, 5)
-            assert combo.value_at(t) == -max(s1.value_at(t), s2.value_at(t))
-
-
 def test_trace_validation():
     good = Trace(("x",), (sig([(0, (1.0,))], 2),))
     assert good.location_count == 1
     with pytest.raises(SignalError):
         Trace(("x", "y"), (sig([(0, (1.0,))], 2),))
-    with pytest.raises(SignalError):
-        good.variable_index("z")
 
 
 def test_resample_to_union():
@@ -192,8 +153,3 @@ def test_load_trace_rejects_gap_in_locations(tmp_path):
     path.write_text("location,time,x\n0,0,1\n2,0,1\n")
     with pytest.raises(SignalError):
         load_trace(str(path))
-
-
-def test_constant_signal():
-    s = constant_signal(7, 1.0, 5.0)
-    assert s.value_at(1.0) == 7 and s.value_at(5.0) == 7

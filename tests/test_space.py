@@ -17,7 +17,6 @@ from strelmon.space import (
     hop_distance,
     load_model,
     min_distance_matrix,
-    route_prefix_distance,
     save_model,
     snapshot_at,
     weight_sum_distance,
@@ -46,21 +45,20 @@ def test_weighted9_weights():
 def exhaustive_min_distance(model, f, src, dst):
     """Minimum accumulated distance over simple paths (positive weights make
     any optimal route simple)."""
-    dom = f.domain
-    best = dom.infinity
+    best = math.inf
     n = model.location_count
 
     def visit(loc, dist, seen):
         nonlocal best
         if loc == dst:
-            best = dom.min(best, dist)
+            best = min(best, dist)
             return
         for nxt, w in model.out_edges[loc]:
             if nxt not in seen:
-                visit(nxt, dom.add(dist, f.map(w)), seen | {nxt})
+                visit(nxt, dist + f.map(w), seen | {nxt})
 
-    visit(src, dom.zero, {src})
-    return dom.zero if src == dst else best
+    visit(src, 0, {src})
+    return 0 if src == dst else best
 
 
 def test_min_distance_weighted9():
@@ -133,19 +131,6 @@ def test_min_distance_rejects_nonpositive():
     m = build_spatial_model(2, [(0, 0.0, 1)])
     with pytest.raises(ModelError):
         min_distance_matrix(m, weight_sum_distance())
-
-
-def test_route_prefix_distance():
-    m = weighted9_model()
-    f = weight_sum_distance()
-    path = [0, 1, 6]
-    assert route_prefix_distance(m, f, path, 0) == 0.0
-    assert route_prefix_distance(m, f, path, 2) == 7.0  # 2 + 5
-    h = hop_distance()
-    for i in range(3):
-        assert route_prefix_distance(m, h, path, i) == i
-    with pytest.raises(ModelError):
-        route_prefix_distance(m, f, [0, 4], 1)  # not an edge
 
 
 def test_snapshot_at():
