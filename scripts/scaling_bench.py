@@ -1,5 +1,12 @@
 #!/usr/bin/env python3
-"""Wall-time scaling of reach monitoring over growing random graphs."""
+"""Wall-time scaling of monitoring over growing random graphs or traces.
+
+Either the location count (--sizes) or the trace length (--steps) may list
+several values; the growth exponent is fitted over the one that does.
+
+  reach over nodes:  scaling_bench.py --sizes 1000,2000,4000
+  until over steps:  scaling_bench.py --sizes 1 --steps 1000,2000,4000,8000,16000 --formula "F[0,50] p"
+"""
 
 import argparse
 import math
@@ -16,7 +23,7 @@ from strelmon.space import DynamicalSpatialModel, build_spatial_model, hop_dista
 def instance(n: int, steps: int, seed: int) -> MonitorContext:
     rng = random.Random(seed)
     edges = set()
-    while len(edges) < 4 * n:
+    while len(edges) < min(4 * n, n * (n - 1)):
         a, b = rng.randrange(n), rng.randrange(n)
         if a != b:
             edges.add((a, b))
@@ -39,28 +46,34 @@ def instance(n: int, steps: int, seed: int) -> MonitorContext:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--sizes", default="1000,2000,4000")
-    parser.add_argument("--steps", type=int, default=10)
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--sizes", default="1000,2000,4000", help="location counts, comma-separated")
+    parser.add_argument("--steps", default="10", help="trace steps per location, comma-separated")
     parser.add_argument("--formula", default="p reach(hop)[0,3] q")
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
     formula = parse(args.formula)
     sizes = [int(s) for s in args.sizes.split(",")]
-    best = {}
+    step_counts = [int(s) for s in args.steps.split(",")]
+    if len(sizes) > 1 and len(step_counts) > 1:
+        parser.error("only one of --sizes and --steps may list several values")
+    grown = step_counts if len(step_counts) > 1 else sizes
+    best = []
     for n in sizes:
-        runs = []
-        for attempt in range(args.repeats):
-            ctx = instance(n, args.steps, seed=attempt)
-            start = time.perf_counter()
-            monitor(ctx, formula)
-            runs.append(time.perf_counter() - start)
-        best[n] = min(runs)
-        print(f"n={n:6d}  m={4 * n:7d}  best of {args.repeats}: {best[n]:.3f}s")
-    if len(sizes) >= 2:
-        exponent = math.log(best[sizes[-1]] / best[sizes[0]]) / math.log(sizes[-1] / sizes[0])
-        print(f"growth exponent over {sizes[0]} -> {sizes[-1]}: {exponent:.2f}")
+        for steps in step_counts:
+            runs = []
+            for attempt in range(args.repeats):
+                ctx = instance(n, steps, seed=attempt)
+                start = time.perf_counter()
+                monitor(ctx, formula)
+                runs.append(time.perf_counter() - start)
+            best.append(min(runs))
+            print(f"n={n:6d}  steps={steps:6d}  best of {args.repeats}: {best[-1]:.3f}s")
+    if len(grown) >= 2:
+        exponent = math.log(best[-1] / best[0]) / math.log(grown[-1] / grown[0])
+        label = "steps" if grown is step_counts else "nodes"
+        print(f"growth exponent over {grown[0]} -> {grown[-1]} {label}: {exponent:.2f}")
 
 
 if __name__ == "__main__":

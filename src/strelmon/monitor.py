@@ -7,9 +7,10 @@ Python bools or extended reals, as the context's domain says; choose is
 the left operand on ties (signed zeros depend on it).
 
 Structure: atoms apply the interpretation pointwise, Boolean connectives act
-stepwise on merged step grids, until/since run an exact event sweep per
-location, and the spatial operators evaluate the graph snapshot at every time
-where any input signal or the graph itself changes.  The spatial evaluations
+stepwise on merged step grids, and until/since share one exact event sweep
+per location over segment indices, costing O(N log N + sum of window
+segments) for N steps.  The spatial operators evaluate the graph snapshot at
+every time where any input signal or the graph itself changes.  The spatial evaluations
 read the snapshot's cached sparse weights: Boolean reach with lower bound
 zero and Boolean unbounded reach are shortest-path searches, every other
 case floods or iterates to a fixpoint.  Their contracts are spelled out on
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
@@ -188,95 +190,97 @@ def monitor_until(interval: Interval, s1: TemporalSignal, s2: TemporalSignal, do
     the window at the trace end.  The evaluable domain shrinks by the
     interval upper bound (lower bound when unbounded); an empty domain is an
     error rather than a silent constant.
+
+    Cost: O(N log N + sum over events of the segments in the window) for N
+    merged input steps (``_temporal_sweep``); an unbounded window spans the
+    rest of the trace.
+    """
+    return _temporal_sweep(interval, s1, s2, domain, future=True)
+
+
+def monitor_since(interval: Interval, s1: TemporalSignal, s2: TemporalSignal, domain: SignalDomain) -> TemporalSignal:
+    """Time-mirrored analogue of monitor_until (window in the past), with the
+    same cost: O(N log N + sum over events of the segments in the window)."""
+    return _temporal_sweep(interval, s1, s2, domain, future=False)
+
+
+def _temporal_sweep(interval: Interval, s1: TemporalSignal, s2: TemporalSignal, domain: SignalDomain, future: bool) -> TemporalSignal:
+    """The until (``future``) or since sweep, on segment indices.
+
+    Both inputs are read once onto their merged step grid, so a segment
+    index names one value of each.  Per event e, bisections find the
+    segments that hold e, the near window edge (e + lo, or e - lo for since)
+    and the far one (e + hi, e - hi, or the trace edge when unbounded).  They
+    are clamped to the grid, so an edge that rounding puts just outside the
+    domain reads the outermost segment.  The fold walks from e's segment to
+    the far edge's, combining s1 into ``running``; from the near edge's
+    segment on it also chooses s2 combined with ``running`` into ``acc``.
+    Ties keep ``running``, the s2 value and ``acc``, as sampling every step
+    time in the window did, so signed zeros come out the same.
     """
     s1, s2 = _common_domain(s1, s2)
     t0, t_end = s1.start, s1.end_time
-    lo = interval.lo
-    steps = sorted(set(s1.times) | set(s2.times))
-    if interval.bounded:
-        hi = interval.hi
-        out_end = t_end - hi
-        shifts = (0.0, lo, hi)
-    else:
-        out_end = t_end - lo
-        shifts = (0.0, lo)
-    if out_end < t0:
+    lo, hi, bounded = interval.lo, interval.hi, interval.bounded
+    lost = hi if bounded else lo
+    out_start, out_end = (t0, t_end - lost) if future else (t0 + lost, t_end)
+    if out_end < out_start:
         raise SemanticError(
-            f"temporal interval [{lo}, {interval.hi if interval.bounded else 'inf'}] exceeds "
-            f"the trace horizon: evaluable domain of until is empty"
+            f"temporal interval [{lo}, {hi if bounded else 'inf'}] exceeds the trace horizon: "
+            f"evaluable domain of {'until' if future else 'since'} is empty"
         )
-    events = {t0}
+    steps, v1, v2 = _merged_grid(s1, s2)
+    shifts = (0.0, lo, hi) if bounded else (0.0, lo)
+    events = {out_start}
     for s in steps:
         for shift in shifts:
-            e = s - shift
-            if t0 <= e <= out_end:
+            e = s - shift if future else s + shift
+            if out_start <= e <= out_end:
                 events.add(e)
     out_times = sorted(events)
+    top, bottom = domain.top, domain.bottom
+    way = 1 if future else -1
     out_values = []
     for e in out_times:
-        win_lo = e + lo
-        win_hi = (e + hi) if interval.bounded else t_end
-        samples = {e, win_lo, win_hi}
-        for s in steps:
-            if e < s <= win_hi:
-                samples.add(s)
-        running = domain.top
-        acc = domain.bottom
-        for u in sorted(samples):
-            x = s1.value_at(u)
+        if future:
+            near, far = e + lo, (e + hi if bounded else t_end)
+        else:
+            near, far = e - lo, (e - hi if bounded else t0)
+        k_e = bisect_right(steps, e) - 1
+        k_near = max(bisect_right(steps, near) - 1, 0)
+        k_far = max(bisect_right(steps, far) - 1, 0)
+        running, acc = top, bottom
+        for k in range(k_e, k_near, way):
+            x = v1[k]
             running = running if running <= x else x
-            if u >= win_lo:
-                y = s2.value_at(u)
-                y = y if y <= running else running
-                acc = acc if acc >= y else y
+        for k in range(k_near, k_far + way, way):
+            x = v1[k]
+            running = running if running <= x else x
+            y = v2[k]
+            y = y if y <= running else running
+            acc = acc if acc >= y else y
         out_values.append(acc)
     return TemporalSignal(tuple(out_times), tuple(out_values), out_end).minimize()
 
 
-def monitor_since(interval: Interval, s1: TemporalSignal, s2: TemporalSignal, domain: SignalDomain) -> TemporalSignal:
-    """Time-mirrored analogue of monitor_until (window in the past)."""
-    s1, s2 = _common_domain(s1, s2)
-    t0, t_end = s1.start, s1.end_time
-    lo = interval.lo
-    steps = sorted(set(s1.times) | set(s2.times))
-    if interval.bounded:
-        hi = interval.hi
-        out_start = t0 + hi
-        shifts = (0.0, lo, hi)
-    else:
-        out_start = t0 + lo
-        shifts = (0.0, lo)
-    if out_start > t_end:
-        raise SemanticError(
-            f"temporal interval [{lo}, {interval.hi if interval.bounded else 'inf'}] exceeds "
-            f"the trace horizon: evaluable domain of since is empty"
-        )
-    events = {out_start}
-    for s in steps:
-        for shift in shifts:
-            e = s + shift
-            if out_start <= e <= t_end:
-                events.add(e)
-    out_times = sorted(events)
-    out_values = []
-    for e in out_times:
-        win_hi = e - lo
-        win_lo = (e - hi) if interval.bounded else t0
-        samples = {e, win_lo, win_hi}
-        for s in steps:
-            if win_lo <= s < e:
-                samples.add(s)
-        running = domain.top
-        acc = domain.bottom
-        for u in sorted(samples, reverse=True):
-            x = s1.value_at(u)
-            running = running if running <= x else x
-            if u <= win_hi:
-                y = s2.value_at(u)
-                y = y if y <= running else running
-                acc = acc if acc >= y else y
-        out_values.append(acc)
-    return TemporalSignal(tuple(out_times), tuple(out_values), t_end).minimize()
+def _merged_grid(s1: TemporalSignal, s2: TemporalSignal) -> tuple[list, list, list]:
+    """The union of two step grids that start together, with each input's
+    value on every merged step, in one merge pass.  Equal times keep s1's."""
+    t1, t2 = s1.times, s2.times
+    n1, n2 = len(t1), len(t2)
+    steps, v1, v2 = [], [], []
+    i = j = 0
+    while i < n1 or j < n2:
+        a = t1[i] if i < n1 else math.inf
+        b = t2[j] if j < n2 else math.inf
+        t = a if a <= b else b
+        if a == t:
+            i += 1
+        if b == t:
+            j += 1
+        steps.append(t)
+        v1.append(s1.values[i - 1])
+        v2.append(s2.values[j - 1])
+    return steps, v1, v2
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +330,15 @@ def bounded_reach(
     Entries whose value is the domain bottom are dropped (they can never
     change the output), and when d1 = 0 an entry dominated by a
     cheaper-and-better one at the same location is pruned; both cuts are
-    output-invariant and keep the round structure intact.
+    output-invariant and keep the round structure intact.  With d2 = inf and
+    d1 > 0 nothing would prune a cycle, so that case is ``unbounded_reach``.
     """
     incoming = model.incoming_weights(f)
     if not d1 <= d2:
         raise SemanticError(f"malformed distance interval [{d1}, {d2}]")
     unconstrained_lo = d1 == 0
+    if d2 == math.inf and not unconstrained_lo:
+        return unbounded_reach(model, f, d1, s1, s2, domain)
     if unconstrained_lo and domain.name == "boolean":
         return _reached_within(incoming, s1, s2, d2)
     n = model.location_count
@@ -566,28 +573,16 @@ def _eval_node(ctx: MonitorContext, node: Formula, cache: dict) -> SpatioTempora
         out = []
         for sl, sr in zip(left.signals, right.signals):
             sl, sr = _common_domain(sl, sr)
-            times = sorted(set(sl.times) | set(sr.times))
-            pairs = [(sl.value_at(t), sr.value_at(t)) for t in times]
-            values = tuple(a if a <= b else b for a, b in pairs)
+            times, vl, vr = _merged_grid(sl, sr)
+            values = tuple(a if a <= b else b for a, b in zip(vl, vr))
             out.append(TemporalSignal(tuple(times), values, sl.end_time).minimize())
         return SpatioTemporalSignal(tuple(out))
-    if isinstance(node, Until):
+    if isinstance(node, (Until, Since)):
         left = _eval(ctx, node.left, cache)
         right = _eval(ctx, node.right, cache)
+        sweep = monitor_until if isinstance(node, Until) else monitor_since
         return SpatioTemporalSignal(
-            tuple(
-                monitor_until(node.interval, sl, sr, dom)
-                for sl, sr in zip(left.signals, right.signals)
-            )
-        )
-    if isinstance(node, Since):
-        left = _eval(ctx, node.left, cache)
-        right = _eval(ctx, node.right, cache)
-        return SpatioTemporalSignal(
-            tuple(
-                monitor_since(node.interval, sl, sr, dom)
-                for sl, sr in zip(left.signals, right.signals)
-            )
+            tuple(sweep(node.interval, sl, sr, dom) for sl, sr in zip(left.signals, right.signals))
         )
     if isinstance(node, Reach):
         left = _eval(ctx, node.left, cache)

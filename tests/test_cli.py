@@ -186,6 +186,19 @@ def test_monitor_non_finite_model_exit_code(tmp_path, capsys, snapshot):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_monitor_decimal_times_window_edge(tmp_path, capsys):
+    """0.5 - 0.4 rounds to just below the first row at 0.1; that is still
+    inside the trace, not an input error."""
+    model = tmp_path / "one.json"
+    model.write_text('{"locations": 1, "snapshots": [{"time": 0, "edges": []}]}')
+    trace = tmp_path / "decimal.csv"
+    trace.write_text("location,time,p\n0,0.1,1\n0,0.2,0\n0,0.3,1\n0,0.5,1\n")
+    code = main(["monitor", "--model", str(model), "--trace", str(trace), "--formula", "p S[0,0.4] p"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out.strip().splitlines() == ["location,verdict_at_t0", "0,1"]
+
+
 def test_dist_binding(tmp_path, capsys):
     model, trace = write_network16(tmp_path)
     code = main(

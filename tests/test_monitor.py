@@ -24,6 +24,7 @@ from strelmon.logic import (
 from strelmon.monitor import (
     MonitorContext,
     SemanticError,
+    _common_domain,
     bounded_reach,
     escape,
     monitor,
@@ -38,7 +39,7 @@ from strelmon.oracle import (
     simple_path_escape,
     walk_reach,
 )
-from strelmon.signals import SpatialSignal, TemporalSignal, Trace
+from strelmon.signals import SignalError, SpatialSignal, TemporalSignal, Trace
 from strelmon.space import (
     DynamicalSpatialModel,
     build_spatial_model,
@@ -205,6 +206,176 @@ def test_since_trivial_cases():
     assert all(v is True for v in both_top.values)
 
 
+# The sample-loop sweeps the segment kernel replaced, kept verbatim as a
+# reference: every event re-samples its window with a value_at per sample.
+
+
+def until_reference(interval, s1, s2, domain):
+    """Exact until sweep for piecewise-constant inputs.
+
+    output(t) = choose over t' in [t+lo, t+hi] of
+                (s2(t') combine (combine of s1 over [t, t'])).
+
+    The output is a step function whose breakpoints lie among the input step
+    times and those times shifted left by the interval bounds, so it suffices
+    to evaluate at exactly those event times.  An unbounded interval clips
+    the window at the trace end.  The evaluable domain shrinks by the
+    interval upper bound (lower bound when unbounded); an empty domain is an
+    error rather than a silent constant.
+    """
+    s1, s2 = _common_domain(s1, s2)
+    t0, t_end = s1.start, s1.end_time
+    lo = interval.lo
+    steps = sorted(set(s1.times) | set(s2.times))
+    if interval.bounded:
+        hi = interval.hi
+        out_end = t_end - hi
+        shifts = (0.0, lo, hi)
+    else:
+        out_end = t_end - lo
+        shifts = (0.0, lo)
+    if out_end < t0:
+        raise SemanticError(
+            f"temporal interval [{lo}, {interval.hi if interval.bounded else 'inf'}] exceeds "
+            f"the trace horizon: evaluable domain of until is empty"
+        )
+    events = {t0}
+    for s in steps:
+        for shift in shifts:
+            e = s - shift
+            if t0 <= e <= out_end:
+                events.add(e)
+    out_times = sorted(events)
+    out_values = []
+    for e in out_times:
+        win_lo = e + lo
+        win_hi = (e + hi) if interval.bounded else t_end
+        samples = {e, win_lo, win_hi}
+        for s in steps:
+            if e < s <= win_hi:
+                samples.add(s)
+        running = domain.top
+        acc = domain.bottom
+        for u in sorted(samples):
+            x = s1.value_at(u)
+            running = running if running <= x else x
+            if u >= win_lo:
+                y = s2.value_at(u)
+                y = y if y <= running else running
+                acc = acc if acc >= y else y
+        out_values.append(acc)
+    return TemporalSignal(tuple(out_times), tuple(out_values), out_end).minimize()
+
+
+def since_reference(interval, s1, s2, domain):
+    """Time-mirrored analogue of monitor_until (window in the past)."""
+    s1, s2 = _common_domain(s1, s2)
+    t0, t_end = s1.start, s1.end_time
+    lo = interval.lo
+    steps = sorted(set(s1.times) | set(s2.times))
+    if interval.bounded:
+        hi = interval.hi
+        out_start = t0 + hi
+        shifts = (0.0, lo, hi)
+    else:
+        out_start = t0 + lo
+        shifts = (0.0, lo)
+    if out_start > t_end:
+        raise SemanticError(
+            f"temporal interval [{lo}, {interval.hi if interval.bounded else 'inf'}] exceeds "
+            f"the trace horizon: evaluable domain of since is empty"
+        )
+    events = {out_start}
+    for s in steps:
+        for shift in shifts:
+            e = s + shift
+            if out_start <= e <= t_end:
+                events.add(e)
+    out_times = sorted(events)
+    out_values = []
+    for e in out_times:
+        win_hi = e - lo
+        win_lo = (e - hi) if interval.bounded else t0
+        samples = {e, win_lo, win_hi}
+        for s in steps:
+            if win_lo <= s < e:
+                samples.add(s)
+        running = domain.top
+        acc = domain.bottom
+        for u in sorted(samples, reverse=True):
+            x = s1.value_at(u)
+            running = running if running <= x else x
+            if u <= win_hi:
+                y = s2.value_at(u)
+                y = y if y <= running else running
+                acc = acc if acc >= y else y
+        out_values.append(acc)
+    return TemporalSignal(tuple(out_times), tuple(out_values), t_end).minimize()
+
+
+def _sweep_instance(rng, domain, decimal):
+    """Two signals on one random grid: eighths from 0, or tenths from a
+    decimal start, as times parsed from text are."""
+    if decimal:
+        first = rng.choice([0, 1, 11])
+        grid = [(first + i) / 10 for i in range(rng.randint(2, 12))]
+    else:
+        grid = [i / 8 for i in range(rng.randint(2, 17))]
+    pool = [False, True] if domain is BOOL else [0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf]
+
+    def signal():
+        times = [grid[0]] + sorted(rng.sample(grid[1:-1], rng.randint(0, len(grid) - 2)))
+        return TemporalSignal(tuple(times), tuple(rng.choice(pool) for _ in times), grid[-1])
+
+    unit = 10 if decimal else 8
+    lo = rng.choice([0, 0, 1, 2, 4])
+    hi = None if rng.random() < 0.2 else lo + rng.choice([0, 0, 1, 3, 6])
+    return Interval(lo / unit, None if hi is None else hi / unit), signal(), signal()
+
+
+@pytest.mark.parametrize("domain", [BOOL, QUANT])
+def test_sweep_kernel_matches_sample_loop_reference(domain):
+    """Bit-identical to the sample loops, signed zeros included, on dyadic
+    and decimal grids with point, bounded and unbounded windows.  Instances
+    on which the reference itself trips over a rounded window edge are
+    skipped; the window-edge tests below cover those."""
+    rng = random.Random(2013)
+    compared = 0
+    for trial in range(3000):
+        interval, s1, s2 = _sweep_instance(rng, domain, decimal=trial % 2 == 1)
+        for kernel, reference in ((monitor_until, until_reference), (monitor_since, since_reference)):
+            try:
+                want = reference(interval, s1, s2, domain)
+            except SignalError:
+                continue
+            except SemanticError:
+                with pytest.raises(SemanticError):
+                    kernel(interval, s1, s2, domain)
+                continue
+            got = kernel(interval, s1, s2, domain)
+            assert repr((got.times, got.values, got.end_time)) == repr(
+                (want.times, want.values, want.end_time)
+            ), (interval, s1, s2)
+            compared += 1
+    assert compared > 4000
+
+
+def test_window_edges_rounded_outside_the_domain():
+    """e - hi and e + hi may round just past the domain; the window then
+    reads the outermost segment instead of raising or wrapping around."""
+    p = TemporalSignal((0.1, 0.2, 0.3, 0.5), (True, False, True, True), 0.5)
+    assert monitor_since(Interval(0, 0.4), p, p, BOOL) == TemporalSignal((0.5,), (True,), 0.5)
+    # 0.5 - 0.4 rounds below 0.1: the point window must read q at 0.1, not at 0.5
+    top = TemporalSignal((0.1,), (True,), 0.5)
+    q = TemporalSignal((0.1, 0.5), (True, False), 0.5)
+    assert monitor_since(Interval(0.4, 0.4), top, q, BOOL).values == (True,)
+    s = TemporalSignal((1.1,), (True,), 1.7)
+    out = monitor_until(Interval(0, 0.6), s, s, BOOL)
+    assert (out.times, out.values, out.end_time) == ((1.1,), (True,), 1.7 - 0.6)
+    late = TemporalSignal((1.1, 1.6), (False, True), 1.7)
+    assert monitor_until(Interval(0, 0.6), s, late, BOOL).values == (True,)
+
+
 # ---------------------------------------------------------------------------
 # reach / escape building blocks
 
@@ -316,6 +487,16 @@ def _deadline(seconds):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_bounded_reach_with_infinite_upper_bound_terminates():
+    """d2 = inf with d1 > 0 used to flood a cycle forever; it is unbounded reach."""
+    model = build_spatial_model(2, [(0, 1.0, 1), (1, 1.0, 0)])
+    f = weight_sum_distance()
+    s1, s2 = [1.0, 1.0], [1.0, -1.0]
+    with _deadline(30):
+        got = bounded_reach(model, f, 0.5, math.inf, s1, s2, QUANT)
+    assert got == unbounded_reach(model, f, 0.5, s1, s2, QUANT)
 
 
 @pytest.mark.parametrize("domain", [BOOL, QUANT])
