@@ -5,7 +5,7 @@ from .algebra import SignalDomain, boolean_domain, maxmin_domain
 from .logic import Formula, Interval, ParseError, desugar, format_formula, parse
 from .monitor import MonitorContext, SemanticError, monitor, satisfied_locations
 from .oracle import oracle_monitor
-from .signals import SpatialSignal, SpatioTemporalSignal, TemporalSignal, Trace, load_trace, save_trace
+from .signals import SpatioTemporalSignal, TemporalSignal, Trace, load_trace, save_trace
 from .space import (
     DistanceFunction,
     DynamicalSpatialModel,

@@ -29,7 +29,7 @@ from .scenarios import (
     simulate_epidemic,
     sweep_safe_radius,
 )
-from .signals import SignalError, SpatioTemporalSignal, load_trace, save_trace
+from .signals import SignalError, SpatioTemporalSignal, column_steps, load_trace, save_trace
 from .space import BUILTIN_DISTANCES, ModelError, load_model, save_model
 
 EXIT_OK = 0
@@ -56,9 +56,8 @@ def write_signal_csv(sig: SpatioTemporalSignal, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["location", "time", "value"])
-        for loc, s in enumerate(sig.signals):
-            minimized = s.minimize()
-            for t, v in zip(minimized.times, minimized.values):
+        for loc, (times, values) in enumerate(column_steps(sig.times, sig.values)):
+            for t, v in zip(times, values):
                 writer.writerow([loc, _fmt_value(t), _fmt_value(v)])
 
 

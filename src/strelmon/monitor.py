@@ -1,20 +1,23 @@
 """Offline monitoring engine.
 
 ``monitor`` evaluates a formula over a trace on a dynamic weighted graph and
-returns one piecewise-constant verdict signal per location.  Verdicts are
-Python bools or extended reals, as the context's domain says; choose is
-``max`` and combine is ``min``, both written as inline comparisons that keep
-the left operand on ties (signed zeros depend on it).
+returns a verdict per location and time: for every subformula one step grid
+and one steps x locations array (``SpatioTemporalSignal``).  Verdicts are
+bools or extended reals, as the context's domain says; choose is ``max``
+and combine is ``min``, both written so that the left operand wins ties
+(signed zeros depend on it).
 
-Structure: atoms apply the interpretation pointwise, Boolean connectives act
-stepwise on merged step grids, and until/since share one exact event sweep
-per location over segment indices, costing O(N log N + sum of window
-segments) for N steps.  The spatial operators evaluate the graph snapshot at
-every time where any input signal or the graph itself changes.  The spatial evaluations
-read the snapshot's cached sparse weights: Boolean reach with lower bound
-zero and Boolean unbounded reach are shortest-path searches, every other
-case floods or iterates to a fixpoint.  Their contracts are spelled out on
-the functions and cross-checked against brute-force oracles in the tests.
+Structure: an atom is one comparison or subtraction over the trace grid,
+negation and conjunction act on whole arrays over merged grids, and
+until/since share one exact event sweep per location over that location's
+own steps, costing O(N log N + sum of window segments) for N steps.  The
+spatial operators evaluate the graph snapshot at every time where an input
+row or the graph changes, once per snapshot and distinct pair of input
+rows, on the snapshot's cached sparse weights: Boolean reach with lower
+bound zero and Boolean unbounded reach are shortest-path searches, every
+other case floods or iterates to a fixpoint.  Their contracts are spelled
+out on the functions and cross-checked against brute-force oracles in the
+tests.
 """
 
 from __future__ import annotations
@@ -42,12 +45,7 @@ from .logic import (
     desugar,
     iter_subformulas,
 )
-from .signals import (
-    SpatialSignal,
-    SpatioTemporalSignal,
-    TemporalSignal,
-    Trace,
-)
+from .signals import SpatioTemporalSignal, TemporalSignal, Trace, canonical, column_steps
 from .space import (
     DistanceFunction,
     DynamicalSpatialModel,
@@ -92,38 +90,39 @@ class MonitorContext:
             )
 
 
-def _atom_signal(ctx: MonitorContext, atom: Atomic, loc: int) -> TemporalSignal:
-    """Interpretation of one atom at one location, as a step function."""
-    trace_sig = ctx.trace.signals[loc]
-    dom = ctx.domain
-    if atom.op is None:
-        name = atom.name
-        if name == "true":
-            return TemporalSignal(trace_sig.times[:1], (dom.top,), trace_sig.end_time)
-        if name == "false":
-            return TemporalSignal(trace_sig.times[:1], (dom.bottom,), trace_sig.end_time)
-        if name.startswith(_AT_PREFIX) and name[len(_AT_PREFIX):].isdigit():
-            here = dom.top if int(name[len(_AT_PREFIX):]) == loc else dom.bottom
-            return TemporalSignal(trace_sig.times[:1], (here,), trace_sig.end_time)
-        if ctx.interpretation is not None and name in ctx.interpretation:
-            fn = ctx.interpretation[name]
-            values = tuple(fn(v) for v in trace_sig.values)
-            return TemporalSignal(trace_sig.times, values, trace_sig.end_time).minimize()
-        idx = _resolve_variable(ctx, name)
-        values = tuple(dom.top if v[idx] != 0 else dom.bottom for v in trace_sig.values)
-        return TemporalSignal(trace_sig.times, values, trace_sig.end_time).minimize()
-    idx = _resolve_variable(ctx, atom.name)
-    c = atom.threshold
-    if dom.name == "boolean":
-        cmp = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}[atom.op]
-        values = tuple(cmp(v[idx], c) for v in trace_sig.values)
-    else:
-        # satisfaction margin: positive iff the comparison holds strictly
-        if atom.op in (">", ">="):
-            values = tuple(v[idx] - c for v in trace_sig.values)
+_COMPARISONS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+
+
+def _atom_signal(ctx: MonitorContext, atom: Atomic) -> SpatioTemporalSignal:
+    """Interpretation of one atom at every location, on the trace grid."""
+    trace, dom = ctx.trace, ctx.domain
+    times, data = trace.grid
+    boolean = dom.name == "boolean"
+    name, c = atom.name, atom.threshold
+    if atom.op is not None:
+        x = data[:, :, _resolve_variable(ctx, name)]
+        if boolean:
+            values = _COMPARISONS[atom.op](x, c)
         else:
-            values = tuple(c - v[idx] for v in trace_sig.values)
-    return TemporalSignal(trace_sig.times, values, trace_sig.end_time).minimize()
+            # satisfaction margin: positive iff the comparison holds strictly
+            values = x - c if atom.op in (">", ">=") else c - x
+    elif name in ("true", "false"):
+        values = np.full(data.shape[:2], dom.top if name == "true" else dom.bottom)
+    elif _is_address(name):
+        here = np.arange(trace.location_count) == int(name[len(_AT_PREFIX):])
+        values = np.broadcast_to(np.where(here, dom.top, dom.bottom), data.shape[:2])
+    elif ctx.interpretation is not None and name in ctx.interpretation:
+        fn = ctx.interpretation[name]
+        rows = [[fn(tuple(v)) for v in row] for row in data.tolist()]
+        values = np.array(rows, dtype=bool if boolean else float)
+    else:
+        x = data[:, :, _resolve_variable(ctx, name)]
+        values = x != 0 if boolean else np.where(x != 0, dom.top, dom.bottom)
+    return canonical(times, values, trace.end_time)
+
+
+def _is_address(name: str) -> bool:
+    return name.startswith(_AT_PREFIX) and name[len(_AT_PREFIX):].isdigit()
 
 
 def _resolve_variable(ctx: MonitorContext, name: str) -> int:
@@ -144,7 +143,7 @@ def validate_formula(ctx: MonitorContext, formula: Formula) -> None:
                 _resolve_variable(ctx, name)
             elif name in ("true", "false"):
                 pass
-            elif name.startswith(_AT_PREFIX) and name[len(_AT_PREFIX):].isdigit():
+            elif _is_address(name):
                 if not int(name[len(_AT_PREFIX):]) < ctx.trace.location_count:
                     raise SemanticError(f"address atom {name!r} names a missing location")
             elif ctx.interpretation is not None and name in ctx.interpretation:
@@ -161,21 +160,6 @@ def validate_formula(ctx: MonitorContext, formula: Formula) -> None:
 
 # ---------------------------------------------------------------------------
 # temporal operators
-
-
-def _common_domain(s1: TemporalSignal, s2: TemporalSignal) -> tuple[TemporalSignal, TemporalSignal]:
-    start = max(s1.start, s2.start)
-    end = min(s1.end_time, s2.end_time)
-    if start > end:
-        raise SemanticError(
-            f"signals have no common time domain: [{s1.start}, {s1.end_time}] vs "
-            f"[{s2.start}, {s2.end_time}]"
-        )
-    if (s1.start, s1.end_time) != (start, end):
-        s1 = s1.restrict(start, end)
-    if (s2.start, s2.end_time) != (start, end):
-        s2 = s2.restrict(start, end)
-    return s1, s2
 
 
 def monitor_until(interval: Interval, s1: TemporalSignal, s2: TemporalSignal, domain: SignalDomain) -> TemporalSignal:
@@ -218,8 +202,12 @@ def _temporal_sweep(interval: Interval, s1: TemporalSignal, s2: TemporalSignal, 
     Ties keep ``running``, the s2 value and ``acc``, as sampling every step
     time in the window did, so signed zeros come out the same.
     """
-    s1, s2 = _common_domain(s1, s2)
-    t0, t_end = s1.start, s1.end_time
+    t0, t_end = max(s1.start, s2.start), min(s1.end_time, s2.end_time)
+    if t0 > t_end:
+        raise SemanticError(
+            f"signals have no common time domain: [{s1.start}, {s1.end_time}] vs "
+            f"[{s2.start}, {s2.end_time}]"
+        )
     lo, hi, bounded = interval.lo, interval.hi, interval.bounded
     lost = hi if bounded else lo
     out_start, out_end = (t0, t_end - lost) if future else (t0 + lost, t_end)
@@ -228,7 +216,11 @@ def _temporal_sweep(interval: Interval, s1: TemporalSignal, s2: TemporalSignal, 
             f"temporal interval [{lo}, {hi if bounded else 'inf'}] exceeds the trace horizon: "
             f"evaluable domain of {'until' if future else 'since'} is empty"
         )
-    steps, v1, v2 = _merged_grid(s1, s2)
+    if s1.times == s2.times and s1.end_time == s2.end_time:
+        steps, v1, v2 = s1.times, s1.values, s2.values
+    else:
+        steps = [t0] + sorted(t for t in set(s1.times).union(s2.times) if t0 < t <= t_end)
+        v1, v2 = ([s.values[bisect_right(s.times, t) - 1] for t in steps] for s in (s1, s2))
     shifts = (0.0, lo, hi) if bounded else (0.0, lo)
     events = {out_start}
     for s in steps:
@@ -262,27 +254,6 @@ def _temporal_sweep(interval: Interval, s1: TemporalSignal, s2: TemporalSignal, 
     return TemporalSignal(tuple(out_times), tuple(out_values), out_end).minimize()
 
 
-def _merged_grid(s1: TemporalSignal, s2: TemporalSignal) -> tuple[list, list, list]:
-    """The union of two step grids that start together, with each input's
-    value on every merged step, in one merge pass.  Equal times keep s1's."""
-    t1, t2 = s1.times, s2.times
-    n1, n2 = len(t1), len(t2)
-    steps, v1, v2 = [], [], []
-    i = j = 0
-    while i < n1 or j < n2:
-        a = t1[i] if i < n1 else math.inf
-        b = t2[j] if j < n2 else math.inf
-        t = a if a <= b else b
-        if a == t:
-            i += 1
-        if b == t:
-            j += 1
-        steps.append(t)
-        v1.append(s1.values[i - 1])
-        v2.append(s2.values[j - 1])
-    return steps, v1, v2
-
-
 # ---------------------------------------------------------------------------
 # spatial operators
 
@@ -291,17 +262,15 @@ def reach(
     model: SpatialModel,
     f: DistanceFunction,
     interval: Interval,
-    s1: SpatialSignal,
-    s2: SpatialSignal,
+    s1: list,
+    s2: list,
     domain: SignalDomain,
-) -> SpatialSignal:
+) -> list:
     """Dispatch on the upper distance bound: flooding when bounded, fixpoint
     back-propagation when unbounded."""
     if interval.hi is None or interval.hi == math.inf:
-        values = unbounded_reach(model, f, interval.lo, list(s1.values), list(s2.values), domain)
-    else:
-        values = bounded_reach(model, f, interval.lo, interval.hi, list(s1.values), list(s2.values), domain)
-    return SpatialSignal(tuple(values))
+        return unbounded_reach(model, f, interval.lo, s1, s2, domain)
+    return bounded_reach(model, f, interval.lo, interval.hi, s1, s2, domain)
 
 
 def bounded_reach(
@@ -486,9 +455,9 @@ def escape(
     model: SpatialModel,
     f: DistanceFunction,
     interval: Interval,
-    s1: list | SpatialSignal,
+    s1: list,
     domain: SignalDomain,
-) -> SpatialSignal:
+) -> list:
     """Escape: best value over routes leaving l through satisfying locations
     whose endpoint sits at a graph minimum distance inside the interval.
 
@@ -498,8 +467,6 @@ def escape(
     (at most one round per location).  The result gates e by the all-pairs
     minimum-distance matrix.
     """
-    if isinstance(s1, SpatialSignal):
-        s1 = list(s1.values)
     d1 = interval.lo
     d2 = math.inf if interval.hi is None else interval.hi
     if not d1 <= d2:
@@ -534,7 +501,7 @@ def escape(
             if d1 <= row_dist[l2] <= d2 and row_e[l2] > acc:
                 acc = row_e[l2]
         out.append(acc)
-    return SpatialSignal(tuple(out))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -561,82 +528,59 @@ def _eval(ctx: MonitorContext, node: Formula, cache: dict) -> SpatioTemporalSign
 def _eval_node(ctx: MonitorContext, node: Formula, cache: dict) -> SpatioTemporalSignal:
     dom = ctx.domain
     if isinstance(node, Atomic):
-        return SpatioTemporalSignal(
-            tuple(_atom_signal(ctx, node, loc) for loc in range(ctx.trace.location_count))
-        )
+        return _atom_signal(ctx, node)
     if isinstance(node, Not):
         child = _eval(ctx, node.child, cache)
-        return SpatioTemporalSignal(tuple(s.map_values(dom.negate) for s in child.signals))
+        values = ~child.values if child.values.dtype == bool else -child.values
+        return SpatioTemporalSignal(child.times, values, child.end_time)
+    if not isinstance(node, (And, Until, Since, Reach, Escape)):
+        raise SemanticError(f"cannot monitor non-core node {type(node).__name__}")
+    operands = [node.child] if isinstance(node, Escape) else [node.left, node.right]
+    spatial = isinstance(node, (Reach, Escape))
+    times, rows, end = _aligned(
+        [_eval(ctx, x, cache) for x in operands], ctx.model.snapshot_times() if spatial else ()
+    )
     if isinstance(node, And):
-        left = _eval(ctx, node.left, cache)
-        right = _eval(ctx, node.right, cache)
-        out = []
-        for sl, sr in zip(left.signals, right.signals):
-            sl, sr = _common_domain(sl, sr)
-            times, vl, vr = _merged_grid(sl, sr)
-            values = tuple(a if a <= b else b for a, b in zip(vl, vr))
-            out.append(TemporalSignal(tuple(times), values, sl.end_time).minimize())
-        return SpatioTemporalSignal(tuple(out))
+        # np.minimum would not promise the left operand on ties (signed zeros)
+        return canonical(times, np.where(rows[1] < rows[0], rows[1], rows[0]), end)
     if isinstance(node, (Until, Since)):
-        left = _eval(ctx, node.left, cache)
-        right = _eval(ctx, node.right, cache)
         sweep = monitor_until if isinstance(node, Until) else monitor_since
-        return SpatioTemporalSignal(
-            tuple(sweep(node.interval, sl, sr, dom) for sl, sr in zip(left.signals, right.signals))
-        )
-    if isinstance(node, Reach):
-        left = _eval(ctx, node.left, cache)
-        right = _eval(ctx, node.right, cache)
-        f = ctx.distances[node.distance]
-        return _eval_spatial_binary(ctx, node.interval, f, left, right, _reach_at)
-    if isinstance(node, Escape):
-        child = _eval(ctx, node.child, cache)
-        f = ctx.distances[node.distance]
-        return _eval_spatial_binary(ctx, node.interval, f, child, None, _escape_at)
-    raise SemanticError(f"cannot monitor non-core node {type(node).__name__}")
-
-
-def _reach_at(ctx, interval, f, model, slice1, slice2):
-    return reach(model, f, interval, slice1, slice2, ctx.domain)
-
-
-def _escape_at(ctx, interval, f, model, slice1, _slice2):
-    return escape(model, f, interval, slice1, ctx.domain)
-
-
-def _eval_spatial_binary(ctx, interval, f, sig1, sig2, op):
-    """Evaluate a spatial operator at every time the inputs or graph change."""
-    if sig2 is not None:
-        pairs = [
-            _common_domain(sl, sr) for sl, sr in zip(sig1.signals, sig2.signals)
-        ]
-        sig1 = SpatioTemporalSignal(tuple(p[0] for p in pairs))
-        sig2 = SpatioTemporalSignal(tuple(p[1] for p in pairs))
-    start, end = sig1.start, sig1.end_time
-    times = set(sig1.step_times())
-    if sig2 is not None:
-        times.update(sig2.step_times())
-    for t in ctx.model.snapshot_times():
-        if start <= t <= end:
-            times.add(t)
-    times.add(start)
-    eval_times = sorted(times)
-    per_time = []
-    for t in eval_times:
-        model = ctx.model.snapshot_at(t)
-        slice1 = sig1.spatial_slice(t)
-        slice2 = sig2.spatial_slice(t) if sig2 is not None else None
-        per_time.append(op(ctx, interval, f, model, slice1, slice2))
-    n = sig1.location_count
+        # each location's inputs on its own merged steps, as the sweep reads them
+        return SpatioTemporalSignal.from_signals([
+            sweep(node.interval, TemporalSignal(steps, v1, end), TemporalSignal(steps, v2, end), dom)
+            for steps, v1, v2 in column_steps(times, *rows)
+        ])
+    kernel = reach if isinstance(node, Reach) else escape
+    f = ctx.distances[node.distance]
+    # Inputs repeated on one snapshot reuse the first result: one evaluation
+    # per snapshot and distinct input rows.
+    done: dict = {}
     out = []
-    for loc in range(n):
-        values = tuple(per_time[i][loc] for i in range(len(eval_times)))
-        out.append(TemporalSignal(tuple(eval_times), values, end).minimize())
-    return SpatioTemporalSignal(tuple(out))
+    for k, t in enumerate(times.tolist()):
+        model = ctx.model.snapshot_at(t)
+        key = (id(model), *(r[k].tobytes() for r in rows))
+        if key not in done:
+            done[key] = kernel(model, f, node.interval, *(r[k].tolist() for r in rows), dom)
+        out.append(done[key])
+    return canonical(times, np.array(out, dtype=rows[0].dtype), end)
+
+
+def _aligned(signals: list[SpatioTemporalSignal], extra=()) -> tuple:
+    """The signals' rows on the union of their grids and the ``extra``
+    times, over their common domain: (times, rows per signal, end time).
+    The spatial operators pass the snapshot times as ``extra``, so they are
+    evaluated wherever an input or the graph changes."""
+    start, end = max(s.start for s in signals), min(s.end_time for s in signals)
+    if start > end:
+        domains = " vs ".join(f"[{s.start}, {s.end_time}]" for s in signals)
+        raise SemanticError(f"signals have no common time domain: {domains}")
+    times = np.union1d(np.concatenate([s.times for s in signals]), extra)
+    times = np.concatenate(([start], times[(times > start) & (times <= end)]))
+    return times, [s.values[np.searchsorted(s.times, times, side="right") - 1] for s in signals], end
 
 
 def satisfied_locations(result: SpatioTemporalSignal, ctx: MonitorContext, t: float = 0.0) -> list[int]:
     """Locations whose verdict at t (or at the domain start if t precedes it)
     is positive/true."""
     probe = max(t, result.start)
-    return [loc for loc in range(result.location_count) if result.value_at(loc, probe) > 0]
+    return [loc for loc, v in enumerate(result.values_at(probe)) if v > 0]

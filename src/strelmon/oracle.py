@@ -49,11 +49,8 @@ def oracle_monitor(
     core = desugar(formula)
     validate_formula(ctx, core)
     times, values, end = _eval(ctx, core)
-    signals = tuple(
-        TemporalSignal(tuple(times), tuple(values[loc]), end)
-        for loc in range(ctx.trace.location_count)
-    )
-    return SpatioTemporalSignal(signals)
+    signals = [TemporalSignal(tuple(times), tuple(row), end) for row in values]
+    return SpatioTemporalSignal.from_signals(signals)
 
 
 def _value_at(times: list[float], row: list[Any], t: float) -> Any:
@@ -75,8 +72,8 @@ def _eval(ctx: MonitorContext, node: Formula) -> tuple[list[float], list[list[An
         base = sorted(set(ctx.trace.step_times()) | {
             t for t in ctx.model.snapshot_times() if ctx.trace.start <= t <= ctx.trace.end_time
         })
-        sigs = [_atom_signal(ctx, node, loc) for loc in range(n)]
-        values = [[sig.value_at(t) for t in base] for sig in sigs]
+        sig = _atom_signal(ctx, node)
+        values = [[sig.value_at(loc, t) for t in base] for loc in range(n)]
         return base, values, ctx.trace.end_time
     if isinstance(node, Not):
         times, values, end = _eval(ctx, node.child)

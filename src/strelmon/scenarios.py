@@ -502,17 +502,13 @@ def property_library() -> dict[str, Callable[..., Formula]]:
 # experiments
 
 
-def _default_distances():
-    return {name: make() for name, make in BUILTIN_DISTANCES.items()}
-
-
 def count_satisfied(model: DynamicalSpatialModel, trace: Trace, formula: Formula,
                     domain: SignalDomain, interpretation=None) -> int:
     ctx = MonitorContext(
         model=model,
         trace=trace,
         domain=domain,
-        distances=_default_distances(),
+        distances={name: make() for name, make in BUILTIN_DISTANCES.items()},
         interpretation=interpretation,
     )
     return len(satisfied_locations(monitor(ctx, formula), ctx, t=0.0))

@@ -2,9 +2,12 @@
 
 A temporal signal is a step function given by breakpoints: the value set at
 time ``t_i`` holds on ``[t_i, t_{i+1})`` and the last value holds through the
-closed end of the domain.  Spatio-temporal signals are one temporal signal
-per location; traces are vector-valued spatio-temporal signals carrying the
-raw monitored variables.
+closed end of the domain.  A spatio-temporal signal (a verdict per location
+and time) is stored as columns: one step grid shared by every location and
+a steps x locations array, with canonical runs; its per-location temporal
+signals are built on demand, for output and the until/since sweep.  Traces
+are vector-valued inputs, one temporal signal per location, and cache their
+union step grid as one array for the monitor's atoms.
 """
 
 from __future__ import annotations
@@ -13,7 +16,10 @@ import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from functools import cached_property
+from typing import Any, Iterable, Sequence
+
+import numpy as np
 
 
 class SignalError(ValueError):
@@ -72,9 +78,6 @@ class TemporalSignal:
                 values.append(v)
         return TemporalSignal(tuple(times), tuple(values), end)
 
-    def map_values(self, fn: Callable[[Any], Any]) -> "TemporalSignal":
-        return TemporalSignal(self.times, tuple(fn(v) for v in self.values), self.end_time)
-
 
 def _check_same_domain(signals: Sequence[TemporalSignal]) -> None:
     first = signals[0]
@@ -97,48 +100,105 @@ def time_step_union(signals: Iterable[TemporalSignal]) -> list[float]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class SpatialSignal:
-    """One value per location; a time slice of a spatio-temporal signal."""
-
-    values: tuple[Any, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, loc: int) -> Any:
-        return self.values[loc]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpatioTemporalSignal:
-    signals: tuple[TemporalSignal, ...]
+    """One verdict per (time, location), stored as columns.
 
-    def __post_init__(self):
-        if not self.signals:
-            raise SignalError("need at least one location")
-        _check_same_domain(self.signals)
+    ``times`` is a strictly increasing float64 array of step times shared by
+    every location and ``values`` a ``len(times)`` x n array, bool for
+    Boolean verdicts and float64 for quantitative ones: row k holds on
+    ``[times[k], times[k+1])`` and the last row through ``end_time``.  Runs
+    are canonical: within a run of equal values (``==``) every cell holds
+    the run's first value, as ``TemporalSignal.minimize`` keeps it, so
+    ``0.0`` then ``-0.0`` reads ``0.0`` throughout.
+    """
+
+    times: np.ndarray
+    values: np.ndarray
+    end_time: float
+
+    @classmethod
+    def from_signals(cls, signals: Sequence[TemporalSignal]) -> "SpatioTemporalSignal":
+        """Per-location signals sharing one domain, on the union of their grids."""
+        _check_same_domain(signals)
+        return canonical(*_on_grid(signals), signals[0].end_time)
 
     @property
     def location_count(self) -> int:
-        return len(self.signals)
+        return self.values.shape[1]
 
     @property
     def start(self) -> float:
-        return self.signals[0].start
-
-    @property
-    def end_time(self) -> float:
-        return self.signals[0].end_time
-
-    def value_at(self, loc: int, t: float) -> Any:
-        return self.signals[loc].value_at(t)
-
-    def spatial_slice(self, t: float) -> SpatialSignal:
-        return SpatialSignal(tuple(s.value_at(t) for s in self.signals))
+        return self.times[0].item()
 
     def step_times(self) -> list[float]:
-        return time_step_union(self.signals)
+        return self.times.tolist()
+
+    def _row_index(self, t: float) -> int:
+        if t < self.times[0] or t > self.end_time:
+            raise SignalError(f"time {t} outside signal domain [{self.start}, {self.end_time}]")
+        return int(np.searchsorted(self.times, t, side="right")) - 1
+
+    def values_at(self, t: float) -> list:
+        """Every location's value at t."""
+        return self.values[self._row_index(t)].tolist()
+
+    def value_at(self, loc: int, t: float) -> Any:
+        return self.values[self._row_index(t), loc].item()
+
+    @cached_property
+    def signals(self) -> tuple[TemporalSignal, ...]:
+        """One minimized step function per location, with Python values."""
+        return tuple(
+            TemporalSignal(times, values, self.end_time)
+            for times, values in column_steps(self.times, self.values)
+        )
+
+
+def _on_grid(signals: Sequence[TemporalSignal], dtype=None) -> tuple[np.ndarray, np.ndarray]:
+    """The union step grid of signals that start together, and every
+    signal's values on it, stacked along axis 1."""
+    counts = [len(s.times) for s in signals]
+    steps = np.array([t for s in signals for t in s.times], dtype=float)
+    values = np.array([v for s in signals for v in s.values], dtype=dtype)
+    times, rows = np.unique(steps, return_inverse=True)
+    # each cell takes the last step of its signal at or before it; step
+    # indices grow down each column, so a running maximum finds it
+    latest = np.zeros((len(times), len(signals)), dtype=np.intp)
+    latest[rows, np.repeat(np.arange(len(signals)), counts)] = np.arange(len(steps))
+    return times, values[np.maximum.accumulate(latest, axis=0)]
+
+
+def _changes(values: np.ndarray) -> np.ndarray:
+    """Per cell, whether it starts a run: the first row, or unequal to the row before."""
+    starts = np.ones(values.shape, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
+
+
+def canonical(times: np.ndarray, values: np.ndarray, end_time: float) -> SpatioTemporalSignal:
+    """The signal with canonical runs and without rows that repeat the row before.
+
+    Only signed zeros are equal without being the same value, so only
+    float arrays holding a zero need their runs rewritten.
+    """
+    if values.dtype.kind == "f" and (values == 0).any():
+        first = np.where(_changes(values), np.arange(len(times))[:, None], 0)
+        np.maximum.accumulate(first, axis=0, out=first)
+        values = np.take_along_axis(values, first, axis=0)
+    keep = _changes(values).any(axis=1)
+    return SpatioTemporalSignal(times[keep], values[keep], end_time)
+
+
+def column_steps(times: np.ndarray, *arrays: np.ndarray) -> list[tuple[tuple, ...]]:
+    """Per location, the times of its own steps (its first cell and every
+    change in any of the arrays) and each array's values there, as tuples of
+    Python numbers."""
+    starts = np.logical_or.reduce([_changes(a) for a in arrays]).T
+    flat = [np.broadcast_to(times, starts.shape)[starts].tolist()]
+    flat += [a.T[starts].tolist() for a in arrays]
+    bounds = [0] + np.cumsum(starts.sum(axis=1)).tolist()
+    return [tuple(tuple(f[a:b]) for f in flat) for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -174,6 +234,12 @@ class Trace:
 
     def step_times(self) -> list[float]:
         return time_step_union(self.signals)
+
+    @cached_property
+    def grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """The union step grid, and the variables on it as a steps x
+        locations x variables float64 array."""
+        return _on_grid(self.signals, float)
 
 
 def resample_to_union(trace: Trace) -> Trace:

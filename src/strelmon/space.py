@@ -13,7 +13,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Any, Callable, Iterable
 
 import numpy as np
@@ -80,16 +80,6 @@ class SpatialModel:
             incoming = csr_array((data, (rows, cols)), shape=(n, n))
             cache[f] = incoming
         return incoming
-
-    @cached_property
-    def weight_map(self) -> dict[tuple[int, int], Weight]:
-        return {(src, dst): w for src, w, dst in self.edges}
-
-    def weight(self, src: int, dst: int) -> Weight:
-        try:
-            return self.weight_map[(src, dst)]
-        except KeyError:
-            raise ModelError(f"no edge from {src} to {dst}") from None
 
 
 def build_spatial_model(n: int, edges: Iterable[tuple[int, Weight, int]]) -> SpatialModel:
@@ -161,10 +151,15 @@ class DistanceFunction:
     map: Callable[[Weight], float]
 
 
+# Each built-in is made once (``cache``) and every call returns that object,
+# so a snapshot's per-distance weights (``incoming_weights``) stay cached
+# across monitoring runs and experiment helpers.
+@cache
 def hop_distance() -> DistanceFunction:
     return DistanceFunction("hop", lambda w: 1)
 
 
+@cache
 def weight_sum_distance() -> DistanceFunction:
     def as_scalar(w: Weight) -> float:
         if isinstance(w, (int, float)):
@@ -174,6 +169,7 @@ def weight_sum_distance() -> DistanceFunction:
     return DistanceFunction("weight", as_scalar)
 
 
+@cache
 def euclidean_norm_distance() -> DistanceFunction:
     def norm(w: Weight) -> float:
         if isinstance(w, tuple) and len(w) == 2:
@@ -332,14 +328,6 @@ def _weight_to_json(w: Weight):
     return w
 
 
-def _weight_from_json(w) -> Weight:
-    if isinstance(w, list):
-        if len(w) != 2:
-            raise ModelError(f"vector weight must have two components, got {w!r}")
-        return (float(w[0]), float(w[1]))
-    return float(w)
-
-
 def save_model(dm: DynamicalSpatialModel, path: str) -> None:
     doc = {
         "locations": dm.location_count,
@@ -368,26 +356,35 @@ def load_model(path: str) -> DynamicalSpatialModel:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ModelError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict) or "locations" not in doc or "snapshots" not in doc:
-        raise ModelError(f"{path}: expected an object with 'locations' and 'snapshots'")
-    n = doc["locations"]
+    if not isinstance(doc, dict) or not isinstance(doc.get("snapshots"), list):
+        raise ModelError(f"{path}: expected an object with 'locations' and a 'snapshots' list")
+    n = doc.get("locations")
+    if type(n) is not int:
+        raise ModelError(f"{path}: 'locations' must be an integer, got {n!r}")
     undirected = bool(doc.get("undirected", False))
     snapshots = []
     for index, snap in enumerate(doc["snapshots"]):
-        edges = []
-        for entry in snap.get("edges", []):
-            if len(entry) != 3:
-                raise ModelError(f"{path}: edge entry must be [src, dst, weight], got {entry!r}")
-            src, dst, w = entry
-            weight = _weight_from_json(w)
-            if not all(map(math.isfinite, weight if isinstance(weight, tuple) else (weight,))):
-                raise ModelError(
-                    f"{path}: snapshot {index}: edge [{src}, {dst}] has non-finite weight {w!r}"
-                )
-            edges.append((int(src), weight, int(dst)))
-        model = undirected_model(n, edges) if undirected else build_spatial_model(n, edges)
-        t = float(snap["time"])
-        if not math.isfinite(t):
-            raise ModelError(f"{path}: snapshot {index}: non-finite time {snap['time']!r}")
+        try:
+            if not isinstance(snap, dict) or "time" not in snap:
+                raise ModelError("expected an object with a 'time'")
+            edges = [_edge_from_json(entry) for entry in snap.get("edges", [])]
+            model = undirected_model(n, edges) if undirected else build_spatial_model(n, edges)
+            t = float(snap["time"])
+            if not math.isfinite(t):
+                raise ModelError(f"non-finite time {snap['time']!r}")
+        except (TypeError, ValueError) as exc:  # ModelError included
+            raise ModelError(f"{path}: snapshot {index}: {exc}") from None
         snapshots.append((t, model))
     return DynamicalSpatialModel(tuple(snapshots))
+
+
+def _edge_from_json(entry) -> tuple[int, Weight, int]:
+    if not isinstance(entry, list) or len(entry) != 3:
+        raise ModelError(f"edge entry must be [src, dst, weight], got {entry!r}")
+    src, dst, w = entry
+    if isinstance(w, list) and len(w) != 2:
+        raise ModelError(f"vector weight must have two components, got {w!r}")
+    weight = (float(w[0]), float(w[1])) if isinstance(w, list) else float(w)
+    if not all(map(math.isfinite, weight if isinstance(weight, tuple) else (weight,))):
+        raise ModelError(f"edge [{src}, {dst}] has non-finite weight {w!r}")
+    return int(src), weight, int(dst)

@@ -186,6 +186,30 @@ def test_monitor_non_finite_model_exit_code(tmp_path, capsys, snapshot):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "document, fragment",
+    [
+        ('{"locations": 16, "snapshots": [{"edges": [[0, 1, 1.0]]}]}', "snapshot 0: "),
+        ('{"locations": 16, "snapshots": [{"time": 0, "edges": [5]}]}', "snapshot 0: edge entry"),
+        ('{"locations": "two", "snapshots": [{"time": 0, "edges": []}]}', "'locations'"),
+        ('{"locations": 16, "snapshots": [{"time": 0, "edges": [[0, 1, "a"]]}]}', "snapshot 0: "),
+        ('{"locations": 16, "snapshots": [{"time": 0}, {"time": 1, "edges": [[0, 1, [1]]]}]}',
+         "snapshot 1: "),
+    ],
+    ids=["no-time", "edge-not-a-list", "locations-not-an-integer", "non-numeric-weight",
+         "short-vector-weight"],
+)
+def test_monitor_malformed_model_one_line_error(tmp_path, capsys, document, fragment):
+    _model, trace = write_network16(tmp_path)
+    model = tmp_path / "bad.json"
+    model.write_text(document)
+    code = main(["monitor", "--model", str(model), "--trace", trace, "--formula", "coord"])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {model}: ") and fragment in err[0], err[0]
+
+
 def test_monitor_decimal_times_window_edge(tmp_path, capsys):
     """0.5 - 0.4 rounds to just below the first row at 0.1; that is still
     inside the trace, not an input error."""

@@ -1,7 +1,9 @@
 import contextlib
+import json
 import math
 import random
 import signal
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +26,6 @@ from strelmon.logic import (
 from strelmon.monitor import (
     MonitorContext,
     SemanticError,
-    _common_domain,
     bounded_reach,
     escape,
     monitor,
@@ -39,7 +40,7 @@ from strelmon.oracle import (
     simple_path_escape,
     walk_reach,
 )
-from strelmon.signals import SignalError, SpatialSignal, TemporalSignal, Trace
+from strelmon.signals import SignalError, TemporalSignal, Trace
 from strelmon.space import (
     DynamicalSpatialModel,
     build_spatial_model,
@@ -208,6 +209,22 @@ def test_since_trivial_cases():
 
 # The sample-loop sweeps the segment kernel replaced, kept verbatim as a
 # reference: every event re-samples its window with a value_at per sample.
+# _common_domain is the engine's former per-location domain pairing.
+
+
+def _common_domain(s1, s2):
+    start = max(s1.start, s2.start)
+    end = min(s1.end_time, s2.end_time)
+    if start > end:
+        raise SemanticError(
+            f"signals have no common time domain: [{s1.start}, {s1.end_time}] vs "
+            f"[{s2.start}, {s2.end_time}]"
+        )
+    if (s1.start, s1.end_time) != (start, end):
+        s1 = s1.restrict(start, end)
+    if (s2.start, s2.end_time) != (start, end):
+        s2 = s2.restrict(start, end)
+    return s1, s2
 
 
 def until_reference(interval, s1, s2, domain):
@@ -356,8 +373,44 @@ def test_sweep_kernel_matches_sample_loop_reference(domain):
             assert repr((got.times, got.values, got.end_time)) == repr(
                 (want.times, want.values, want.end_time)
             ), (interval, s1, s2)
+            # both inputs resampled onto their merged steps, as the monitor
+            # passes them: same verdicts, though neither input is minimal
+            merged = tuple(sorted(set(s1.times) | set(s2.times)))
+            m1, m2 = (
+                TemporalSignal(merged, tuple(map(s.value_at, merged)), s.end_time) for s in (s1, s2)
+            )
+            got = kernel(interval, m1, m2, domain)
+            assert repr((got.times, got.values, got.end_time)) == repr(
+                (want.times, want.values, want.end_time)
+            ), (interval, s1, s2)
             compared += 1
     assert compared > 4000
+
+
+@pytest.mark.parametrize("domain", [BOOL, QUANT])
+def test_sweep_kernel_reads_inputs_over_their_common_domain(domain):
+    """Inputs on different domains give what the reference gives after
+    restricting both to the common one."""
+    rng = random.Random(2014)
+    compared = 0
+    for _ in range(600):
+        interval, s1, s2 = _sweep_instance(rng, domain, decimal=False)
+        grid = sorted(set(s1.times) | set(s2.times) | {s2.end_time})
+        start = rng.choice(grid)
+        s2 = s2.restrict(start, rng.choice([t for t in grid if t >= start]))
+        for kernel, reference in ((monitor_until, until_reference), (monitor_since, since_reference)):
+            try:
+                want = reference(interval, s1, s2, domain)
+            except SemanticError:
+                with pytest.raises(SemanticError):
+                    kernel(interval, s1, s2, domain)
+                continue
+            got = kernel(interval, s1, s2, domain)
+            assert repr((got.times, got.values, got.end_time)) == repr(
+                (want.times, want.values, want.end_time)
+            ), (interval, s1, s2)
+            compared += 1
+    assert compared > 400
 
 
 def test_window_edges_rounded_outside_the_domain():
@@ -387,15 +440,8 @@ def test_reach_zero_interval_is_target_signal():
         model = random_model(rng, n, 10)
         s1 = [rng.random() < 0.5 for _ in range(n)]
         s2 = [rng.random() < 0.5 for _ in range(n)]
-        out = reach(
-            model,
-            hop_distance(),
-            Interval(0, 0),
-            SpatialSignal(tuple(s1)),
-            SpatialSignal(tuple(s2)),
-            BOOL,
-        )
-        assert list(out.values) == s2
+        out = reach(model, hop_distance(), Interval(0, 0), s1, s2, BOOL)
+        assert out == s2
 
 
 def test_bounded_reach_isolated_location():
@@ -428,7 +474,7 @@ def test_escape_identity_full_interval():
             else:
                 s1 = [rng.randint(-8, 8) / 4 for _ in range(n)]
             out = escape(model, hop_distance(), Interval(0, UNBOUNDED), s1, domain)
-            assert list(out.values) == s1
+            assert out == s1
 
 
 def test_escape_network16_example():
@@ -436,7 +482,7 @@ def test_escape_network16_example():
     end_dev = {0, 1, 2, 3, 5, 11, 12, 13, 14}
     s1 = [loc not in end_dev for loc in range(16)]
     out = escape(model, hop_distance(), Interval(2, UNBOUNDED), s1, BOOL)
-    assert out.values[9] is True  # location 10, via the two-router corridor
+    assert out[9] is True  # location 10, via the two-router corridor
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +587,7 @@ def test_escape_matches_simple_path_enumeration(domain):
         want = simple_path_escape(
             model, f, d1, math.inf if d2 is None else d2, s1, domain
         )
-        assert list(got.values) == want
+        assert got == want
 
 
 def _random_spatial(rng, domain, n):
@@ -804,6 +850,65 @@ def test_quantitative_tie_order_keeps_signed_zeros():
     for text, want in expected.items():
         out = monitor(ctx, parse(text))
         assert repr([(s.times, s.values) for s in out.signals]) == want, text
+
+
+GOLDEN_FORMULAS = [
+    "!(x > 0) & (y >= 0)",
+    "y & !(x < 0)",
+    "(x > 0) U[0.1,0.3] !(y > 0)",
+    "(y >= 0) & F (x > 0.5)",
+    "(y >= 0) S[0,0.2] (x > 0)",
+    "(x > 0) reach(weight)[0,1.5] (y > 0)",
+    "(x >= 0) reach(hop)[1,2] !(y > 0)",
+    "(y > 0) reach(hop) (x > 0)",
+    "escape(weight)[1,inf] (x > 0)",
+    "F[0,0.2] ((x > 0) reach(hop)[0,1] y) & !(y < 0)",
+]
+
+
+def golden_instance(seed):
+    """Four locations, each stepping on its own subset of a 0.1 grid, with
+    signed zeros in the data and a graph that changes at 0.3 and 0.7."""
+    rng = random.Random(seed)
+    n = 4
+
+    def snapshot():
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        rng.shuffle(pairs)
+        count = rng.randint(3, 7)
+        weights = [0.5, 1.0, 1.5]
+        return build_spatial_model(n, [(a, rng.choice(weights), b) for a, b in pairs[:count]])
+
+    model = DynamicalSpatialModel(((0.0, snapshot()), (0.3, snapshot()), (0.7, snapshot())))
+    grid = [k / 10 for k in range(10)]
+    pool = (0.0, -0.0, 0.5, -0.5, 1.0)
+    sigs = []
+    for _ in range(n):
+        times = [0.0] + sorted(rng.sample(grid[1:], rng.randint(2, 7)))
+        values = tuple((rng.choice(pool), rng.choice(pool)) for _ in times)
+        sigs.append(TemporalSignal(tuple(times), values, 1.0))
+    return model, Trace(("x", "y"), tuple(sigs))
+
+
+def test_golden_outputs_of_the_per_location_engine():
+    """Every location's verdict steps, as repr, match those the engine gave
+    before verdicts became one shared grid and array per subformula
+    (recorded in golden_signals.json): decimal times, signed zeros, both
+    domains, every core operator and a changing graph."""
+    with open(Path(__file__).with_name("golden_signals.json")) as fh:
+        expected = json.load(fh)
+    dists = {"hop": hop_distance(), "weight": weight_sum_distance()}
+    checked = 0
+    for seed in (1, 2, 3):
+        model, trace = golden_instance(seed)
+        for domain in (BOOL, QUANT):
+            ctx = MonitorContext(model=model, trace=trace, domain=domain, distances=dists)
+            for text in GOLDEN_FORMULAS:
+                out = monitor(ctx, parse(text))
+                key = f"{seed} {domain.name} {text}"
+                assert repr([(s.times, s.values) for s in out.signals]) == expected[key], key
+                checked += 1
+    assert checked == len(expected)
 
 
 def test_quantitative_network16_consistency():

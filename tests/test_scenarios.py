@@ -34,6 +34,7 @@ from strelmon.scenarios import (
     sweep_safe_radius,
     target_reachable,
 )
+from strelmon import space
 from strelmon.space import hop_distance, weight_sum_distance
 
 
@@ -289,6 +290,24 @@ def test_sweep_monotone_and_extremes():
     rows = result.rows
     assert len(rows) == len(radii)
     assert rows[-1][1] >= rows[0][1]
+
+
+def test_sweep_checks_each_snapshot_distance_once(monkeypatch):
+    """The built-in distance functions are singletons, so a snapshot maps and
+    checks its weights once per distance function for the whole sweep, not
+    once per radius."""
+    checked = []
+
+    def counting(model, f):
+        checked.append((id(model), f.name))
+        return original(model, f)
+
+    original = space.check_strictly_positive
+    monkeypatch.setattr(space, "check_strictly_positive", counting)
+    cfg = EpidemicConfig(node_count=30, horizon_days=10, initial_infected=3, seed=4)
+    sweep_safe_radius(cfg, [0.5, 3.0, 8.0, 20.0], T=3.0, runs=1)
+    assert checked
+    assert len(checked) == len(set(checked))
 
 
 def test_sweep_large_radius_matches_direct_evaluation():

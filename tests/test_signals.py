@@ -87,17 +87,15 @@ def test_restrict():
 
 
 def test_spatial_slice():
-    st_sig = SpatioTemporalSignal(
+    st_sig = SpatioTemporalSignal.from_signals(
         (sig([(0, 1), (2, 5)], 4), sig([(0, 2)], 4))
     )
-    assert st_sig.spatial_slice(0).values == (1, 2)
-    assert st_sig.spatial_slice(2).values == (5, 2)  # slice sees the new step value
+    assert st_sig.values_at(0) == [1, 2]
+    assert st_sig.values_at(2) == [5, 2]  # slice sees the new step value
     rng = random.Random(0)
     for _ in range(20):
         t = rng.uniform(0, 4)
-        assert st_sig.spatial_slice(t).values == tuple(
-            st_sig.value_at(loc, t) for loc in range(2)
-        )
+        assert st_sig.values_at(t) == [st_sig.value_at(loc, t) for loc in range(2)]
 
 
 def test_trace_validation():
