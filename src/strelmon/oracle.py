@@ -20,7 +20,7 @@ from typing import Any
 
 from .algebra import SignalDomain
 from .logic import And, Atomic, Escape, Formula, Not, Reach, Since, Until, desugar
-from .monitor import MonitorContext, SemanticError, _atom_signal, validate_formula
+from .monitor import MonitorContext, SemanticError, validate_formula
 from .signals import SpatioTemporalSignal, TemporalSignal
 from .space import SpatialModel
 
@@ -64,44 +64,49 @@ def _value_at(times: list[float], row: list[Any], t: float) -> Any:
     return row[idx]
 
 
+def _atom_value(ctx: MonitorContext, atom: Atomic, loc: int, data: tuple) -> Any:
+    """One atom at one location, from the trace values there."""
+    dom, name, c = ctx.domain, atom.name, atom.threshold
+    boolean = dom.name == "boolean"
+    data = tuple(map(float, data))
+    if atom.op is not None:
+        x = data[ctx.trace.variables.index(name)]
+        if boolean:
+            return {">": x > c, ">=": x >= c, "<": x < c, "<=": x <= c}[atom.op]
+        return x - c if atom.op in (">", ">=") else c - x
+    if name in ("true", "false"):
+        return dom.top if name == "true" else dom.bottom
+    if name.startswith("at_") and name[3:].isdigit():
+        return dom.top if loc == int(name[3:]) else dom.bottom
+    if ctx.interpretation is not None and name in ctx.interpretation:
+        return (bool if boolean else float)(ctx.interpretation[name](data))
+    return dom.top if data[ctx.trace.variables.index(name)] != 0 else dom.bottom
+
+
 def _eval(ctx: MonitorContext, node: Formula) -> tuple[list[float], list[list[Any]], float]:
     """Returns (grid times, per-location values on the grid, end time)."""
     dom = ctx.domain
     n = ctx.trace.location_count
     if isinstance(node, Atomic):
-        base = sorted(set(ctx.trace.step_times()) | {
-            t for t in ctx.model.snapshot_times() if ctx.trace.start <= t <= ctx.trace.end_time
-        })
-        sig = _atom_signal(ctx, node)
-        values = [[sig.value_at(loc, t) for t in base] for loc in range(n)]
-        return base, values, ctx.trace.end_time
+        sigs = ctx.trace.signals
+        steps = [(tuple(t for s in sigs for t in s.times), None, ctx.trace.end_time)]
+        _, end, base = _merged(steps, ctx.model.snapshot_times())
+        values = [[_atom_value(ctx, node, loc, sigs[loc].value_at(t)) for t in base] for loc in range(n)]
+        return base, values, end
     if isinstance(node, Not):
         times, values, end = _eval(ctx, node.child)
         return times, [[dom.negate(v) for v in row] for row in values], end
     if isinstance(node, And):
-        t1, v1, e1 = _eval(ctx, node.left)
-        t2, v2, e2 = _eval(ctx, node.right)
-        start = max(t1[0], t2[0])
-        end = min(e1, e2)
-        if start > end:
-            raise SemanticError("empty common time domain")
-        times = sorted({t for t in set(t1) | set(t2) | {start} if start <= t <= end})
+        (t1, v1, _), (t2, v2, _) = children = [_eval(ctx, node.left), _eval(ctx, node.right)]
+        _, end, times = _merged(children)
         values = [
-            [
-                min(_value_at(t1, v1[loc], t), _value_at(t2, v2[loc], t))
-                for t in times
-            ]
+            [min(_value_at(t1, v1[loc], t), _value_at(t2, v2[loc], t)) for t in times]
             for loc in range(n)
         ]
         return times, values, end
     if isinstance(node, (Until, Since)):
-        t1, v1, e1 = _eval(ctx, node.left)
-        t2, v2, e2 = _eval(ctx, node.right)
-        start = max(t1[0], t2[0])
-        end = min(e1, e2)
-        if start > end:
-            raise SemanticError("empty common time domain")
-        base = sorted({t for t in set(t1) | set(t2) | {start} if start <= t <= end})
+        (t1, v1, _), (t2, v2, _) = children = [_eval(ctx, node.left), _eval(ctx, node.right)]
+        start, end, base = _merged(children)
         r1 = [[_value_at(t1, v1[loc], t) for t in base] for loc in range(n)]
         r2 = [[_value_at(t2, v2[loc], t) for t in base] for loc in range(n)]
         lo = node.interval.lo
@@ -146,6 +151,16 @@ def _eval(ctx: MonitorContext, node: Formula) -> tuple[list[float], list[list[An
     raise SemanticError(f"oracle cannot evaluate non-core node {type(node).__name__}")
 
 
+def _merged(children: list, extra=()) -> tuple[float, float, list[float]]:
+    """The children's common domain and the merged grid (with ``extra``) on it."""
+    start = max(times[0] for times, _, _ in children)
+    end = min(e for _, _, e in children)
+    if start > end:
+        raise SemanticError("empty common time domain")
+    grid = {start, *extra}.union(*(times for times, _, _ in children))
+    return start, end, sorted(t for t in grid if start <= t <= end)
+
+
 def _window_value(dom, base, row1, row2, t, w_lo, w_hi, future: bool) -> Any:
     """Direct evaluation of the until/since equation at a single time."""
     samples = {w_lo, w_hi}
@@ -169,23 +184,10 @@ def _window_value(dom, base, row1, row2, t, w_lo, w_hi, future: bool) -> Any:
 def _eval_spatial(ctx: MonitorContext, node, binary: bool):
     dom = ctx.domain
     n = ctx.trace.location_count
-    if binary:
-        t1, v1, e1 = _eval(ctx, node.left)
-        t2, v2, e2 = _eval(ctx, node.right)
-        start = max(t1[0], t2[0])
-        end = min(e1, e2)
-        if start > end:
-            raise SemanticError("empty common time domain")
-        times = sorted(
-            {t for t in set(t1) | set(t2) | {start} if start <= t <= end}
-            | {t for t in ctx.model.snapshot_times() if start <= t <= end}
-        )
-    else:
-        t1, v1, e1 = _eval(ctx, node.child)
-        start, end = t1[0], e1
-        times = sorted(
-            set(t1) | {t for t in ctx.model.snapshot_times() if start <= t <= end}
-        )
+    operands = [node.left, node.right] if binary else [node.child]
+    children = [_eval(ctx, x) for x in operands]
+    _, end, times = _merged(children, ctx.model.snapshot_times())
+    (t1, v1, _), (t2, v2, _) = children[0], children[-1]
     f = ctx.distances[node.distance]
     lo = node.interval.lo
     hi = math.inf if node.interval.hi is None else node.interval.hi

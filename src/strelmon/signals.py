@@ -94,10 +94,7 @@ def time_step_union(signals: Iterable[TemporalSignal]) -> list[float]:
     if not sigs:
         return []
     _check_same_domain(sigs)
-    out: set[float] = set()
-    for s in sigs:
-        out.update(s.times)
-    return sorted(out)
+    return _on_grid(sigs, object)[0].tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,7 +230,7 @@ class Trace:
         return self.signals[0].end_time
 
     def step_times(self) -> list[float]:
-        return time_step_union(self.signals)
+        return self.grid[0].tolist()
 
     @cached_property
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
@@ -244,13 +241,12 @@ class Trace:
 
 def resample_to_union(trace: Trace) -> Trace:
     """Give every location the same step grid (union of all step times)."""
-    times = trace.step_times()
-    signals = []
-    for s in trace.signals:
-        signals.append(
-            TemporalSignal(tuple(times), tuple(s.value_at(t) for t in times), s.end_time)
-        )
-    return Trace(trace.variables, tuple(signals))
+    times, data = trace.grid
+    times = tuple(times.tolist())
+    columns = data.transpose(1, 0, 2).tolist()
+    return Trace(trace.variables, tuple(
+        TemporalSignal(times, tuple(map(tuple, column)), trace.end_time) for column in columns
+    ))
 
 
 def load_trace(path: str) -> Trace:
