@@ -437,13 +437,13 @@ def _back_propagate(model: SpatialModel, incoming: csr_array, s1: list, s: list,
     reachability from the seeds (``_reached_within`` with no limit)."""
     if domain.name == "boolean":
         return _reached_within(incoming, s1, s, math.inf)
-    in_edges = model.in_edges
+    in_sources = _incoming_in_edge_order(model)
     active = set(range(model.location_count))
     while active:
         nxt: set[int] = set()
         for l in active:
             base = s[l]
-            for src, _w in in_edges[l]:
+            for src in in_sources[l]:
                 x = s1[src]
                 v2 = base if base <= x else x
                 if v2 > s[src]:
@@ -451,6 +451,15 @@ def _back_propagate(model: SpatialModel, incoming: csr_array, s1: list, s: list,
                     nxt.add(src)
         active = nxt
     return s
+
+
+def _incoming_in_edge_order(model: SpatialModel) -> list[list[int]]:
+    """Per location, the sources of its incoming edges in edge order (the CSR
+    sorts them), which decides the fixpoints' +0.0/-0.0 ties."""
+    order = np.argsort(model.dst, kind="stable")
+    bounds = np.searchsorted(model.dst[order], np.arange(model.location_count + 1)).tolist()
+    sources = model.src[order].tolist()
+    return [sources[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def escape(
@@ -479,14 +488,14 @@ def escape(
     e = [[bottom] * n for _ in range(n)]
     for l in range(n):
         e[l][l] = s1[l]
-    in_edges = model.in_edges
+    in_sources = _incoming_in_edge_order(model)
     active: set[tuple[int, int]] = {(l, l) for l in range(n)}
     while active:
         e_next = [row.copy() for row in e]
         nxt: set[tuple[int, int]] = set()
         for l1, l2 in active:
             base = e[l1][l2]
-            for src, _w in in_edges[l1]:
+            for src in in_sources[l1]:
                 x = s1[src]
                 v = x if x <= base else base
                 if v > e_next[src][l2]:

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from typing import Any
 
+import numpy as np
+
 from .algebra import SignalDomain
 from .logic import And, Atomic, Escape, Formula, Not, Reach, Since, Until, desugar
 from .monitor import MonitorContext, SemanticError, validate_formula
@@ -208,13 +210,23 @@ def _eval_spatial(ctx: MonitorContext, node, binary: bool):
     return times, values, end
 
 
+def _out_steps(model: SpatialModel, f) -> list[list[tuple[int, float]]]:
+    """Per location, (destination, f-distance) for each outgoing edge, in
+    edge order, read straight from the snapshot's edge arrays."""
+    out: list[list[tuple[int, float]]] = [[] for _ in range(model.location_count)]
+    steps = np.asarray(f.map(model.weight), dtype=float).tolist()
+    for src, dst, step in zip(model.src.tolist(), model.dst.tolist(), steps):
+        out[src].append((dst, step))
+    return out
+
+
 def walk_reach(model: SpatialModel, f, d1, d2, s1, s2, dom: SignalDomain, start: int) -> Any:
     """Exhaustive route-prefix enumeration, pruned at accumulated distance d2.
 
     Strict positivity of f makes the enumeration finite: distances only grow
     along a prefix, so anything beyond d2 can never contribute.
     """
-    out_edges = model.out_edges
+    out_edges = _out_steps(model, f)
     acc = dom.bottom
 
     def visit(loc: int, dist, prefix) -> None:
@@ -224,8 +236,8 @@ def walk_reach(model: SpatialModel, f, d1, d2, s1, s2, dom: SignalDomain, start:
         prefix2 = min(prefix, s1[loc])
         if prefix2 == dom.bottom:
             return
-        for dst, w in out_edges[loc]:
-            nd = dist + f.map(w)
+        for dst, step in out_edges[loc]:
+            nd = dist + step
             if nd <= d2:
                 visit(dst, nd, prefix2)
 
@@ -243,13 +255,13 @@ def dense_unbounded_reach(model: SpatialModel, f, d1, s1, s2, dom: SignalDomain)
     by each step's distance.
     """
     n = model.location_count
-    out_edges = model.out_edges
+    out_edges = _out_steps(model, f)
     v = list(s2)
     while True:
         nxt = []
         for l in range(n):
             val = s2[l]
-            for dst, w in out_edges[l]:
+            for dst, _step in out_edges[l]:
                 val = max(val, min(s1[l], v[dst]))
             nxt.append(val)
         if nxt == v:
@@ -268,8 +280,7 @@ def dense_unbounded_reach(model: SpatialModel, f, d1, s1, s2, dom: SignalDomain)
             return memo[key]
         memo[key] = dom.bottom  # cycles re-entered with the same budget add nothing new
         acc = dom.bottom
-        for dst, w in out_edges[loc]:
-            step = f.map(w)
+        for dst, step in out_edges[loc]:
             acc = max(acc, min(s1[loc], unbounded(dst, need - step)))
         memo[key] = acc
         return acc
@@ -282,8 +293,9 @@ def floyd_warshall(model: SpatialModel, f) -> list[list[float]]:
     dist = [[math.inf] * n for _ in range(n)]
     for i in range(n):
         dist[i][i] = 0
-    for src, w, dst in model.edges:
-        dist[src][dst] = min(dist[src][dst], f.map(w))
+    for src, edges in enumerate(_out_steps(model, f)):
+        for dst, step in edges:
+            dist[src][dst] = min(dist[src][dst], step)
     for k in range(n):
         for i in range(n):
             dik = dist[i][k]
@@ -306,7 +318,7 @@ def simple_path_escape(model: SpatialModel, f, d1, d2, s1, dom: SignalDomain) ->
     """
     dist = floyd_warshall(model, f)
     n = model.location_count
-    out_edges = model.out_edges
+    out_edges = _out_steps(model, f)
     results = []
     for start in range(n):
         acc = dom.bottom
@@ -316,7 +328,7 @@ def simple_path_escape(model: SpatialModel, f, d1, d2, s1, dom: SignalDomain) ->
             nonlocal acc
             if admitted[loc]:
                 acc = max(acc, product)
-            for dst, _w in out_edges[loc]:
+            for dst, _step in out_edges[loc]:
                 if dst not in visited:
                     visit(dst, min(product, s1[dst]), visited | {dst})
 

@@ -17,7 +17,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .algebra import SignalDomain
+from .algebra import SignalDomain, boolean_domain
 from .logic import (
     And,
     Atomic,
@@ -39,6 +39,7 @@ from .space import (
     BUILTIN_DISTANCES,
     DynamicalSpatialModel,
     EuclideanPositions,
+    SpatialModel,
     connectivity_graph,
     delaunay_proximity,
     euclidean_model,
@@ -137,12 +138,10 @@ def generate_manet(cfg: ManetConfig) -> tuple[DynamicalSpatialModel, DynamicalSp
     """
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     n = cfg.node_count
-    roles = [0] * n  # 0 coordinator, 1 router, 2 end device
     order = rng.permutation(n)
-    for idx in order[1 : 1 + cfg.routers]:
-        roles[idx] = 1
-    for idx in order[1 + cfg.routers :]:
-        roles[idx] = 2
+    roles = np.full(n, 2)  # 0 coordinator, 1 router, 2 end device
+    roles[order[: 1 + cfg.routers]] = 1
+    roles[order[0]] = 0
     positions = rng.uniform(0.0, cfg.side, size=(n, 2))
     walks = {
         name: [_walk(rng, getattr(cfg, name), cfg.steps) for _ in range(n)]
@@ -150,8 +149,7 @@ def generate_manet(cfg: ManetConfig) -> tuple[DynamicalSpatialModel, DynamicalSp
     }
     times = [k * cfg.step_duration for k in range(cfg.steps)]
     end = cfg.steps * cfg.step_duration
-    prox_snaps = []
-    conn_snaps = []
+    prox_snaps, conn_snaps = [], []
     for k in range(cfg.steps):
         if k > 0 and cfg.jitter > 0:
             positions = positions + rng.uniform(-cfg.jitter, cfg.jitter, size=(n, 2))
@@ -162,21 +160,11 @@ def generate_manet(cfg: ManetConfig) -> tuple[DynamicalSpatialModel, DynamicalSp
         prox_snaps.append((times[k], prox))
         conn_snaps.append((times[k], conn))
     variables = ("coord", "router", "end_dev", "battery", "humidity", "pollution")
-    signals = []
-    for loc in range(n):
-        values = tuple(
-            (
-                1.0 if roles[loc] == 0 else 0.0,
-                1.0 if roles[loc] == 1 else 0.0,
-                1.0 if roles[loc] == 2 else 0.0,
-                walks["battery"][loc][k],
-                walks["humidity"][loc][k],
-                walks["pollution"][loc][k],
-            )
-            for k in range(cfg.steps)
-        )
-        signals.append(TemporalSignal(tuple(times), values, end))
-    trace = Trace(variables, tuple(signals))
+    one_hot = np.broadcast_to(np.eye(3)[roles][:, None, :], (n, cfg.steps, 3))
+    data = np.concatenate((one_hot, np.stack([walks[v] for v in variables[3:]], axis=2)), axis=2)
+    trace = Trace(variables, tuple(
+        TemporalSignal(tuple(times), tuple(map(tuple, rows)), end) for rows in data.tolist()
+    ))
     return (
         DynamicalSpatialModel(tuple(prox_snaps)),
         DynamicalSpatialModel(tuple(conn_snaps)),
@@ -262,36 +250,34 @@ def _sample_degrees(rng: np.random.Generator, spec: DegreeSpec, n: int) -> np.nd
     return out
 
 
-def _chung_lu_edges(rng: np.random.Generator, degrees: np.ndarray, nodes: np.ndarray) -> list[tuple[int, int]]:
-    """Expected-degree graph: pair (i, j) kept with prob min(1, d_i d_j / sum(d))."""
+def _chung_lu_edges(rng: np.random.Generator, degrees: np.ndarray, nodes: np.ndarray):
+    """Expected-degree graph: pair (i, j) kept with prob min(1, d_i d_j / sum(d)).
+    Pairs i < j are tried row by row (rows with d_i > 0) with one uniform draw
+    each, in blocks of rows that bound the memory; returns the kept pairs."""
     total = float(degrees.sum())
-    edges: list[tuple[int, int]] = []
-    if total <= 0:
-        return edges
     k = len(nodes)
-    for a in range(k):
-        da = degrees[a]
-        if da <= 0:
-            continue
-        probs = np.minimum(1.0, da * degrees[a + 1 :] / total)
-        draws = rng.random(k - a - 1)
-        for offset in np.nonzero(draws < probs)[0]:
-            b = a + 1 + int(offset)
-            edges.append((int(nodes[a]), int(nodes[b])))
-    return edges
+    rows = np.flatnonzero(degrees > 0)
+    pairs = []
+    for block in np.array_split(rows, 1 + len(rows) * k // 2**20):
+        i, b = np.nonzero(np.arange(k) > block[:, None])
+        a = block[i]
+        kept = rng.random(len(a)) < np.minimum(1.0, degrees[a] * degrees[b] / total)
+        pairs.append((nodes[a[kept]], nodes[b[kept]]))
+    return tuple(map(np.concatenate, zip(*pairs)))
 
 
-def _sample_edge_probability(rng: np.random.Generator, cfg: EpidemicConfig) -> float:
-    if cfg.infection_mean == 0:
-        return 0.0
-    alpha = cfg.infection_alpha
-    beta = alpha * (1.0 - cfg.infection_mean) / cfg.infection_mean
-    return float(rng.beta(alpha, beta))
+def _contacts(rng: np.random.Generator, cfg: EpidemicConfig, degrees: np.ndarray, nodes: np.ndarray):
+    """Sampled contact pairs (a < b) and their infection probabilities,
+    dropping zero-probability contacts."""
+    a, b = _chung_lu_edges(rng, degrees, nodes)
+    alpha, mean = cfg.infection_alpha, cfg.infection_mean
+    p = rng.beta(alpha, alpha * (1.0 - mean) / mean, size=len(a)) if mean != 0 else np.zeros(len(a))
+    kept = p > 0
+    return a[kept], b[kept], p[kept]
 
 
-def _duration_days(rng: np.random.Generator, shape: float, mean: float) -> int:
-    scale = mean / shape
-    return max(1, int(round(rng.gamma(shape, scale))))
+def _duration_days(rng: np.random.Generator, shape: float, mean: float, k: int) -> np.ndarray:
+    return np.maximum(1, np.rint(rng.gamma(shape, mean / shape, size=k))).astype(int)
 
 
 def simulate_epidemic(cfg: EpidemicConfig) -> tuple[DynamicalSpatialModel, Trace]:
@@ -308,88 +294,76 @@ def simulate_epidemic(cfg: EpidemicConfig) -> tuple[DynamicalSpatialModel, Trace
     susceptible-next-to-infective; a dynamic edge is a fresh contact event on
     each day it is drawn, so every occurrence gets its own trial.  The trace
     carries one variable, the state code (0 S, 1 E, 2 I, 3 R).
+
+    Each day runs on arrays and draws in a fixed order: one uniform per trial
+    (static pairs not yet tried, then the day's contacts, each pair then its
+    reverse), onset durations by location, exposure ones by first trial.
     """
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     n = cfg.node_count
-    static_edges: dict[tuple[int, int], float] = {}
+    empty = np.zeros(0, dtype=np.int64)
+    static = nothing = (empty, empty, np.zeros(0))
     if cfg.include_static:
-        degrees = _sample_degrees(rng, cfg.static_degree, n)
-        for a, b in _chung_lu_edges(rng, degrees, np.arange(n)):
-            p = _sample_edge_probability(rng, cfg)
-            if p > 0:
-                static_edges[(a, b)] = p
+        static = _contacts(rng, cfg, _sample_degrees(rng, cfg.static_degree, n), np.arange(n))
     attendance = rng.choice(np.asarray(cfg.attendance), size=n)
 
     state = np.full(n, SUSCEPTIBLE, dtype=int)
     timer = np.zeros(n, dtype=int)
-    seeds = rng.choice(n, size=cfg.initial_infected, replace=False) if cfg.initial_infected else []
-    for loc in seeds:
-        state[loc] = INFECTED
-        timer[loc] = _duration_days(rng, cfg.infectious_shape, cfg.infectious_mean_days)
+    seeds = rng.choice(n, size=cfg.initial_infected, replace=False) if cfg.initial_infected else empty
+    state[seeds] = INFECTED
+    timer[seeds] = _duration_days(rng, cfg.infectious_shape, cfg.infectious_mean_days, len(seeds))
 
+    static_keys = static[0] * n + static[1]
+    # directed contacts, each pair then its reverse, weighted by infection probability
+    static_net = SpatialModel.undirected(n, *static)
+    static_tried = np.zeros(len(static_net.src), dtype=bool)  # (infective, susceptible) pairs tried
     snapshots = []
     states_per_day = np.zeros((cfg.horizon_days, n), dtype=int)
-    static_tried: set[tuple[int, int]] = set()  # directed (infective, susceptible) pairs
     for day in range(cfg.horizon_days):
         states_per_day[day] = state
-        day_edges = dict(static_edges)
-        dynamic_today: dict[tuple[int, int], float] = {}
+        dynamic = nothing
         if cfg.include_dynamic:
             active = np.nonzero(rng.random(n) < attendance)[0]
             if len(active) >= 2:
-                deg = _sample_degrees(rng, cfg.dynamic_degree, len(active))
-                for ia, ib in _chung_lu_edges(rng, deg, active):
-                    p = _sample_edge_probability(rng, cfg)
-                    if p <= 0:
-                        continue
-                    key = (ia, ib) if ia < ib else (ib, ia)
-                    dynamic_today[key] = p
-                    if key in day_edges:
-                        day_edges[key] = 1.0 - (1.0 - day_edges[key]) * (1.0 - p)
-                    else:
-                        day_edges[key] = p
-        model = undirected_model(
-            n, [(a, -math.log(p), b) for (a, b), p in sorted(day_edges.items())]
-        )
-        snapshots.append((float(day), model))
+                dynamic = _contacts(rng, cfg, _sample_degrees(rng, cfg.dynamic_degree, len(active)), active)
+        dynamic_keys = dynamic[0] * n + dynamic[1]
+        keys = np.sort(np.concatenate((static_keys, dynamic_keys)))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        ps, pd = np.zeros(len(keys)), np.zeros(len(keys))
+        ps[np.searchsorted(keys, static_keys)] = static[2]
+        pd[np.searchsorted(keys, dynamic_keys)] = dynamic[2]
+        # probabilities are positive, so 0 marks a network without the contact
+        p = np.where(pd == 0, ps, np.where(ps == 0, pd, 1.0 - (1.0 - ps) * (1.0 - pd)))
+        # math.log, not np.log: numpy's SIMD log differs from libm in the last bit
+        weights = -np.fromiter(map(math.log, p.tolist()), dtype=float, count=len(p))
+        snapshots.append((float(day), SpatialModel.undirected(n, keys // n, keys % n, weights)))
 
         # state update for the next day
-        new_exposed = []
-        for (a, b), p in static_edges.items():
-            for src, dst in ((a, b), (b, a)):
-                if state[src] == INFECTED and state[dst] == SUSCEPTIBLE:
-                    if (src, dst) not in static_tried:
-                        static_tried.add((src, dst))
-                        if rng.random() < p:
-                            new_exposed.append(dst)
-        for (a, b), p in dynamic_today.items():
-            for src, dst in ((a, b), (b, a)):
-                if state[src] == INFECTED and state[dst] == SUSCEPTIBLE:
-                    if rng.random() < p:
-                        new_exposed.append(dst)
-        next_state = state.copy()
-        next_timer = timer.copy()
+        trial = (state[static_net.src] == INFECTED) & (state[static_net.dst] == SUSCEPTIBLE) & ~static_tried
+        static_tried |= trial
+        dynamic_net = SpatialModel.undirected(n, *dynamic)
+        dynamic_trial = (state[dynamic_net.src] == INFECTED) & (state[dynamic_net.dst] == SUSCEPTIBLE)
+        targets = np.concatenate((static_net.dst[trial], dynamic_net.dst[dynamic_trial]))
+        odds = np.concatenate((static_net.weight[trial], dynamic_net.weight[dynamic_trial]))
+        exposed = targets[rng.random(len(targets)) < odds]
+        next_state, next_timer = state.copy(), timer.copy()
         progressing = timer > 0
         next_timer[progressing] -= 1
-        for loc in np.nonzero(progressing & (next_timer == 0))[0]:
-            if state[loc] == EXPOSED:
-                next_state[loc] = INFECTED
-                next_timer[loc] = _duration_days(rng, cfg.infectious_shape, cfg.infectious_mean_days)
-            elif state[loc] == INFECTED:
-                next_state[loc] = RECOVERED
-        for loc in new_exposed:
-            if next_state[loc] == SUSCEPTIBLE:
-                next_state[loc] = EXPOSED
-                next_timer[loc] = _duration_days(rng, cfg.exposed_shape, cfg.exposed_mean_days)
+        done = progressing & (next_timer == 0)
+        onset = np.flatnonzero(done & (state == EXPOSED))
+        next_state[onset] = INFECTED
+        next_timer[onset] = _duration_days(rng, cfg.infectious_shape, cfg.infectious_mean_days, len(onset))
+        next_state[done & (state == INFECTED)] = RECOVERED
+        # trial targets are susceptible today, and susceptible nodes do not progress
+        exposed = exposed[np.sort(np.unique(exposed, return_index=True)[1])]
+        next_state[exposed] = EXPOSED
+        next_timer[exposed] = _duration_days(rng, cfg.exposed_shape, cfg.exposed_mean_days, len(exposed))
         state, timer = next_state, next_timer
 
     times = tuple(float(day) for day in range(cfg.horizon_days))
     end = float(cfg.horizon_days - 1)
-    signals = tuple(
-        TemporalSignal(times, tuple((float(states_per_day[day][loc]),) for day in range(cfg.horizon_days)), end)
-        for loc in range(n)
-    )
-    trace = Trace(("state",), signals)
+    columns = states_per_day.T.astype(float).tolist()  # one row of day states per location
+    trace = Trace(("state",), tuple(TemporalSignal(times, tuple(zip(c)), end) for c in columns))
     return DynamicalSpatialModel(tuple(snapshots)), trace
 
 
@@ -521,11 +495,8 @@ class SweepResult:
 
     @property
     def rows(self) -> list[tuple[float, float, float]]:
-        out = []
-        for r, per_run in zip(self.radii, self.counts):
-            arr = np.asarray(per_run, dtype=float)
-            out.append((r, float(arr.mean()), float(arr.std())))
-        return out
+        counts = [np.asarray(per_run, dtype=float) for per_run in self.counts]
+        return [(r, float(c.mean()), float(c.std())) for r, c in zip(self.radii, counts)]
 
 
 def sweep_safe_radius(cfg: EpidemicConfig, radii: Sequence[float], T: float, runs: int,
@@ -536,8 +507,6 @@ def sweep_safe_radius(cfg: EpidemicConfig, radii: Sequence[float], T: float, run
     per-run monotonicity in r is observable.  Counts are the number of
     locations satisfied at time zero.
     """
-    from .algebra import boolean_domain
-
     domain = domain or boolean_domain()
     interpretation = epidemic_interpretation(domain)
     counts: list[list[int]] = [[] for _ in radii]
@@ -554,8 +523,6 @@ def sweep_safe_radius(cfg: EpidemicConfig, radii: Sequence[float], T: float, run
 def dangerous_days_counts(cfg: EpidemicConfig, runs: int,
                           domain: SignalDomain | None = None) -> list[int]:
     """Satisfied-location counts of the dangerous-days property, one per run."""
-    from .algebra import boolean_domain
-
     domain = domain or boolean_domain()
     interpretation = epidemic_interpretation(domain)
     out = []

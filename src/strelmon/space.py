@@ -1,19 +1,24 @@
 """Weighted directed graphs, their time evolution, and route distances.
 
-Locations are integer ids 0..n-1.  Edge weights are either scalars or 2d
-vectors (for models embedded in the plane).  Undirected graphs are encoded as
-two opposite edges.  A distance function maps edge weights to strictly
-positive numbers; a route's distance is the sum of its mapped weights, and
-the distance between two locations is the minimum over all routes.
+Locations are integer ids 0..n-1.  A graph snapshot stores its edges as
+arrays in edge order: ``src`` and ``dst`` (int64) and ``weight`` (float64,
+shape (m,) for scalar weights or (m, 2) for 2d vectors, as in models
+embedded in the plane).  Undirected graphs are encoded as two opposite
+edges, each edge followed by its reverse.  A distance function maps a whole
+weight array to strictly positive numbers; a route's distance is the sum of
+its mapped weights, and the distance between two locations is the minimum
+over all routes.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import chain
 from typing import Any, Callable, Iterable
 
 import numpy as np
@@ -26,38 +31,54 @@ class ModelError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpatialModel:
+    """One graph snapshot: edge i runs from src[i] to dst[i] with weight[i]."""
+
     location_count: int
-    edges: tuple[tuple[int, Weight, int], ...]
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
 
     def __post_init__(self):
-        if self.location_count <= 0:
+        n = self.location_count
+        if n <= 0:
             raise ModelError("location_count must be positive")
-        seen: set[tuple[int, int]] = set()
-        for src, _w, dst in self.edges:
-            if not (0 <= src < self.location_count and 0 <= dst < self.location_count):
-                raise ModelError(f"edge ({src}, {dst}) out of range for {self.location_count} locations")
-            if src == dst:
-                raise ModelError(f"self-loop at location {src} is not allowed")
-            if (src, dst) in seen:
-                raise ModelError(f"duplicate edge for ordered pair ({src}, {dst})")
-            seen.add((src, dst))
+        for name, dtype in (("src", np.int64), ("dst", np.int64), ("weight", float)):
+            array = np.array(getattr(self, name), dtype=dtype)  # an own copy, read-only so
+            array.flags.writeable = False  # that the cached CSR weights cannot go stale
+            object.__setattr__(self, name, array)
+        src, dst, w = self.src, self.dst, self.weight
+        if not (src.ndim == 1 and dst.shape == src.shape == w.shape[:1] and w.shape[1:] in ((), (2,))):
+            raise ModelError("edge weights must be all scalars or all 2d vectors, one per edge")
+        # report the first offending edge in edge order, whatever its fault
+        out_of_range = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+        keys = src * n + dst
+        ordered = np.sort(keys)
+        repeated = np.zeros(len(src), dtype=bool)
+        if (ordered[1:] == ordered[:-1]).any():  # every edge but each pair's first
+            repeated = ~np.isin(np.arange(len(src)), np.unique(keys, return_index=True)[1])
+        bad = np.flatnonzero(out_of_range | (src == dst) | repeated)
+        if bad.size:
+            a, b = src[bad[0]].item(), dst[bad[0]].item()
+            if out_of_range[bad[0]]:
+                raise ModelError(f"edge ({a}, {b}) out of range for {n} locations")
+            if a == b:
+                raise ModelError(f"self-loop at location {a} is not allowed")
+            raise ModelError(f"duplicate edge for ordered pair ({a}, {b})")
 
-    @cached_property
-    def in_edges(self) -> tuple[tuple[tuple[int, Weight], ...], ...]:
-        """Per location, the (source, weight) pairs of incoming edges."""
-        acc: list[list[tuple[int, Weight]]] = [[] for _ in range(self.location_count)]
-        for src, w, dst in self.edges:
-            acc[dst].append((src, w))
-        return tuple(tuple(lst) for lst in acc)
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SpatialModel) and self.location_count == other.location_count and all(
+            np.array_equal(getattr(self, k), getattr(other, k)) for k in ("src", "dst", "weight"))
 
-    @cached_property
-    def out_edges(self) -> tuple[tuple[tuple[int, Weight], ...], ...]:
-        acc: list[list[tuple[int, Weight]]] = [[] for _ in range(self.location_count)]
-        for src, w, dst in self.edges:
-            acc[src].append((dst, w))
-        return tuple(tuple(lst) for lst in acc)
+    def __hash__(self) -> int:
+        return hash((self.location_count, len(self.src)))
+
+    @classmethod
+    def undirected(cls, n: int, src, dst, weight) -> "SpatialModel":
+        """Both directions of every listed edge, each followed by its reverse."""
+        pairs = np.column_stack((src, dst))
+        return cls(n, pairs.ravel(), pairs[:, ::-1].ravel(), np.repeat(np.asarray(weight, dtype=float), 2, axis=0))
 
     @cached_property
     def _incoming_by_distance(self) -> dict["DistanceFunction", csr_array]:
@@ -71,28 +92,27 @@ class SpatialModel:
         ModelError if f is not strictly positive on some edge.
         """
         cache = self._incoming_by_distance
-        incoming = cache.get(f)
-        if incoming is None:
-            data = np.array(check_strictly_positive(self, f), dtype=float)
-            rows = np.array([dst for _src, _w, dst in self.edges], dtype=np.int64)
-            cols = np.array([src for src, _w, _dst in self.edges], dtype=np.int64)
+        if f not in cache:
             n = self.location_count
-            incoming = csr_array((data, (rows, cols)), shape=(n, n))
-            cache[f] = incoming
-        return incoming
+            cache[f] = csr_array((check_strictly_positive(self, f), (self.dst, self.src)), shape=(n, n))
+        return cache[f]
+
+
+def _edge_arrays(edges: Iterable[tuple[int, Weight, int]]) -> tuple[list, list, np.ndarray]:
+    src, weight, dst = list(zip(*edges)) or ((), (), ())
+    try:
+        return src, dst, np.array(weight, dtype=float)
+    except ValueError:
+        raise ModelError("edge weights must be all scalars or all 2d vectors") from None
 
 
 def build_spatial_model(n: int, edges: Iterable[tuple[int, Weight, int]]) -> SpatialModel:
-    return SpatialModel(n, tuple((src, w, dst) for src, w, dst in edges))
+    return SpatialModel(n, *_edge_arrays(edges))
 
 
 def undirected_model(n: int, edges: Iterable[tuple[int, Weight, int]]) -> SpatialModel:
-    """Expand each listed edge to both directions."""
-    out = []
-    for src, w, dst in edges:
-        out.append((src, w, dst))
-        out.append((dst, w, src))
-    return SpatialModel(n, tuple(out))
+    """Expand each listed (src, weight, dst) edge to both directions."""
+    return SpatialModel.undirected(n, *_edge_arrays(edges))
 
 
 @dataclass(frozen=True)
@@ -145,10 +165,11 @@ def snapshot_at(dm: DynamicalSpatialModel, t: float) -> SpatialModel:
 
 @dataclass(frozen=True)
 class DistanceFunction:
-    """Maps edge weights to numbers (``math.inf`` allowed); must be strictly positive."""
+    """Maps a snapshot's weight array to one number per edge (``math.inf``
+    allowed, NaN for the wrong kind of weight); must be strictly positive."""
 
     name: str
-    map: Callable[[Weight], float]
+    map: Callable[[np.ndarray], np.ndarray]
 
 
 # Each built-in is made once (``cache``) and every call returns that object,
@@ -156,27 +177,19 @@ class DistanceFunction:
 # across monitoring runs and experiment helpers.
 @cache
 def hop_distance() -> DistanceFunction:
-    return DistanceFunction("hop", lambda w: 1)
+    return DistanceFunction("hop", lambda w: np.ones(len(w)))
 
 
 @cache
 def weight_sum_distance() -> DistanceFunction:
-    def as_scalar(w: Weight) -> float:
-        if isinstance(w, (int, float)):
-            return float(w)
-        raise ModelError(f"weight-sum distance needs scalar edge weights, got {w!r}")
-
-    return DistanceFunction("weight", as_scalar)
+    return DistanceFunction("weight", lambda w: w if w.ndim == 1 else np.full(len(w), np.nan))
 
 
 @cache
 def euclidean_norm_distance() -> DistanceFunction:
-    def norm(w: Weight) -> float:
-        if isinstance(w, tuple) and len(w) == 2:
-            return math.hypot(w[0], w[1])
-        raise ModelError(f"euclidean distance needs 2d vector edge weights, got {w!r}")
-
-    return DistanceFunction("euclid", norm)
+    return DistanceFunction(
+        "euclid", lambda w: np.hypot(w[:, 0], w[:, 1]) if w.ndim == 2 else np.full(len(w), np.nan)
+    )
 
 
 BUILTIN_DISTANCES = {
@@ -186,18 +199,19 @@ BUILTIN_DISTANCES = {
 }
 
 
-def check_strictly_positive(model: SpatialModel, f: DistanceFunction) -> list:
-    """Map every edge weight through f and return the results in edge order;
-    raises ModelError at the first one that is not strictly positive."""
-    mapped = []
-    for src, w, dst in model.edges:
-        d = f.map(w)
-        if not d > 0:
-            raise ModelError(
-                f"distance function {f.name!r} is not strictly positive on edge "
-                f"({src}, {dst}) with weight {w!r}"
-            )
-        mapped.append(d)
+def check_strictly_positive(model: SpatialModel, f: DistanceFunction) -> np.ndarray:
+    """Map all edge weights through f and return the results in edge order;
+    raises ModelError naming the first edge where f is not strictly positive."""
+    mapped = np.asarray(f.map(model.weight), dtype=float)
+    bad = np.flatnonzero(~(mapped > 0))
+    if bad.size:
+        i = bad[0]
+        what = "is not defined" if np.isnan(mapped[i]) else "is not strictly positive"
+        w = model.weight[i].tolist()
+        raise ModelError(
+            f"distance function {f.name!r} {what} on edge ({model.src[i]}, {model.dst[i]}) "
+            f"with weight {tuple(w) if isinstance(w, list) else w!r}"
+        )
     return mapped
 
 
@@ -231,28 +245,21 @@ class EuclideanPositions:
 
 def euclidean_model(pos: EuclideanPositions, relation: Iterable[tuple[int, int]]) -> SpatialModel:
     """Edges carry the 2d difference vector between the endpoint positions."""
-    n = len(pos)
-    edges = []
-    for a, b in relation:
-        ax, ay = pos[a]
-        bx, by = pos[b]
-        edges.append((a, (ax - bx, ay - by), b))
-    return SpatialModel(n, tuple(edges))
+    pts = np.asarray(pos.points, dtype=float).reshape(-1, 2)
+    a, b = np.array(list(relation), dtype=np.int64).reshape(-1, 2).T
+    return SpatialModel(len(pos), a, b, pts[a] - pts[b])
 
 
-def _all_collinear(pts: np.ndarray) -> bool:
-    if len(pts) < 3:
-        return True
-    base = pts[0]
-    for i in range(1, len(pts)):
-        d = pts[i] - base
-        if d @ d > 0:
-            direction = d
-            break
-    else:
-        return True
-    cross = (pts[:, 0] - base[0]) * direction[1] - (pts[:, 1] - base[1]) * direction[0]
-    return bool(np.all(np.abs(cross) == 0.0))
+def _line_direction(pts: np.ndarray) -> np.ndarray | None:
+    """The offset from the first point to the first point apart from it if all
+    points lie on that line ((1, 0) if all coincide), else None."""
+    offsets = pts - pts[0]
+    apart = np.flatnonzero(np.any(offsets != 0, axis=1))
+    if not apart.size:
+        return np.array([1.0, 0.0])  # the perturbation below separates them
+    d = offsets[apart[0]]
+    cross = offsets[:, 0] * d[1] - offsets[:, 1] * d[0]
+    return d if np.all(np.abs(cross) == 0.0) else None
 
 
 def delaunay_proximity(pos: EuclideanPositions) -> set[tuple[int, int]]:
@@ -266,26 +273,12 @@ def delaunay_proximity(pos: EuclideanPositions) -> set[tuple[int, int]]:
     n = len(pos)
     if n < 2:
         return set()
-    if n == 2:
-        return {(0, 1), (1, 0)}
     pts = np.asarray(pos.points, dtype=float)
-    if _all_collinear(pts):
-        base = pts[0]
-        direction = None
-        for i in range(1, n):
-            d = pts[i] - base
-            if d @ d > 0:
-                direction = d
-                break
-        if direction is None:
-            # all points coincide; perturbation below separates them
-            direction = np.array([1.0, 0.0])
-        order = np.argsort(pts @ direction, kind="stable")
-        rel: set[tuple[int, int]] = set()
-        for a, b in zip(order, order[1:]):
-            rel.add((int(a), int(b)))
-            rel.add((int(b), int(a)))
-        return rel
+    direction = _line_direction(pts)
+    if direction is not None:
+        order = np.argsort(pts @ direction, kind="stable").tolist()
+        rel = set(zip(order, order[1:]))
+        return rel | {(b, a) for a, b in rel}
 
     from scipy.spatial import Delaunay, QhullError
 
@@ -297,13 +290,8 @@ def delaunay_proximity(pos: EuclideanPositions) -> set[tuple[int, int]]:
         tri = Delaunay(pts + jitter)
     except QhullError as exc:
         raise ModelError(f"triangulation failed: {exc}") from None
-    rel = set()
-    for simplex in tri.simplices:
-        for i in range(3):
-            a, b = int(simplex[i]), int(simplex[(i + 1) % 3])
-            rel.add((a, b))
-            rel.add((b, a))
-    return rel
+    rel = {(s[i], s[(i + 1) % 3]) for s in tri.simplices.tolist() for i in range(3)}
+    return rel | {(b, a) for a, b in rel}
 
 
 def connectivity_graph(pos: EuclideanPositions, radius: float) -> set[tuple[int, int]]:
@@ -322,69 +310,90 @@ def connectivity_graph(pos: EuclideanPositions, radius: float) -> set[tuple[int,
     return rel
 
 
-def _weight_to_json(w: Weight):
-    if isinstance(w, tuple):
-        return [w[0], w[1]]
-    return w
-
-
 def save_model(dm: DynamicalSpatialModel, path: str) -> None:
-    doc = {
-        "locations": dm.location_count,
-        "snapshots": [
-            {
-                "time": t,
-                "edges": [[src, dst, _weight_to_json(w)] for src, w, dst in m.edges],
-            }
-            for t, m in dm.snapshots
-        ],
-    }
+    """Write the dynamic-model JSON that ``load_model`` reads, one snapshot
+    per line (compact, so the C encoder does the work)."""
+    lines = ",\n".join(
+        json.dumps({"time": t, "edges": list(zip(*(a.tolist() for a in (m.src, m.dst, m.weight))))})
+        for t, m in dm.snapshots
+    )
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(f'{{"locations": {dm.location_count}, "snapshots": [\n{lines}\n]}}\n')
 
 
 def load_model(path: str) -> DynamicalSpatialModel:
     """Read the dynamic-model JSON: {"locations": n, "snapshots": [...]}.
 
-    Each snapshot lists edges as [src, dst, weight] with weight a number or a
-    two-element array; "undirected": true expands every edge to both
+    Each snapshot lists edges as [src, dst, weight]: src and dst are JSON
+    integers, weight a number (not a bool) or a two-element array of them,
+    one kind per snapshot.  "undirected": true expands every edge to both
     directions.  Non-finite weights and times are rejected.
     """
-    with open(path) as fh:
+    enabled = gc.isenabled()
+    gc.disable()  # the parsed document holds no cycles: collecting while it lives frees nothing
+    try:
+        with open(path) as fh:
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ModelError(f"{path}: invalid JSON: {exc}") from None
+        if not isinstance(doc, dict) or not isinstance(doc.get("snapshots"), list):
+            raise ModelError(f"{path}: expected an object with 'locations' and a 'snapshots' list")
+        n = doc.get("locations")
+        if type(n) is not int:
+            raise ModelError(f"{path}: 'locations' must be an integer, got {n!r}")
+        undirected = doc.get("undirected", False)
+        if type(undirected) is not bool:
+            raise ModelError(f"{path}: 'undirected' must be true or false, got {undirected!r}")
+        snapshots = []
+        for index, snap in enumerate(doc["snapshots"]):
+            try:
+                if not isinstance(snap, dict) or type(snap.get("time")) not in (int, float):
+                    raise ModelError("expected an object with a numeric 'time'")
+                edges = _edges_from_json(snap.get("edges", []))
+                model = SpatialModel.undirected(n, *edges) if undirected else SpatialModel(n, *edges)
+                t = float(snap["time"])
+                if not math.isfinite(t):
+                    raise ModelError(f"non-finite time {snap['time']!r}")
+            except (TypeError, ValueError, OverflowError) as exc:  # ModelError included
+                raise ModelError(f"{path}: snapshot {index}: {exc}") from None
+            snapshots.append((t, model))
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict) or not isinstance(doc.get("snapshots"), list):
-        raise ModelError(f"{path}: expected an object with 'locations' and a 'snapshots' list")
-    n = doc.get("locations")
-    if type(n) is not int:
-        raise ModelError(f"{path}: 'locations' must be an integer, got {n!r}")
-    undirected = bool(doc.get("undirected", False))
-    snapshots = []
-    for index, snap in enumerate(doc["snapshots"]):
-        try:
-            if not isinstance(snap, dict) or "time" not in snap:
-                raise ModelError("expected an object with a 'time'")
-            edges = [_edge_from_json(entry) for entry in snap.get("edges", [])]
-            model = undirected_model(n, edges) if undirected else build_spatial_model(n, edges)
-            t = float(snap["time"])
-            if not math.isfinite(t):
-                raise ModelError(f"non-finite time {snap['time']!r}")
-        except (TypeError, ValueError) as exc:  # ModelError included
-            raise ModelError(f"{path}: snapshot {index}: {exc}") from None
-        snapshots.append((t, model))
-    return DynamicalSpatialModel(tuple(snapshots))
+            return DynamicalSpatialModel(tuple(snapshots))
+        except ModelError as exc:
+            raise ModelError(f"{path}: {exc}") from None
+    finally:
+        if enabled:
+            gc.enable()
 
 
-def _edge_from_json(entry) -> tuple[int, Weight, int]:
+def _edges_from_json(entries) -> tuple:
+    """A snapshot's [src, dst, weight] entries as (src, dst, weight) arrays.
+    Types are checked in bulk, then one entry at a time to name a bad one."""
+    if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {3}:
+        src, dst, w = zip(*entries) if entries else ((), (), ())
+        kinds = set(map(type, w))
+        if kinds == {list} and set(map(len, w)) == {2}:
+            kinds = set(map(type, chain.from_iterable(w)))
+        if set(map(type, src + dst)) <= {int} and kinds <= {int, float}:
+            weight = np.array(w, dtype=float)
+            if np.isfinite(weight).all():
+                return src, dst, weight
+    for entry in entries:
+        _check_edge_json(entry)
+    raise ModelError("edge weights must be all scalars or all 2d vectors")
+
+
+def _check_edge_json(entry) -> None:
     if not isinstance(entry, list) or len(entry) != 3:
         raise ModelError(f"edge entry must be [src, dst, weight], got {entry!r}")
     src, dst, w = entry
+    if type(src) is not int or type(dst) is not int:
+        raise ModelError(f"edge endpoints must be integers, got {entry!r}")
     if isinstance(w, list) and len(w) != 2:
         raise ModelError(f"vector weight must have two components, got {w!r}")
-    weight = (float(w[0]), float(w[1])) if isinstance(w, list) else float(w)
-    if not all(map(math.isfinite, weight if isinstance(weight, tuple) else (weight,))):
+    parts = w if isinstance(w, list) else [w]
+    if not all(type(x) in (int, float) for x in parts):  # bool is no number here
+        raise ModelError(f"edge [{src}, {dst}] has a weight that is not a number: {w!r}")
+    if not all(map(math.isfinite, parts)):
         raise ModelError(f"edge [{src}, {dst}] has non-finite weight {w!r}")
-    return int(src), weight, int(dst)

@@ -195,9 +195,22 @@ def test_monitor_non_finite_model_exit_code(tmp_path, capsys, snapshot):
         ('{"locations": 16, "snapshots": [{"time": 0, "edges": [[0, 1, "a"]]}]}', "snapshot 0: "),
         ('{"locations": 16, "snapshots": [{"time": 0}, {"time": 1, "edges": [[0, 1, [1]]]}]}',
          "snapshot 1: "),
+        ('{"locations": 16, "undirected": "false", "snapshots": [{"time": 0, "edges": []}]}',
+         "'undirected' must be true or false"),
+        ('{"locations": 16, "snapshots": [{"time": 0, "edges": [[2.7, 1, 1.0]]}]}',
+         "snapshot 0: edge endpoints must be integers"),
+        ('{"locations": 16, "snapshots": [{"time": 0, "edges": [[true, 1, 1.0]]}]}',
+         "snapshot 0: edge endpoints must be integers"),
+        ('{"locations": 16, "snapshots": [{"time": 0, "edges": [[0, 1, true]]}]}',
+         "snapshot 0: edge [0, 1] has a weight that is not a number"),
+        ('{"locations": 3, "snapshots": []}', "need at least one snapshot"),
+        ('{"locations": 16, "snapshots": [{"time": 0, "edges": [[0, 1, 1.0], [1, 2, [1.0, 2.0]]]}]}',
+         "snapshot 0: edge weights must be all scalars or all 2d vectors"),
+        ('{"locations": 16, "snapshots": [{"time": true, "edges": []}]}', "snapshot 0: "),
     ],
     ids=["no-time", "edge-not-a-list", "locations-not-an-integer", "non-numeric-weight",
-         "short-vector-weight"],
+         "short-vector-weight", "undirected-not-a-bool", "fractional-endpoint", "bool-endpoint",
+         "bool-weight", "no-snapshots", "mixed-weight-kinds", "bool-time"],
 )
 def test_monitor_malformed_model_one_line_error(tmp_path, capsys, document, fragment):
     _model, trace = write_network16(tmp_path)

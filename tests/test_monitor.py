@@ -600,12 +600,13 @@ def _backward_walk_sum(rng, model, f, s1, target, steps):
     """Start and distance of a random route ending at target whose strict
     prefix satisfies s1, summed from the target end as route distances are."""
     loc, dist = target, 0.0
+    edges = list(zip(model.src.tolist(), f.map(model.weight).tolist(), model.dst.tolist()))
     for _ in range(steps):
-        options = [(src, w) for src, w in model.in_edges[loc] if s1[src]]
+        options = [(src, step) for src, step, dst in edges if dst == loc and s1[src]]
         if not options:
             break
-        loc, w = rng.choice(options)
-        dist = dist + f.map(w)
+        loc, step = rng.choice(options)
+        dist = dist + step
     return loc, dist
 
 

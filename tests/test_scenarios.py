@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,10 @@ from strelmon.logic import (
 )
 from strelmon.monitor import MonitorContext, monitor, satisfied_locations
 from strelmon.scenarios import (
+    EXPOSED,
+    INFECTED,
+    RECOVERED,
+    SUSCEPTIBLE,
     ConfigError,
     EpidemicConfig,
     ManetConfig,
@@ -33,9 +38,11 @@ from strelmon.scenarios import (
     simulate_epidemic,
     sweep_safe_radius,
     target_reachable,
+    _sample_degrees,
 )
 from strelmon import space
-from strelmon.space import hop_distance, weight_sum_distance
+from strelmon.signals import TemporalSignal, Trace
+from strelmon.space import DynamicalSpatialModel, hop_distance, undirected_model, weight_sum_distance
 
 
 SMALL_MANET = ManetConfig(node_count=12, routers=4, end_devices=7, steps=4, seed=5)
@@ -64,10 +71,9 @@ def test_manet_connectivity_respects_radius():
     # reconstruct per-step positions from the proximity difference vectors is
     # roundabout; instead check against the euclidean weights directly
     for _t, model in proximity.snapshots:
-        for _src, w, _dst in model.edges:
-            assert isinstance(w, tuple) and len(w) == 2
+        assert model.weight.shape == (len(model.src), 2)
     for _t, model in connectivity.snapshots:
-        assert all(w == 1.0 for _s, w, _d in model.edges)
+        assert (model.weight == 1.0).all()
     assert trace.location_count == 15
     assert trace.variables == ("coord", "router", "end_dev", "battery", "humidity", "pollution")
 
@@ -142,7 +148,7 @@ def test_epidemic_zero_infection_probability():
     cfg = EpidemicConfig(node_count=40, horizon_days=10, initial_infected=3, infection_mean=0.0, seed=1)
     model, trace = simulate_epidemic(cfg)
     for _t, m in model.snapshots:
-        assert m.edges == ()  # zero-probability contacts are not edges
+        assert len(m.src) == 0  # zero-probability contacts are not edges
     for loc in range(40):
         states = {v[0] for v in trace.signals[loc].values}
         assert states <= {0.0, 2.0, 3.0}  # seeds progress, nobody else leaves S
@@ -161,7 +167,7 @@ def test_epidemic_weights_are_neg_log_probability():
     cfg = EpidemicConfig(node_count=50, horizon_days=5, initial_infected=1, seed=3)
     model, _trace = simulate_epidemic(cfg)
     for _t, m in model.snapshots:
-        for _s, w, _d in m.edges:
+        for w in m.weight.tolist():
             assert w > 0  # p < 1 so -ln(p) > 0
             assert math.exp(-w) < 1.0
 
@@ -172,7 +178,7 @@ def test_epidemic_degree_realization():
     )
     model, _trace = simulate_epidemic(cfg)
     m = model.snapshots[0][1]
-    pairs = sum(1 for _ in m.edges) / 2
+    pairs = len(m.src) / 2
     mean_degree = 2 * pairs / 500
     assert 8.0 <= mean_degree <= 12.0  # within 20% of the target mean 10
 
@@ -334,11 +340,14 @@ def test_sweep_large_radius_matches_direct_evaluation():
 
     def reachable_from(loc, day):
         m = model.snapshot_at(float(day))
+        out_edges = [[] for _ in range(m.location_count)]
+        for u, v in zip(m.src.tolist(), m.dst.tolist()):
+            out_edges[u].append(v)
         seen = {loc}
         stack = [loc]
         while stack:
             u = stack.pop()
-            for v, _w in m.out_edges[u]:
+            for v in out_edges[u]:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
@@ -361,3 +370,161 @@ def test_sweep_large_radius_matches_direct_evaluation():
         if ok:
             want.add(loc)
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# The per-edge SEIR loop as it stood before the day update ran on arrays,
+# kept verbatim as the reference for the vectorised ``simulate_epidemic``.
+
+def _chung_lu_edges(rng: np.random.Generator, degrees: np.ndarray, nodes: np.ndarray) -> list[tuple[int, int]]:
+    """Expected-degree graph: pair (i, j) kept with prob min(1, d_i d_j / sum(d))."""
+    total = float(degrees.sum())
+    edges: list[tuple[int, int]] = []
+    if total <= 0:
+        return edges
+    k = len(nodes)
+    for a in range(k):
+        da = degrees[a]
+        if da <= 0:
+            continue
+        probs = np.minimum(1.0, da * degrees[a + 1 :] / total)
+        draws = rng.random(k - a - 1)
+        for offset in np.nonzero(draws < probs)[0]:
+            b = a + 1 + int(offset)
+            edges.append((int(nodes[a]), int(nodes[b])))
+    return edges
+
+
+def _sample_edge_probability(rng: np.random.Generator, cfg: EpidemicConfig) -> float:
+    if cfg.infection_mean == 0:
+        return 0.0
+    alpha = cfg.infection_alpha
+    beta = alpha * (1.0 - cfg.infection_mean) / cfg.infection_mean
+    return float(rng.beta(alpha, beta))
+
+
+def _duration_days(rng: np.random.Generator, shape: float, mean: float) -> int:
+    scale = mean / shape
+    return max(1, int(round(rng.gamma(shape, scale))))
+
+
+def reference_simulate_epidemic(cfg: EpidemicConfig) -> tuple[DynamicalSpatialModel, Trace]:
+    """Daily-step SEIR simulation; returns the contact model and the state trace.
+
+    Day t's spatial snapshot is the union of the static network and that
+    day's event network; an edge weight is -ln(p) for the edge's infection
+    probability, with simultaneous static and dynamic contact merged as
+    independent exposures (p = 1 - (1-ps)(1-pd)).
+
+    Transmission trials are per contact, independent across edges.  A static
+    edge is one ongoing relationship whose sampled probability is spent in a
+    single trial per direction, made the first day the pair sits
+    susceptible-next-to-infective; a dynamic edge is a fresh contact event on
+    each day it is drawn, so every occurrence gets its own trial.  The trace
+    carries one variable, the state code (0 S, 1 E, 2 I, 3 R).
+    """
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    n = cfg.node_count
+    static_edges: dict[tuple[int, int], float] = {}
+    if cfg.include_static:
+        degrees = _sample_degrees(rng, cfg.static_degree, n)
+        for a, b in _chung_lu_edges(rng, degrees, np.arange(n)):
+            p = _sample_edge_probability(rng, cfg)
+            if p > 0:
+                static_edges[(a, b)] = p
+    attendance = rng.choice(np.asarray(cfg.attendance), size=n)
+
+    state = np.full(n, SUSCEPTIBLE, dtype=int)
+    timer = np.zeros(n, dtype=int)
+    seeds = rng.choice(n, size=cfg.initial_infected, replace=False) if cfg.initial_infected else []
+    for loc in seeds:
+        state[loc] = INFECTED
+        timer[loc] = _duration_days(rng, cfg.infectious_shape, cfg.infectious_mean_days)
+
+    snapshots = []
+    states_per_day = np.zeros((cfg.horizon_days, n), dtype=int)
+    static_tried: set[tuple[int, int]] = set()  # directed (infective, susceptible) pairs
+    for day in range(cfg.horizon_days):
+        states_per_day[day] = state
+        day_edges = dict(static_edges)
+        dynamic_today: dict[tuple[int, int], float] = {}
+        if cfg.include_dynamic:
+            active = np.nonzero(rng.random(n) < attendance)[0]
+            if len(active) >= 2:
+                deg = _sample_degrees(rng, cfg.dynamic_degree, len(active))
+                for ia, ib in _chung_lu_edges(rng, deg, active):
+                    p = _sample_edge_probability(rng, cfg)
+                    if p <= 0:
+                        continue
+                    key = (ia, ib) if ia < ib else (ib, ia)
+                    dynamic_today[key] = p
+                    if key in day_edges:
+                        day_edges[key] = 1.0 - (1.0 - day_edges[key]) * (1.0 - p)
+                    else:
+                        day_edges[key] = p
+        model = undirected_model(
+            n, [(a, -math.log(p), b) for (a, b), p in sorted(day_edges.items())]
+        )
+        snapshots.append((float(day), model))
+
+        # state update for the next day
+        new_exposed = []
+        for (a, b), p in static_edges.items():
+            for src, dst in ((a, b), (b, a)):
+                if state[src] == INFECTED and state[dst] == SUSCEPTIBLE:
+                    if (src, dst) not in static_tried:
+                        static_tried.add((src, dst))
+                        if rng.random() < p:
+                            new_exposed.append(dst)
+        for (a, b), p in dynamic_today.items():
+            for src, dst in ((a, b), (b, a)):
+                if state[src] == INFECTED and state[dst] == SUSCEPTIBLE:
+                    if rng.random() < p:
+                        new_exposed.append(dst)
+        next_state = state.copy()
+        next_timer = timer.copy()
+        progressing = timer > 0
+        next_timer[progressing] -= 1
+        for loc in np.nonzero(progressing & (next_timer == 0))[0]:
+            if state[loc] == EXPOSED:
+                next_state[loc] = INFECTED
+                next_timer[loc] = _duration_days(rng, cfg.infectious_shape, cfg.infectious_mean_days)
+            elif state[loc] == INFECTED:
+                next_state[loc] = RECOVERED
+        for loc in new_exposed:
+            if next_state[loc] == SUSCEPTIBLE:
+                next_state[loc] = EXPOSED
+                next_timer[loc] = _duration_days(rng, cfg.exposed_shape, cfg.exposed_mean_days)
+        state, timer = next_state, next_timer
+
+    times = tuple(float(day) for day in range(cfg.horizon_days))
+    end = float(cfg.horizon_days - 1)
+    signals = tuple(
+        TemporalSignal(times, tuple((float(states_per_day[day][loc]),) for day in range(cfg.horizon_days)), end)
+        for loc in range(n)
+    )
+    trace = Trace(("state",), signals)
+    return DynamicalSpatialModel(tuple(snapshots)), trace
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [{}, {"include_static": False}, {"include_dynamic": False}, {"infection_mean": 0.0}],
+    ids=["default", "no-static", "no-dynamic", "no-infection"],
+)
+def test_simulate_epidemic_matches_per_edge_reference(variant):
+    """Same seed, same random draws: the trace grid and every snapshot's edge
+    arrays equal the per-edge loop's bit for bit."""
+    for seed in (0, 1, 2):
+        cfg = replace(EpidemicConfig(**variant), horizon_days=30, seed=seed)
+        want_model, want_trace = reference_simulate_epidemic(cfg)
+        got_model, got_trace = simulate_epidemic(cfg)
+        for got, want in zip(got_trace.grid, want_trace.grid):
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
+        assert got_model.snapshot_times() == want_model.snapshot_times()
+        for (_t, got), (_t, want) in zip(got_model.snapshots, want_model.snapshots):
+            for name in ("src", "dst", "weight"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        if not variant:
+            assert (want_trace.grid[1] != SUSCEPTIBLE).sum() > cfg.initial_infected * 30  # it spreads

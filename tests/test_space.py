@@ -10,6 +10,7 @@ from strelmon.space import (
     EuclideanPositions,
     ModelError,
     build_spatial_model,
+    check_strictly_positive,
     connectivity_graph,
     delaunay_proximity,
     euclidean_model,
@@ -25,7 +26,7 @@ from strelmon.space import (
 
 def test_build_validation():
     m = build_spatial_model(2, [])
-    assert m.in_edges == ((), ())
+    assert (m.src.tolist(), m.dst.tolist(), m.weight.tolist()) == ([], [], [])
     with pytest.raises(ModelError, match=r"\(0, 1\)"):
         build_spatial_model(2, [(0, 1.0, 1), (0, 2.0, 1)])
     with pytest.raises(ModelError):
@@ -34,26 +35,85 @@ def test_build_validation():
         build_spatial_model(2, [(0, 1.0, 0)])
 
 
+@pytest.mark.parametrize(
+    "edges, distance, message",
+    [
+        # building: with several bad edges, the first one in edge order is named
+        ([(0, 1.0, 1), (0, 1.0, 3), (2, 1.0, 2), (4, 1.0, 0)], None,
+         r"edge \(0, 3\) out of range for 3 locations"),
+        ([(0, 1.0, 1), (2, 1.0, 2), (1, 1.0, 1), (0, 1.0, 1)], None,
+         r"self-loop at location 2 is not allowed"),
+        ([(0, 1.0, 1), (1, 1.0, 2), (1, 2.0, 2), (0, 3.0, 1)], None,
+         r"duplicate edge for ordered pair \(1, 2\)"),
+        ([(0, 1.0, 1), (1, 1.0, 1), (0, 1.0, 1), (0, 1.0, 7)], None,
+         r"self-loop at location 1 is not allowed"),
+        ([(0, 1.0, 1), (0, 2.0, 1), (2, 1.0, 2), (-1, 1.0, 0)], None,
+         r"duplicate edge for ordered pair \(0, 1\)"),
+        ([(0, 1.0, 1), (3, 1.0, 3), (0, 1.0, 1)], None, r"edge \(3, 3\) out of range for 3 locations"),
+        ([(0, 1.0, 1), (1, (1.0, 2.0), 2)], None, r"edge weights must be all scalars or all 2d vectors"),
+        # mapping: the first edge where the distance is not strictly positive, with its weight
+        ([(0, 1.0, 1), (1, 0.0, 2), (2, -1.0, 0)], weight_sum_distance,
+         r"distance function 'weight' is not strictly positive on edge \(1, 2\) with weight 0\.0"),
+        ([(0, (1.0, 0.0), 1), (1, (2.0, -1.0), 2)], weight_sum_distance,
+         r"distance function 'weight' is not defined on edge \(0, 1\) with weight \(1\.0, 0\.0\)"),
+        ([(0, (3.0, 4.0), 1), (1, (0.0, 0.0), 2), (2, (0.0, 0.0), 0)], euclidean_norm_distance,
+         r"distance function 'euclid' is not strictly positive on edge \(1, 2\) with weight "
+         r"\(0\.0, 0\.0\)"),
+        ([(0, 1.0, 1), (1, 2.0, 2)], euclidean_norm_distance,
+         r"distance function 'euclid' is not defined on edge \(0, 1\) with weight 1\.0"),
+        ([(0, 0.0, 1), (1, -1.0, 2)], hop_distance, None),  # hop ignores the weights
+        ([(0, (0.0, 0.0), 1)], hop_distance, None),
+    ],
+)
+def test_first_offending_edge_is_named(edges, distance, message):
+    if distance is None:
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            build_spatial_model(3, edges)
+        return
+    m = build_spatial_model(3, edges)
+    if message is None:
+        assert check_strictly_positive(m, distance()).tolist() == [1.0] * len(edges)
+    else:
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            check_strictly_positive(m, distance())
+
+
 def test_weighted9_weights():
     m = weighted9_model()
-    assert (1, 5.0, 6) in m.edges  # the marked symmetric pair
-    assert (6, 5.0, 1) in m.edges
+    edges = edge_triples(m)
+    assert (1, 5.0, 6) in edges  # the marked symmetric pair
+    assert (6, 5.0, 1) in edges
+
+
+def edge_triples(model):
+    """The snapshot's edges as (src, weight, dst) in edge order, vector
+    weights as pairs."""
+    weights = [tuple(w) if isinstance(w, list) else w for w in model.weight.tolist()]
+    return list(zip(model.src.tolist(), weights, model.dst.tolist()))
+
+
+def out_steps(model, f):
+    """Per location, (destination, f-distance) of each outgoing edge."""
+    out = [[] for _ in range(model.location_count)]
+    for src, dst, step in zip(model.src.tolist(), model.dst.tolist(), f.map(model.weight).tolist()):
+        out[src].append((dst, step))
+    return out
 
 
 def exhaustive_min_distance(model, f, src, dst):
     """Minimum accumulated distance over simple paths (positive weights make
     any optimal route simple)."""
     best = math.inf
-    n = model.location_count
+    out = out_steps(model, f)
 
     def visit(loc, dist, seen):
         nonlocal best
         if loc == dst:
             best = min(best, dist)
             return
-        for nxt, w in model.out_edges[loc]:
+        for nxt, step in out[loc]:
             if nxt not in seen:
-                visit(nxt, dist + f.map(w), seen | {nxt})
+                visit(nxt, dist + step, seen | {nxt})
 
     visit(src, 0, {src})
     return 0 if src == dst else best
@@ -89,10 +149,11 @@ def test_min_distance_matches_enumeration_random():
 def bfs_hops(model, src):
     out = {src: 0}
     frontier = [src]
+    adjacency = out_steps(model, hop_distance())
     while frontier:
         nxt = []
         for u in frontier:
-            for v, _w in model.out_edges[u]:
+            for v, _step in adjacency[u]:
                 if v not in out:
                     out[v] = out[u] + 1
                     nxt.append(v)
@@ -148,13 +209,13 @@ def test_snapshot_at():
 def test_euclidean_model():
     pos = EuclideanPositions(((0.0, 0.0), (3.0, 4.0)))
     m = euclidean_model(pos, [(0, 1)])
-    assert m.edges == ((0, (-3.0, -4.0), 1),)
+    assert edge_triples(m) == [(0, (-3.0, -4.0), 1)]
     f = euclidean_norm_distance()
-    assert f.map(m.edges[0][1]) == 5.0
+    assert f.map(m.weight).tolist() == [5.0]
 
     shifted = EuclideanPositions(((10.0, 10.0), (13.0, 14.0)))
     m2 = euclidean_model(shifted, [(0, 1)])
-    assert m2.edges == m.edges  # translation leaves difference vectors alone
+    assert edge_triples(m2) == edge_triples(m)  # translation leaves difference vectors alone
 
 
 def test_euclidean_zero_vector_rejected_with_norm_distance():
@@ -276,15 +337,16 @@ def test_connectivity_graph():
 
 
 def test_model_json_roundtrip(tmp_path):
-    m0 = build_spatial_model(3, [(0, 1.5, 1), (1, (2.0, -1.0), 2)])
-    m1 = build_spatial_model(3, [(2, 3.0, 0)])
+    # one snapshot's weights are all scalars or all vectors, so each kind gets one
+    m0 = build_spatial_model(3, [(0, 1.5, 1), (1, 0.25, 2)])
+    m1 = build_spatial_model(3, [(2, (3.0, 0.5), 0), (1, (2.0, -1.0), 2)])
     dm = DynamicalSpatialModel(((0.0, m0), (2.5, m1)))
     path = tmp_path / "model.json"
     save_model(dm, str(path))
     back = load_model(str(path))
     assert back.snapshot_times() == [0.0, 2.5]
-    assert back.snapshots[0][1].edges == m0.edges
-    assert back.snapshots[1][1].edges == m1.edges
+    assert edge_triples(back.snapshots[0][1]) == edge_triples(m0)
+    assert edge_triples(back.snapshots[1][1]) == edge_triples(m1)
 
 
 def test_model_json_undirected(tmp_path):
@@ -294,7 +356,7 @@ def test_model_json_undirected(tmp_path):
         '"snapshots": [{"time": 0, "edges": [[0, 1, 2.5]]}]}'
     )
     m = load_model(str(path)).snapshot_at(0.0)
-    assert set(m.edges) == {(0, 2.5, 1), (1, 2.5, 0)}
+    assert set(edge_triples(m)) == {(0, 2.5, 1), (1, 2.5, 0)}
 
 
 def test_model_json_malformed(tmp_path):
