@@ -14,12 +14,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import replace
 
 from .algebra import signal_domain_by_name
-from .logic import ParseError, parse
+from .logic import ParseError, format_number, parse
 from .monitor import MonitorContext, SemanticError, monitor, satisfied_locations
 from .scenarios import (
     ConfigError,
@@ -38,27 +37,13 @@ EXIT_SEMANTIC = 2
 EXIT_IO = 3
 
 
-def _fmt_value(v) -> str:
-    if v is True:
-        return "1"
-    if v is False:
-        return "0"
-    if v == math.inf:
-        return "inf"
-    if v == -math.inf:
-        return "-inf"
-    if isinstance(v, float) and v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
-
-
 def write_signal_csv(sig: SpatioTemporalSignal, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["location", "time", "value"])
         for loc, (times, values) in enumerate(column_steps(sig.times, sig.values)):
             for t, v in zip(times, values):
-                writer.writerow([loc, _fmt_value(t), _fmt_value(v)])
+                writer.writerow([loc, format_number(t), format_number(v)])
 
 
 def _build_distances(bindings: list[str]) -> dict:
@@ -145,7 +130,7 @@ def cmd_sweep(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["r", "mean", "std"])
         for r, mean, std in result.rows:
-            writer.writerow([_fmt_value(r), repr(mean), repr(std)])
+            writer.writerow([format_number(r), repr(mean), repr(std)])
     return EXIT_OK
 
 

@@ -382,15 +382,19 @@ def parse(text: str) -> Formula:
     return _Parser(text).parse()
 
 
-def _fmt_number(x: float) -> str:
+def format_number(x: float) -> str:
+    """Exact text of a number: integral values without the trailing .0,
+    infinities as inf and -inf, booleans as 1 and 0, others as repr."""
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
     if x == int(x) and abs(x) < 1e16:
         return str(int(x))
     return repr(x)
 
 
 def _fmt_interval(i: Interval) -> str:
-    hi = "inf" if i.hi is None else _fmt_number(i.hi)
-    return f"[{_fmt_number(i.lo)},{hi}]"
+    hi = "inf" if i.hi is None else format_number(i.hi)
+    return f"[{format_number(i.lo)},{hi}]"
 
 
 # precedence levels for printing; higher binds tighter
@@ -404,7 +408,7 @@ def _fmt(node: Formula, parent_level: int) -> str:
     if isinstance(node, Atomic):
         if node.op is None:
             return node.name
-        return f"{node.name} {node.op} {_fmt_number(node.threshold)}"
+        return f"{node.name} {node.op} {format_number(node.threshold)}"
     if isinstance(node, Not):
         return "!" + _fmt(node.child, _LEVEL_UNARY)
     if isinstance(node, (Eventually, Globally)):
@@ -486,9 +490,6 @@ def desugar(node: Formula) -> Formula:
         no_escape = Not(Escape(Interval(hi, UNBOUNDED), node.distance, left))
         return And(And(left, blocked), no_escape)
     raise TypeError(f"not a formula node: {node!r}")
-
-
-CORE_TYPES = (Atomic, Not, And, Until, Since, Reach, Escape)
 
 
 def is_core(node: Formula) -> bool:

@@ -14,10 +14,11 @@ own steps, costing O(N log N + sum of window segments) for N steps.  The
 spatial operators evaluate the graph snapshot at every time where an input
 row or the graph changes, once per snapshot and distinct pair of input
 rows, on the snapshot's cached sparse weights: Boolean reach with lower
-bound zero and Boolean unbounded reach are shortest-path searches, every
-other case floods or iterates to a fixpoint.  Their contracts are spelled
-out on the functions and cross-checked against brute-force oracles in the
-tests.
+bound zero and Boolean unbounded reach are shortest-path searches, other
+bounded reach floods, and quantitative unbounded reach and escape (once
+per start location) run one max/min relaxation to a fixpoint.  Their
+contracts are spelled out on the functions and cross-checked against
+brute-force oracles in the tests.
 """
 
 from __future__ import annotations
@@ -437,29 +438,37 @@ def _back_propagate(model: SpatialModel, incoming: csr_array, s1: list, s: list,
     reachability from the seeds (``_reached_within`` with no limit)."""
     if domain.name == "boolean":
         return _reached_within(incoming, s1, s, math.inf)
-    in_sources = _incoming_in_edge_order(model)
-    active = set(range(model.location_count))
+    return _relax(_neighbours(model, forward=False), s1, s, set(range(model.location_count)))
+
+
+def _relax(neighbours: list[list[int]], s1: list, s: list, active: set[int]) -> list:
+    """Max/min relaxation from the ``active`` locations until a fixpoint:
+    s[v] absorbs s[u] combined with s1[v] for every v in neighbours[u].  Ties
+    keep s[u] in the combine and the old s[v] in the choose, so the visiting
+    order decides which of +0.0 and -0.0 survives."""
     while active:
         nxt: set[int] = set()
-        for l in active:
-            base = s[l]
-            for src in in_sources[l]:
-                x = s1[src]
+        for u in active:
+            base = s[u]
+            for v in neighbours[u]:
+                x = s1[v]
                 v2 = base if base <= x else x
-                if v2 > s[src]:
-                    s[src] = v2
-                    nxt.add(src)
+                if v2 > s[v]:
+                    s[v] = v2
+                    nxt.add(v)
         active = nxt
     return s
 
 
-def _incoming_in_edge_order(model: SpatialModel) -> list[list[int]]:
-    """Per location, the sources of its incoming edges in edge order (the CSR
-    sorts them), which decides the fixpoints' +0.0/-0.0 ties."""
-    order = np.argsort(model.dst, kind="stable")
-    bounds = np.searchsorted(model.dst[order], np.arange(model.location_count + 1)).tolist()
-    sources = model.src[order].tolist()
-    return [sources[a:b] for a, b in zip(bounds, bounds[1:])]
+def _neighbours(model: SpatialModel, forward: bool) -> list[list[int]]:
+    """Per location, the far ends of its outgoing (``forward``) or incoming
+    edges in edge order, which decides ``_relax``'s signed-zero ties (the
+    CSR sorts them)."""
+    near, far = (model.src, model.dst) if forward else (model.dst, model.src)
+    order = np.argsort(near, kind="stable")
+    bounds = np.searchsorted(near[order], np.arange(model.location_count + 1)).tolist()
+    ends = far[order].tolist()
+    return [ends[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def escape(
@@ -472,11 +481,11 @@ def escape(
     """Escape: best value over routes leaving l through satisfying locations
     whose endpoint sits at a graph minimum distance inside the interval.
 
-    A matrix e[l][l2] accumulates, over walks from l that first hit l2 at
-    their end, the combined value of the walk's locations.  It is seeded on
-    the diagonal and expanded backwards along incoming edges until a fixpoint
-    (at most one round per location).  The result gates e by the all-pairs
-    minimum-distance matrix.
+    Per start l, ``_relax`` propagates forward along outgoing edges from
+    e[l] = s1[l], so e[l2] becomes the best walk from l to l2, each walk
+    valued as its leftmost minimum of s1.  The result at l is the first
+    maximum of e over the endpoints whose all-pairs minimum distance from l
+    lies in the interval.
     """
     d1 = interval.lo
     d2 = math.inf if interval.hi is None else interval.hi
@@ -485,32 +494,17 @@ def escape(
     dist = min_distance_matrix(model, f)
     n = model.location_count
     bottom = domain.bottom
-    e = [[bottom] * n for _ in range(n)]
-    for l in range(n):
-        e[l][l] = s1[l]
-    in_sources = _incoming_in_edge_order(model)
-    active: set[tuple[int, int]] = {(l, l) for l in range(n)}
-    while active:
-        e_next = [row.copy() for row in e]
-        nxt: set[tuple[int, int]] = set()
-        for l1, l2 in active:
-            base = e[l1][l2]
-            for src in in_sources[l1]:
-                x = s1[src]
-                v = x if x <= base else base
-                if v > e_next[src][l2]:
-                    e_next[src][l2] = v
-                    nxt.add((src, l2))
-        e = e_next
-        active = nxt
+    successors = _neighbours(model, forward=True)
     out = []
     for l in range(n):
+        e = [bottom] * n
+        e[l] = s1[l]
+        _relax(successors, s1, e, {l})
         acc = bottom
         row_dist = dist[l]
-        row_e = e[l]
         for l2 in range(n):
-            if d1 <= row_dist[l2] <= d2 and row_e[l2] > acc:
-                acc = row_e[l2]
+            if d1 <= row_dist[l2] <= d2 and e[l2] > acc:
+                acc = e[l2]
         out.append(acc)
     return out
 

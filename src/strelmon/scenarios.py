@@ -123,8 +123,8 @@ class ManetConfig:
 def _walk(rng: np.random.Generator, cfg: SignalWalk, steps: int) -> list[float]:
     value = float(rng.uniform(cfg.lo, cfg.hi))
     out = [value]
-    for _ in range(steps - 1):
-        value = float(np.clip(value + rng.normal(0.0, cfg.step), cfg.lo, cfg.hi))
+    for step in rng.normal(0.0, cfg.step, size=steps - 1).tolist():
+        value = min(max(value + step, cfg.lo), cfg.hi)
         out.append(value)
     return out
 

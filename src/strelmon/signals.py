@@ -21,6 +21,8 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
+from .logic import format_number
+
 
 class SignalError(ValueError):
     pass
@@ -306,17 +308,10 @@ def load_trace(path: str) -> Trace:
     return resample_to_union(Trace(variables, signals))
 
 
-def _fmt(x: float) -> str:
-    # repr round-trips floats exactly; integers print without the trailing .0
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x))
-    return repr(x)
-
-
 def save_trace(trace: Trace, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["location", "time"] + list(trace.variables))
         for loc, sig in enumerate(trace.signals):
             for t, vals in zip(sig.times, sig.values):
-                writer.writerow([loc, _fmt(t)] + [_fmt(v) for v in vals])
+                writer.writerow([loc, format_number(t)] + [format_number(v) for v in vals])

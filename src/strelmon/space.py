@@ -159,10 +159,6 @@ class DynamicalSpatialModel:
         return self.snapshots[idx][1]
 
 
-def snapshot_at(dm: DynamicalSpatialModel, t: float) -> SpatialModel:
-    return dm.snapshot_at(t)
-
-
 @dataclass(frozen=True)
 class DistanceFunction:
     """Maps a snapshot's weight array to one number per edge (``math.inf``

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -206,3 +207,8 @@ def test_roundtrip_preserves_unadorned_operators():
 def test_format_examples():
     assert format_formula(parse("x >= 1.5 & !y")) == "x >= 1.5 & !y"
     assert format_formula(parse("escape(hop)[2,inf] !end_dev")) == "escape(hop)[2,inf] !end_dev"
+    # infinite bounds print as inf: surround's escape conjunct and Interval(0, inf)
+    assert format_formula(desugar(parse("a surround(hop) b"))) == (
+        "a & !(a reach(hop)[0,inf] (!a & !b)) & !escape(hop)[inf,inf] a"
+    )
+    assert format_formula(Escape(Interval(0, math.inf), "hop", Atomic("a"))) == "escape(hop)[0,inf] a"

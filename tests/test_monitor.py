@@ -5,6 +5,7 @@ import random
 import signal
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -45,6 +46,7 @@ from strelmon.space import (
     DynamicalSpatialModel,
     build_spatial_model,
     hop_distance,
+    min_distance_matrix,
     weight_sum_distance,
 )
 
@@ -590,6 +592,117 @@ def test_escape_matches_simple_path_enumeration(domain):
         assert got == want
 
 
+def _incoming_in_edge_order(model):
+    """Per location, the sources of its incoming edges in edge order (the CSR
+    sorts them), which decides the fixpoints' +0.0/-0.0 ties."""
+    order = np.argsort(model.dst, kind="stable")
+    bounds = np.searchsorted(model.dst[order], np.arange(model.location_count + 1)).tolist()
+    sources = model.src[order].tolist()
+    return [sources[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def walk_matrix_escape(model, f, interval, s1, domain):
+    """The walk-matrix fixpoint escape ran before it moved onto the reach
+    relaxation, kept as the reference its replacement is checked against.
+
+    A matrix e[l][l2] accumulates, over walks from l that first hit l2 at
+    their end, the combined value of the walk's locations.  It is seeded on
+    the diagonal and expanded backwards along incoming edges until a fixpoint
+    (at most one round per location).  The result gates e by the all-pairs
+    minimum-distance matrix.
+    """
+    d1 = interval.lo
+    d2 = math.inf if interval.hi is None else interval.hi
+    if not d1 <= d2:
+        raise SemanticError(f"malformed distance interval [{d1}, {d2}]")
+    dist = min_distance_matrix(model, f)
+    n = model.location_count
+    bottom = domain.bottom
+    e = [[bottom] * n for _ in range(n)]
+    for l in range(n):
+        e[l][l] = s1[l]
+    in_sources = _incoming_in_edge_order(model)
+    active: set[tuple[int, int]] = {(l, l) for l in range(n)}
+    while active:
+        e_next = [row.copy() for row in e]
+        nxt: set[tuple[int, int]] = set()
+        for l1, l2 in active:
+            base = e[l1][l2]
+            for src in in_sources[l1]:
+                x = s1[src]
+                v = x if x <= base else base
+                if v > e_next[src][l2]:
+                    e_next[src][l2] = v
+                    nxt.add((src, l2))
+        e = e_next
+        active = nxt
+    out = []
+    for l in range(n):
+        acc = bottom
+        row_dist = dist[l]
+        row_e = e[l]
+        for l2 in range(n):
+            if d1 <= row_dist[l2] <= d2 and row_e[l2] > acc:
+                acc = row_e[l2]
+        out.append(acc)
+    return out
+
+
+def _random_digraph(rng, n, edges_per_location, weights):
+    """A digraph on n locations with edges_per_location * n distinct edges
+    (or all n * (n - 1)), listed in random order."""
+    pairs = set()
+    while len(pairs) < min(edges_per_location, n - 1) * n:
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a != b:
+            pairs.add((a, b))
+    pairs = sorted(pairs)
+    rng.shuffle(pairs)
+    return build_spatial_model(n, [(a, rng.choice(weights), b) for a, b in pairs])
+
+
+@pytest.mark.parametrize("domain", [BOOL, QUANT])
+def test_escape_matches_walk_matrix_reference(domain):
+    """On 10-150 locations, beyond the reach of path enumeration, the forward
+    relaxation gives the walk-matrix fixpoint's values; only which of +0.0
+    and -0.0 a zero verdict carries may differ."""
+    rng = random.Random(808)
+    f = weight_sum_distance()
+    pool = (0.0, -0.0, 0.5, -0.5, 1.0, -1.0)
+    for trial in range(24):
+        n = rng.randint(10, 150)
+        model = _random_digraph(rng, n, rng.choice([1, 2, 3]), [0.5, 1.0, 1.5])
+        if domain is BOOL:
+            s1 = [rng.random() < 0.7 for _ in range(n)]
+        else:
+            s1 = [rng.choice(pool) for _ in range(n)]
+        d1 = rng.choice([0.0, 1.0, 2.5])
+        interval = Interval(d1, None if trial % 2 else d1 + rng.choice([0.0, 1.0, 4.0]))
+        got = escape(model, f, interval, s1, domain)
+        want = walk_matrix_escape(model, f, interval, s1, domain)
+        assert got == want
+        if domain is BOOL:
+            assert all(v is True or v is False for v in got)
+        assert all(g == 0 for g, w in zip(got, want) if repr(g) != repr(w))
+
+
+def test_escape_visits_out_edges_in_edge_order():
+    """Which of +0.0 and -0.0 a zero verdict carries depends on the order in
+    which the relaxation visits a location's outgoing edges: edge order, not
+    the sorted (src, dst) order of the CSR.  This seeded instance (found by
+    search) is one where the two orders give different zeros."""
+    rng = random.Random(1499)
+    n = rng.randint(20, 200)
+    model = _random_digraph(rng, n, rng.choice([1, 2, 3]), [1.0])
+    s1 = [rng.choice((0.0, -0.0, 0.5, -0.5, 1.0)) for _ in range(n)]
+    edges = list(zip(model.src.tolist(), model.weight.tolist(), model.dst.tolist()))
+    resorted = build_spatial_model(n, sorted(edges, key=lambda e: (e[0], e[2])))
+    got = escape(model, hop_distance(), Interval(1, UNBOUNDED), s1, QUANT)
+    other = escape(resorted, hop_distance(), Interval(1, UNBOUNDED), s1, QUANT)
+    assert got == other
+    assert [(l, repr(v)) for l, (v, w) in enumerate(zip(got, other)) if repr(v) != repr(w)] == [(82, "-0.0")]
+
+
 def _random_spatial(rng, domain, n):
     if domain is BOOL:
         return [rng.random() < 0.5 for _ in range(n)]
@@ -851,6 +964,10 @@ def test_quantitative_tie_order_keeps_signed_zeros():
     for text, want in expected.items():
         out = monitor(ctx, parse(text))
         assert repr([(s.times, s.values) for s in out.signals]) == want, text
+    # each walk keeps its leftmost zero: 0 -> 1 is worth s1[0] = 0.0, not -0.0
+    one_edge = build_spatial_model(2, [(0, 1.0, 1)])
+    out = escape(one_edge, hop_distance(), Interval(1, UNBOUNDED), [0.0, -0.0], QUANT)
+    assert repr(out) == "[0.0, -inf]"
 
 
 GOLDEN_FORMULAS = [

@@ -29,6 +29,7 @@ from strelmon.scenarios import (
     EpidemicConfig,
     ManetConfig,
     SignalWalk,
+    _walk,
     connect,
     dangerous_days,
     epidemic_interpretation,
@@ -92,6 +93,32 @@ def test_manet_roles_sum_and_walk_ranges():
             assert 0.0 <= v[3] <= 1.0
             assert 20.0 <= v[4] <= 100.0
             assert 0.0 <= v[5] <= 200.0
+
+
+def reference_walk(rng, cfg, steps):
+    """``_walk`` as it was with one normal draw per step, kept as the
+    reference for the sized draw."""
+    value = float(rng.uniform(cfg.lo, cfg.hi))
+    out = [value]
+    for _ in range(steps - 1):
+        value = float(np.clip(value + rng.normal(0.0, cfg.step), cfg.lo, cfg.hi))
+        out.append(value)
+    return out
+
+
+def test_walk_matches_per_step_draw_reference():
+    """One sized normal draw gives the per-step draws' walks bit for bit and
+    leaves the generator in the same state; the last config clips often."""
+    cfg = ManetConfig()
+    walks = [cfg.battery, cfg.humidity, cfg.pollution, SignalWalk(-1.0, 1.0, 3.0)]
+    for seed in range(20):
+        for walk in walks:
+            for steps in (1, 2, 14):
+                new = np.random.Generator(np.random.PCG64(seed))
+                old = np.random.Generator(np.random.PCG64(seed))
+                for _ in range(5):
+                    assert _walk(new, walk, steps) == reference_walk(old, walk, steps)
+                assert new.random() == old.random()
 
 
 def test_manet_config_validation():

@@ -19,7 +19,6 @@ from strelmon.space import (
     load_model,
     min_distance_matrix,
     save_model,
-    snapshot_at,
     weight_sum_distance,
 )
 
@@ -196,12 +195,12 @@ def test_snapshot_at():
     m0 = build_spatial_model(2, [])
     m1 = build_spatial_model(2, [(0, 1.0, 1)])
     single = DynamicalSpatialModel.static(m0)
-    assert snapshot_at(single, 5.0) is m0
+    assert single.snapshot_at(5.0) is m0
     dm = DynamicalSpatialModel(((0.0, m0), (10.0, m1)))
-    assert snapshot_at(dm, 9.999) is m0
-    assert snapshot_at(dm, 10.0) is m1  # left-closed steps
+    assert dm.snapshot_at(9.999) is m0
+    assert dm.snapshot_at(10.0) is m1  # left-closed steps
     with pytest.raises(ModelError):
-        snapshot_at(dm, -1.0)
+        dm.snapshot_at(-1.0)
     with pytest.raises(ModelError):
         DynamicalSpatialModel(((0.0, m0), (0.0, m1)))
 
