@@ -13,13 +13,13 @@ The grammar, with `|` binding loosest and unary operators tightest:
               | "somewhere" "(" ident ")" [interval] unary
               | "everywhere" "(" ident ")" [interval] unary
               | atom | "(" formula ")" ;
-    interval := "[" number "," (number | "inf") "]" ;
+    interval := "[" (number | "inf") "," (number | "inf") "]" ;
     atom     := ident | ident cmp number ; cmp := ">"|"<"|">="|"<=" ;
 
 Binary operators are left-associative.  An omitted interval means [0, inf].
-`inf` is only meaningful as a distance bound; temporal operators must carry
-bounded intervals (an omitted F/G interval is evaluated up to the trace
-horizon).
+`inf` is only meaningful as a distance bound (surround's escape uses [inf,
+inf]); temporal operators must carry bounded finite intervals (an omitted
+F/G interval is evaluated up to the trace horizon).
 """
 
 from __future__ import annotations
@@ -350,8 +350,9 @@ class _Parser:
     def parse_interval(self, temporal: bool, operator: str) -> Interval:
         self.expect("[")
         lo_tok = self.peek()
-        if lo_tok.kind != "number":
-            raise self.error("expected a number as interval lower bound", ("number",))
+        if lo_tok.kind != "number" and (temporal or lo_tok.text != "inf"):
+            what, expected = ("a number", ("number",)) if temporal else ("a number or 'inf'", ("number", "inf"))
+            raise self.error(f"expected {what} as interval lower bound", expected)
         self.advance()
         lo = float(lo_tok.text)
         self.expect(",")

@@ -9,23 +9,22 @@ and combine is ``min``, both written so that the left operand wins ties
 
 Structure: an atom is one comparison or subtraction over the trace grid,
 negation and conjunction act on whole arrays over merged grids, and
-until/since share one exact event sweep per location over that location's
-own steps, costing O(N log N + sum of window segments) for N steps.  The
-spatial operators evaluate the graph snapshot at every time where an input
-row or the graph changes, once per snapshot and distinct pair of input
-rows, on the snapshot's cached sparse weights: Boolean reach with lower
-bound zero and Boolean unbounded reach are shortest-path searches, other
-bounded reach floods, and quantitative unbounded reach and escape (once
-per start location) run one max/min relaxation to a fixpoint.  Their
-contracts are spelled out on the functions and cross-checked against
-brute-force oracles in the tests.
+until/since share one exact event sweep of all locations at once, each
+over its own steps, costing O(N log N + sum of window segments) for N own
+steps.  The spatial operators evaluate the graph snapshot at every time
+where an input row or the graph changes, once per snapshot and distinct
+pair of input rows, on the snapshot's cached sparse weights: Boolean reach
+with lower bound zero and Boolean unbounded reach are shortest-path
+searches, other bounded reach floods, and quantitative unbounded reach and
+escape (once per start location) run one max/min relaxation to a
+fixpoint.  Their contracts are spelled out on the functions and
+cross-checked against brute-force oracles in the tests.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
@@ -46,7 +45,7 @@ from .logic import (
     desugar,
     iter_subformulas,
 )
-from .signals import SpatioTemporalSignal, TemporalSignal, Trace, canonical, column_steps
+from .signals import SpatioTemporalSignal, Trace, canonical, run_starts, stack_steps
 from .space import (
     DistanceFunction,
     DynamicalSpatialModel,
@@ -163,52 +162,54 @@ def validate_formula(ctx: MonitorContext, formula: Formula) -> None:
 # temporal operators
 
 
-def monitor_until(interval: Interval, s1: TemporalSignal, s2: TemporalSignal, domain: SignalDomain) -> TemporalSignal:
-    """Exact until sweep for piecewise-constant inputs.
+def monitor_until(interval: Interval, s1: SpatioTemporalSignal, s2: SpatioTemporalSignal, domain: SignalDomain) -> SpatioTemporalSignal:
+    """Exact until sweep for piecewise-constant inputs, at every location.
 
     output(t) = choose over t' in [t+lo, t+hi] of
                 (s2(t') combine (combine of s1 over [t, t'])).
 
-    The output is a step function whose breakpoints lie among the input step
-    times and those times shifted left by the interval bounds, so it suffices
-    to evaluate at exactly those event times.  An unbounded interval clips
-    the window at the trace end.  The evaluable domain shrinks by the
-    interval upper bound (lower bound when unbounded); an empty domain is an
-    error rather than a silent constant.
+    A location's output can only step at its own step times (where either
+    input changes there) shifted left by 0, lo or hi, so it suffices to
+    evaluate at exactly those event times.  An unbounded interval clips the
+    window at the trace end.  The evaluable domain shrinks by the interval
+    upper bound (lower bound when unbounded); an empty domain is an error.
 
-    Cost: O(N log N + sum over events of the segments in the window) for N
-    merged input steps (``_temporal_sweep``); an unbounded window spans the
-    rest of the trace.
+    Cost: O(N log N + sum over events of the own segments in the window) for
+    N own steps of all locations, in one array pass per window offset
+    (``_temporal_sweep``); an unbounded window spans the rest of the trace.
     """
-    return _temporal_sweep(interval, s1, s2, domain, future=True)
+    return _temporal_sweep(interval, *_own_steps(s1, s2), domain, future=True)
 
 
-def monitor_since(interval: Interval, s1: TemporalSignal, s2: TemporalSignal, domain: SignalDomain) -> TemporalSignal:
-    """Time-mirrored analogue of monitor_until (window in the past), with the
-    same cost: O(N log N + sum over events of the segments in the window)."""
-    return _temporal_sweep(interval, s1, s2, domain, future=False)
+def monitor_since(interval: Interval, s1: SpatioTemporalSignal, s2: SpatioTemporalSignal, domain: SignalDomain) -> SpatioTemporalSignal:
+    """Time-mirrored analogue of monitor_until (window in the past)."""
+    return _temporal_sweep(interval, *_own_steps(s1, s2), domain, future=False)
 
 
-def _temporal_sweep(interval: Interval, s1: TemporalSignal, s2: TemporalSignal, domain: SignalDomain, future: bool) -> TemporalSignal:
-    """The until (``future``) or since sweep, on segment indices.
+def _own_steps(s1: SpatioTemporalSignal, s2: SpatioTemporalSignal) -> tuple:
+    """(times, v1, v2, own, end): both inputs on their merged grid, and per
+    cell whether it is an own step: the first row or a change in either."""
+    times, (v1, v2), end = _aligned([s1, s2])
+    return times, v1, v2, run_starts(v1) | run_starts(v2), end
 
-    Both inputs are read once onto their merged step grid, so a segment
-    index names one value of each.  Per event e, bisections find the
-    segments that hold e, the near window edge (e + lo, or e - lo for since)
-    and the far one (e + hi, e - hi, or the trace edge when unbounded).  They
-    are clamped to the grid, so an edge that rounding puts just outside the
+
+def _temporal_sweep(interval: Interval, times: np.ndarray, v1: np.ndarray, v2: np.ndarray, own: np.ndarray, t_end: float, domain: SignalDomain, future: bool) -> SpatioTemporalSignal:
+    """The until (``future``) or since sweep of every location at once.
+
+    ``own`` marks each location's own steps (the first row is one), which
+    bound its segments and give its events.  Per (location, event e) pair,
+    a grid lookup and the location's running count of own steps find the
+    segments holding e, the near window edge (e + lo, or e - lo for since)
+    and the far one (e + hi, e - hi, or the trace edge when unbounded),
+    clamped to the grid, so an edge that rounding puts just outside the
     domain reads the outermost segment.  The fold walks from e's segment to
     the far edge's, combining s1 into ``running``; from the near edge's
     segment on it also chooses s2 combined with ``running`` into ``acc``.
-    Ties keep ``running``, the s2 value and ``acc``, as sampling every step
-    time in the window did, so signed zeros come out the same.
+    All pairs take step d of their walk together.  Ties keep ``running``,
+    the s2 value and ``acc``, as sampling every step time in the window
+    did, so signed zeros come out the same.
     """
-    t0, t_end = max(s1.start, s2.start), min(s1.end_time, s2.end_time)
-    if t0 > t_end:
-        raise SemanticError(
-            f"signals have no common time domain: [{s1.start}, {s1.end_time}] vs "
-            f"[{s2.start}, {s2.end_time}]"
-        )
+    t0 = times[0].item()
     lo, hi, bounded = interval.lo, interval.hi, interval.bounded
     lost = hi if bounded else lo
     out_start, out_end = (t0, t_end - lost) if future else (t0 + lost, t_end)
@@ -217,44 +218,44 @@ def _temporal_sweep(interval: Interval, s1: TemporalSignal, s2: TemporalSignal, 
             f"temporal interval [{lo}, {hi if bounded else 'inf'}] exceeds the trace horizon: "
             f"evaluable domain of {'until' if future else 'since'} is empty"
         )
-    if s1.times == s2.times and s1.end_time == s2.end_time:
-        # the monitor passes both inputs on one grid; skipping the merge
-        # saves about 14% of long_trace's and 10% of epidemic's monitor time
-        steps, v1, v2 = s1.times, s1.values, s2.values
-    else:
-        steps = [t0] + sorted(t for t in set(s1.times).union(s2.times) if t0 < t <= t_end)
-        v1, v2 = ([s.values[bisect_right(s.times, t) - 1] for t in steps] for s in (s1, s2))
+    n, way = own.shape[1], 1 if future else -1
+    # own steps flat, one location after another; latest[k, l] is the flat
+    # index of l's last own step at or before row k
+    loc, row = np.nonzero(own.T)
+    count = np.cumsum(own, axis=0)
+    latest = count + (np.cumsum(count[-1]) - count[-1] - 1)
+    x1, x2 = v1[row, loc], v2[row, loc]
     shifts = (0.0, lo, hi) if bounded else (0.0, lo)
-    events = {out_start}
-    for s in steps:
-        for shift in shifts:
-            e = s - shift if future else s + shift
-            if out_start <= e <= out_end:
-                events.add(e)
-    out_times = sorted(events)
-    top, bottom = domain.top, domain.bottom
-    way = 1 if future else -1
-    out_values = []
-    for e in out_times:
-        if future:
-            near, far = e + lo, (e + hi if bounded else t_end)
-        else:
-            near, far = e - lo, (e - hi if bounded else t0)
-        k_e = bisect_right(steps, e) - 1
-        k_near = max(bisect_right(steps, near) - 1, 0)
-        k_far = max(bisect_right(steps, far) - 1, 0)
-        running, acc = top, bottom
-        for k in range(k_e, k_near, way):
-            x = v1[k]
-            running = running if running <= x else x
-        for k in range(k_near, k_far + way, way):
-            x = v1[k]
-            running = running if running <= x else x
-            y = v2[k]
-            y = y if y <= running else running
-            acc = acc if acc >= y else y
-        out_values.append(acc)
-    return TemporalSignal(tuple(out_times), tuple(out_values), out_end).minimize()
+    events = np.concatenate([times[row] - way * s for s in shifts])
+    inside = (out_start <= events) & (events <= out_end)
+    owners = np.concatenate((np.arange(n), np.tile(loc, len(shifts))[inside]))
+    events = np.concatenate((np.full(n, out_start), events[inside]))
+    order = np.lexsort((events, owners))
+    owners, events = owners[order], events[order]
+    fresh = np.ones(len(events), dtype=bool)
+    fresh[1:] = (owners[1:] != owners[:-1]) | (events[1:] != events[:-1])
+    owners, events = owners[fresh], events[fresh]
+
+    def segment(t: np.ndarray) -> np.ndarray:
+        return latest[np.maximum(np.searchsorted(times, t, side="right") - 1, 0), owners]
+
+    far = events + way * hi if bounded else np.full_like(events, t_end if future else t0)
+    k_e = segment(events)
+    span, lead = way * (segment(far) - k_e), way * (segment(events + way * lo) - k_e)
+    # longest walks first, so the pairs still walking at step d are a prefix
+    order = np.argsort(-span, kind="stable")
+    k_e, lead = k_e[order], lead[order]
+    live = np.searchsorted(-span[order], -np.arange(span.max() + 1), side="right")
+    dtype = np.result_type(v1, v2)
+    running = np.full(len(events), domain.top, dtype=dtype)
+    acc = np.full(len(events), domain.bottom, dtype=dtype)
+    for d, m in enumerate(live.tolist()):
+        k = k_e[:m] + way * d
+        r, x, y, a = running[:m], x1[k], x2[k], acc[:m]
+        r = running[:m] = np.where(r <= x, r, x)
+        y = np.where(y <= r, y, r)
+        acc[:m] = np.where((lead[:m] <= d) & ~(a >= y), y, a)
+    return canonical(*stack_steps(events, owners, acc[np.argsort(order)], n), out_end)
 
 
 # ---------------------------------------------------------------------------
@@ -412,18 +413,22 @@ def unbounded_reach(
     With d1 = 0 the seed is s2 itself.  Otherwise a route counts from its
     shortest suffix that is at least d1 long.  When that suffix starts with
     a finite edge it is at most d1 plus the largest finite edge distance
-    long, so a bounded flooding over that interval seeds its start.  When it
-    starts with an infinite edge src -> dst, every route on from dst
-    completes it, so src is seeded with s1[src] combined with the d1 = 0
-    value at dst.  Seeds are then back-propagated until a fixpoint
-    (``_back_propagate``).
+    long, so a bounded flooding over that interval seeds its start (none
+    when d1 is infinite).  When it starts with an infinite edge src -> dst,
+    every route on from dst completes it, so src is seeded with s1[src]
+    combined with the d1 = 0 value at dst.  Seeds are then back-propagated
+    until a fixpoint (``_back_propagate``).
     """
     incoming = model.incoming_weights(f)
     if d1 == 0:
         return _back_propagate(model, incoming, s1, list(s2), domain)
     finite = np.isfinite(incoming.data)
-    d_max = incoming.data[finite].max().item() if finite.any() else 0
-    s = bounded_reach(model, f, d1, d1 + d_max, s1, s2, domain)
+    if d1 == math.inf:
+        # no route of finite edges is infinitely long
+        s = [domain.bottom] * model.location_count
+    else:
+        d_max = incoming.data[finite].max().item() if finite.any() else 0
+        s = bounded_reach(model, f, d1, d1 + d_max, s1, s2, domain)
     if not finite.all():
         anywhere = _back_propagate(model, incoming, s1, list(s2), domain)
         edges = incoming.tocoo()
@@ -538,7 +543,10 @@ def _eval_node(ctx: MonitorContext, node: Formula, cache: dict) -> SpatioTempora
         child = _eval(ctx, node.child, cache)
         values = ~child.values if child.values.dtype == bool else -child.values
         return SpatioTemporalSignal(child.times, values, child.end_time)
-    if not isinstance(node, (And, Until, Since, Reach, Escape)):
+    if isinstance(node, (Until, Since)):
+        sweep = monitor_until if isinstance(node, Until) else monitor_since
+        return sweep(node.interval, _eval(ctx, node.left, cache), _eval(ctx, node.right, cache), dom)
+    if not isinstance(node, (And, Reach, Escape)):
         raise SemanticError(f"cannot monitor non-core node {type(node).__name__}")
     operands = [node.child] if isinstance(node, Escape) else [node.left, node.right]
     spatial = isinstance(node, (Reach, Escape))
@@ -548,13 +556,6 @@ def _eval_node(ctx: MonitorContext, node: Formula, cache: dict) -> SpatioTempora
     if isinstance(node, And):
         # np.minimum would not promise the left operand on ties (signed zeros)
         return canonical(times, np.where(rows[1] < rows[0], rows[1], rows[0]), end)
-    if isinstance(node, (Until, Since)):
-        sweep = monitor_until if isinstance(node, Until) else monitor_since
-        # each location's inputs on its own merged steps, as the sweep reads them
-        return SpatioTemporalSignal.from_signals([
-            sweep(node.interval, TemporalSignal(steps, v1, end), TemporalSignal(steps, v2, end), dom)
-            for steps, v1, v2 in column_steps(times, *rows)
-        ])
     kernel = reach if isinstance(node, Reach) else escape
     f = ctx.distances[node.distance]
     # Inputs repeated on one snapshot reuse the first result: one evaluation

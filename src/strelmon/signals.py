@@ -5,9 +5,9 @@ time ``t_i`` holds on ``[t_i, t_{i+1})`` and the last value holds through the
 closed end of the domain.  A spatio-temporal signal (a verdict per location
 and time) is stored as columns: one step grid shared by every location and
 a steps x locations array, with canonical runs; its per-location temporal
-signals are built on demand, for output and the until/since sweep.  Traces
-are vector-valued inputs, one temporal signal per location, and cache their
-union step grid as one array for the monitor's atoms.
+signals are built on demand, only for output.  Traces are vector-valued
+inputs, one temporal signal per location, and cache their union step grid
+as one array for the monitor's atoms.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -90,15 +90,6 @@ def _check_same_domain(signals: Sequence[TemporalSignal]) -> None:
             )
 
 
-def time_step_union(signals: Iterable[TemporalSignal]) -> list[float]:
-    """Sorted union of step times of signals sharing one domain."""
-    sigs = list(signals)
-    if not sigs:
-        return []
-    _check_same_domain(sigs)
-    return _on_grid(sigs, object)[0].tolist()
-
-
 @dataclass(frozen=True, eq=False)
 class SpatioTemporalSignal:
     """One verdict per (time, location), stored as columns.
@@ -160,15 +151,22 @@ def _on_grid(signals: Sequence[TemporalSignal], dtype=None) -> tuple[np.ndarray,
     counts = [len(s.times) for s in signals]
     steps = np.array([t for s in signals for t in s.times], dtype=float)
     values = np.array([v for s in signals for v in s.values], dtype=dtype)
+    return stack_steps(steps, np.repeat(np.arange(len(signals)), counts), values, len(signals))
+
+
+def stack_steps(steps: np.ndarray, owners: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The union grid of n step functions given flat, one after another
+    (``owners`` numbers them, and each starts at the common start), and
+    every one's values on it, stacked along axis 1."""
     times, rows = np.unique(steps, return_inverse=True)
-    # each cell takes the last step of its signal at or before it; step
+    # each cell takes the last step of its function at or before it; step
     # indices grow down each column, so a running maximum finds it
-    latest = np.zeros((len(times), len(signals)), dtype=np.intp)
-    latest[rows, np.repeat(np.arange(len(signals)), counts)] = np.arange(len(steps))
+    latest = np.zeros((len(times), n), dtype=np.intp)
+    latest[rows, owners] = np.arange(len(steps))
     return times, values[np.maximum.accumulate(latest, axis=0)]
 
 
-def _changes(values: np.ndarray) -> np.ndarray:
+def run_starts(values: np.ndarray) -> np.ndarray:
     """Per cell, whether it starts a run: the first row, or unequal to the row before."""
     starts = np.ones(values.shape, dtype=bool)
     np.not_equal(values[1:], values[:-1], out=starts[1:])
@@ -182,10 +180,10 @@ def canonical(times: np.ndarray, values: np.ndarray, end_time: float) -> SpatioT
     float arrays holding a zero need their runs rewritten.
     """
     if values.dtype.kind == "f" and (values == 0).any():
-        first = np.where(_changes(values), np.arange(len(times))[:, None], 0)
+        first = np.where(run_starts(values), np.arange(len(times))[:, None], 0)
         np.maximum.accumulate(first, axis=0, out=first)
         values = np.take_along_axis(values, first, axis=0)
-    keep = _changes(values).any(axis=1)
+    keep = run_starts(values).any(axis=1)
     return SpatioTemporalSignal(times[keep], values[keep], end_time)
 
 
@@ -193,7 +191,7 @@ def column_steps(times: np.ndarray, *arrays: np.ndarray) -> list[tuple[tuple, ..
     """Per location, the times of its own steps (its first cell and every
     change in any of the arrays) and each array's values there, as tuples of
     Python numbers."""
-    starts = np.logical_or.reduce([_changes(a) for a in arrays]).T
+    starts = np.logical_or.reduce([run_starts(a) for a in arrays]).T
     flat = [np.broadcast_to(times, starts.shape)[starts].tolist()]
     flat += [a.T[starts].tolist() for a in arrays]
     bounds = [0] + np.cumsum(starts.sum(axis=1)).tolist()

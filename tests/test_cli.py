@@ -131,6 +131,15 @@ def test_monitor_deep_formula_exit_codes(tmp_path, capsys):
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+def test_monitor_infinite_lower_distance_bound(tmp_path, capsys):
+    """reach(hop)[1e400,inf] used to end in a RecursionError; with no
+    infinite edge no route is long enough, so nothing holds."""
+    model, trace = write_network16(tmp_path)
+    code = main(["monitor", "--model", model, "--trace", trace, "--formula", "coord reach(hop)[1e400,inf] router"])
+    assert code == 0
+    assert set(read_verdicts(capsys).values()) == {0}
+
+
 def test_monitor_name_error_exit_code(tmp_path, capsys):
     model, trace = write_network16(tmp_path)
     code = main(["monitor", "--model", model, "--trace", trace, "--formula", "nosuch"])

@@ -144,6 +144,13 @@ def test_depth_cap_counts_desugared_levels(nest, levels):
 def test_interval_validation():
     with pytest.raises(ParseError):
         parse("F[2,1] x")
+    # an infinite lower bound is a distance bound only, and not above the upper one
+    assert parse("escape(hop)[inf,inf] a") == Escape(Interval(math.inf, UNBOUNDED), "hop", Atomic("a"))
+    assert parse("a reach(hop)[inf,inf] b").interval == Interval(math.inf, UNBOUNDED)
+    for text in ("a reach(hop)[inf,2] b", "F[inf,2] x", "a U[inf,inf] b", "a S[inf,3] b"):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert len(str(err.value).splitlines()) == 1
     with pytest.raises(ValueError):
         Interval(-1.0, 2.0)
     with pytest.raises(ValueError):
@@ -212,3 +219,5 @@ def test_format_examples():
         "a & !(a reach(hop)[0,inf] (!a & !b)) & !escape(hop)[inf,inf] a"
     )
     assert format_formula(Escape(Interval(0, math.inf), "hop", Atomic("a"))) == "escape(hop)[0,inf] a"
+    surround = desugar(parse("a surround(hop) b"))
+    assert parse(format_formula(surround)) == surround

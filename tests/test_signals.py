@@ -12,7 +12,6 @@ from strelmon.signals import (
     load_trace,
     resample_to_union,
     save_trace,
-    time_step_union,
 )
 
 
@@ -45,19 +44,6 @@ def test_validation():
         TemporalSignal((0.0, 0.0), ("a", "b"), 1.0)
     with pytest.raises(SignalError):
         TemporalSignal((0.0, 2.0), ("a", "b"), 1.0)
-
-
-def test_time_step_union():
-    assert time_step_union([sig([(0, "a")], 5)]) == [0]
-    s1 = sig([(0, "a"), (2, "b")], 5)
-    s2 = sig([(0, "c"), (3, "d")], 5)
-    assert time_step_union([s1, s2]) == [0, 2, 3]
-    assert time_step_union([s1, s1]) == time_step_union([s1])
-
-
-def test_time_step_union_domain_mismatch():
-    with pytest.raises(SignalError):
-        time_step_union([sig([(0, "a")], 5), sig([(0, "a")], 6)])
 
 
 def test_minimize():
@@ -103,6 +89,8 @@ def test_trace_validation():
     assert good.location_count == 1
     with pytest.raises(SignalError):
         Trace(("x", "y"), (sig([(0, (1.0,))], 2),))
+    with pytest.raises(SignalError, match="domains differ"):
+        Trace(("x",), (sig([(0, (1.0,))], 2), sig([(0, (1.0,))], 3)))
 
 
 def test_resample_to_union():
