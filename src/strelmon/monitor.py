@@ -15,10 +15,12 @@ steps.  The spatial operators evaluate the graph snapshot at every time
 where an input row or the graph changes, once per snapshot and distinct
 pair of input rows, on the snapshot's cached sparse weights: Boolean reach
 with lower bound zero and Boolean unbounded reach are shortest-path
-searches, other bounded reach floods, and quantitative unbounded reach and
-escape (once per start location) run one max/min relaxation to a
-fixpoint.  Their contracts are spelled out on the functions and
-cross-checked against brute-force oracles in the tests.
+searches, other bounded reach floods a queue of (location, distance,
+value) entries in one array pass per round (with a positive lower bound
+and an upper bound past every loop-erased route it is unbounded reach),
+and quantitative unbounded reach and escape (once per start location) run
+one max/min relaxation to a fixpoint.  Their contracts are spelled out on
+the functions and cross-checked against brute-force oracles in the tests.
 """
 
 from __future__ import annotations
@@ -295,53 +297,129 @@ def bounded_reach(
     Boolean verdicts with d1 = 0 are a shortest-path question: l holds iff
     s2 holds at l or some s2 location lies within d2 of l along a route
     whose strict prefix satisfies s1 (``_reached_within``).  Every other case
-    floods: the queue holds one merged value per (location, accumulated
-    distance); a round extends every queue entry backwards along incoming
-    edges, contributes to the output when the new distance is inside the
-    interval, and re-enqueues only strictly below d2.
+    floods (``_flood``), one array pass per round.
 
-    Entries whose value is the domain bottom are dropped (they can never
-    change the output), and when d1 = 0 an entry dominated by a
-    cheaper-and-better one at the same location is pruned; both cuts are
-    output-invariant and keep the round structure intact.  With d2 = inf and
-    d1 > 0 nothing would prune a cycle, so that case is ``unbounded_reach``.
+    With d1 > 0 nothing prunes a cycle, so the rounds would run up to d2
+    over the smallest edge distance.  When d2 is infinite, or every edge
+    distance is finite and d2 >= d1 + (n + 1) * d_max for the largest edge
+    distance d_max, the call is ``unbounded_reach``: erasing the loops of a
+    route's prefix, up to its shortest suffix of at least d1, leaves a route
+    no worse whose length lies in [d1, d1 + n * d_max], and the extra d_max
+    absorbs rounding.
     """
     incoming = model.incoming_weights(f)
     if not d1 <= d2:
         raise SemanticError(f"malformed distance interval [{d1}, {d2}]")
     unconstrained_lo = d1 == 0
-    if d2 == math.inf and not unconstrained_lo:
-        return unbounded_reach(model, f, d1, s1, s2, domain)
+    if not unconstrained_lo:
+        steps = incoming.data
+        d_loop_free = d1 + (model.location_count + 1) * steps.max(initial=0)
+        if d2 == math.inf or np.isfinite(steps).all() and d2 >= d_loop_free:
+            return unbounded_reach(model, f, d1, s1, s2, domain)
     if unconstrained_lo and domain.name == "boolean":
         return _reached_within(incoming, s1, s2, d2)
-    n = model.location_count
+    return _flood(incoming, d1, d2, s1, s2, domain)
+
+
+def _flood(incoming: csr_array, d1: float, d2: float, s1: list, s2: list, domain: SignalDomain) -> list:
+    """The flooding of ``bounded_reach``, one array pass per round.
+
+    The queue holds one value per (location, accumulated distance), as three
+    arrays in the order each entry was first found; it starts with every
+    location at distance 0 and its s2 value.  A round drops the entries at
+    the domain bottom (they can never change the output) and extends every
+    other one backwards along its slice of the incoming CSR, so the new
+    entries come in queue order and then CSR order.  A new entry src at
+    distance d carries the entry's value combined with s1[src] (ties keep
+    the entry's value).  Per src, the first maximum among the new entries
+    with d1 <= d <= d2 replaces the output only if strictly greater.  The
+    entries with d < d2 are merged per (src, d), keeping the first position
+    and the first maximum, and form the next queue.
+
+    With d1 = 0 the next queue also drops its dominated entries
+    (``_undominated``).  Both cuts leave the output as it is.  Rounds,
+    entries and the order of ties are those of a sequential flooding over a
+    dict, so +0.0 and -0.0 come out as it gives them.
+    """
+    n = incoming.shape[0]
+    x1, target = np.asarray(s1), np.asarray(s2)
     bottom = domain.bottom
-    s = list(s2) if unconstrained_lo else [bottom] * n
-    bounds = incoming.indptr.tolist()
-    sources = incoming.indices.tolist()
-    steps = incoming.data.tolist()
-    queue: dict[tuple[int, float], Any] = {(l, 0): s2[l] for l in range(n)}
-    fronts: list[list[tuple[float, Any]]] = [[] for _ in range(n)]
-    while queue:
-        nxt: dict[tuple[int, float], Any] = {}
-        for (l, d), v in queue.items():
-            if v == bottom:
-                continue
-            lo, hi = bounds[l], bounds[l + 1]
-            for src, step in zip(sources[lo:hi], steps[lo:hi]):
-                x = s1[src]
-                v2 = v if v <= x else x
-                d_new = d + step
-                if d1 <= d_new <= d2 and v2 > s[src]:
-                    s[src] = v2
-                if d_new < d2:
-                    key = (src, d_new)
-                    prev = nxt.get(key)
-                    nxt[key] = v2 if prev is None or v2 > prev else prev
-        if unconstrained_lo and nxt:
-            nxt = _prune_dominated(nxt, fronts)
-        queue = nxt
-    return s
+    prune = d1 == 0
+    s = target.copy() if prune else np.full(n, bottom, dtype=target.dtype)
+    loc, dist, val = np.arange(n), np.zeros(n), target
+    front = (loc[:0], dist[:0], val[:0])
+    while len(loc):
+        live = val != bottom
+        loc, dist, val = loc[live], dist[live], val[live]
+        begin = incoming.indptr[loc]
+        fan = incoming.indptr[loc + 1] - begin
+        entry = np.repeat(np.arange(len(loc)), fan)
+        edge = np.arange(len(entry)) + np.repeat(begin - (np.cumsum(fan) - fan), fan)
+        src, d = incoming.indices[edge], dist[entry] + incoming.data[edge]
+        v, x = val[entry], x1[src]
+        v = np.where(v <= x, v, x)
+        inside = np.flatnonzero((d1 <= d) & (d <= d2))
+        hit = inside[_first_maxima(v[inside], src[inside], n)]
+        at, got = src[hit], v[hit]
+        s[at] = np.where(got > s[at], got, s[at])
+        below = np.flatnonzero(d < d2)
+        lengths, length = np.unique(d[below], return_inverse=True)
+        keys, key = np.unique(src[below].astype(np.int64) * len(lengths) + length, return_inverse=True)
+        kept = below[_first_maxima(v[below], key, len(keys))]
+        loc, dist, val = src[kept], d[kept], v[kept]
+        if prune and len(loc):
+            (loc, dist, val), front = _undominated(n, loc, dist, val, front)
+    return s.tolist()
+
+
+def _first_maxima(values: np.ndarray, group: np.ndarray, size: int) -> np.ndarray:
+    """Per group (ids below ``size``), the position of its first maximum of
+    ``values``, as a sequential strict ``>`` update keeps it (+0.0 and -0.0
+    are equal, so the earlier one stays); ordered by each group's first
+    position."""
+    last = len(values)
+    at = np.arange(last)
+    top = np.zeros(size, dtype=values.dtype)
+    top[group] = values
+    np.maximum.at(top, group, values)
+    first, best = np.full(size, last), np.full(size, last)
+    np.minimum.at(first, group, at)
+    tied = values == top[group]
+    np.minimum.at(best, group[tied], at[tied])
+    present = first < last
+    return best[present][np.argsort(first[present])]
+
+
+def _undominated(n: int, loc: np.ndarray, dist: np.ndarray, val: np.ndarray, front: tuple) -> tuple:
+    """The d1 = 0 pruning of ``_flood``: the queue entries that no entry at
+    the same location with no larger distance and no smaller value
+    dominates, among the queue and ``front`` (the entries kept in earlier
+    rounds), ordered by the first appearance of their location in the queue
+    and then by distance, and the new front.  A dominated entry adds
+    nothing: its dominator was enqueued no later and feeds every extension
+    it would.
+
+    All entries are sorted by (location, distance), earlier rounds first on
+    equal distances; an entry is kept iff its value exceeds the maximum of
+    its location's earlier entries, a segmented prefix maximum over dense
+    value ranks (one rank for +0.0 and -0.0).
+    """
+    appear = np.arange(n) + len(loc)  # locations not in the queue sort after it
+    seen, first = np.unique(loc, return_index=True)
+    appear[seen] = first
+    every = [np.concatenate(pair) for pair in zip(front, (loc, dist, val))]
+    fresh = np.arange(len(every[0])) >= len(front[0])
+    key = appear[every[0]]
+    order = np.lexsort((fresh, every[1], key))
+    key = key[order]
+    values, rank = np.unique(every[2][order], return_inverse=True)
+    segment = np.concatenate(([0], np.cumsum(key[1:] != key[:-1])))
+    level = segment * len(values) + rank
+    keep = np.ones(len(order), dtype=bool)
+    keep[1:] = level[1:] > np.maximum.accumulate(level)[:-1]
+    kept = order[keep]
+    queue = kept[fresh[kept]]
+    return tuple(a[queue] for a in every), tuple(a[kept] for a in every)
 
 
 def _reached_within(incoming: csr_array, s1: list, targets: list, limit: float) -> list:
@@ -372,34 +450,6 @@ def _reached_within(incoming: csr_array, s1: list, targets: list, limit: float) 
     return (hit | reached).tolist()
 
 
-def _prune_dominated(
-    queue: dict[tuple[int, float], Any],
-    fronts: list[list[tuple[float, Any]]],
-) -> dict[tuple[int, float], Any]:
-    """Keep, per location, only entries not dominated closer-and-better.
-
-    Only used with an unconstrained lower bound: an entry at distance d with
-    value v contributes nothing beyond what an entry at the same location
-    with distance <= d and value >= v already contributes, and the
-    dominating entry was enqueued no later, so every extension it feeds is
-    still explored.  ``fronts`` carries each location's surviving (distance,
-    value) pairs across rounds.
-    """
-    per_loc: dict[int, list[tuple[float, Any]]] = {}
-    for (l, d), v in queue.items():
-        per_loc.setdefault(l, []).append((d, v))
-    out: dict[tuple[int, float], Any] = {}
-    for l, entries in per_loc.items():
-        front = fronts[l]
-        entries.sort(key=lambda pair: pair[0])
-        for d, v in entries:
-            if any(d_old <= d and v <= v_old for d_old, v_old in front):
-                continue
-            out[(l, d)] = v
-            front.append((d, v))
-    return out
-
-
 def unbounded_reach(
     model: SpatialModel,
     f: DistanceFunction,
@@ -427,8 +477,8 @@ def unbounded_reach(
         # no route of finite edges is infinitely long
         s = [domain.bottom] * model.location_count
     else:
-        d_max = incoming.data[finite].max().item() if finite.any() else 0
-        s = bounded_reach(model, f, d1, d1 + d_max, s1, s2, domain)
+        d_max = incoming.data[finite].max(initial=0).item()
+        s = _flood(incoming, d1, d1 + d_max, s1, s2, domain)
     if not finite.all():
         anywhere = _back_propagate(model, incoming, s1, list(s2), domain)
         edges = incoming.tocoo()

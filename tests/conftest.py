@@ -6,7 +6,9 @@ instances use dyadic step times and dyadic values so every arithmetic
 operation along both the engine and the oracles is exact in binary floats.
 """
 
+import contextlib
 import random
+import signal
 
 import pytest
 
@@ -218,3 +220,19 @@ def compare_spatiotemporal(got, want, domain, tol=0.0, allow_subdomain=False):
 
 def domains():
     return [boolean_domain(), maxmin_domain()]
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail instead of hanging when the body runs longer than ``seconds``."""
+
+    def expire(_signum, _frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from conftest import NETWORK16_COORD, NETWORK16_EDGES, NETWORK16_END_DEV, NETWORK16_ROUTER
+from conftest import NETWORK16_COORD, NETWORK16_EDGES, NETWORK16_END_DEV, NETWORK16_ROUTER, deadline
 from strelmon.cli import main
 from strelmon.logic import MAX_DEPTH
 
@@ -140,6 +140,24 @@ def test_monitor_infinite_lower_distance_bound(tmp_path, capsys):
     assert set(read_verdicts(capsys).values()) == {0}
 
 
+@pytest.mark.parametrize("domain", ["boolean", "quantitative"])
+def test_monitor_huge_finite_distance_bound(tmp_path, domain):
+    """reach(hop)[1,1e308] used to flood the network's cycles for 1e308
+    rounds; it is reach(hop)[1,inf]."""
+    model, trace = write_network16(tmp_path)
+    outputs = []
+    with deadline(60):
+        for hi in ("1e308", "inf"):
+            out = tmp_path / f"{hi}.csv"
+            formula = f"true reach(hop)[1,{hi}] coord"
+            argv = ["monitor", "--model", model, "--trace", trace, "--formula", formula]
+            assert main(argv + ["--domain", domain, "--out", str(out)]) == 0
+            with open(out, newline="") as fh:
+                outputs.append(list(csv.reader(fh))[1:])
+    assert outputs[0] == outputs[1]
+    assert {row[-1] for row in outputs[0]} == {"1" if domain == "boolean" else "inf"}
+
+
 def test_monitor_name_error_exit_code(tmp_path, capsys):
     model, trace = write_network16(tmp_path)
     code = main(["monitor", "--model", model, "--trace", trace, "--formula", "nosuch"])
@@ -170,6 +188,37 @@ def test_monitor_non_finite_trace_exit_code(tmp_path, capsys, bad_row):
     assert code == 2
     err = capsys.readouterr().err
     assert f"{trace}:2: non-finite" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "edit, fragment",
+    [
+        pytest.param(lambda rows: rows[:1] + ["0,0,1"] + rows[2:], ":2: expected 5 fields, got 3", id="truncated-row"),
+        pytest.param(lambda rows: rows[:1] + [rows[2], rows[1]] + rows[3:], ":3: rows must be sorted", id="unsorted-rows"),
+        pytest.param(lambda rows: rows[:2] + rows[1:], ":3: rows must be sorted", id="duplicate-time"),
+        pytest.param(
+            lambda rows: ["location,time"] + [",".join(r.split(",")[:2]) for r in rows[1:]],
+            "header must be location,time,<variables...>",
+            id="no-variables",
+        ),
+        pytest.param(lambda rows: [], "empty trace file", id="empty-file"),
+        pytest.param(lambda rows: rows[:1], "no data rows", id="header-only"),
+        pytest.param(lambda rows: rows[:-1] + ["16" + rows[-1][2:]], "locations must be contiguous", id="location-gap"),
+        pytest.param(lambda rows: rows[:1] + ["0,0,yes,0,1"] + rows[2:], ":2: could not convert", id="non-numeric"),
+        pytest.param(lambda rows: rows[:1] + ["0,1" + rows[1][3:]] + rows[2:], "signal domains differ", id="late-start"),
+    ],
+)
+def test_monitor_malformed_trace_exit_code(tmp_path, capsys, edit, fragment):
+    model, trace = write_network16(tmp_path)
+    with open(trace) as fh:
+        rows = edit(fh.read().splitlines())
+    with open(trace, "w") as fh:
+        fh.write("".join(row + "\n" for row in rows))
+    code = main(["monitor", "--model", model, "--trace", trace, "--formula", "coord"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert fragment in err
     assert len(err.strip().splitlines()) == 1
 
 

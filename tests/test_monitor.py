@@ -1,16 +1,16 @@
-import contextlib
 import importlib
 import json
 import math
 import random
-import signal
 from bisect import bisect_right
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 import pytest
 
 from conftest import (
+    deadline,
     compare_spatiotemporal,
     make_network16_ctx,
     network16_model,
@@ -732,30 +732,40 @@ def test_unbounded_reach_matches_dense_fixpoint(domain):
         assert got == want
 
 
-@contextlib.contextmanager
-def _deadline(seconds):
-    """Fail instead of hanging when the body runs longer than ``seconds``."""
-
-    def expire(_signum, _frame):
-        raise TimeoutError(f"no result within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def test_bounded_reach_with_infinite_upper_bound_terminates():
     """d2 = inf with d1 > 0 used to flood a cycle forever; it is unbounded reach."""
     model = build_spatial_model(2, [(0, 1.0, 1), (1, 1.0, 0)])
     f = weight_sum_distance()
     s1, s2 = [1.0, 1.0], [1.0, -1.0]
-    with _deadline(30):
+    with deadline(30):
         got = bounded_reach(model, f, 0.5, math.inf, s1, s2, QUANT)
     assert got == unbounded_reach(model, f, 0.5, s1, s2, QUANT)
+
+
+@pytest.mark.parametrize("domain", [BOOL, QUANT])
+def test_bounded_reach_with_huge_finite_upper_bound(domain):
+    """With d1 > 0 nothing prunes a cycle, so a huge finite d2 used to flood
+    for d2 over the smallest edge distance rounds (1e308 never returned).
+    From d1 + (n + 1) * d_max on it is unbounded reach, and route
+    enumeration up to that bound gives the same verdicts."""
+    top, bottom = domain.top, domain.bottom
+    two_cycle = build_spatial_model(2, [(0, 1.0, 1), (1, 1.0, 0)])
+    rng = random.Random(106)
+    with deadline(30):
+        for d2 in (1e6, 1e308):
+            got = bounded_reach(two_cycle, hop_distance(), 0.5, d2, [top, top], [top, bottom], domain)
+            assert got == [top, top]
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            model = random_model(rng, n, 8)
+            f = rng.choice([hop_distance(), weight_sum_distance()])
+            s1, s2 = _random_spatial(rng, domain, n), _random_spatial(rng, domain, n)
+            d1 = rng.choice([0.5, 1.0, 2.0])
+            got = bounded_reach(model, f, d1, rng.choice([1e6, 1e308]), s1, s2, domain)
+            assert got == unbounded_reach(model, f, d1, s1, s2, domain)
+            assert got == dense_unbounded_reach(model, f, d1, s1, s2, domain)
+            far = d1 + (n + 1) * max(f.map(model.weight).tolist(), default=0)
+            assert got == [walk_reach(model, f, d1, far, s1, s2, domain, l) for l in range(n)]
 
 
 @pytest.mark.parametrize("domain", [BOOL, QUANT])
@@ -768,7 +778,7 @@ def test_unbounded_reach_with_infinite_edges(domain):
     model = build_spatial_model(3, [(0, 1.0, 1), (1, 1.0, 0), (1, math.inf, 2)])
     s1, s2 = [top] * 3, [top, bottom, bottom]
     rng = random.Random(105)
-    with _deadline(30):
+    with deadline(30):
         assert unbounded_reach(model, f, 0.5, s1, s2, domain) == [top, top, bottom]
         for _ in range(300):
             n = rng.randint(1, 6)
@@ -794,7 +804,7 @@ def test_reach_with_infinite_lower_bound():
     f = weight_sum_distance()
     model = build_spatial_model(3, [(0, 1.0, 1), (1, 1.0, 0), (1, math.inf, 2)])
     far = Interval(math.inf, UNBOUNDED)
-    with _deadline(30):
+    with deadline(30):
         assert reach(model, f, far, [1.0] * 3, [1.0, -1.0, 2.0], QUANT) == [1.0, 1.0, -math.inf]
         assert reach(model, f, far, [True] * 3, [True, False, True], BOOL) == [True, True, False]
         # without an infinite edge no route is long enough
@@ -1001,6 +1011,105 @@ def test_boolean_reach_kernels_on_large_random_digraphs():
             assert all(v is True or v is False for v in got)
             if with_inf:
                 assert got[n - 1] is True
+
+
+def flooding_reference(model, f, d1, d2, s1, s2, domain):
+    """The dict flooding bounded reach ran before it took one array pass per
+    round, kept verbatim (from ``n = ...`` on) as the reference ``_flood`` is
+    checked against."""
+    incoming = model.incoming_weights(f)
+    unconstrained_lo = d1 == 0
+    n = model.location_count
+    bottom = domain.bottom
+    s = list(s2) if unconstrained_lo else [bottom] * n
+    bounds = incoming.indptr.tolist()
+    sources = incoming.indices.tolist()
+    steps = incoming.data.tolist()
+    queue: dict[tuple[int, float], Any] = {(l, 0): s2[l] for l in range(n)}
+    fronts: list[list[tuple[float, Any]]] = [[] for _ in range(n)]
+    while queue:
+        nxt: dict[tuple[int, float], Any] = {}
+        for (l, d), v in queue.items():
+            if v == bottom:
+                continue
+            lo, hi = bounds[l], bounds[l + 1]
+            for src, step in zip(sources[lo:hi], steps[lo:hi]):
+                x = s1[src]
+                v2 = v if v <= x else x
+                d_new = d + step
+                if d1 <= d_new <= d2 and v2 > s[src]:
+                    s[src] = v2
+                if d_new < d2:
+                    key = (src, d_new)
+                    prev = nxt.get(key)
+                    nxt[key] = v2 if prev is None or v2 > prev else prev
+        if unconstrained_lo and nxt:
+            nxt = prune_dominated_reference(nxt, fronts)
+        queue = nxt
+    return s
+
+
+def prune_dominated_reference(
+    queue: dict[tuple[int, float], Any],
+    fronts: list[list[tuple[float, Any]]],
+) -> dict[tuple[int, float], Any]:
+    """Keep, per location, only entries not dominated closer-and-better.
+
+    Only used with an unconstrained lower bound: an entry at distance d with
+    value v contributes nothing beyond what an entry at the same location
+    with distance <= d and value >= v already contributes, and the
+    dominating entry was enqueued no later, so every extension it feeds is
+    still explored.  ``fronts`` carries each location's surviving (distance,
+    value) pairs across rounds.
+    """
+    per_loc: dict[int, list[tuple[float, Any]]] = {}
+    for (l, d), v in queue.items():
+        per_loc.setdefault(l, []).append((d, v))
+    out: dict[tuple[int, float], Any] = {}
+    for l, entries in per_loc.items():
+        front = fronts[l]
+        entries.sort(key=lambda pair: pair[0])
+        for d, v in entries:
+            if any(d_old <= d and v <= v_old for d_old, v_old in front):
+                continue
+            out[(l, d)] = v
+            front.append((d, v))
+    return out
+
+
+@pytest.mark.parametrize("domain", [BOOL, QUANT])
+def test_flooding_matches_dict_reference(domain, monkeypatch):
+    """On 20-300 locations with non-dyadic weights, signed zeros and +-inf
+    values, bounded reach and the flooding that seeds unbounded reach with
+    d1 > 0 give the dict flooding's verdicts, down to the sign of every
+    zero.  Boolean reach with d1 = 0 is a search, so the Boolean domain
+    floods only with d1 > 0."""
+    rng = random.Random(1212)
+    pool = (0.0, -0.0, 0.5, -0.5, 1.0, -1.0, math.inf, -math.inf)
+    for _ in range(30):
+        n = rng.randint(20, 300)
+        weights = rng.choice([[1.0], [0.5, 1.0, 1.5], [0.1, 0.2, 0.3, 0.7]])
+        model = _random_digraph(rng, n, rng.choice([1, 2, 3]), weights)
+        f = rng.choice([hop_distance(), weight_sum_distance()])
+        if domain is BOOL:
+            s1 = [rng.random() < 0.7 for _ in range(n)]
+            s2 = [rng.random() < 0.2 for _ in range(n)]
+            d1 = rng.choice([0.5, 1.0, 2.0])
+        else:
+            s1 = [rng.choice(pool) for _ in range(n)]
+            s2 = [rng.choice(pool) for _ in range(n)]
+            d1 = rng.choice([0.0, 0.0, 0.5, 1.0, 2.0])
+        d2 = d1 + rng.choice([0.0, 0.3, 1.0, 2.0, 3.0])
+        got = bounded_reach(model, f, d1, d2, s1, s2, domain)
+        assert repr(got) == repr(flooding_reference(model, f, d1, d2, s1, s2, domain))
+        if d1 > 0:
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    engine, "_flood",
+                    lambda _incoming, lo, hi, a, b, dom: flooding_reference(model, f, lo, hi, a, b, dom),
+                )
+                want = unbounded_reach(model, f, d1, s1, s2, domain)
+            assert repr(unbounded_reach(model, f, d1, s1, s2, domain)) == repr(want)
 
 
 # ---------------------------------------------------------------------------
