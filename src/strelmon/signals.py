@@ -66,20 +66,6 @@ class TemporalSignal:
             return self
         return TemporalSignal(tuple(times), tuple(values), self.end_time)
 
-    def restrict(self, start: float, end: float) -> "TemporalSignal":
-        """Clip to a subdomain [start, end] of the current domain."""
-        if start < self.times[0] or end > self.end_time or start > end:
-            raise SignalError(
-                f"cannot restrict [{self.times[0]}, {self.end_time}] to [{start}, {end}]"
-            )
-        times = [start]
-        values = [self.value_at(start)]
-        for t, v in zip(self.times, self.values):
-            if start < t <= end:
-                times.append(t)
-                values.append(v)
-        return TemporalSignal(tuple(times), tuple(values), end)
-
 
 def _check_same_domain(signals: Sequence[TemporalSignal]) -> None:
     first = signals[0]
@@ -97,10 +83,9 @@ class SpatioTemporalSignal:
     ``times`` is a strictly increasing float64 array of step times shared by
     every location and ``values`` a ``len(times)`` x n array, bool for
     Boolean verdicts and float64 for quantitative ones: row k holds on
-    ``[times[k], times[k+1])`` and the last row through ``end_time``.  Runs
-    are canonical: within a run of equal values (``==``) every cell holds
-    the run's first value, as ``TemporalSignal.minimize`` keeps it, so
-    ``0.0`` then ``-0.0`` reads ``0.0`` throughout.
+    ``[times[k], times[k+1])`` and the last row through ``end_time``.  The
+    values are canonical (``canonical``): a float array holds no -0.0, so
+    equal values are equal bit for bit, and no row repeats the row before.
     """
 
     times: np.ndarray
@@ -174,28 +159,24 @@ def run_starts(values: np.ndarray) -> np.ndarray:
 
 
 def canonical(times: np.ndarray, values: np.ndarray, end_time: float) -> SpatioTemporalSignal:
-    """The signal with canonical runs and without rows that repeat the row before.
-
-    Only signed zeros are equal without being the same value, so only
-    float arrays holding a zero need their runs rewritten.
+    """The signal with +0.0 as its only zero and without rows that repeat the
+    row before.  The reals have one zero, and IEEE gives ``-0.0 + 0.0 ==
+    +0.0``, so adding +0.0 to a float array leaves every other value as it is.
     """
-    if values.dtype.kind == "f" and (values == 0).any():
-        first = np.where(run_starts(values), np.arange(len(times))[:, None], 0)
-        np.maximum.accumulate(first, axis=0, out=first)
-        values = np.take_along_axis(values, first, axis=0)
+    if values.dtype.kind == "f":
+        values = values + 0.0
     keep = run_starts(values).any(axis=1)
     return SpatioTemporalSignal(times[keep], values[keep], end_time)
 
 
-def column_steps(times: np.ndarray, *arrays: np.ndarray) -> list[tuple[tuple, ...]]:
+def column_steps(times: np.ndarray, values: np.ndarray) -> list[tuple[tuple, tuple]]:
     """Per location, the times of its own steps (its first cell and every
-    change in any of the arrays) and each array's values there, as tuples of
-    Python numbers."""
-    starts = np.logical_or.reduce([run_starts(a) for a in arrays]).T
-    flat = [np.broadcast_to(times, starts.shape)[starts].tolist()]
-    flat += [a.T[starts].tolist() for a in arrays]
+    change) and its values there, as tuples of Python numbers."""
+    starts = run_starts(values).T
+    steps = np.broadcast_to(times, starts.shape)[starts].tolist()
+    held = values.T[starts].tolist()
     bounds = [0] + np.cumsum(starts.sum(axis=1)).tolist()
-    return [tuple(tuple(f[a:b]) for f in flat) for a, b in zip(bounds, bounds[1:])]
+    return [(tuple(steps[a:b]), tuple(held[a:b])) for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)

@@ -211,16 +211,17 @@ def check_strictly_positive(model: SpatialModel, f: DistanceFunction) -> np.ndar
     return mapped
 
 
-def min_distance_matrix(model: SpatialModel, f: DistanceFunction) -> list[list[float]]:
+def min_distance_matrix(model: SpatialModel, f: DistanceFunction) -> np.ndarray:
     """All-pairs minimum route distance: one Dijkstra per source.
 
-    Entry [i][j] is the minimum accumulated distance over routes from i to j,
-    zero on the diagonal, infinity for unreachable pairs.  Requires a
-    strictly positive distance function (monotone accumulation makes the
-    greedy settling order correct).  Searching the forward graph sums each
-    route from its source, as route enumeration does.
+    Entry [i, j] of the n x n float64 array is the minimum accumulated
+    distance over routes from i to j, zero on the diagonal, infinity for
+    unreachable pairs.  Requires a strictly positive distance function
+    (monotone accumulation makes the greedy settling order correct).
+    Searching the forward graph sums each route from its source, as route
+    enumeration does.
     """
-    return csgraph.dijkstra(model.incoming_weights(f).T, directed=True).tolist()
+    return csgraph.dijkstra(model.incoming_weights(f).T, directed=True)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import random
 import signal
 
 import pytest
+from hypothesis import settings
 
 from strelmon.algebra import boolean_domain, maxmin_domain
 from strelmon.logic import (
@@ -38,6 +39,10 @@ from strelmon.space import (
     undirected_model,
     weight_sum_distance,
 )
+
+# A fixed example order for the property tests, so a CI failure reproduces
+# locally with the same flag: pytest --hypothesis-profile=ci
+settings.register_profile("ci", derandomize=True)
 
 # 9-node weighted graph: undirected edges as (a, b, weight), 1-indexed
 WEIGHTED9_EDGES = [

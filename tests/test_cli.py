@@ -265,10 +265,11 @@ def test_monitor_non_finite_model_exit_code(tmp_path, capsys, snapshot):
         ('{"locations": 16, "snapshots": [{"time": 0, "edges": [[0, 1, 1.0], [1, 2, [1.0, 2.0]]]}]}',
          "snapshot 0: edge weights must be all scalars or all 2d vectors"),
         ('{"locations": 16, "snapshots": [{"time": true, "edges": []}]}', "snapshot 0: "),
+        ('{"locations": 16, "snapshots": [{"time": 0, "edges": [[0, 1', "invalid JSON"),
     ],
     ids=["no-time", "edge-not-a-list", "locations-not-an-integer", "non-numeric-weight",
          "short-vector-weight", "undirected-not-a-bool", "fractional-endpoint", "bool-endpoint",
-         "bool-weight", "no-snapshots", "mixed-weight-kinds", "bool-time"],
+         "bool-weight", "no-snapshots", "mixed-weight-kinds", "bool-time", "truncated"],
 )
 def test_monitor_malformed_model_one_line_error(tmp_path, capsys, document, fragment):
     _model, trace = write_network16(tmp_path)
@@ -279,6 +280,21 @@ def test_monitor_malformed_model_one_line_error(tmp_path, capsys, document, frag
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"error: {model}: ") and fragment in err[0], err[0]
+
+
+def test_monitor_vector_weights_under_scalar_distance(tmp_path, capsys):
+    """A 2d-vector weight has no scalar distance: reach(weight) on such a
+    model is one line naming the first edge, not a traceback."""
+    _model, trace = write_network16(tmp_path)
+    model = tmp_path / "vectors.json"
+    model.write_text(
+        '{"locations": 16, "snapshots": [{"time": 0, "edges": [[0, 1, [3.0, 4.0]], [1, 2, [1.0, 0.0]]]}]}'
+    )
+    code = main(["monitor", "--model", str(model), "--trace", trace, "--formula", "coord reach(weight)[0,1] router"])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "distance function 'weight' is not defined on edge (0, 1)" in err[0], err[0]
 
 
 def test_monitor_decimal_times_window_edge(tmp_path, capsys):

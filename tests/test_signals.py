@@ -62,16 +62,6 @@ def test_minimize_preserves_value_at(values, data):
     assert m.value_at(t) == s.value_at(t)
 
 
-def test_restrict():
-    s = sig([(0, "a"), (2, "b"), (4, "c")], 6)
-    r = s.restrict(1.0, 4.5)
-    assert r.start == 1.0 and r.end_time == 4.5
-    for t in (1.0, 1.9, 2.0, 3.9, 4.0, 4.5):
-        assert r.value_at(t) == s.value_at(t)
-    with pytest.raises(SignalError):
-        s.restrict(-1.0, 3.0)
-
-
 def test_spatial_slice():
     st_sig = SpatioTemporalSignal.from_signals(
         (sig([(0, 1), (2, 5)], 4), sig([(0, 2)], 4))
