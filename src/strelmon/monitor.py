@@ -7,14 +7,16 @@ bools or extended reals, as the context's domain says; choose is ``max``
 and combine is ``min``.  The reals have one zero: every node returns +0.0,
 never -0.0 (``canonical``), so no kernel needs a rule for equal values.
 
-Structure: an atom is one comparison or subtraction over the trace grid,
-negation and conjunction act on whole arrays over merged grids, and
-until/since share one exact event sweep of all locations at once, each
-over its own steps, costing O(N log N + sum of window segments) for N own
-steps.  The spatial operators evaluate the graph snapshot at every time
-where an input row or the graph changes, once per snapshot and distinct
-pair of input rows, on the snapshot's cached sparse weights: Boolean reach
-with lower bound zero and Boolean unbounded reach are shortest-path
+Structure: an atom is one array expression over the trace grid (a
+comparison, a subtraction, or one call of its interpretation), negation
+and conjunction act on whole arrays over merged grids, and until/since
+share one exact event sweep of all locations at once, each over its own
+steps, costing O(N log N + sum of window segments) for N own steps.  The
+spatial operators evaluate the graph snapshot at every time where an input
+row or the graph changes, once per snapshot and distinct pair of input
+rows; each kernel takes the input rows as arrays, never writes into them,
+and returns a new array.  On the snapshot's cached sparse weights, Boolean
+reach with lower bound zero and Boolean unbounded reach are shortest-path
 searches, other bounded reach floods a queue of (location, distance,
 value) entries in one array pass per round (with a positive lower bound
 and an upper bound past every loop-erased route it is unbounded reach),
@@ -69,17 +71,18 @@ _AT_PREFIX = "at_"
 class MonitorContext:
     """Everything a monitoring run needs besides the formula.
 
-    ``interpretation`` optionally maps atom names to functions of the trace
-    value tuple; atoms without an entry fall back to trace variables (bare
-    Boolean variables or comparisons).  The names ``true`` and ``false`` and
-    the per-location address atoms ``at_<id>`` are built in.
+    ``interpretation`` optionally maps atom names to functions from the
+    trace's read-only steps x locations x variables array to the atom's
+    steps x locations array; atoms without an entry fall back to trace
+    variables (bare Boolean variables or comparisons).  The names ``true``
+    and ``false`` and the per-location address atoms ``at_<id>`` are built in.
     """
 
     model: DynamicalSpatialModel
     trace: Trace
     domain: SignalDomain
     distances: Mapping[str, DistanceFunction] = field(default_factory=dict)
-    interpretation: Optional[Mapping[str, Callable[[tuple], Any]]] = None
+    interpretation: Optional[Mapping[str, Callable[[np.ndarray], Any]]] = None
 
     def __post_init__(self):
         if self.model.location_count != self.trace.location_count:
@@ -115,9 +118,10 @@ def _atom_signal(ctx: MonitorContext, atom: Atomic) -> SpatioTemporalSignal:
         here = np.arange(trace.location_count) == int(name[len(_AT_PREFIX):])
         values = np.broadcast_to(np.where(here, dom.top, dom.bottom), data.shape[:2])
     elif ctx.interpretation is not None and name in ctx.interpretation:
-        fn = ctx.interpretation[name]
-        rows = [[fn(tuple(v)) for v in row] for row in data.tolist()]
-        values = np.array(rows, dtype=bool if boolean else float)
+        values = np.asarray(ctx.interpretation[name](data), dtype=bool if boolean else float)
+        if values.shape != data.shape[:2]:
+            shapes = f"returned shape {values.shape}, expected {data.shape[:2]}"
+            raise SemanticError(f"interpretation of atom {name!r} {shapes}")
     else:
         x = data[:, :, _resolve_variable(ctx, name)]
         values = x != 0 if boolean else np.where(x != 0, dom.top, dom.bottom)
@@ -265,10 +269,10 @@ def reach(
     model: SpatialModel,
     f: DistanceFunction,
     interval: Interval,
-    s1: list,
-    s2: list,
+    s1: np.ndarray,
+    s2: np.ndarray,
     domain: SignalDomain,
-) -> list:
+) -> np.ndarray:
     """Dispatch on the upper distance bound: flooding when bounded, fixpoint
     back-propagation when unbounded."""
     if interval.hi is None or interval.hi == math.inf:
@@ -281,10 +285,10 @@ def bounded_reach(
     f: DistanceFunction,
     d1: float,
     d2: float,
-    s1: list,
-    s2: list,
+    s1: np.ndarray,
+    s2: np.ndarray,
     domain: SignalDomain,
-) -> list:
+) -> np.ndarray:
     """Choose over route prefixes with accumulated distance in [d1, d2].
 
     The result at l is the choose over finite route prefixes from l whose
@@ -318,7 +322,7 @@ def bounded_reach(
     return _flood(incoming, d1, d2, s1, s2, domain)
 
 
-def _flood(incoming: csr_array, d1: float, d2: float, s1: list, s2: list, domain: SignalDomain) -> list:
+def _flood(incoming: csr_array, d1: float, d2: float, s1: np.ndarray, s2: np.ndarray, domain: SignalDomain) -> np.ndarray:
     """The flooding of ``bounded_reach``, one array pass per round.
 
     The queue holds one value per (location, accumulated distance), as three
@@ -361,7 +365,7 @@ def _flood(incoming: csr_array, d1: float, d2: float, s1: list, s2: list, domain
         loc, dist, val = src[last], d[last], v[last]
         if prune and len(loc):
             (loc, dist, val), front = _undominated(loc, dist, val, front)
-    return s.tolist()
+    return s
 
 
 def _undominated(loc: np.ndarray, dist: np.ndarray, val: np.ndarray, front: tuple) -> tuple:
@@ -390,7 +394,7 @@ def _undominated(loc: np.ndarray, dist: np.ndarray, val: np.ndarray, front: tupl
     return tuple(a[queue] for a in every), tuple(a[kept] for a in every)
 
 
-def _reached_within(incoming: csr_array, s1: list, targets: list, limit: float) -> list:
+def _reached_within(incoming: csr_array, s1: np.ndarray, targets: np.ndarray, limit: float) -> np.ndarray:
     """Boolean reach with lower bound zero, as one multi-source search.
 
     A location holds iff it is a target or a target lies within ``limit`` of
@@ -408,24 +412,19 @@ def _reached_within(incoming: csr_array, s1: list, targets: list, limit: float) 
         shape=incoming.shape,
     )
     hit = np.asarray(targets, dtype=bool)
-    sources = np.flatnonzero(hit)
-    if limit == math.inf:
-        dist = csgraph.dijkstra(graph, indices=sources, min_only=True, unweighted=True)
-        reached = np.isfinite(dist)
-    else:
-        dist = csgraph.dijkstra(graph, indices=sources, min_only=True, limit=limit)
-        reached = dist <= limit
-    return (hit | reached).tolist()
+    unweighted = limit == math.inf
+    dist = csgraph.dijkstra(graph, indices=np.flatnonzero(hit), min_only=True, unweighted=unweighted, limit=limit)
+    return hit | (dist < math.inf if unweighted else dist <= limit)
 
 
 def unbounded_reach(
     model: SpatialModel,
     f: DistanceFunction,
     d1: float,
-    s1: list,
-    s2: list,
+    s1: np.ndarray,
+    s2: np.ndarray,
     domain: SignalDomain,
-) -> list:
+) -> np.ndarray:
     """Reach with no upper distance bound.
 
     With d1 = 0 the seed is s2 itself.  Otherwise a route counts from its
@@ -446,16 +445,16 @@ def unbounded_reach(
         s = np.full(model.location_count, domain.bottom)
     else:
         d_max = incoming.data[finite].max(initial=0).item()
-        s = np.array(_flood(incoming, d1, d1 + d_max, s1, s2, domain))
+        s = _flood(incoming, d1, d1 + d_max, s1, s2, domain)
     if not finite.all():
-        anywhere = np.array(_back_propagate(model, incoming, s1, s2, domain))
+        anywhere = _back_propagate(model, incoming, s1, s2, domain)
         edges = incoming.tocoo()
         src, dst = edges.col[~finite], edges.row[~finite]
         np.maximum.at(s, src, np.minimum(np.asarray(s1)[src], anywhere[dst]))
     return _back_propagate(model, incoming, s1, s, domain)
 
 
-def _back_propagate(model: SpatialModel, incoming: csr_array, s1: list, s: list | np.ndarray, domain: SignalDomain) -> list:
+def _back_propagate(model: SpatialModel, incoming: csr_array, s1: np.ndarray, s: np.ndarray, domain: SignalDomain) -> np.ndarray:
     """Fixpoint in which s[src] absorbs s[dst] combined with s1[src] for every
     edge src -> dst.  It ignores weights, so for Boolean verdicts it is plain
     reachability from the seeds (``_reached_within`` with no limit).  For
@@ -469,7 +468,7 @@ def _back_propagate(model: SpatialModel, incoming: csr_array, s1: list, s: list 
     while True:
         via = np.minimum(gate, s[model.dst])
         if not (via > s[model.src]).any():
-            return s.tolist()
+            return s
         np.maximum.at(s, model.src, via)
 
 
@@ -477,9 +476,9 @@ def escape(
     model: SpatialModel,
     f: DistanceFunction,
     interval: Interval,
-    s1: list,
+    s1: np.ndarray,
     domain: SignalDomain,
-) -> list:
+) -> np.ndarray:
     """Escape: best value over routes leaving l through satisfying locations
     whose endpoint sits at a graph minimum distance inside the interval.
 
@@ -509,7 +508,7 @@ def escape(
     np.fill_diagonal(e, x1)
     for k in range(n):
         np.maximum(e, np.minimum(e[:, k, None], e[k]), out=e)
-    return np.where((d1 <= dist) & (dist <= d2), e, domain.bottom).max(axis=1).tolist()
+    return np.where((d1 <= dist) & (dist <= d2), e, domain.bottom).max(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -559,14 +558,14 @@ def _eval_node(ctx: MonitorContext, node: Formula, cache: dict) -> SpatioTempora
     # Inputs repeated on one snapshot reuse the first result: one evaluation
     # per snapshot and distinct input rows.
     done: dict = {}
-    out = []
+    out = np.empty_like(rows[0])
     for k, t in enumerate(times.tolist()):
         model = ctx.model.snapshot_at(t)
         key = (id(model), *(r[k].tobytes() for r in rows))
         if key not in done:
-            done[key] = kernel(model, f, node.interval, *(r[k].tolist() for r in rows), dom)
-        out.append(done[key])
-    return canonical(times, np.array(out, dtype=rows[0].dtype), end)
+            done[key] = kernel(model, f, node.interval, *(r[k] for r in rows), dom)
+        out[k] = done[key]
+    return canonical(times, out, end)
 
 
 def _aligned(signals: list[SpatioTemporalSignal], extra=()) -> tuple:

@@ -81,7 +81,8 @@ def _atom_value(ctx: MonitorContext, atom: Atomic, loc: int, data: tuple) -> Any
     if name.startswith("at_") and name[3:].isdigit():
         return dom.top if loc == int(name[3:]) else dom.bottom
     if ctx.interpretation is not None and name in ctx.interpretation:
-        return (bool if boolean else float)(ctx.interpretation[name](data))
+        value = ctx.interpretation[name](np.array(data).reshape(1, 1, -1))
+        return (bool if boolean else float)(np.asarray(value)[0, 0])
     return dom.top if data[ctx.trace.variables.index(name)] != 0 else dom.bottom
 
 

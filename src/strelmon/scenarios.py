@@ -367,13 +367,11 @@ def simulate_epidemic(cfg: EpidemicConfig) -> tuple[DynamicalSpatialModel, Trace
     return DynamicalSpatialModel(tuple(snapshots)), trace
 
 
-def epidemic_interpretation(domain: SignalDomain) -> dict[str, Callable[[tuple], Any]]:
-    """Atoms susceptible/exposed/infected/recovered over the state variable."""
+def epidemic_interpretation(domain: SignalDomain) -> dict[str, Callable[[np.ndarray], np.ndarray]]:
+    """Atoms susceptible/exposed/infected/recovered over the whole trace's state variable."""
 
-    def is_state(code: int) -> Callable[[tuple], Any]:
-        if domain.name == "boolean":
-            return lambda values: values[0] == code
-        return lambda values: math.inf if values[0] == code else -math.inf
+    def is_state(code: int) -> Callable[[np.ndarray], np.ndarray]:
+        return lambda data: np.where(data[..., 0] == code, domain.top, domain.bottom)
 
     return {
         "susceptible": is_state(SUSCEPTIBLE),

@@ -215,9 +215,11 @@ class Trace:
 
     @cached_property
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """The union step grid, and the variables on it as a steps x
-        locations x variables float64 array."""
-        return _on_grid(self.signals, float)
+        """The union step grid, and the variables on it as a read-only
+        steps x locations x variables float64 array."""
+        times, data = _on_grid(self.signals, float)
+        data.flags.writeable = False
+        return times, data
 
 
 def resample_to_union(trace: Trace) -> Trace:

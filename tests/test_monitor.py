@@ -50,7 +50,7 @@ from strelmon.oracle import (
     simple_path_escape,
     walk_reach,
 )
-from strelmon.signals import SignalError, SpatioTemporalSignal, TemporalSignal, Trace, run_starts
+from strelmon.signals import SignalError, SpatioTemporalSignal, TemporalSignal, Trace, canonical, run_starts
 from strelmon.space import (
     DynamicalSpatialModel,
     build_spatial_model,
@@ -687,7 +687,7 @@ def test_reach_zero_interval_is_target_signal():
         model = random_model(rng, n, 10)
         s1 = [rng.random() < 0.5 for _ in range(n)]
         s2 = [rng.random() < 0.5 for _ in range(n)]
-        out = reach(model, hop_distance(), Interval(0, 0), s1, s2, BOOL)
+        out = reach(model, hop_distance(), Interval(0, 0), s1, s2, BOOL).tolist()
         assert out == s2
 
 
@@ -705,7 +705,7 @@ def test_bounded_reach_two_node_chain():
     for a in (False, True):
         for b in (False, True):
             for c in (False, True):
-                out = bounded_reach(model, hop_distance(), 1, 1, [a, c], [False, b], BOOL)
+                out = bounded_reach(model, hop_distance(), 1, 1, [a, c], [False, b], BOOL).tolist()
                 assert out[0] == (a and b)
                 assert out[1] is False
 
@@ -720,7 +720,7 @@ def test_escape_identity_full_interval():
                 s1 = [rng.random() < 0.5 for _ in range(n)]
             else:
                 s1 = [rng.randint(-8, 8) / 4 for _ in range(n)]
-            out = escape(model, hop_distance(), Interval(0, UNBOUNDED), s1, domain)
+            out = escape(model, hop_distance(), Interval(0, UNBOUNDED), s1, domain).tolist()
             assert out == s1
 
 
@@ -728,7 +728,7 @@ def test_escape_network16_example():
     model = network16_model()
     end_dev = {0, 1, 2, 3, 5, 11, 12, 13, 14}
     s1 = [loc not in end_dev for loc in range(16)]
-    out = escape(model, hop_distance(), Interval(2, UNBOUNDED), s1, BOOL)
+    out = escape(model, hop_distance(), Interval(2, UNBOUNDED), s1, BOOL).tolist()
     assert out[9] is True  # location 10, via the two-router corridor
 
 
@@ -761,7 +761,7 @@ def test_unbounded_reach_matches_dense_fixpoint(domain):
         model = random_model(rng, n, 10)
         s1, s2 = _random_spatial(rng, domain, n), _random_spatial(rng, domain, n)
         d1 = rng.choice([0.0, 1.0, 2.0, 4.0])
-        got = unbounded_reach(model, f, d1, s1, s2, domain)
+        got = unbounded_reach(model, f, d1, s1, s2, domain).tolist()
         want = dense_unbounded_reach(model, f, d1, s1, s2, domain)
         assert got == want
 
@@ -772,8 +772,8 @@ def test_bounded_reach_with_infinite_upper_bound_terminates():
     f = weight_sum_distance()
     s1, s2 = [1.0, 1.0], [1.0, -1.0]
     with deadline(30):
-        got = bounded_reach(model, f, 0.5, math.inf, s1, s2, QUANT)
-    assert got == unbounded_reach(model, f, 0.5, s1, s2, QUANT)
+        got = bounded_reach(model, f, 0.5, math.inf, s1, s2, QUANT).tolist()
+    assert got == unbounded_reach(model, f, 0.5, s1, s2, QUANT).tolist()
 
 
 @pytest.mark.parametrize("domain", [BOOL, QUANT])
@@ -787,7 +787,7 @@ def test_bounded_reach_with_huge_finite_upper_bound(domain):
     rng = random.Random(106)
     with deadline(30):
         for d2 in (1e6, 1e308):
-            got = bounded_reach(two_cycle, hop_distance(), 0.5, d2, [top, top], [top, bottom], domain)
+            got = bounded_reach(two_cycle, hop_distance(), 0.5, d2, [top, top], [top, bottom], domain).tolist()
             assert got == [top, top]
         for _ in range(60):
             n = rng.randint(1, 4)
@@ -795,8 +795,8 @@ def test_bounded_reach_with_huge_finite_upper_bound(domain):
             f = rng.choice([hop_distance(), weight_sum_distance()])
             s1, s2 = _random_spatial(rng, domain, n), _random_spatial(rng, domain, n)
             d1 = rng.choice([0.5, 1.0, 2.0])
-            got = bounded_reach(model, f, d1, rng.choice([1e6, 1e308]), s1, s2, domain)
-            assert got == unbounded_reach(model, f, d1, s1, s2, domain)
+            got = bounded_reach(model, f, d1, rng.choice([1e6, 1e308]), s1, s2, domain).tolist()
+            assert got == unbounded_reach(model, f, d1, s1, s2, domain).tolist()
             assert got == dense_unbounded_reach(model, f, d1, s1, s2, domain)
             far = d1 + (n + 1) * max(f.map(model.weight).tolist(), default=0)
             assert got == [walk_reach(model, f, d1, far, s1, s2, domain, l) for l in range(n)]
@@ -813,7 +813,7 @@ def test_unbounded_reach_with_infinite_edges(domain):
     s1, s2 = [top] * 3, [top, bottom, bottom]
     rng = random.Random(105)
     with deadline(30):
-        assert unbounded_reach(model, f, 0.5, s1, s2, domain) == [top, top, bottom]
+        assert unbounded_reach(model, f, 0.5, s1, s2, domain).tolist() == [top, top, bottom]
         for _ in range(300):
             n = rng.randint(1, 6)
             pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
@@ -825,7 +825,7 @@ def test_unbounded_reach_with_infinite_edges(domain):
             model = build_spatial_model(n, edges)
             s1, s2 = _random_spatial(rng, domain, n), _random_spatial(rng, domain, n)
             d1 = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0, 5.0])
-            got = unbounded_reach(model, f, d1, s1, s2, domain)
+            got = unbounded_reach(model, f, d1, s1, s2, domain).tolist()
             assert got == dense_unbounded_reach(model, f, d1, s1, s2, domain)
 
 
@@ -839,14 +839,14 @@ def test_reach_with_infinite_lower_bound():
     model = build_spatial_model(3, [(0, 1.0, 1), (1, 1.0, 0), (1, math.inf, 2)])
     far = Interval(math.inf, UNBOUNDED)
     with deadline(30):
-        assert reach(model, f, far, [1.0] * 3, [1.0, -1.0, 2.0], QUANT) == [1.0, 1.0, -math.inf]
-        assert reach(model, f, far, [True] * 3, [True, False, True], BOOL) == [True, True, False]
+        assert reach(model, f, far, [1.0] * 3, [1.0, -1.0, 2.0], QUANT).tolist() == [1.0, 1.0, -math.inf]
+        assert reach(model, f, far, [True] * 3, [True, False, True], BOOL).tolist() == [True, True, False]
         # without an infinite edge no route is long enough
         finite = build_spatial_model(3, [(0, 1.0, 1), (1, 1.0, 0), (1, 5.0, 2)])
         for domain in (BOOL, QUANT):
             top = [domain.top] * 3
             for m, g in ((finite, f), (model, hop_distance())):
-                assert reach(m, g, far, top, top, domain) == [domain.bottom] * 3
+                assert reach(m, g, far, top, top, domain).tolist() == [domain.bottom] * 3
 
 
 @pytest.mark.parametrize("domain", [BOOL, QUANT])
@@ -860,7 +860,7 @@ def test_escape_matches_simple_path_enumeration(domain):
         d1 = rng.choice([0.0, 1.0, 2.0])
         hi = rng.choice([1.0, 3.0, None])
         d2 = None if hi is None else d1 + hi
-        got = escape(model, f, Interval(d1, d2), s1, domain)
+        got = escape(model, f, Interval(d1, d2), s1, domain).tolist()
         want = simple_path_escape(
             model, f, d1, math.inf if d2 is None else d2, s1, domain
         )
@@ -953,7 +953,7 @@ def test_escape_matches_walk_matrix_reference(domain):
             s1 = [rng.choice(pool) for _ in range(n)]
         d1 = rng.choice([0.0, 1.0, 2.5])
         interval = Interval(d1, None if trial % 2 else d1 + rng.choice([0.0, 1.0, 4.0]))
-        got = escape(model, f, interval, s1, domain)
+        got = escape(model, f, interval, s1, domain).tolist()
         want = walk_matrix_escape(model, f, interval, s1, domain)
         assert got == want
         if domain is BOOL:
@@ -973,11 +973,11 @@ def test_escape_visits_out_edges_in_edge_order():
     s1 = [rng.choice((0.0, -0.0, 0.5, -0.5, 1.0)) for _ in range(n)]
     edges = list(zip(model.src.tolist(), model.weight.tolist(), model.dst.tolist()))
     resorted = build_spatial_model(n, sorted(edges, key=lambda e: (e[0], e[2])))
-    got = escape(model, hop_distance(), Interval(1, UNBOUNDED), s1, QUANT)
-    other = escape(resorted, hop_distance(), Interval(1, UNBOUNDED), s1, QUANT)
+    got = escape(model, hop_distance(), Interval(1, UNBOUNDED), s1, QUANT).tolist()
+    other = escape(resorted, hop_distance(), Interval(1, UNBOUNDED), s1, QUANT).tolist()
     assert got == other
-    got = escape(model, hop_distance(), Interval(1, UNBOUNDED), one_zero(s1), QUANT)
-    other = escape(resorted, hop_distance(), Interval(1, UNBOUNDED), one_zero(s1), QUANT)
+    got = escape(model, hop_distance(), Interval(1, UNBOUNDED), one_zero(s1), QUANT).tolist()
+    other = escape(resorted, hop_distance(), Interval(1, UNBOUNDED), one_zero(s1), QUANT).tolist()
     assert repr(got) == repr(other)
     assert repr(got[82]) == "0.0"
     assert not any(v == 0 and math.copysign(1.0, v) < 0 for v in got)
@@ -1037,15 +1037,15 @@ def test_boolean_reach_kernels_on_large_random_digraphs():
             radii.append(dist)
             walk_starts.append((start, dist))
         for d2 in radii:
-            got = bounded_reach(model, f, 0.0, d2, s1, s2, BOOL)
-            flooded = bounded_reach(model, f, 0.0, d2, coded(s1), coded(s2), QUANT)
+            got = bounded_reach(model, f, 0.0, d2, s1, s2, BOOL).tolist()
+            flooded = bounded_reach(model, f, 0.0, d2, coded(s1), coded(s2), QUANT).tolist()
             assert got == [v > 0 for v in flooded]
             assert all(v is True or v is False for v in got)
             for start, dist in walk_starts:
                 if dist <= d2:
                     assert got[start] is True
         for d1 in [0.0] if with_inf else [0.0, 0.25]:
-            got = unbounded_reach(model, f, d1, s1, s2, BOOL)
+            got = unbounded_reach(model, f, d1, s1, s2, BOOL).tolist()
             assert got == dense_unbounded_reach(model, f, d1, s1, s2, BOOL)
             assert all(v is True or v is False for v in got)
             if with_inf:
@@ -1139,7 +1139,7 @@ def test_flooding_matches_dict_reference(domain, monkeypatch):
             s2 = [rng.choice(pool) for _ in range(n)]
             d1 = rng.choice([0.0, 0.0, 0.5, 1.0, 2.0])
         d2 = d1 + rng.choice([0.0, 0.3, 1.0, 2.0, 3.0])
-        got = bounded_reach(model, f, d1, d2, s1, s2, domain)
+        got = bounded_reach(model, f, d1, d2, s1, s2, domain).tolist()
         assert repr(one_zero(got)) == repr(one_zero(flooding_reference(model, f, d1, d2, s1, s2, domain)))
         if d1 > 0:
             with monkeypatch.context() as patch:
@@ -1147,8 +1147,8 @@ def test_flooding_matches_dict_reference(domain, monkeypatch):
                     engine, "_flood",
                     lambda _incoming, lo, hi, a, b, dom: flooding_reference(model, f, lo, hi, a, b, dom),
                 )
-                want = unbounded_reach(model, f, d1, s1, s2, domain)
-            assert repr(one_zero(unbounded_reach(model, f, d1, s1, s2, domain))) == repr(one_zero(want))
+                want = unbounded_reach(model, f, d1, s1, s2, domain).tolist()
+            assert repr(one_zero(unbounded_reach(model, f, d1, s1, s2, domain).tolist())) == repr(one_zero(want))
 
 
 # The relaxation quantitative unbounded reach and escape ran before the
@@ -1248,7 +1248,7 @@ def test_unbounded_reach_matches_relaxation_reference():
         s1 = [rng.choice(pool) for _ in range(n)]
         s2 = [rng.choice(pool) for _ in range(n)]
         d1 = rng.choice([0.0, 1.0, 2.0])
-        got = unbounded_reach(model, f, d1, s1, s2, QUANT)
+        got = unbounded_reach(model, f, d1, s1, s2, QUANT).tolist()
         want = quantitative_unbounded_reach_reference(model, f, d1, s1, s2, QUANT)
         assert repr(one_zero(got)) == repr(one_zero(want))
 
@@ -1270,8 +1270,47 @@ def test_escape_matches_per_start_relaxation_reference(domain):
             s1 = [rng.choice(pool) for _ in range(n)]
         d1 = rng.choice([0.0, 1.0, 2.0])
         interval = Interval(d1, None if trial % 2 else d1 + rng.choice([0.0, 1.0, 4.0]))
-        got = escape(model, f, interval, s1, domain)
+        got = escape(model, f, interval, s1, domain).tolist()
         assert repr(one_zero(got)) == repr(one_zero(per_start_escape_reference(model, f, interval, s1, domain)))
+
+
+def _read_only(values, dtype):
+    out = np.array(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
+@pytest.mark.parametrize("domain", [BOOL, QUANT], ids=["boolean", "quantitative"])
+def test_kernels_leave_read_only_inputs_unchanged(domain):
+    """The monitor hands the kernels slices of its row arrays, so no kernel
+    path may write into its inputs: given read-only arrays, each returns a
+    fresh array and leaves the inputs' bytes as they were.  The paths are
+    Boolean Dijkstra (d1 = 0), flooding (d1 > 0, and quantitative d1 = 0),
+    the quantitative relaxation, unbounded reach over infinite edges and the
+    escape closure."""
+    rng = random.Random(4242)
+    dtype = bool if domain is BOOL else float
+    pool = (True, False) if domain is BOOL else (0.0, -0.0, 0.5, -1.0, math.inf, -math.inf)
+    f = weight_sum_distance()
+    for _ in range(20):
+        n = rng.randint(3, 30)
+        model = _random_digraph(rng, n, 2, [0.5, 1.0, math.inf])
+        s1 = _read_only([rng.choice(pool) for _ in range(n)], dtype)
+        s2 = _read_only([rng.choice(pool) for _ in range(n)], dtype)
+        before = s1.tobytes(), s2.tobytes()
+        calls = [
+            lambda: bounded_reach(model, f, 0.0, 2.0, s1, s2, domain),
+            lambda: bounded_reach(model, f, 0.5, 2.0, s1, s2, domain),
+            lambda: unbounded_reach(model, f, 0.0, s1, s2, domain),
+            lambda: unbounded_reach(model, f, 1.0, s1, s2, domain),
+            lambda: escape(model, f, Interval(1.0, UNBOUNDED), s1, domain),
+            lambda: escape(model, f, Interval(0.0, 2.0), s1, domain),
+        ]
+        for call in calls:
+            out = call()
+            assert isinstance(out, np.ndarray) and out.dtype == dtype and out.shape == (n,)
+            assert out.flags.writeable
+            assert (s1.tobytes(), s2.tobytes()) == before
 
 
 # ---------------------------------------------------------------------------
@@ -1294,6 +1333,111 @@ def test_constant_comparison_atoms():
     qctx = MonitorContext(model=model, trace=trace03, domain=QUANT, distances={})
     out = monitor(qctx, parse("x > 0"))
     assert out.value_at(0, 2.0) == pytest.approx(0.3)
+
+
+def per_cell_atom_reference(ctx, name):
+    """The atom loop the engine ran while an interpretation was a function
+    of one location's value tuple, kept verbatim (from ``fn = ...`` on) as
+    the reference the whole-array interpretations are checked against."""
+    trace, dom = ctx.trace, ctx.domain
+    times, data = trace.grid
+    boolean = dom.name == "boolean"
+    fn = ctx.interpretation[name]
+    rows = [[fn(tuple(v)) for v in row] for row in data.tolist()]
+    values = np.array(rows, dtype=bool if boolean else float)
+    return canonical(times, values, trace.end_time)
+
+
+# (name, tuple callable as the per-cell loop called it, the same atom over
+# the whole steps x locations x variables array)
+TUPLE_AND_ARRAY_ATOMS = {
+    "boolean": [
+        ("zero_x", lambda v: v[0] == 0, lambda d: d[..., 0] == 0),
+        ("x_above_y", lambda v: v[0] > v[1], lambda d: d[..., 0] > d[..., 1]),
+        ("some_positive", lambda v: any(x > 0 for x in v), lambda d: (d > 0).any(axis=-1)),
+    ],
+    "quantitative": [
+        ("margin", lambda v: v[0] - v[1], lambda d: d[..., 0] - d[..., 1]),
+        ("negated", lambda v: -v[0], lambda d: -d[..., 0]),
+        ("least", lambda v: min(v), lambda d: d.min(axis=-1)),
+        ("coded", lambda v: math.inf if v[-1] == 0 else -math.inf,
+         lambda d: np.where(d[..., -1] == 0, math.inf, -math.inf)),
+    ],
+}
+
+
+@pytest.mark.parametrize("domain", [BOOL, QUANT], ids=["boolean", "quantitative"])
+def test_array_interpretations_match_per_cell_reference(domain):
+    """On random steps x locations x variables grids with signed zeros
+    (locations stepping at different times), each array interpretation
+    gives the per-cell loop's verdict bit for bit: both pass through
+    ``canonical``, which leaves +0.0 as the only zero."""
+    rng = random.Random(1717)
+    pool = (0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0)
+    atoms = TUPLE_AND_ARRAY_ATOMS[domain.name]
+    for _ in range(40):
+        n, k = rng.randint(1, 12), rng.randint(2, 3)
+        grid = [i / 4 for i in range(rng.randint(1, 20))]
+        signals = []
+        for _loc in range(n):
+            times = [0.0] + sorted(rng.sample(grid[1:], rng.randint(0, len(grid) - 1)))
+            values = tuple(tuple(rng.choice(pool) for _ in range(k)) for _ in times)
+            signals.append(TemporalSignal(tuple(times), values, grid[-1] + 1.0))
+        trace = Trace(tuple("xyz"[:k]), tuple(signals))
+        model = DynamicalSpatialModel.static(build_spatial_model(n, []))
+
+        def context(pick):
+            interpretation = {name: fns[pick] for name, *fns in atoms}
+            return MonitorContext(model=model, trace=trace, domain=domain, interpretation=interpretation)
+
+        per_cell, whole = context(0), context(1)
+        for name, *_ in atoms:
+            want = per_cell_atom_reference(per_cell, name)
+            got = monitor(whole, Atomic(name))
+            assert got.times.tobytes() == want.times.tobytes()
+            assert got.values.dtype == want.values.dtype
+            assert got.values.tobytes() == want.values.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "bad, shape",
+    [
+        (lambda d: True, "()"),
+        (lambda d: d[..., :1] > 0, "(3, 2, 1)"),
+        (lambda d: d[:, 1:, 0] > 0, "(3, 1)"),
+    ],
+    ids=["scalar", "trailing_axis", "location_count"],
+)
+def test_interpretation_of_wrong_shape_is_one_line_error(bad, shape):
+    """An interpretation must return exactly steps x locations; anything
+    else is named, with both shapes, instead of broadcast."""
+    signals = tuple(TemporalSignal((0.0, 1.0, 2.0), ((0.0,), (1.0,), (2.0,)), 3.0) for _ in range(2))
+    trace = Trace(("x",), signals)
+    model = DynamicalSpatialModel.static(build_spatial_model(2, [(0, 1.0, 1)]))
+    for domain in (BOOL, QUANT):
+        ctx = MonitorContext(model=model, trace=trace, domain=domain, interpretation={"odd": bad})
+        with pytest.raises(SemanticError) as err:
+            monitor(ctx, parse("F odd"))
+        message = str(err.value)
+        assert message == f"interpretation of atom 'odd' returned shape {shape}, expected (3, 2)"
+
+
+def test_interpretation_cannot_write_into_the_trace():
+    """Every atom reads the trace's one cached data array, so interpretations
+    get it read-only: writing into it fails instead of changing the other
+    atoms' verdicts."""
+
+    def shifted(data):
+        data[..., 0] -= 1.0
+        return data[..., 0] > 0
+
+    trace = Trace(("x",), (TemporalSignal((0.0, 1.0), ((0.5,), (2.0,)), 3.0),))
+    model = DynamicalSpatialModel.static(build_spatial_model(1, []))
+    ctx = MonitorContext(model=model, trace=trace, domain=BOOL, interpretation={"shifted": shifted})
+    with pytest.raises(ValueError, match="read-only"):
+        monitor(ctx, parse("shifted"))
+    assert trace.grid[1].tolist() == [[[0.5]], [[2.0]]]
+    assert monitor(ctx, parse("x > 1")).signals[0].values == (False, True)
 
 
 def test_network16_reach_verdicts():
@@ -1468,7 +1612,7 @@ def test_quantitative_tie_order_keeps_signed_zeros():
         out = monitor(ctx, parse(text))
         assert repr([(s.times, s.values) for s in out.signals]) == want, text
     one_edge = build_spatial_model(2, [(0, 1.0, 1)])
-    out = escape(one_edge, hop_distance(), Interval(1, UNBOUNDED), [0.0, -0.0], QUANT)
+    out = escape(one_edge, hop_distance(), Interval(1, UNBOUNDED), [0.0, -0.0], QUANT).tolist()
     assert repr(one_zero(out)) == "[0.0, -inf]"
 
 

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from strelmon.algebra import boolean_domain
+from conftest import compare_spatiotemporal
+from strelmon.algebra import boolean_domain, maxmin_domain
 from strelmon.logic import (
     Atomic,
     Eventually,
@@ -20,12 +21,14 @@ from strelmon.logic import (
     parse,
 )
 from strelmon.monitor import MonitorContext, monitor, satisfied_locations
+from strelmon.oracle import oracle_monitor
 from strelmon.scenarios import (
     EXPOSED,
     INFECTED,
     RECOVERED,
     SUSCEPTIBLE,
     ConfigError,
+    DegreeSpec,
     EpidemicConfig,
     ManetConfig,
     SignalWalk,
@@ -397,6 +400,45 @@ def test_sweep_large_radius_matches_direct_evaluation():
         if ok:
             want.add(loc)
     assert got == want
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_epidemic_atoms_match_oracle_in_both_domains(seed):
+    """On a small SEIR run (8 nodes, 10 days and sparse contacts, as in the
+    benchmark's oracle cases, with dynamics fast enough that the verdicts
+    are not constant) the engine, which calls each interpretation once on
+    the whole trace, and the oracle, which calls it once per cell, agree on
+    the state atoms, safe_radius and dangerous_days in both domains.  The
+    quantitative verdicts are +inf exactly where the Boolean ones hold and
+    -inf elsewhere."""
+    degree = DegreeSpec(1.5, 4.0, 6.0)
+    cfg = EpidemicConfig(
+        node_count=8, horizon_days=10, initial_infected=3, infection_mean=0.5,
+        exposed_mean_days=1.0, infectious_mean_days=4.0,
+        static_degree=degree, dynamic_degree=degree, seed=seed,
+    )
+    model, trace = simulate_epidemic(cfg)
+    formulas = [Atomic(state) for state in ("susceptible", "exposed", "infected", "recovered")]
+    formulas += [safe_radius(0.5, 3.0), safe_radius(3.0, 3.0), dangerous_days()]
+    verdicts = {}
+    for domain in (boolean_domain(), maxmin_domain()):
+        ctx = MonitorContext(
+            model=model,
+            trace=trace,
+            domain=domain,
+            distances={"weight": weight_sum_distance(), "hop": hop_distance()},
+            interpretation=epidemic_interpretation(domain),
+        )
+        for formula in formulas:
+            got = monitor(ctx, formula)
+            compare_spatiotemporal(got, oracle_monitor(ctx, formula, max_steps=10), domain)
+            verdicts[domain.name, formula] = got
+    for formula in formulas:
+        held, margin = verdicts["boolean", formula], verdicts["quantitative", formula]
+        assert np.array_equal(margin.times, held.times)
+        assert np.array_equal(margin.values, np.where(held.values, math.inf, -math.inf))
+    assert not verdicts["boolean", dangerous_days()].values.all()
+    assert not verdicts["boolean", safe_radius(0.5, 3.0)].values.all()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
-"""Every script under scripts/ imports against the current library API."""
+"""Every script under scripts/ imports against the current library API, and
+runs end to end on tiny arguments."""
 
+import csv
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,3 +21,42 @@ def test_script_imports(path):
 
 def test_scripts_are_found():
     assert SCRIPTS  # an empty parameter list would silently skip the check above
+
+
+TINY_RUNS = {
+    "epidemic_sweep": ["--nodes", "30", "--horizon", "10", "--initial-infected", "3",
+                       "--radii", "0.5,3", "--T", "3", "--runs", "2"],
+    "static_vs_dynamic": ["--nodes", "30", "--horizon", "10", "--initial-infected", "3", "--runs", "2"],
+    "manet_demo": ["--nodes", "8", "--routers", "3", "--steps", "3"],
+    "scaling_bench": ["--sizes", "20,40", "--steps", "3", "--repeats", "1"],
+}
+
+
+def test_every_script_has_a_tiny_run():
+    assert sorted(TINY_RUNS) == [p.stem for p in SCRIPTS]
+
+
+@pytest.mark.parametrize("stem", sorted(TINY_RUNS))
+def test_script_runs(stem, tmp_path, monkeypatch, capsys):
+    """``main`` runs to the end on tiny arguments, so a change to the
+    library's contracts that breaks a script fails here."""
+    out = tmp_path / "out.csv"
+    argv = TINY_RUNS[stem] + (["--out", str(out)] if stem == "epidemic_sweep" else [])
+    monkeypatch.setattr(sys, "argv", [stem, *argv])
+    path = next(p for p in SCRIPTS if p.stem == stem)
+    spec = importlib.util.spec_from_file_location(f"script_{stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.main()
+    printed = capsys.readouterr().out
+    if stem == "epidemic_sweep":
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["r", "mean", "std"]
+        assert [float(row[0]) for row in rows[1:]] == [0.5, 3.0]
+    elif stem == "static_vs_dynamic":
+        assert "static-only" in printed and "dynamic-only" in printed
+    elif stem == "manet_demo":
+        assert "connected" in printed and "restores within 3" in printed
+    else:
+        assert "growth exponent" in printed
