@@ -17,9 +17,9 @@ The grammar, with `|` binding loosest and unary operators tightest:
     atom     := ident | ident cmp number ; cmp := ">"|"<"|">="|"<=" ;
 
 Binary operators are left-associative.  An omitted interval means [0, inf].
-`inf` is only meaningful as a distance bound (surround's escape uses [inf,
-inf]); temporal operators must carry bounded finite intervals (an omitted
-F/G interval is evaluated up to the trace horizon).
+`inf` is a number: ``Interval(lo, math.inf)`` is the one unbounded interval.
+The text admits it only as a distance bound (surround's escape uses [inf,
+inf]); an omitted F/G interval runs to the trace horizon.
 """
 
 from __future__ import annotations
@@ -39,23 +39,29 @@ class ParseError(ValueError):
         super().__init__(f"{line}:{column}: {message}{suffix}")
 
 
-UNBOUNDED = None
+UNBOUNDED = math.inf
 
 
 @dataclass(frozen=True)
 class Interval:
+    """[lo, hi], unbounded when ``hi`` is ``math.inf`` (a passed None reads
+    as it); the one check of NaN, negative and inverted bounds."""
+
     lo: float
-    hi: Optional[float]  # None means unbounded
+    hi: float
 
     def __post_init__(self):
-        if self.lo < 0:
+        lo, hi = float(self.lo), math.inf if self.hi is None else float(self.hi)
+        if not lo >= 0:
             raise ValueError(f"interval lower bound must be nonnegative, got {self.lo}")
-        if self.hi is not None and self.hi < self.lo:
+        if not hi >= lo:
             raise ValueError(f"malformed interval [{self.lo}, {self.hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def bounded(self) -> bool:
-        return self.hi is not None
+        return self.hi < math.inf
 
 
 FULL = Interval(0.0, UNBOUNDED)
@@ -357,21 +363,17 @@ class _Parser:
         lo = float(lo_tok.text)
         self.expect(",")
         hi_tok = self.peek()
-        if hi_tok.kind == "number":
-            self.advance()
-            hi: Optional[float] = float(hi_tok.text)
-        elif hi_tok.text == "inf":
-            if temporal:
-                raise ParseError(
-                    f"temporal operator {operator!r} requires a bounded interval",
-                    hi_tok.line,
-                    hi_tok.column,
-                    ("number",),
-                )
-            self.advance()
-            hi = UNBOUNDED
-        else:
+        if hi_tok.kind != "number" and hi_tok.text != "inf":
             raise self.error("expected a number or 'inf' as interval upper bound", ("number", "inf"))
+        if temporal and hi_tok.text == "inf":
+            raise ParseError(
+                f"temporal operator {operator!r} requires a bounded interval",
+                hi_tok.line,
+                hi_tok.column,
+                ("number",),
+            )
+        self.advance()
+        hi = float(hi_tok.text)
         self.expect("]")
         try:
             return Interval(lo, hi)
@@ -394,8 +396,7 @@ def format_number(x: float) -> str:
 
 
 def _fmt_interval(i: Interval) -> str:
-    hi = "inf" if i.hi is None else format_number(i.hi)
-    return f"[{format_number(i.lo)},{hi}]"
+    return f"[{format_number(i.lo)},{format_number(i.hi)}]"
 
 
 # precedence levels for printing; higher binds tighter
@@ -444,7 +445,9 @@ def _fmt(node: Formula, parent_level: int) -> str:
 
 
 def format_formula(node: Formula) -> str:
-    """Inverse of parse up to whitespace: parse(format_formula(f)) == f."""
+    """Inverse of parse up to whitespace: parse(format_formula(f)) == f.
+    Unbounded temporal intervals have no text form, except F/G over [0, inf]
+    (printed bare)."""
     return _fmt(node, 0)
 
 
@@ -487,8 +490,7 @@ def desugar(node: Formula) -> Formula:
         # !(phi1 | phi2) with the disjunction already pushed through De Morgan
         outside = And(Not(left), Not(right))
         blocked = Not(Reach(node.interval, node.distance, left, outside))
-        hi = node.interval.hi if node.interval.hi is not None else math.inf
-        no_escape = Not(Escape(Interval(hi, UNBOUNDED), node.distance, left))
+        no_escape = Not(Escape(Interval(node.interval.hi, UNBOUNDED), node.distance, left))
         return And(And(left, blocked), no_escape)
     raise TypeError(f"not a formula node: {node!r}")
 

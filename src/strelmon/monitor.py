@@ -48,6 +48,7 @@ from .logic import (
     Since,
     Until,
     desugar,
+    format_number,
     iter_subformulas,
 )
 from .signals import SpatioTemporalSignal, Trace, canonical, run_starts, stack_steps
@@ -62,6 +63,14 @@ from .space import (
 
 class SemanticError(ValueError):
     """Name-resolution failures, empty evaluable domains, bad intervals."""
+
+
+# The most rounds a flooding with a positive lower bound may take (see
+# ``_flood``): with d1 > 0 nothing prunes a cycle, so a 2-cycle under
+# ``hop`` floods d2 rounds (about 30 us each on a 2-core VM), and past 2**53
+# ``d + 1 == d`` never ends.  Above it ``_flood`` raises a SemanticError
+# instead of hanging.
+MAX_FLOOD_ROUNDS = 10_000
 
 
 _AT_PREFIX = "at_"
@@ -118,10 +127,14 @@ def _atom_signal(ctx: MonitorContext, atom: Atomic) -> SpatioTemporalSignal:
         here = np.arange(trace.location_count) == int(name[len(_AT_PREFIX):])
         values = np.broadcast_to(np.where(here, dom.top, dom.bottom), data.shape[:2])
     elif ctx.interpretation is not None and name in ctx.interpretation:
-        values = np.asarray(ctx.interpretation[name](data), dtype=bool if boolean else float)
+        values = np.asarray(ctx.interpretation[name](data), dtype=float)
         if values.shape != data.shape[:2]:
             shapes = f"returned shape {values.shape}, expected {data.shape[:2]}"
             raise SemanticError(f"interpretation of atom {name!r} {shapes}")
+        if np.isnan(values).any():
+            raise SemanticError(f"interpretation of atom {name!r} returned NaN")
+        if boolean:
+            values = values != 0
     else:
         x = data[:, :, _resolve_variable(ctx, name)]
         values = x != 0 if boolean else np.where(x != 0, dom.top, dom.bottom)
@@ -207,20 +220,21 @@ def _temporal_sweep(interval: Interval, times: np.ndarray, v1: np.ndarray, v2: n
     bound its segments and give its events.  Per (location, event e) pair,
     a grid lookup and the location's running count of own steps find the
     segments holding e, the near window edge (e + lo, or e - lo for since)
-    and the far one (e + hi, e - hi, or the trace edge when unbounded),
-    clamped to the grid, so an edge that rounding puts just outside the
-    domain reads the outermost segment.  The fold walks from e's segment to
-    the far edge's, combining s1 into ``running``; from the near edge's
-    segment on it also chooses s2 combined with ``running`` into ``acc``.
-    All pairs take step d of their walk together.
+    and the far one (e + hi or e - hi), clamped to the grid, so an edge
+    past the domain (rounded just outside, or infinite) reads the outermost
+    segment.  Events shifted by an infinite hi lie outside the domain and
+    are dropped.  The fold walks from e's segment to the far edge's,
+    combining s1 into ``running``; from the near edge's segment on it also
+    chooses s2 combined with ``running`` into ``acc``.  All pairs take step
+    d of their walk together.
     """
     t0 = times[0].item()
-    lo, hi, bounded = interval.lo, interval.hi, interval.bounded
-    lost = hi if bounded else lo
+    lo, hi = interval.lo, interval.hi
+    lost = hi if interval.bounded else lo
     out_start, out_end = (t0, t_end - lost) if future else (t0 + lost, t_end)
     if out_end < out_start:
         raise SemanticError(
-            f"temporal interval [{lo}, {hi if bounded else 'inf'}] exceeds the trace horizon: "
+            f"temporal interval [{lo}, {hi}] exceeds the trace horizon: "
             f"evaluable domain of {'until' if future else 'since'} is empty"
         )
     n, way = own.shape[1], 1 if future else -1
@@ -230,10 +244,9 @@ def _temporal_sweep(interval: Interval, times: np.ndarray, v1: np.ndarray, v2: n
     count = np.cumsum(own, axis=0)
     latest = count + (np.cumsum(count[-1]) - count[-1] - 1)
     x1, x2 = v1[row, loc], v2[row, loc]
-    shifts = (0.0, lo, hi) if bounded else (0.0, lo)
-    events = np.concatenate([times[row] - way * s for s in shifts])
+    events = np.concatenate([times[row] - way * s for s in (0.0, lo, hi)])
     inside = (out_start <= events) & (events <= out_end)
-    owners = np.concatenate((np.arange(n), np.tile(loc, len(shifts))[inside]))
+    owners = np.concatenate((np.arange(n), np.tile(loc, 3)[inside]))
     events = np.concatenate((np.full(n, out_start), events[inside]))
     order = np.lexsort((events, owners))
     owners, events = owners[order], events[order]
@@ -244,9 +257,8 @@ def _temporal_sweep(interval: Interval, times: np.ndarray, v1: np.ndarray, v2: n
     def segment(t: np.ndarray) -> np.ndarray:
         return latest[np.maximum(np.searchsorted(times, t, side="right") - 1, 0), owners]
 
-    far = events + way * hi if bounded else np.full_like(events, t_end if future else t0)
     k_e = segment(events)
-    span, lead = way * (segment(far) - k_e), way * (segment(events + way * lo) - k_e)
+    span, lead = way * (segment(events + way * hi) - k_e), way * (segment(events + way * lo) - k_e)
     # longest walks first, so the pairs still walking at step d are a prefix
     order = np.argsort(-span, kind="stable")
     k_e, lead = k_e[order], lead[order]
@@ -275,7 +287,7 @@ def reach(
 ) -> np.ndarray:
     """Dispatch on the upper distance bound: flooding when bounded, fixpoint
     back-propagation when unbounded."""
-    if interval.hi is None or interval.hi == math.inf:
+    if interval.hi == math.inf:
         return unbounded_reach(model, f, interval.lo, s1, s2, domain)
     return bounded_reach(model, f, interval.lo, interval.hi, s1, s2, domain)
 
@@ -336,8 +348,26 @@ def _flood(incoming: csr_array, d1: float, d2: float, s1: np.ndarray, s2: np.nda
 
     With d1 = 0 the next queue also drops its dominated entries
     (``_undominated``).  Both cuts leave the output as it is.
+
+    With d1 > 0 the rounds are bounded first, and more than
+    ``MAX_FLOOD_ROUNDS`` is a ``SemanticError``.  A round extends the walks
+    by one edge and keeps those shorter than d2, so there are at most d2
+    over the smallest edge distance rounds; and at most d2 over the
+    smallest distance of an edge on a cycle (inside a strongly connected
+    component) plus n, since a walk leaves a component at most n - 1 times.
     """
     n = incoming.shape[0]
+    if d1 > 0:
+        _, comp = csgraph.connected_components(incoming, connection="strong")
+        on_cycle = comp[np.repeat(np.arange(n), np.diff(incoming.indptr))] == comp[incoming.indices]
+        least = incoming.data.min(initial=math.inf), incoming.data[on_cycle].min(initial=math.inf)
+        rounds = min(d2 / least[0], d2 / least[1] + n)
+        if rounds > MAX_FLOOD_ROUNDS:
+            interval = f"[{format_number(float(d1))}, {format_number(float(d2))}]"
+            raise SemanticError(
+                f"reach over distances {interval} needs about {rounds:.3g} flooding rounds, "
+                f"more than MAX_FLOOD_ROUNDS = {MAX_FLOOD_ROUNDS}"
+            )
     x1, target = np.asarray(s1), np.asarray(s2)
     bottom = domain.bottom
     prune = d1 == 0
@@ -496,10 +526,7 @@ def escape(
     graphs, adding locations in descending s1 order to a union-find would
     give every pair's value in O(n^2 + m).
     """
-    d1 = interval.lo
-    d2 = math.inf if interval.hi is None else interval.hi
-    if not d1 <= d2:
-        raise SemanticError(f"malformed distance interval [{d1}, {d2}]")
+    d1, d2 = interval.lo, interval.hi
     dist = min_distance_matrix(model, f)
     x1 = np.asarray(s1)
     n = model.location_count

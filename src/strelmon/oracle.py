@@ -112,19 +112,17 @@ def _eval(ctx: MonitorContext, node: Formula) -> tuple[list[float], list[list[An
         start, end, base = _merged(children)
         r1 = [[_value_at(t1, v1[loc], t) for t in base] for loc in range(n)]
         r2 = [[_value_at(t2, v2[loc], t) for t in base] for loc in range(n)]
-        lo = node.interval.lo
-        hi = node.interval.hi
+        lo, hi = node.interval.lo, node.interval.hi
+        lost = hi if hi < math.inf else lo
         if isinstance(node, Until):
-            out_end = (end - hi) if hi is not None else (end - lo)
-            out_start = start
+            out_start, out_end = start, end - lost
         else:
-            out_end = end
-            out_start = start + (hi if hi is not None else lo)
+            out_start, out_end = start + lost, end
         if out_start > out_end:
             raise SemanticError("temporal interval exceeds the trace horizon")
         grid = {out_start, out_end}
         for t in base:
-            for shift in (0.0, lo) + ((hi,) if hi is not None else ()):
+            for shift in (0.0, lo, hi):
                 for cand in (t - shift, t + shift):
                     if out_start <= cand <= out_end:
                         grid.add(cand)
@@ -134,14 +132,12 @@ def _eval(ctx: MonitorContext, node: Formula) -> tuple[list[float], list[list[An
             row = []
             for t in times:
                 if isinstance(node, Until):
-                    w_lo = t + lo
-                    w_hi = (t + hi) if hi is not None else end
+                    w_lo, w_hi = t + lo, min(t + hi, end)
                     row.append(
                         _window_value(dom, base, r1[loc], r2[loc], t, w_lo, w_hi, future=True)
                     )
                 else:
-                    w_hi = t - lo
-                    w_lo = (t - hi) if hi is not None else start
+                    w_lo, w_hi = max(t - hi, start), t - lo
                     row.append(
                         _window_value(dom, base, r1[loc], r2[loc], t, w_lo, w_hi, future=False)
                     )
@@ -192,8 +188,7 @@ def _eval_spatial(ctx: MonitorContext, node, binary: bool):
     _, end, times = _merged(children, ctx.model.snapshot_times())
     (t1, v1, _), (t2, v2, _) = children[0], children[-1]
     f = ctx.distances[node.distance]
-    lo = node.interval.lo
-    hi = math.inf if node.interval.hi is None else node.interval.hi
+    lo, hi = node.interval.lo, node.interval.hi
     values: list[list[Any]] = [[] for _ in range(n)]
     for t in times:
         model = ctx.model.snapshot_at(t)

@@ -24,6 +24,7 @@ from .logic import (
     Escape,
     Eventually,
     Everywhere,
+    FULL,
     Formula,
     Globally,
     Interval,
@@ -45,8 +46,6 @@ from .space import (
     euclidean_model,
     undirected_model,
 )
-
-FULL = Interval(0.0, UNBOUNDED)
 
 # SEIR state encoding used by the single trace variable "state"
 SUSCEPTIBLE, EXPOSED, INFECTED, RECOVERED = 0, 1, 2, 3

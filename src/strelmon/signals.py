@@ -6,8 +6,8 @@ closed end of the domain.  A spatio-temporal signal (a verdict per location
 and time) is stored as columns: one step grid shared by every location and
 a steps x locations array, with canonical runs; its per-location temporal
 signals are built on demand, only for output.  Traces are vector-valued
-inputs, one temporal signal per location, and cache their union step grid
-as one array for the monitor's atoms.
+inputs, one temporal signal per location as given, and cache their union
+step grid as one array for the monitor's atoms.
 """
 
 from __future__ import annotations
@@ -216,26 +216,23 @@ class Trace:
     @cached_property
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
         """The union step grid, and the variables on it as a read-only
-        steps x locations x variables float64 array."""
+        steps x locations x variables float64 array.  A NaN value is a
+        ``SignalError`` naming its first cell; +-inf are values like any other."""
         times, data = _on_grid(self.signals, float)
+        if np.isnan(data).any():
+            k, loc, var = np.argwhere(np.isnan(data))[0].tolist()
+            raise SignalError(
+                f"location {loc} holds NaN for {self.variables[var]!r} at time {format_number(times[k].item())}"
+            )
         data.flags.writeable = False
         return times, data
-
-
-def resample_to_union(trace: Trace) -> Trace:
-    """Give every location the same step grid (union of all step times)."""
-    times, data = trace.grid
-    times = tuple(times.tolist())
-    columns = data.transpose(1, 0, 2).tolist()
-    return Trace(trace.variables, tuple(
-        TemporalSignal(times, tuple(map(tuple, column)), trace.end_time) for column in columns
-    ))
 
 
 def load_trace(path: str) -> Trace:
     """Read a trace CSV: header location,time,<var...>, rows sorted by (location, time).
 
-    Times and values must be finite numbers.
+    Times and values must be finite numbers.  Each location keeps its own
+    steps; ``Trace.grid`` puts them on one grid for the monitor.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -286,7 +283,7 @@ def load_trace(path: str) -> Trace:
         )
         for loc in locations
     )
-    return resample_to_union(Trace(variables, signals))
+    return Trace(variables, signals)
 
 
 def save_trace(trace: Trace, path: str) -> None:

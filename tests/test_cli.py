@@ -158,6 +158,21 @@ def test_monitor_huge_finite_distance_bound(tmp_path, domain):
     assert {row[-1] for row in outputs[0]} == {"1" if domain == "boolean" else "inf"}
 
 
+@pytest.mark.parametrize("interval", ["[1e17,inf]", "[1e17,1e17]"])
+def test_monitor_flooding_over_the_round_budget_exit_code(tmp_path, capsys, interval):
+    """With a lower bound of 1e17 hops the flooding would run about 1e17
+    rounds, and past 2**53 ``d + 1 == d``, so it never ended; it is now a
+    one-line error with exit code 2."""
+    out = str(tmp_path / "net")
+    assert main(["simulate", "manet", "--seed", "1", "--out", out]) == 0
+    capsys.readouterr()
+    argv = ["monitor", "--model", f"{out}.connectivity.json", "--trace", f"{out}.trace.csv"]
+    with deadline(10):
+        assert main(argv + ["--formula", f"true reach(hop){interval} coord"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "1e+17" in err[0] and "MAX_FLOOD_ROUNDS" in err[0], err
+
+
 def test_monitor_name_error_exit_code(tmp_path, capsys):
     model, trace = write_network16(tmp_path)
     code = main(["monitor", "--model", model, "--trace", trace, "--formula", "nosuch"])

@@ -9,6 +9,7 @@ from strelmon.logic import (
     Atomic,
     Escape,
     Eventually,
+    Everywhere,
     FULL,
     Globally,
     Interval,
@@ -17,7 +18,9 @@ from strelmon.logic import (
     Or,
     ParseError,
     Reach,
+    Since,
     Somewhere,
+    Surround,
     TRUE,
     UNBOUNDED,
     Until,
@@ -155,6 +158,52 @@ def test_interval_validation():
         Interval(-1.0, 2.0)
     with pytest.raises(ValueError):
         Interval(3.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(math.nan, 2.0), (0.0, math.nan), (math.nan, math.nan), (math.nan, None), (-1.0, 2.0),
+     (-math.inf, 0.0), (3.0, 2.0), (math.inf, 2.0)],
+)
+def test_interval_rejects_nan_negative_and_inverted_bounds(lo, hi):
+    """Interval is the one place that checks bounds; NaN fails every
+    comparison, so F[nan,2] p used to be a silent false and F[0,nan] p a
+    verdict ending at NaN."""
+    bad_lo = not lo >= 0
+    with pytest.raises(ValueError, match="lower bound must be nonnegative" if bad_lo else "malformed"):
+        Interval(lo, hi)
+
+
+def test_none_upper_bound_is_infinity():
+    """math.inf is the one unbounded upper bound; a passed None reads as it."""
+    assert Interval(0, None) == Interval(0, math.inf) == FULL
+    assert hash(Interval(0, None)) == hash(Interval(0, math.inf))
+    assert Interval(1.5, None).hi == math.inf and not Interval(1.5, None).bounded
+    for interval in (Interval(0, None), Interval(1, 2), Interval(math.inf, math.inf)):
+        assert type(interval.lo) is float and type(interval.hi) is float
+
+
+def test_roundtrip_with_infinite_upper_bounds():
+    """Every interval-carrying operator whose text admits an unbounded
+    interval prints it so that it parses back; F and G over [0, inf] print
+    without one.  Temporal text keeps finite bounds, so U, S and F/G with a
+    positive lower bound have no unbounded text form."""
+    a, b = Atomic("a"), Atomic("b")
+    cases = [Eventually(Interval(0, math.inf), a), Globally(Interval(0, None), a)]
+    for lo in (0.0, 1.5, math.inf):
+        i = Interval(lo, math.inf)
+        cases += [Reach(i, "hop", a, b), Surround(i, "hop", a, b), Escape(i, "hop", a)]
+        cases += [Somewhere(i, "weight", a), Everywhere(i, "weight", a)]
+    for f in cases:
+        text = format_formula(f)
+        assert parse(text) == f, text
+    for f in cases[2:]:
+        assert parse(format_formula(desugar(f))) == desugar(f), f
+    assert format_formula(cases[0]) == "F a" and format_formula(cases[1]) == "G a"
+    no_text = [Until(Interval(0, math.inf), a, b), Since(Interval(1, None), a, b)]
+    for f in no_text + [Eventually(Interval(1, None), a)]:
+        with pytest.raises(ParseError, match="requires a bounded interval"):
+            parse(format_formula(f))
 
 
 def test_desugar_somewhere():

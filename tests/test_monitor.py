@@ -50,7 +50,16 @@ from strelmon.oracle import (
     simple_path_escape,
     walk_reach,
 )
-from strelmon.signals import SignalError, SpatioTemporalSignal, TemporalSignal, Trace, canonical, run_starts
+from strelmon.signals import (
+    SignalError,
+    SpatioTemporalSignal,
+    TemporalSignal,
+    Trace,
+    canonical,
+    load_trace,
+    run_starts,
+    save_trace,
+)
 from strelmon.space import (
     DynamicalSpatialModel,
     build_spatial_model,
@@ -248,6 +257,54 @@ def test_since_trivial_cases():
     assert out.value_at(1) is True
     both_top = monitor_since(Interval(0, 1), s_top, s_top, BOOL)
     assert all(v is True for v in both_top.values)
+
+
+@pytest.mark.parametrize("domain", [BOOL, QUANT])
+def test_infinite_upper_bound_runs_to_the_trace_edge(domain):
+    """An upper bound of inf is the unbounded window, like the omitted one:
+    until and since lose only the lower bound and fold to the trace edge.
+    (Interval(lo, inf) used to lose inf and raise an empty domain.)"""
+    rng = random.Random(1301)
+    for _ in range(40):
+        grid = [i / 8 for i in range(rng.randint(2, 17))]
+        pool = [False, True] if domain is BOOL else [-1.0, 0.0, 0.5, 2.0, math.inf]
+
+        def signal():
+            times = [0.0] + sorted(rng.sample(grid[1:-1], rng.randint(0, len(grid) - 2)))
+            return TemporalSignal(tuple(times), tuple(rng.choice(pool) for _ in times), grid[-1])
+
+        s1, s2 = signal(), signal()
+        lo = rng.choice([0, 1, 3]) / 8
+        if lo > grid[-1]:
+            continue
+        for kernel, reference in ((monitor_until, until_reference), (monitor_since, since_reference)):
+            got = kernel(Interval(lo, math.inf), s1, s2, domain)
+            assert got == kernel(Interval(lo, None), s1, s2, domain)
+            want = reference(Interval(lo, math.inf), s1, s2, domain)
+            assert (got.times, one_zero(got.values), got.end_time) == (
+                want.times, one_zero(want.values), want.end_time
+            )
+            assert got.end_time == (grid[-1] - lo if kernel is monitor_until else grid[-1])
+            assert got.start == (0.0 if kernel is monitor_until else lo)
+
+
+def test_equal_unbounded_intervals_share_one_evaluation(monkeypatch):
+    """Interval(0, None) and Interval(0, inf) are one interval, so the two
+    conjuncts of F[0,None] p & F[0,inf] p are one cached subformula."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return until(*args)
+
+    until = engine.monitor_until
+    monkeypatch.setattr(engine, "monitor_until", counting)
+    trace = Trace(("p",), (sig([(0.0, (0.0,)), (1.0, (1.0,))], 2.0),))
+    ctx = MonitorContext(DynamicalSpatialModel.static(build_spatial_model(1, [])), trace, BOOL)
+    p = Atomic("p")
+    out = monitor(ctx, And(Eventually(Interval(0, None), p), Eventually(Interval(0, math.inf), p)))
+    assert calls == [Interval(0.0, math.inf)]
+    assert out.values.tolist() == [[True]] and out.end_time == 2.0
 
 
 # The sample-loop sweeps the segment kernel replaced, kept verbatim as a
@@ -850,6 +907,40 @@ def test_reach_with_infinite_lower_bound():
 
 
 @pytest.mark.parametrize("domain", [BOOL, QUANT])
+def test_flooding_over_the_round_budget_is_one_line_error(domain):
+    """With d1 > 0 nothing prunes a cycle: a 2-cycle under hop floods d2
+    rounds, and [1e17,1e17] never ended (past 2**53, d + 1 == d).  Above
+    MAX_FLOOD_ROUNDS, estimated before the first round, reach is a
+    one-line SemanticError naming the distances and the rounds."""
+    two_cycle = build_spatial_model(2, [(0, 1.0, 1), (1, 1.0, 0)])
+    s1, s2 = [domain.top] * 2, [domain.top, domain.bottom]
+    over = engine.MAX_FLOOD_ROUNDS + 1
+    cases = [(Interval(over, over), f"[{over}, {over}]", f"{over:.3g}")]
+    cases += [(Interval(1e17, hi), "[1e+17, 1e+17]", "1e+17") for hi in (1e17, math.inf)]
+    with deadline(10):
+        for interval, distances, rounds in cases:
+            with pytest.raises(SemanticError) as err:
+                reach(two_cycle, hop_distance(), interval, s1, s2, domain)
+            assert str(err.value) == (
+                f"reach over distances {distances} needs about {rounds} flooding rounds, "
+                f"more than MAX_FLOOD_ROUNDS = {engine.MAX_FLOOD_ROUNDS}"
+            )
+        # below the budget the walks of exactly 21 hops from 0 end at 1
+        got = reach(two_cycle, hop_distance(), Interval(21, 21), s1, s2, domain).tolist()
+        assert got == [domain.bottom, domain.top]
+        # an edge on no cycle counts once, however short: 2 rounds, not 2e6
+        path = build_spatial_model(3, [(0, 1e-6, 1), (1, 1.0, 2)])
+        ends = [domain.bottom, domain.bottom, domain.top]
+        got = reach(path, weight_sum_distance(), Interval(1, 2), [domain.top] * 3, ends, domain)
+        assert got.tolist() == [domain.top, domain.top, domain.bottom]
+        # nor are the over-budget many locations of a chain, if d2 is short
+        chain = build_spatial_model(over + 1, [(i, 1.0, i + 1) for i in range(over)])
+        ends = [domain.bottom] * over + [domain.top]
+        got = reach(chain, hop_distance(), Interval(1, 1), [domain.top] * (over + 1), ends, domain)
+        assert got.tolist() == ends[1:] + [domain.bottom]
+
+
+@pytest.mark.parametrize("domain", [BOOL, QUANT])
 def test_escape_matches_simple_path_enumeration(domain):
     rng = random.Random(103)
     f = weight_sum_distance()
@@ -1438,6 +1529,76 @@ def test_interpretation_cannot_write_into_the_trace():
         monitor(ctx, parse("shifted"))
     assert trace.grid[1].tolist() == [[[0.5]], [[2.0]]]
     assert monitor(ctx, parse("x > 1")).signals[0].values == (False, True)
+
+
+def test_nan_trace_value_is_an_error_not_a_verdict():
+    """A NaN in a library-built trace used to give a NaN verdict at its
+    cell and spread to the neighbours through reach; the trace grid every
+    atom reads now names the cell."""
+    model = DynamicalSpatialModel.static(build_spatial_model(2, [(0, 1.0, 1), (1, 1.0, 0)]))
+    trace = Trace(("x",), (sig([(0.0, (math.nan,))], 1.0), sig([(0.0, (1.0,))], 1.0)))
+    for domain in (BOOL, QUANT):
+        ctx = MonitorContext(model, trace, domain, standard_distances())
+        for text in ("x > 0", "true reach(hop)[0,2] (x > 0)"):
+            with pytest.raises(SignalError, match=r"^location 0 holds NaN for 'x' at time 0$"):
+                monitor(ctx, parse(text))
+
+
+@pytest.mark.parametrize("domain", [BOOL, QUANT])
+def test_asynchronous_csv_trace_gives_the_in_memory_verdicts(domain, tmp_path):
+    """load_trace keeps each location's own steps, and the monitor puts
+    them on one grid: a saved asynchronous trace, loaded back, gives the
+    verdicts of the trace it was saved from, bit for bit."""
+    rng = random.Random(1303)
+    compared = 0
+    for trial in range(40):
+        n = rng.randint(1, 6)
+        grid = [i / 10 for i in range(rng.randint(2, 12))]
+        signals = []
+        for loc in range(n):
+            inner = sorted(rng.sample(grid[1:-1], rng.randint(0, len(grid) - 2)))
+            # the file keeps no end time; location 0 steps at the end
+            times = (0.0, *inner) + ((grid[-1],) if loc == 0 else ())
+            values = tuple((rng.randint(-4, 4) / 4, float(rng.randint(0, 1))) for _ in times)
+            signals.append(TemporalSignal(times, values, grid[-1]))
+        trace = Trace(("x", "y"), tuple(signals))
+        path = tmp_path / f"{trial}.csv"
+        save_trace(trace, str(path))
+        model = DynamicalSpatialModel.static(random_model(rng, n, 8))
+        ctx = MonitorContext(model, trace, domain, standard_distances())
+        back = MonitorContext(model, load_trace(str(path)), domain, standard_distances())
+        assert [s.times for s in back.trace.signals] == [s.times for s in signals]
+        for formula in [random_formula(rng, rng.randint(0, 3)) for _ in range(4)]:
+            try:
+                want = monitor(ctx, formula)
+            except SemanticError:
+                with pytest.raises(SemanticError):
+                    monitor(back, formula)
+                continue
+            got = monitor(back, formula)
+            assert got.times.tobytes() == want.times.tobytes(), formula
+            assert got.values.tobytes() == want.values.tobytes(), formula
+            assert got.end_time == want.end_time
+            compared += 1
+    assert compared > 80
+
+
+def test_interpretation_returning_nan_is_one_line_error():
+    """NaN from an interpretation is a SemanticError in both domains (a
+    Boolean cast used to read it as true); +-inf are values."""
+    trace = Trace(("x",), tuple(sig([(0.0, (v,))], 1.0) for v in (0.0, 1.0)))
+    model = DynamicalSpatialModel.static(build_spatial_model(2, [(0, 1.0, 1)]))
+    interpretation = {
+        "odd": lambda d: np.where(d[..., 0] > 0, math.nan, 1.0),
+        "far": lambda d: np.where(d[..., 0] > 0, math.inf, -math.inf),
+    }
+    for domain in (BOOL, QUANT):
+        ctx = MonitorContext(model, trace, domain, interpretation=interpretation)
+        with pytest.raises(SemanticError) as err:
+            monitor(ctx, parse("odd"))
+        assert str(err.value) == "interpretation of atom 'odd' returned NaN"
+    ctx = MonitorContext(model, trace, QUANT, interpretation=interpretation)
+    assert monitor(ctx, parse("far")).values.tolist() == [[-math.inf, math.inf]]
 
 
 def test_network16_reach_verdicts():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from conftest import (
     standard_distances,
 )
 from strelmon.algebra import boolean_domain, maxmin_domain
-from strelmon.logic import parse
+from strelmon.logic import Eventually, Globally, Interval, Since, Until, parse
 from strelmon.monitor import MonitorContext, SemanticError, monitor
 from strelmon.oracle import OracleLimitError, oracle_monitor
 from strelmon.signals import TemporalSignal, Trace
@@ -40,6 +41,38 @@ def test_monitor_equals_oracle_boolean():
 
 def test_monitor_equals_oracle_quantitative():
     assert run_equivalence(seed=9002, rounds=120, domain=maxmin_domain(), tol=1e-9) == 120
+
+
+@pytest.mark.parametrize("domain", [boolean_domain(), maxmin_domain()], ids=["boolean", "quantitative"])
+def test_monitor_equals_oracle_on_infinite_upper_bounds(domain):
+    """U, S, F and G over Interval(lo, inf), nested and over random
+    subformulas, agree with the oracle: both fold to the trace edge and lose
+    only the lower bound."""
+    rng = random.Random(9013)
+
+    def unbounded(depth, top=False):
+        if depth == 0 or not top and rng.random() < 0.25:
+            return random_formula(rng, rng.randint(0, 2))
+        interval = Interval(rng.choice([0.0, 0.0, 0.25, 0.5, 1.0]), math.inf)
+        op = rng.choice([Until, Since, Eventually, Globally])
+        if op in (Until, Since):
+            return op(interval, unbounded(depth - 1), unbounded(depth - 1))
+        return op(interval, unbounded(depth - 1))
+
+    checked = 0
+    for _ in range(200):
+        dm, trace = random_instance(rng, domain)
+        formula = unbounded(rng.randint(1, 3), top=True)
+        ctx = MonitorContext(model=dm, trace=trace, domain=domain, distances=standard_distances())
+        try:
+            got = monitor(ctx, formula)
+        except SemanticError:
+            with pytest.raises(SemanticError):
+                oracle_monitor(ctx, formula)
+            continue
+        compare_spatiotemporal(got, oracle_monitor(ctx, formula), domain, tol=1e-9)
+        checked += 1
+    assert checked > 100
 
 
 def test_oracle_agrees_on_network16_suite(network16_ctx):

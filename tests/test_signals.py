@@ -10,7 +10,6 @@ from strelmon.signals import (
     TemporalSignal,
     Trace,
     load_trace,
-    resample_to_union,
     save_trace,
 )
 
@@ -83,22 +82,6 @@ def test_trace_validation():
         Trace(("x",), (sig([(0, (1.0,))], 2), sig([(0, (1.0,))], 3)))
 
 
-def test_resample_to_union():
-    t = Trace(
-        ("x",),
-        (
-            sig([(0, (1.0,)), (2, (3.0,))], 4),
-            sig([(0, (5.0,)), (3, (6.0,))], 4),
-        ),
-    )
-    r = resample_to_union(t)
-    assert r.signals[0].times == (0, 2, 3)
-    assert r.signals[1].times == (0, 2, 3)
-    for loc in range(2):
-        for probe in (0, 1.5, 2, 2.5, 3, 4):
-            assert r.signals[loc].value_at(probe) == t.signals[loc].value_at(probe)
-
-
 def test_trace_csv_roundtrip(tmp_path):
     t = Trace(
         ("x", "flag"),
@@ -111,10 +94,25 @@ def test_trace_csv_roundtrip(tmp_path):
     save_trace(t, str(path))
     back = load_trace(str(path))
     assert back.variables == t.variables
-    resampled = resample_to_union(t)
     for loc in range(2):
-        assert back.signals[loc].times == resampled.signals[loc].times
-        assert back.signals[loc].values == resampled.signals[loc].values
+        assert back.signals[loc].times == t.signals[loc].times
+        assert back.signals[loc].values == t.signals[loc].values
+
+
+def test_trace_grid_rejects_nan_naming_its_first_cell():
+    t = Trace(
+        ("x", "y"),
+        (
+            sig([(0.0, (1.0, 2.0)), (2.0, (float("inf"), float("nan")))], 4.0),
+            sig([(0.0, (0.0, 0.0)), (1.5, (float("nan"), -float("inf")))], 4.0),
+        ),
+    )
+    with pytest.raises(SignalError) as err:
+        t.grid
+    assert str(err.value) == "location 1 holds NaN for 'x' at time 1.5"
+    # +-inf are values like any other
+    _, data = Trace(t.variables, (sig([(0.0, (float("inf"), -float("inf")))], 1.0),)).grid
+    assert data.tolist() == [[[float("inf"), -float("inf")]]]
 
 
 def test_load_trace_rejects_unsorted(tmp_path):
