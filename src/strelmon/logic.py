@@ -5,7 +5,7 @@ The grammar, with `|` binding loosest and unary operators tightest:
     formula  := or ;
     or       := and { "|" and } ;
     and      := temporal { "&" temporal } ;
-    temporal := unary { ("U"|"S") interval unary
+    temporal := unary { ("U"|"S") [interval] unary
                       | "reach" "(" ident ")" [interval] unary
                       | "surround" "(" ident ")" [interval] unary } ;
     unary    := "!" unary | "F" [interval] unary | "G" [interval] unary
@@ -16,10 +16,10 @@ The grammar, with `|` binding loosest and unary operators tightest:
     interval := "[" (number | "inf") "," (number | "inf") "]" ;
     atom     := ident | ident cmp number ; cmp := ">"|"<"|">="|"<=" ;
 
-Binary operators are left-associative.  An omitted interval means [0, inf].
-`inf` is a number: ``Interval(lo, math.inf)`` is the one unbounded interval.
-The text admits it only as a distance bound (surround's escape uses [inf,
-inf]); an omitted F/G interval runs to the trace horizon.
+Binary operators are left-associative.  Every operator takes the same
+optional interval, each bound a number or `inf`; an omitted one means
+[0, inf].  ``Interval(lo, math.inf)`` is the one unbounded interval: a
+temporal one runs to the trace edge.
 """
 
 from __future__ import annotations
@@ -84,6 +84,8 @@ class Atomic(Formula):
             raise ValueError("comparison atoms need both op and threshold")
         if self.op is not None and self.op not in (">", "<", ">=", "<="):
             raise ValueError(f"unknown comparison operator {self.op!r}")
+        if self.threshold is not None and not math.isfinite(self.threshold):
+            raise ValueError(f"comparison threshold must be finite, got {self.threshold}")
 
 
 TRUE = Atomic("true")
@@ -178,7 +180,14 @@ MAX_DEPTH = 200
 # core-tree levels each operator adds once desugared (all others add one)
 _CORE_LEVELS = {Or: 3, Globally: 3, Everywhere: 3, Surround: 6}
 
-KEYWORDS = {"U", "S", "F", "G", "reach", "escape", "somewhere", "everywhere", "surround", "inf"}
+# operator keyword -> node class; the spatial ones name a distance function
+_BINARY = {"U": Until, "S": Since, "reach": Reach, "surround": Surround}
+_UNARY = {"F": Eventually, "G": Globally, "escape": Escape, "somewhere": Somewhere,
+          "everywhere": Everywhere}
+_SPATIAL = (Reach, Surround, Escape, Somewhere, Everywhere)
+_KEYWORD = {cls: word for word, cls in {**_BINARY, **_UNARY}.items()}
+
+KEYWORDS = {*_BINARY, *_UNARY, "inf"}
 
 _TOKEN_RE = re.compile(
     r"""
@@ -247,9 +256,12 @@ class _Parser:
         return self.advance()
 
     def build(self, tok: _Token, cls, *fields) -> Formula:
-        """Build a node at an operator token, refusing it once its desugared
-        tree gets deeper than MAX_DEPTH."""
-        node = cls(*fields)
+        """Build a node at a token, refusing invalid fields and a desugared
+        tree deeper than MAX_DEPTH there."""
+        try:
+            node = cls(*fields)
+        except ValueError as exc:
+            raise ParseError(str(exc), tok.line, tok.column) from None
         below = [self.heights[id(f)] for f in fields if isinstance(f, Formula)]
         height = _CORE_LEVELS.get(cls, 1) + max(below, default=0)
         if height > MAX_DEPTH:
@@ -279,22 +291,11 @@ class _Parser:
 
     def parse_temporal(self) -> Formula:
         node = self.parse_unary()
-        while True:
-            tok = self.peek()
-            if tok.kind == "ident" and tok.text in ("U", "S"):
-                self.advance()
-                interval = self.parse_interval(temporal=True, operator=tok.text)
-                right = self.parse_unary()
-                node = self.build(tok, Until if tok.text == "U" else Since, interval, node, right)
-            elif tok.kind == "ident" and tok.text in ("reach", "surround"):
-                self.advance()
-                dist = self.parse_distance_name()
-                interval = self.parse_optional_interval(operator=tok.text)
-                right = self.parse_unary()
-                cls = Reach if tok.text == "reach" else Surround
-                node = self.build(tok, cls, interval, dist, node, right)
-            else:
-                return node
+        while (tok := self.peek()).kind == "ident" and tok.text in _BINARY:
+            self.advance()
+            cls = _BINARY[tok.text]
+            node = self.build(tok, cls, *self.parse_head(cls), node, self.parse_unary())
+        return node
 
     def parse_unary(self) -> Formula:
         tok = self.peek()
@@ -304,17 +305,10 @@ class _Parser:
         if tok.text == "!":
             self.advance()
             node = self.build(tok, Not, self.parse_unary())
-        elif tok.kind == "ident" and tok.text in ("F", "G"):
+        elif tok.kind == "ident" and tok.text in _UNARY:
             self.advance()
-            interval = self.parse_optional_interval(operator=tok.text, temporal=True)
-            cls = Eventually if tok.text == "F" else Globally
-            node = self.build(tok, cls, interval, self.parse_unary())
-        elif tok.kind == "ident" and tok.text in ("escape", "somewhere", "everywhere"):
-            self.advance()
-            dist = self.parse_distance_name()
-            interval = self.parse_optional_interval(operator=tok.text)
-            ctor = {"escape": Escape, "somewhere": Somewhere, "everywhere": Everywhere}[tok.text]
-            node = self.build(tok, ctor, interval, dist, self.parse_unary())
+            cls = _UNARY[tok.text]
+            node = self.build(tok, cls, *self.parse_head(cls), self.parse_unary())
         elif tok.text == "(":
             self.advance()
             node = self.parse_or()
@@ -336,7 +330,7 @@ class _Parser:
             if num.kind != "number":
                 raise self.error("expected a number after comparison operator", ("number",))
             self.advance()
-            return self.build(tok, Atomic, tok.text, op, float(num.text))
+            return self.build(num, Atomic, tok.text, op, float(num.text))
         return self.build(tok, Atomic, tok.text)
 
     def parse_distance_name(self) -> str:
@@ -348,37 +342,34 @@ class _Parser:
         self.expect(")")
         return tok.text
 
-    def parse_optional_interval(self, operator: str, temporal: bool = False) -> Interval:
-        if self.peek().text == "[":
-            return self.parse_interval(temporal=temporal, operator=operator)
-        return FULL
+    def parse_head(self, cls) -> tuple:
+        """The fields an operator keyword is followed by: an interval, and
+        first the distance name of a spatial operator."""
+        if cls in _SPATIAL:
+            dist = self.parse_distance_name()
+            return self.parse_interval(), dist
+        return (self.parse_interval(),)
 
-    def parse_interval(self, temporal: bool, operator: str) -> Interval:
-        self.expect("[")
+    def parse_interval(self) -> Interval:
+        """An optional [lo, hi], each bound a number or inf; [0, inf] if omitted."""
+        if self.peek().text != "[":
+            return FULL
+        self.advance()
         lo_tok = self.peek()
-        if lo_tok.kind != "number" and (temporal or lo_tok.text != "inf"):
-            what, expected = ("a number", ("number",)) if temporal else ("a number or 'inf'", ("number", "inf"))
-            raise self.error(f"expected {what} as interval lower bound", expected)
-        self.advance()
-        lo = float(lo_tok.text)
+        lo = self.parse_bound("lower")
         self.expect(",")
-        hi_tok = self.peek()
-        if hi_tok.kind != "number" and hi_tok.text != "inf":
-            raise self.error("expected a number or 'inf' as interval upper bound", ("number", "inf"))
-        if temporal and hi_tok.text == "inf":
-            raise ParseError(
-                f"temporal operator {operator!r} requires a bounded interval",
-                hi_tok.line,
-                hi_tok.column,
-                ("number",),
-            )
-        self.advance()
-        hi = float(hi_tok.text)
+        hi = self.parse_bound("upper")
         self.expect("]")
         try:
             return Interval(lo, hi)
         except ValueError as exc:
             raise ParseError(str(exc), lo_tok.line, lo_tok.column) from None
+
+    def parse_bound(self, which: str) -> float:
+        tok = self.peek()
+        if tok.kind != "number" and tok.text != "inf":
+            raise self.error(f"expected a number or 'inf' as interval {which} bound", ("number", "inf"))
+        return float(self.advance().text)
 
 
 def parse(text: str) -> Formula:
@@ -395,8 +386,15 @@ def format_number(x: float) -> str:
     return repr(x)
 
 
-def _fmt_interval(i: Interval) -> str:
-    return f"[{format_number(i.lo)},{format_number(i.hi)}]"
+def _head(node: Formula) -> str:
+    """An operator's keyword, distance name and interval as the parser reads
+    them; F and G over [0, inf] print without the interval."""
+    text = _KEYWORD[type(node)]
+    if isinstance(node, _SPATIAL):
+        text += f"({node.distance})"
+    if node.interval == FULL and isinstance(node, (Eventually, Globally)):
+        return text
+    return f"{text}[{format_number(node.interval.lo)},{format_number(node.interval.hi)}]"
 
 
 # precedence levels for printing; higher binds tighter
@@ -413,41 +411,21 @@ def _fmt(node: Formula, parent_level: int) -> str:
         return f"{node.name} {node.op} {format_number(node.threshold)}"
     if isinstance(node, Not):
         return "!" + _fmt(node.child, _LEVEL_UNARY)
-    if isinstance(node, (Eventually, Globally)):
-        op = "F" if isinstance(node, Eventually) else "G"
-        if node.interval == FULL:
-            return f"{op} {_fmt(node.child, _LEVEL_UNARY)}"
-        return f"{op}{_fmt_interval(node.interval)} {_fmt(node.child, _LEVEL_UNARY)}"
-    if isinstance(node, (Escape, Somewhere, Everywhere)):
-        op = {Escape: "escape", Somewhere: "somewhere", Everywhere: "everywhere"}[type(node)]
-        body = f"{op}({node.distance}){_fmt_interval(node.interval)} {_fmt(node.child, _LEVEL_UNARY)}"
-        return body
+    if isinstance(node, (Eventually, Globally, Escape, Somewhere, Everywhere)):
+        return f"{_head(node)} {_fmt(node.child, _LEVEL_UNARY)}"
     if isinstance(node, (And, Or)):
         level = _LEVEL_AND if isinstance(node, And) else _LEVEL_OR
         op = "&" if isinstance(node, And) else "|"
         text = f"{_fmt(node.left, level)} {op} {_fmt(node.right, level + 1)}"
         return f"({text})" if level < parent_level else text
-    if isinstance(node, (Until, Since)):
-        op = "U" if isinstance(node, Until) else "S"
-        text = (
-            f"{_fmt(node.left, _LEVEL_TEMPORAL)} {op}{_fmt_interval(node.interval)} "
-            f"{_fmt(node.right, _LEVEL_UNARY)}"
-        )
-        return f"({text})" if _LEVEL_TEMPORAL < parent_level else text
-    if isinstance(node, (Reach, Surround)):
-        op = "reach" if isinstance(node, Reach) else "surround"
-        text = (
-            f"{_fmt(node.left, _LEVEL_TEMPORAL)} {op}({node.distance})"
-            f"{_fmt_interval(node.interval)} {_fmt(node.right, _LEVEL_UNARY)}"
-        )
+    if isinstance(node, (Until, Since, Reach, Surround)):
+        text = f"{_fmt(node.left, _LEVEL_TEMPORAL)} {_head(node)} {_fmt(node.right, _LEVEL_UNARY)}"
         return f"({text})" if _LEVEL_TEMPORAL < parent_level else text
     raise TypeError(f"not a formula node: {node!r}")
 
 
 def format_formula(node: Formula) -> str:
-    """Inverse of parse up to whitespace: parse(format_formula(f)) == f.
-    Unbounded temporal intervals have no text form, except F/G over [0, inf]
-    (printed bare)."""
+    """Inverse of parse up to whitespace: parse(format_formula(f)) == f."""
     return _fmt(node, 0)
 
 

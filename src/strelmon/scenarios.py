@@ -11,8 +11,8 @@ stable across platforms, so equal seeds give identical models and traces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Any, Callable, Mapping, Sequence
+from dataclasses import dataclass, is_dataclass, replace
+from typing import Any, Callable, Mapping, Sequence, get_type_hints
 
 import numpy as np
 from scipy.optimize import brentq
@@ -55,15 +55,46 @@ class ConfigError(ValueError):
     pass
 
 
-def _config_from_dict(cls, data: Mapping[str, Any]):
-    known = {f.name for f in fields(cls)}
-    for key in data:
-        if key not in known:
+def _is_number(value: Any) -> bool:
+    """A finite float; json.load also reads NaN, Infinity and integers past
+    the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _field_value(kind, value: Any, name: str) -> Any:
+    """A config field's JSON value checked against its annotation: int fields
+    take integers, float fields finite numbers, bool fields booleans, tuple
+    fields lists of finite numbers, and nested configs objects, checked in
+    turn."""
+    if is_dataclass(kind):
+        if isinstance(value, Mapping):
+            return _config_from_dict(kind, value, name + ".")
+        ok, want = isinstance(value, kind), "an object"
+    elif kind is int:
+        ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif kind is float:
+        ok, want = _is_number(value), "a finite number"
+    elif kind is bool:
+        ok, want = isinstance(value, bool), "true or false"
+    else:  # tuple[float, ...]
+        ok, want = isinstance(value, (list, tuple)) and all(map(_is_number, value)), "a list of finite numbers"
+    if not ok:
+        raise ConfigError(f"config field {name!r} must be {want}, got {value!r}")
+    return tuple(value) if isinstance(value, list) else value
+
+
+def _config_from_dict(cls, data: Mapping[str, Any], prefix: str = ""):
+    types = get_type_hints(cls)
+    kwargs = {}
+    for key, value in data.items():
+        if key not in types:
             raise ConfigError(f"unknown config field {key!r} for {cls.__name__}")
-    kwargs = dict(data)
-    for f in fields(cls):
-        if f.name in kwargs and isinstance(kwargs[f.name], list):
-            kwargs[f.name] = tuple(kwargs[f.name])
+        kwargs[key] = _field_value(types[key], value, prefix + key)
     return cls(**kwargs)
 
 
@@ -112,10 +143,6 @@ class ManetConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ManetConfig":
-        data = dict(data)
-        for name in ("battery", "humidity", "pollution"):
-            if name in data and isinstance(data[name], Mapping):
-                data[name] = _config_from_dict(SignalWalk, data[name])
         return _config_from_dict(cls, data)
 
 
@@ -230,10 +257,6 @@ class EpidemicConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EpidemicConfig":
-        data = dict(data)
-        for name in ("static_degree", "dynamic_degree"):
-            if name in data and isinstance(data[name], Mapping):
-                data[name] = _config_from_dict(DegreeSpec, data[name])
         return _config_from_dict(cls, data)
 
 
@@ -496,6 +519,14 @@ class SweepResult:
         return [(r, float(c.mean()), float(c.std())) for r, c in zip(self.radii, counts)]
 
 
+def _simulations(cfg: EpidemicConfig, runs: int):
+    """(model, trace) of each run, simulated from seeds cfg.seed, cfg.seed + 1, ..."""
+    if runs < 1:
+        raise ConfigError(f"need at least one run, got runs = {runs}")
+    for run in range(runs):
+        yield simulate_epidemic(replace(cfg, seed=cfg.seed + run))
+
+
 def sweep_safe_radius(cfg: EpidemicConfig, radii: Sequence[float], T: float, runs: int,
                       domain: SignalDomain | None = None) -> SweepResult:
     """Monitor the safe-radius property across radii over repeated simulations.
@@ -507,9 +538,7 @@ def sweep_safe_radius(cfg: EpidemicConfig, radii: Sequence[float], T: float, run
     domain = domain or boolean_domain()
     interpretation = epidemic_interpretation(domain)
     counts: list[list[int]] = [[] for _ in radii]
-    for run in range(runs):
-        run_cfg = replace(cfg, seed=cfg.seed + run)
-        model, trace = simulate_epidemic(run_cfg)
+    for model, trace in _simulations(cfg, runs):
         for i, r in enumerate(radii):
             counts[i].append(
                 count_satisfied(model, trace, safe_radius(r, T), domain, interpretation)
@@ -522,9 +551,7 @@ def dangerous_days_counts(cfg: EpidemicConfig, runs: int,
     """Satisfied-location counts of the dangerous-days property, one per run."""
     domain = domain or boolean_domain()
     interpretation = epidemic_interpretation(domain)
-    out = []
-    for run in range(runs):
-        run_cfg = replace(cfg, seed=cfg.seed + run)
-        model, trace = simulate_epidemic(run_cfg)
-        out.append(count_satisfied(model, trace, dangerous_days(), domain, interpretation))
-    return out
+    return [
+        count_satisfied(model, trace, dangerous_days(), domain, interpretation)
+        for model, trace in _simulations(cfg, runs)
+    ]

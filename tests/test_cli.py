@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -158,19 +159,51 @@ def test_monitor_huge_finite_distance_bound(tmp_path, domain):
     assert {row[-1] for row in outputs[0]} == {"1" if domain == "boolean" else "inf"}
 
 
+def simulate_manet(tmp_path, capsys):
+    out = str(tmp_path / "net")
+    assert main(["simulate", "manet", "--seed", "1", "--out", out]) == 0
+    capsys.readouterr()
+    return ["monitor", "--model", f"{out}.connectivity.json", "--trace", f"{out}.trace.csv"]
+
+
 @pytest.mark.parametrize("interval", ["[1e17,inf]", "[1e17,1e17]"])
 def test_monitor_flooding_over_the_round_budget_exit_code(tmp_path, capsys, interval):
     """With a lower bound of 1e17 hops the flooding would run about 1e17
     rounds, and past 2**53 ``d + 1 == d``, so it never ended; it is now a
     one-line error with exit code 2."""
-    out = str(tmp_path / "net")
-    assert main(["simulate", "manet", "--seed", "1", "--out", out]) == 0
-    capsys.readouterr()
-    argv = ["monitor", "--model", f"{out}.connectivity.json", "--trace", f"{out}.trace.csv"]
+    argv = simulate_manet(tmp_path, capsys)
     with deadline(10):
         assert main(argv + ["--formula", f"true reach(hop){interval} coord"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "1e+17" in err[0] and "MAX_FLOOD_ROUNDS" in err[0], err
+
+
+@pytest.mark.parametrize("domain", ["boolean", "quantitative"])
+def test_monitor_unbounded_eventually_text_is_bare_eventually(tmp_path, capsys, domain):
+    """F[0,inf] used to be a parse error; it is the bare F, byte for byte."""
+    argv = simulate_manet(tmp_path, capsys) + ["--domain", domain]
+    outputs = []
+    for i, formula in enumerate(["F coord", "F[0,inf] coord", "F[0,1e999] coord"]):
+        out = tmp_path / f"{i}.csv"
+        assert main(argv + ["--formula", formula, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_monitor_empty_until_domain_exit_code(tmp_path, capsys):
+    """U[inf,inf] parses; its evaluable domain is empty, a one-line error."""
+    argv = simulate_manet(tmp_path, capsys)
+    assert main(argv + ["--formula", "coord U[inf,inf] router"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "evaluable domain of until is empty" in err[0], err
+
+
+@pytest.mark.parametrize("formula", ["battery > 1e400", "battery <= -1e400"])
+def test_monitor_infinite_threshold_exit_code(tmp_path, capsys, formula):
+    argv = simulate_manet(tmp_path, capsys)
+    assert main(argv + ["--formula", formula]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "1:" in err[0] and "threshold must be finite" in err[0], err
 
 
 def test_monitor_name_error_exit_code(tmp_path, capsys):
@@ -375,6 +408,36 @@ def test_simulate_invalid_config_field(tmp_path, capsys):
     assert "wrong_field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, cfg, field",
+    [
+        ("epidemic", {"horizon_days": 2.5}, "horizon_days"),
+        ("epidemic", {"seed": True}, "seed"),
+        ("epidemic", {"include_static": 1}, "include_static"),
+        ("epidemic", {"attendance": [0.1, "0.2"]}, "attendance"),
+        ("epidemic", {"infection_mean": "0.1"}, "infection_mean"),
+        ("epidemic", {"static_degree": {"mean": 5, "p99": None, "cutoff": 9}}, "static_degree.p99"),
+        ("manet", {"steps": 2.5}, "steps"),
+        ("manet", {"node_count": 3.0, "routers": 1, "end_devices": 1}, "node_count"),
+        ("manet", {"battery": [0, 1, 0.1]}, "battery"),
+        ("manet", {"side": math.inf}, "side"),
+        ("manet", {"radius": math.nan}, "radius"),
+        ("manet", {"jitter": 10**400}, "jitter"),
+        ("manet", {"humidity": {"lo": 0, "hi": math.inf, "step": 1}}, "humidity.hi"),
+        ("epidemic", {"attendance": [0.1, math.nan]}, "attendance"),
+    ],
+)
+def test_simulate_config_field_type_exit_code(tmp_path, capsys, kind, cfg, field):
+    """A config value of the wrong JSON type, or a NaN or Infinity where a
+    number belongs, is a one-line error naming the field; it used to end in
+    a traceback, a numpy error or a silent run."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["simulate", kind, "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"config field {field!r}" in err[0], err
+
+
 def test_simulate_manet_files(tmp_path):
     cfg = {
         "node_count": 10,
@@ -447,3 +510,13 @@ def test_sweep_monotone_means(tmp_path):
         rows = list(csv.reader(fh))[1:]
     means = [float(r[1]) for r in rows]
     assert means == sorted(means)
+
+
+@pytest.mark.parametrize("runs", ["0", "-2"])
+def test_sweep_needs_at_least_one_run(tmp_path, capsys, runs):
+    """--runs 0 used to write a table of nan rows and exit 0."""
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--radii", "2.0", "--runs", runs, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "at least one run" in err[0], err
+    assert not out.exists()

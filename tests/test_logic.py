@@ -86,11 +86,47 @@ def test_unadorned_unary_defaults():
     assert parse("a reach(hop) b") == Reach(FULL, "hop", Atomic("a"), Atomic("b"))
 
 
-def test_temporal_interval_must_be_bounded():
-    with pytest.raises(ParseError):
-        parse("F[0,inf] x")
-    with pytest.raises(ParseError):
-        parse("a U[1,inf] b")
+def test_every_operator_takes_one_optional_interval():
+    """U and S read their interval as every other operator does: optional
+    ([0, inf] if omitted), each bound a number or inf.  The parser used to
+    refuse inf as a temporal bound and an until or since without one."""
+    a, b = Atomic("a"), Atomic("b")
+    assert parse("a U b") == parse("a U[0,inf] b") == parse("a U[0,1e999] b") == Until(FULL, a, b)
+    assert parse("a S b") == Since(FULL, a, b)
+    assert parse("F[0,inf] a") == parse("F a") == Eventually(FULL, a)
+    assert parse("F[1,inf] a") == parse("F[1,1e400] a") == Eventually(Interval(1, math.inf), a)
+    assert parse("a S[0.5,inf] b") == Since(Interval(0.5, math.inf), a, b)
+    assert parse("G[0.25,inf] a") == Globally(Interval(0.25, math.inf), a)
+    assert parse("a U[inf,inf] b") == Until(Interval(math.inf, math.inf), a, b)
+    with pytest.raises(ParseError, match="expected a number or 'inf' as interval lower bound"):
+        parse("a U[b,1] b")
+
+
+@pytest.mark.parametrize(
+    "text", ["a U[0,1e999] b", "F[1,1e400] p", "F p", "a U[0,inf] b", "x S[0.5,inf] y", "G[inf,inf] p"]
+)
+def test_unbounded_temporal_text_roundtrips(text):
+    """The printed form of an unbounded until, since, F or G parses back,
+    desugared too: a U[0,1e999] b used to print as a U[0,inf] b, and F p to
+    desugar to true U[0,inf] p, neither of which parsed."""
+    f = parse(text)
+    assert parse(format_formula(f)) == f
+    assert parse(format_formula(desugar(f))) == desugar(f)
+
+
+@pytest.mark.parametrize("threshold", [math.inf, -math.inf, math.nan])
+def test_comparison_threshold_must_be_finite(threshold):
+    """x > inf used to give a NaN quantitative verdict on an infinite x."""
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        Atomic("x", ">", threshold)
+
+
+@pytest.mark.parametrize("text, column", [("x > 1e400", 5), ("x <= -1e400", 6), ("(y < 1e999)", 6)])
+def test_infinite_threshold_is_a_parse_error_at_the_number(text, column):
+    with pytest.raises(ParseError, match="threshold must be finite") as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (1, column)
+    assert len(str(err.value).splitlines()) == 1
 
 
 def test_parse_error_reports_position_and_expectations():
@@ -147,10 +183,10 @@ def test_depth_cap_counts_desugared_levels(nest, levels):
 def test_interval_validation():
     with pytest.raises(ParseError):
         parse("F[2,1] x")
-    # an infinite lower bound is a distance bound only, and not above the upper one
+    # an infinite lower bound is allowed, but not above the upper one
     assert parse("escape(hop)[inf,inf] a") == Escape(Interval(math.inf, UNBOUNDED), "hop", Atomic("a"))
     assert parse("a reach(hop)[inf,inf] b").interval == Interval(math.inf, UNBOUNDED)
-    for text in ("a reach(hop)[inf,2] b", "F[inf,2] x", "a U[inf,inf] b", "a S[inf,3] b"):
+    for text in ("a reach(hop)[inf,2] b", "F[inf,2] x", "a S[inf,3] b"):
         with pytest.raises(ParseError) as err:
             parse(text)
         assert len(str(err.value).splitlines()) == 1
@@ -184,26 +220,21 @@ def test_none_upper_bound_is_infinity():
 
 
 def test_roundtrip_with_infinite_upper_bounds():
-    """Every interval-carrying operator whose text admits an unbounded
-    interval prints it so that it parses back; F and G over [0, inf] print
-    without one.  Temporal text keeps finite bounds, so U, S and F/G with a
-    positive lower bound have no unbounded text form."""
+    """Every interval-carrying operator prints an unbounded interval so that
+    it parses back, desugared too; F and G over [0, inf] print without one."""
     a, b = Atomic("a"), Atomic("b")
     cases = [Eventually(Interval(0, math.inf), a), Globally(Interval(0, None), a)]
     for lo in (0.0, 1.5, math.inf):
         i = Interval(lo, math.inf)
         cases += [Reach(i, "hop", a, b), Surround(i, "hop", a, b), Escape(i, "hop", a)]
         cases += [Somewhere(i, "weight", a), Everywhere(i, "weight", a)]
+        cases += [Until(i, a, b), Since(i, a, b), Eventually(i, a), Globally(i, b)]
     for f in cases:
         text = format_formula(f)
         assert parse(text) == f, text
-    for f in cases[2:]:
         assert parse(format_formula(desugar(f))) == desugar(f), f
     assert format_formula(cases[0]) == "F a" and format_formula(cases[1]) == "G a"
-    no_text = [Until(Interval(0, math.inf), a, b), Since(Interval(1, None), a, b)]
-    for f in no_text + [Eventually(Interval(1, None), a)]:
-        with pytest.raises(ParseError, match="requires a bounded interval"):
-            parse(format_formula(f))
+    assert format_formula(Until(Interval(1, None), a, b)) == "a U[1,inf] b"
 
 
 def test_desugar_somewhere():
@@ -255,6 +286,43 @@ def test_roundtrip_on_random_asts():
         assert parse(text) == f, text
 
 
+def _interval_formula(rng, depth):
+    """Random formula in which every interval operator may carry [lo, inf]
+    with lo in {0, 0.25, inf}, or else a finite interval."""
+    if depth == 0 or rng.random() < 0.2:
+        return random_formula(rng, 0)
+    ops = [Not, And, Or, Until, Since, Eventually, Globally, Reach, Surround, Escape,
+           Somewhere, Everywhere]
+    op = rng.choice(ops)
+    sub = lambda: _interval_formula(rng, depth - 1)
+    if op is Not:
+        return Not(sub())
+    if op in (And, Or):
+        return op(sub(), sub())
+    lo = rng.choice([0.0, 0.25, math.inf])
+    interval = Interval(lo, math.inf) if rng.random() < 0.6 else Interval(min(lo, 0.5), rng.choice([0.5, 2]))
+    if op in (Until, Since):
+        return op(interval, sub(), sub())
+    if op in (Eventually, Globally):
+        return op(interval, sub())
+    dist = rng.choice(["hop", "weight"])
+    if op in (Reach, Surround):
+        return op(interval, dist, sub(), sub())
+    return op(interval, dist, sub())
+
+
+def test_format_inverts_parse_on_unbounded_intervals():
+    """parse(format_formula(f)) == f, and so for the desugared form, on
+    formulas whose interval operators run to infinity."""
+    rng = random.Random(1407)
+    for _ in range(400):
+        f = _interval_formula(rng, rng.randint(1, 5))
+        text = format_formula(f)
+        assert parse(text) == f, text
+        core = desugar(f)
+        assert parse(format_formula(core)) == core, text
+
+
 def test_roundtrip_preserves_unadorned_operators():
     f = Globally(FULL, Or(Atomic("a"), Eventually(Interval(0, 3), Atomic("a"))))
     assert parse(format_formula(f)) == f
@@ -268,5 +336,6 @@ def test_format_examples():
         "a & !(a reach(hop)[0,inf] (!a & !b)) & !escape(hop)[inf,inf] a"
     )
     assert format_formula(Escape(Interval(0, math.inf), "hop", Atomic("a"))) == "escape(hop)[0,inf] a"
+    assert format_formula(desugar(parse("F p"))) == "true U[0,inf] p"
     surround = desugar(parse("a surround(hop) b"))
     assert parse(format_formula(surround)) == surround

@@ -307,6 +307,20 @@ def test_equal_unbounded_intervals_share_one_evaluation(monkeypatch):
     assert out.values.tolist() == [[True]] and out.end_time == 2.0
 
 
+@pytest.mark.parametrize(
+    "text, op", [("x U[inf,inf] y", "until"), ("x S[inf,inf] y", "since"), ("F[inf,inf] x", "until")]
+)
+def test_infinite_lower_temporal_bound_is_one_line_error(text, op):
+    """An interval starting at inf parses, and its evaluable domain is empty."""
+    trace = Trace(("x", "y"), (sig([(0.0, (1.0, 0.0)), (1.0, (0.0, 1.0))], 2.0),))
+    ctx = MonitorContext(DynamicalSpatialModel.static(build_spatial_model(1, [])), trace, BOOL)
+    with pytest.raises(SemanticError) as err:
+        monitor(ctx, parse(text))
+    assert str(err.value).splitlines() == [
+        f"temporal interval [inf, inf] exceeds the trace horizon: evaluable domain of {op} is empty"
+    ]
+
+
 # The sample-loop sweeps the segment kernel replaced, kept verbatim as a
 # reference: every event re-samples its window with a value_at per sample.
 # _common_domain is the engine's former per-location domain pairing.

@@ -46,8 +46,8 @@ def test_monitor_equals_oracle_quantitative():
 @pytest.mark.parametrize("domain", [boolean_domain(), maxmin_domain()], ids=["boolean", "quantitative"])
 def test_monitor_equals_oracle_on_infinite_upper_bounds(domain):
     """U, S, F and G over Interval(lo, inf), nested and over random
-    subformulas, agree with the oracle: both fold to the trace edge and lose
-    only the lower bound."""
+    subformulas, and parsed from text, agree with the oracle: both fold to
+    the trace edge and lose only the lower bound."""
     rng = random.Random(9013)
 
     def unbounded(depth, top=False):
@@ -59,20 +59,24 @@ def test_monitor_equals_oracle_on_infinite_upper_bounds(domain):
             return op(interval, unbounded(depth - 1), unbounded(depth - 1))
         return op(interval, unbounded(depth - 1))
 
-    checked = 0
-    for _ in range(200):
+    def agrees(make_formula):
+        """Compare on a fresh instance; False if both refuse it."""
         dm, trace = random_instance(rng, domain)
-        formula = unbounded(rng.randint(1, 3), top=True)
+        formula = make_formula()
         ctx = MonitorContext(model=dm, trace=trace, domain=domain, distances=standard_distances())
         try:
             got = monitor(ctx, formula)
         except SemanticError:
             with pytest.raises(SemanticError):
                 oracle_monitor(ctx, formula)
-            continue
+            return False
         compare_spatiotemporal(got, oracle_monitor(ctx, formula), domain, tol=1e-9)
-        checked += 1
-    assert checked > 100
+        return True
+
+    assert sum(agrees(lambda: unbounded(rng.randint(1, 3), top=True)) for _ in range(200)) > 100
+    for text in ("F[1,inf] x > 0", "x > 0 U[0,inf] y > 0", "x > 0 S[0.5,inf] y > 0", "G[0.25,inf] x > 0"):
+        formula = parse(text)
+        assert sum(agrees(lambda: formula) for _ in range(150)) > 100, text
 
 
 def test_oracle_agrees_on_network16_suite(network16_ctx):

@@ -1,5 +1,6 @@
+import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from strelmon.scenarios import (
     _walk,
     connect,
     dangerous_days,
+    dangerous_days_counts,
     epidemic_interpretation,
     generate_manet,
     property_library,
@@ -131,6 +133,15 @@ def test_manet_config_validation():
         ManetConfig.from_dict({"node_count": 12, "routers": 4, "end_devices": 7, "bogus": 1})
     with pytest.raises(ConfigError):
         SignalWalk(1.0, 1.0, 0.1)
+
+
+def test_configs_written_by_asdict_load_back():
+    """A config dumped with dataclasses.asdict, nested walks and degree specs
+    included, loads back equal through the typed field checks."""
+    manet = ManetConfig(node_count=40, routers=12, end_devices=27, side=10.0 * math.sqrt(2), steps=5, seed=3)
+    epidemic = replace(EpidemicConfig(), attendance=(0.5, 0.25), include_static=False, seed=7)
+    for cfg in (manet, epidemic):
+        assert type(cfg).from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
 
 
 def test_manet_connect_property_monitors():
@@ -326,6 +337,16 @@ def test_sweep_monotone_and_extremes():
     rows = result.rows
     assert len(rows) == len(radii)
     assert rows[-1][1] >= rows[0][1]
+
+
+@pytest.mark.parametrize("runs", [0, -2])
+def test_repeated_experiments_need_at_least_one_run(runs):
+    """Zero runs used to give nan means and an empty count list."""
+    cfg = EpidemicConfig(node_count=30, horizon_days=6, initial_infected=2)
+    with pytest.raises(ConfigError, match="at least one run"):
+        sweep_safe_radius(cfg, [1.0], T=2.0, runs=runs)
+    with pytest.raises(ConfigError, match="at least one run"):
+        dangerous_days_counts(cfg, runs=runs)
 
 
 def test_sweep_checks_each_snapshot_distance_once(monkeypatch):
