@@ -6,6 +6,11 @@ several values; the growth exponent is fitted over the one that does.
 
   reach over nodes:  scaling_bench.py --sizes 1000,2000,4000
   until over steps:  scaling_bench.py --sizes 1 --steps 1000,2000,4000,8000,16000 --formula "F[0,50] p"
+  quantitative reach over nodes:
+    scaling_bench.py --sizes 1000,2000,4000,8000 --domain quantitative --formula "(x > 0.2) reach(hop)[0,3] (x > 0.9)"
+
+Each location carries Boolean variables p and q and a uniform [0, 1)
+variable x, drawn from its own random stream.
 """
 
 import argparse
@@ -13,15 +18,15 @@ import math
 import random
 import time
 
-from strelmon.algebra import boolean_domain
+from strelmon.algebra import boolean_domain, maxmin_domain
 from strelmon.logic import parse
 from strelmon.monitor import MonitorContext, monitor
 from strelmon.signals import TemporalSignal, Trace
 from strelmon.space import DynamicalSpatialModel, build_spatial_model, hop_distance
 
 
-def instance(n: int, steps: int, seed: int) -> MonitorContext:
-    rng = random.Random(seed)
+def instance(n: int, steps: int, seed: int, domain: str = "boolean") -> MonitorContext:
+    rng, xs = random.Random(seed), random.Random(f"x{seed}")
     edges = set()
     while len(edges) < min(4 * n, n * (n - 1)):
         a, b = rng.randrange(n), rng.randrange(n)
@@ -32,15 +37,15 @@ def instance(n: int, steps: int, seed: int) -> MonitorContext:
     signals = tuple(
         TemporalSignal(
             times,
-            tuple((float(rng.random() < 0.3), float(rng.random() < 0.1)) for _ in times),
+            tuple((float(rng.random() < 0.3), float(rng.random() < 0.1), xs.random()) for _ in times),
             float(steps),
         )
         for _ in range(n)
     )
     return MonitorContext(
         model=DynamicalSpatialModel.static(model),
-        trace=Trace(("p", "q"), signals),
-        domain=boolean_domain(),
+        trace=Trace(("p", "q", "x"), signals),
+        domain=boolean_domain() if domain == "boolean" else maxmin_domain(),
         distances={"hop": hop_distance()},
     )
 
@@ -50,6 +55,7 @@ def main() -> None:
     parser.add_argument("--sizes", default="1000,2000,4000", help="location counts, comma-separated")
     parser.add_argument("--steps", default="10", help="trace steps per location, comma-separated")
     parser.add_argument("--formula", default="p reach(hop)[0,3] q")
+    parser.add_argument("--domain", choices=("boolean", "quantitative"), default="boolean")
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
@@ -64,7 +70,7 @@ def main() -> None:
         for steps in step_counts:
             runs = []
             for attempt in range(args.repeats):
-                ctx = instance(n, steps, seed=attempt)
+                ctx = instance(n, steps, seed=attempt, domain=args.domain)
                 start = time.perf_counter()
                 monitor(ctx, formula)
                 runs.append(time.perf_counter() - start)

@@ -17,13 +17,15 @@ row or the graph changes, once per snapshot and distinct pair of input
 rows; each kernel takes the input rows as arrays, never writes into them,
 and returns a new array.  On the snapshot's cached sparse weights, Boolean
 reach with lower bound zero and Boolean unbounded reach are shortest-path
-searches, other bounded reach floods a queue of (location, distance,
-value) entries in one array pass per round (with a positive lower bound
-and an upper bound past every loop-erased route it is unbounded reach),
-quantitative unbounded reach is a max/min relaxation over the edge arrays,
-one array pass per round, and escape is the max/min Floyd-Warshall closure
-of an n x n array.  Their contracts are spelled out on the functions and
-cross-checked against brute-force oracles in the tests.
+searches, and quantitative unbounded reach is a max/min relaxation over
+the edge arrays, one array pass per round.  Other bounded reach (with a
+positive lower bound and an upper bound past every loop-erased route it is
+unbounded reach) is that relaxation capped at the admissible walk lengths
+when every edge distance is equal, as under ``hop``, and otherwise floods a
+queue of (location, distance, value) entries in one array pass per round.
+Escape is the max/min Floyd-Warshall closure of an n x n array.  Their
+contracts are spelled out on the functions and cross-checked against
+brute-force oracles in the tests.
 """
 
 from __future__ import annotations
@@ -67,9 +69,9 @@ class SemanticError(ValueError):
 
 # The most rounds a flooding with a positive lower bound may take (see
 # ``_flood``): with d1 > 0 nothing prunes a cycle, so a 2-cycle under
-# ``hop`` floods d2 rounds (about 30 us each on a 2-core VM), and past 2**53
-# ``d + 1 == d`` never ends.  Above it ``_flood`` raises a SemanticError
-# instead of hanging.
+# ``hop`` floods d2 rounds (about 4 us each on a 2-core VM, 20 us for the
+# queue over unequal distances), and past 2**53 ``d + 1 == d`` never ends.
+# Above it ``_flood`` raises a SemanticError instead of hanging.
 MAX_FLOOD_ROUNDS = 10_000
 
 
@@ -310,7 +312,9 @@ def bounded_reach(
     Boolean verdicts with d1 = 0 are a shortest-path question: l holds iff
     s2 holds at l or some s2 location lies within d2 of l along a route
     whose strict prefix satisfies s1 (``_reached_within``).  Every other case
-    floods (``_flood``), one array pass per round.
+    floods (``_flood``), one array pass per round: max/min rounds over the
+    edge arrays when every edge distance is equal, as under ``hop``, and a
+    queue of (location, distance, value) entries otherwise.
 
     With d1 > 0 nothing prunes a cycle, so the rounds would run up to d2
     over the smallest edge distance.  When d2 is infinite, or every edge
@@ -335,33 +339,46 @@ def bounded_reach(
 
 
 def _flood(incoming: csr_array, d1: float, d2: float, s1: np.ndarray, s2: np.ndarray, domain: SignalDomain) -> np.ndarray:
-    """The flooding of ``bounded_reach``, one array pass per round.
+    """The flooding of ``bounded_reach``.
 
-    The queue holds one value per (location, accumulated distance), as three
+    With d1 > 0 the rounds are bounded first, and more than
+    ``MAX_FLOOD_ROUNDS`` is a ``SemanticError``.  A round extends the walks
+    by one edge and keeps those shorter than d2, so there are at most d2
+    over the smallest edge distance rounds; at most d2 over the smallest
+    distance of an edge on a cycle (inside a strongly connected component)
+    plus n, since a walk leaves a component at most n - 1 times; and at
+    most n * (d2 / w + 1), since a walk is a simple path of at most n - 1
+    edges plus at most d2 / w cycles of at most n edges each, where every
+    cycle weighs at least w, the least over locations of the lightest
+    on-cycle out-edge plus the lightest on-cycle in-edge.
+
+    When every edge distance is one value, as under ``hop``, the rounds are
+    max/min passes over the edge arrays (``_uniform_flood``).  Otherwise a
+    queue holds one value per (location, accumulated distance), as three
     arrays; it starts with every location at distance 0 and its s2 value.  A
     round drops the entries at the domain bottom (they can never change the
     output) and extends every other one backwards along its slice of the
     incoming CSR.  A new entry src at distance d carries the entry's value
     combined with s1[src].  The new entries with d1 <= d <= d2 update the
     output at src by their maximum.  The entries with d < d2 are merged per
-    (src, d) to their maximum, and form the next queue.
-
-    With d1 = 0 the next queue also drops its dominated entries
-    (``_undominated``).  Both cuts leave the output as it is.
-
-    With d1 > 0 the rounds are bounded first, and more than
-    ``MAX_FLOOD_ROUNDS`` is a ``SemanticError``.  A round extends the walks
-    by one edge and keeps those shorter than d2, so there are at most d2
-    over the smallest edge distance rounds; and at most d2 over the
-    smallest distance of an edge on a cycle (inside a strongly connected
-    component) plus n, since a walk leaves a component at most n - 1 times.
+    (src, d) to their maximum, and form the next queue.  With d1 = 0 the
+    next queue also drops its dominated entries (``_undominated``).  Both
+    cuts leave the output as it is.
     """
     n = incoming.shape[0]
     if d1 > 0:
+        src, dst = _edges(incoming)
         _, comp = csgraph.connected_components(incoming, connection="strong")
-        on_cycle = comp[np.repeat(np.arange(n), np.diff(incoming.indptr))] == comp[incoming.indices]
-        least = incoming.data.min(initial=math.inf), incoming.data[on_cycle].min(initial=math.inf)
-        rounds = min(d2 / least[0], d2 / least[1] + n)
+        on_cycle = comp[dst] == comp[src]
+        cycle_steps = incoming.data[on_cycle]
+        lightest = np.full((2, n), math.inf)  # on-cycle out- and in-edge per location
+        np.minimum.at(lightest[0], src[on_cycle], cycle_steps)
+        np.minimum.at(lightest[1], dst[on_cycle], cycle_steps)
+        rounds = min(
+            d2 / incoming.data.min(initial=math.inf),
+            d2 / cycle_steps.min(initial=math.inf) + n,
+            n * (d2 / lightest.sum(axis=0).min() + 1),
+        )
         if rounds > MAX_FLOOD_ROUNDS:
             interval = f"[{format_number(float(d1))}, {format_number(float(d2))}]"
             raise SemanticError(
@@ -369,6 +386,9 @@ def _flood(incoming: csr_array, d1: float, d2: float, s1: np.ndarray, s2: np.nda
                 f"more than MAX_FLOOD_ROUNDS = {MAX_FLOOD_ROUNDS}"
             )
     x1, target = np.asarray(s1), np.asarray(s2)
+    steps = incoming.data
+    if steps.size and (steps == steps[0]).all():
+        return _uniform_flood(incoming, steps[0].item(), d1, d2, x1, target, domain)
     bottom = domain.bottom
     prune = d1 == 0
     s = target.copy() if prune else np.full(n, bottom, dtype=target.dtype)
@@ -396,6 +416,44 @@ def _flood(incoming: csr_array, d1: float, d2: float, s1: np.ndarray, s2: np.nda
         if prune and len(loc):
             (loc, dist, val), front = _undominated(loc, dist, val, front)
     return s
+
+
+def _uniform_flood(incoming: csr_array, c: float, d1: float, d2: float, x1: np.ndarray, target: np.ndarray, domain: SignalDomain) -> np.ndarray:
+    """``_flood`` when every edge distance is c, in max/min rounds over the
+    edge arrays.  A walk of k edges is d_k = ((0 + c) + c) + ... long, summed
+    as the queue sums it, so the step counts k with d1 <= d_k <= d2, the
+    walks the queue counts, are one run [k1, k2] and every boundary agrees
+    bit for bit, also for a non-dyadic c.
+
+    With d1 > 0, rounds first step y from s2 to the best walks of exactly
+    k1 edges: y[l] becomes s1[l] combined with the maximum of y over l's
+    out-edges (bottom without one), until d reaches d1 (or y is bottom
+    everywhere, which it then stays).  The capped ``_back_propagate``
+    seeded with y (s2 when d1 = 0) then adds the walks one edge longer per
+    round while d_k stays within d2.  It never needs more than n rounds, as
+    an optimal walk past the first k1 edges is a simple path.
+    """
+    n, bottom = len(target), domain.bottom
+    y, d = target, 0.0
+    if d1 > 0:
+        src, dst = _edges(incoming)
+        gate = x1[src]
+        while d < d1 and (y != bottom).any():
+            y_next = np.full(n, bottom, dtype=target.dtype)
+            np.maximum.at(y_next, src, np.minimum(gate, y[dst]))
+            y, d = y_next, d + c
+        if d > d2:
+            return np.full(n, bottom, dtype=target.dtype)
+    rounds = 0
+    # the queue extends a walk only while it is shorter than d2
+    while rounds < n and d < d2 and d + c <= d2:
+        rounds, d = rounds + 1, d + c
+    return _back_propagate(incoming, x1, y, domain, rounds)
+
+
+def _edges(incoming: csr_array) -> tuple[np.ndarray, np.ndarray]:
+    """(src, dst) of every edge, in the incoming CSR's order."""
+    return incoming.indices, np.repeat(np.arange(incoming.shape[0]), np.diff(incoming.indptr))
 
 
 def _undominated(loc: np.ndarray, dist: np.ndarray, val: np.ndarray, front: tuple) -> tuple:
@@ -468,7 +526,7 @@ def unbounded_reach(
     """
     incoming = model.incoming_weights(f)
     if d1 == 0:
-        return _back_propagate(model, incoming, s1, s2, domain)
+        return _back_propagate(incoming, s1, s2, domain)
     finite = np.isfinite(incoming.data)
     if d1 == math.inf:
         # no route of finite edges is infinitely long
@@ -477,29 +535,32 @@ def unbounded_reach(
         d_max = incoming.data[finite].max(initial=0).item()
         s = _flood(incoming, d1, d1 + d_max, s1, s2, domain)
     if not finite.all():
-        anywhere = _back_propagate(model, incoming, s1, s2, domain)
-        edges = incoming.tocoo()
-        src, dst = edges.col[~finite], edges.row[~finite]
+        anywhere = _back_propagate(incoming, s1, s2, domain)
+        src, dst = (a[~finite] for a in _edges(incoming))
         np.maximum.at(s, src, np.minimum(np.asarray(s1)[src], anywhere[dst]))
-    return _back_propagate(model, incoming, s1, s, domain)
+    return _back_propagate(incoming, s1, s, domain)
 
 
-def _back_propagate(model: SpatialModel, incoming: csr_array, s1: np.ndarray, s: np.ndarray, domain: SignalDomain) -> np.ndarray:
+def _back_propagate(incoming: csr_array, s1: np.ndarray, s: np.ndarray, domain: SignalDomain, rounds: Optional[int] = None) -> np.ndarray:
     """Fixpoint in which s[src] absorbs s[dst] combined with s1[src] for every
-    edge src -> dst.  It ignores weights, so for Boolean verdicts it is plain
-    reachability from the seeds (``_reached_within`` with no limit).  For
-    quantitative ones each round relaxes every edge at once, and the loop
+    edge src -> dst, or at most ``rounds`` rounds of it.  It ignores weights,
+    so the uncapped Boolean fixpoint is plain reachability from the seeds
+    (``_reached_within`` with no limit).  Otherwise each round relaxes every
+    edge at once (for Booleans min is "and" and max is "or"), and the loop
     stops at the first round that changes nothing: an optimal route is a
     simple path, so that takes at most n + 1 rounds."""
-    if domain.name == "boolean":
+    boolean = domain.name == "boolean"
+    if boolean and rounds is None:
         return _reached_within(incoming, s1, s, math.inf)
-    s = np.array(s, dtype=float)
-    gate = np.asarray(s1, dtype=float)[model.src]
-    while True:
-        via = np.minimum(gate, s[model.dst])
-        if not (via > s[model.src]).any():
-            return s
-        np.maximum.at(s, model.src, via)
+    src, dst = _edges(incoming)
+    s = np.array(s, dtype=bool if boolean else float)
+    gate = np.asarray(s1, dtype=s.dtype)[src]
+    for _ in range(incoming.shape[0] + 1 if rounds is None else rounds):
+        via = np.minimum(gate, s[dst])
+        if not (via > s[src]).any():
+            break
+        np.maximum.at(s, src, via)
+    return s
 
 
 def escape(

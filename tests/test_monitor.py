@@ -1256,6 +1256,124 @@ def test_flooding_matches_dict_reference(domain, monkeypatch):
             assert repr(one_zero(unbounded_reach(model, f, d1, s1, s2, domain).tolist())) == repr(one_zero(want))
 
 
+@pytest.mark.parametrize("domain", [BOOL, QUANT], ids=["boolean", "quantitative"])
+def test_uniform_distance_flooding_matches_dict_reference(domain, monkeypatch):
+    """When every edge distance is one value c (hop, or weight with all
+    weights c in {0.1, 0.5, 3.0}) the flooding runs max/min rounds over the
+    edge arrays.  With d1 in {0, c, 0.3, 2.5 c}, d2 = d1 + {0, 0.3, 1, 2, 3} c,
+    signed zeros and +-inf values, it gives the dict flooding's verdicts
+    once -0.0 reads +0.0, as does the flooding that seeds unbounded reach
+    with d1 > 0 under hop.  Distances are sums, not multiples, of c: over
+    c = 0.1, [0.3, 0.3] counts no walk, since 0.1 + 0.1 + 0.1 > 0.3, nor
+    does [1, 1], since ten 0.1s add up to 0.9999999999999999 and eleven to
+    1.0999999999999999; [0.2, 0.3] counts the walks of two edges and
+    [1, 1.1] only those of eleven."""
+    rng = random.Random(1515)
+    pool = (0.0, -0.0, 0.5, -0.5, 1.0, -1.0, math.inf, -math.inf)
+    calls = []
+    uniform = engine._uniform_flood
+    monkeypatch.setattr(engine, "_uniform_flood", lambda *args: calls.append(args[1]) or uniform(*args))
+
+    def values(n, p):
+        if domain is BOOL:
+            return [rng.random() < p for _ in range(n)]
+        return [rng.choice(pool) for _ in range(n)]
+
+    cases = [(c, d1, d1 + k * c) for c in (1.0, 0.1, 0.5, 3.0) for d1 in (0.0, c, 0.3, 2.5 * c) for k in (0, 0.3, 1, 2, 3)]
+    cases += [(0.1, 0.3, 0.3), (0.1, 0.2, 0.3), (0.1, 1.0, 1.0), (0.1, 1.0, 1.1)] * 4
+    for c, d1, d2 in cases:
+        n = rng.randint(1, 300)
+        model = _random_digraph(rng, n, rng.choice([1, 2, 3]), [c])
+        f = hop_distance() if c == 1.0 and rng.random() < 0.5 else weight_sum_distance()
+        s1, s2 = values(n, 0.7), values(n, 0.3)
+        calls.clear()
+        got = engine._flood(model.incoming_weights(f), d1, d2, s1, s2, domain)
+        assert calls == ([c] if len(model.src) else [])
+        assert got.dtype == (bool if domain is BOOL else float)
+        assert repr(one_zero(got.tolist())) == repr(one_zero(flooding_reference(model, f, d1, d2, s1, s2, domain)))
+        if (c, d1, d2) in ((0.1, 0.3, 0.3), (0.1, 1.0, 1.0)):
+            assert got.tolist() == [domain.bottom] * n
+    for _ in range(20):
+        n = rng.randint(2, 300)
+        model = _random_digraph(rng, n, rng.choice([1, 2, 3]), [1.0])
+        s1, s2 = values(n, 0.7), values(n, 0.3)
+        d1 = rng.choice([1.0, 2.0, 2.5, 7.0])
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                engine, "_flood",
+                lambda _incoming, lo, hi, a, b, dom: flooding_reference(model, hop_distance(), lo, hi, a, b, dom),
+            )
+            want = unbounded_reach(model, hop_distance(), d1, s1, s2, domain).tolist()
+        calls.clear()
+        got = unbounded_reach(model, hop_distance(), d1, s1, s2, domain).tolist()
+        assert calls == [1.0]
+        assert repr(one_zero(got)) == repr(one_zero(want))
+
+
+def _cycle_blocks(rng, n):
+    """A random digraph on n locations whose strongly connected components
+    are simple cycles or single locations, with random edges from earlier to
+    later components: walks of k edges grow polynomially in k, so route
+    enumeration stays cheap for k up to about 60."""
+    order = list(range(n))
+    rng.shuffle(order)
+    blocks, edges = [], set()
+    while order:
+        size = rng.randint(1, min(3, len(order)))
+        block, order = order[:size], order[size:]
+        if size > 1:
+            edges.update(zip(block, block[1:] + block[:1]))
+        blocks.append(block)
+    for i, a in enumerate(blocks):
+        for b in blocks[i + 1:]:
+            if rng.random() < 0.5:
+                edges.add((rng.choice(a), rng.choice(b)))
+    return build_spatial_model(n, [(a, 1.0, b) for a, b in sorted(edges)])
+
+
+# The exact-step lower bounds checked against walk enumeration under hop.
+DEEP_LOWER_BOUNDS = range(1, 61)
+
+
+@pytest.mark.parametrize("domain", [BOOL, QUANT], ids=["boolean", "quantitative"])
+def test_deep_exact_steps_match_walk_enumeration(domain):
+    """reach(hop)[d1, d2] for every d1 in 1..60 and d2 = d1 + {0, 1, 2, 3},
+    on directed cycles of 2-6 locations and on small random digraphs whose
+    components are cycles, equals the enumeration of every walk."""
+    rng = random.Random(6060)
+    f = hop_distance()
+    with deadline(60):
+        for trial in range(40):
+            n = rng.randint(2, 6)
+            if trial % 2:
+                model = _cycle_blocks(rng, n)
+            else:
+                model = build_spatial_model(n, [(l, 1.0, (l + 1) % n) for l in range(n)])
+            s1 = _random_spatial(rng, domain, n)
+            s1[rng.randrange(n)] = domain.top
+            s2 = _random_spatial(rng, domain, n)
+            for d1 in DEEP_LOWER_BOUNDS:
+                d2 = d1 + rng.choice([0, 1, 2, 3])
+                got = reach(model, f, Interval(d1, d2), s1, s2, domain).tolist()
+                assert got == [walk_reach(model, f, d1, d2, s1, s2, domain, l) for l in range(n)], (trial, d1, d2)
+
+
+@pytest.mark.parametrize("domain", [BOOL, QUANT], ids=["boolean", "quantitative"])
+def test_lightest_cycle_bounds_the_flooding_rounds(domain):
+    """A cycle of a 1 and a 1e-6 edge adds at least about 1 per pass, so
+    [1, 2] floods a few rounds; the smallest on-cycle edge alone estimated
+    2e6 and refused it.  The lightest-cycle estimate still refuses a long
+    flooding around that cycle."""
+    top, bottom = domain.top, domain.bottom
+    model = build_spatial_model(3, [(0, 1.0, 1), (1, 1.0, 2), (2, 1e-6, 1)])
+    f = weight_sum_distance()
+    s1, s2 = [top] * 3, [bottom, bottom, top]
+    got = bounded_reach(model, f, 1.0, 2.0, s1, s2, domain).tolist()
+    assert got == [walk_reach(model, f, 1.0, 2.0, s1, s2, domain, l) for l in range(3)] == [top] * 3
+    with pytest.raises(SemanticError, match=r"needs about 3e\+04 flooding rounds"):
+        bounded_reach(model, f, 1e4, 1e4, s1, s2, domain)
+
+
 # The relaxation quantitative unbounded reach and escape ran before the
 # max/min array kernels, kept verbatim (the docstrings shortened) as the
 # reference they are checked against; its visiting order decided which of

@@ -3,6 +3,7 @@ runs end to end on tiny arguments."""
 
 import csv
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
@@ -36,6 +37,14 @@ def test_every_script_has_a_tiny_run():
     assert sorted(TINY_RUNS) == [p.stem for p in SCRIPTS]
 
 
+def _load(stem):
+    path = next(p for p in SCRIPTS if p.stem == stem)
+    spec = importlib.util.spec_from_file_location(f"script_{stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.mark.parametrize("stem", sorted(TINY_RUNS))
 def test_script_runs(stem, tmp_path, monkeypatch, capsys):
     """``main`` runs to the end on tiny arguments, so a change to the
@@ -43,11 +52,7 @@ def test_script_runs(stem, tmp_path, monkeypatch, capsys):
     out = tmp_path / "out.csv"
     argv = TINY_RUNS[stem] + (["--out", str(out)] if stem == "epidemic_sweep" else [])
     monkeypatch.setattr(sys, "argv", [stem, *argv])
-    path = next(p for p in SCRIPTS if p.stem == stem)
-    spec = importlib.util.spec_from_file_location(f"script_{stem}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    module.main()
+    _load(stem).main()
     printed = capsys.readouterr().out
     if stem == "epidemic_sweep":
         with open(out, newline="") as fh:
@@ -60,3 +65,28 @@ def test_script_runs(stem, tmp_path, monkeypatch, capsys):
         assert "connected" in printed and "restores within 3" in printed
     else:
         assert "growth exponent" in printed
+
+
+def test_scaling_bench_scales_quantitative_hop_reach(monkeypatch, capsys):
+    """--domain quantitative scales the threshold reach over the x column,
+    and x comes from its own random stream: p and q are the same draws as
+    in an instance without x."""
+    module = _load("scaling_bench")
+    formula = "(x > 0.2) reach(hop)[0,3] (x > 0.9)"
+    argv = ["--sizes", "20,40", "--steps", "3", "--repeats", "1", "--domain", "quantitative", "--formula", formula]
+    monkeypatch.setattr(sys, "argv", ["scaling_bench", *argv])
+    module.main()
+    assert "growth exponent" in capsys.readouterr().out
+    ctx = module.instance(20, 3, seed=1, domain="quantitative")
+    assert ctx.domain.name == "quantitative" and ctx.trace.variables == ("p", "q", "x")
+    # the instance's own draws: 80 distinct edges, then p and q per location and step
+    draws, edges = random.Random(1), set()
+    while len(edges) < 80:
+        a, b = draws.randrange(20), draws.randrange(20)
+        if a != b:
+            edges.add((a, b))
+    pq = [[(draws.random() < 0.3, draws.random() < 0.1) for _ in range(3)] for _ in range(20)]
+    _, data = ctx.trace.grid
+    assert data[:, :, :2].transpose(1, 0, 2).tolist() == [[[float(v) for v in s] for s in row] for row in pq]
+    x = data[:, :, 2]
+    assert ((0 <= x) & (x < 1)).all() and len(set(x.ravel().tolist())) == x.size
