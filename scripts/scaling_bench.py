@@ -8,9 +8,12 @@ several values; the growth exponent is fitted over the one that does.
   until over steps:  scaling_bench.py --sizes 1 --steps 1000,2000,4000,8000,16000 --formula "F[0,50] p"
   quantitative reach over nodes:
     scaling_bench.py --sizes 1000,2000,4000,8000 --domain quantitative --formula "(x > 0.2) reach(hop)[0,3] (x > 0.9)"
+  escape over nodes on undirected graphs:
+    scaling_bench.py --sizes 250,500,1000,2000 --steps 1 --undirected --formula "escape(hop)[2,inf] p"
 
-Each location carries Boolean variables p and q and a uniform [0, 1)
-variable x, drawn from its own random stream.
+Each graph draws 4 * n distinct directed edges; --undirected also lists the
+reverse of each.  Each location carries Boolean variables p and q and a
+uniform [0, 1) variable x, drawn from its own random stream.
 """
 
 import argparse
@@ -25,13 +28,15 @@ from strelmon.signals import TemporalSignal, Trace
 from strelmon.space import DynamicalSpatialModel, build_spatial_model, hop_distance
 
 
-def instance(n: int, steps: int, seed: int, domain: str = "boolean") -> MonitorContext:
+def instance(n: int, steps: int, seed: int, domain: str = "boolean", undirected: bool = False) -> MonitorContext:
     rng, xs = random.Random(seed), random.Random(f"x{seed}")
     edges = set()
     while len(edges) < min(4 * n, n * (n - 1)):
         a, b = rng.randrange(n), rng.randrange(n)
         if a != b:
             edges.add((a, b))
+    if undirected:
+        edges |= {(b, a) for a, b in edges}
     model = build_spatial_model(n, [(a, 1.0, b) for a, b in edges])
     times = tuple(float(k) for k in range(steps))
     signals = tuple(
@@ -56,6 +61,7 @@ def main() -> None:
     parser.add_argument("--steps", default="10", help="trace steps per location, comma-separated")
     parser.add_argument("--formula", default="p reach(hop)[0,3] q")
     parser.add_argument("--domain", choices=("boolean", "quantitative"), default="boolean")
+    parser.add_argument("--undirected", action="store_true", help="list both directions of every edge")
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
@@ -70,7 +76,7 @@ def main() -> None:
         for steps in step_counts:
             runs = []
             for attempt in range(args.repeats):
-                ctx = instance(n, steps, seed=attempt, domain=args.domain)
+                ctx = instance(n, steps, seed=attempt, domain=args.domain, undirected=args.undirected)
                 start = time.perf_counter()
                 monitor(ctx, formula)
                 runs.append(time.perf_counter() - start)

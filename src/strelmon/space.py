@@ -81,6 +81,13 @@ class SpatialModel:
         return cls(n, pairs.ravel(), pairs[:, ::-1].ravel(), np.repeat(np.asarray(weight, dtype=float), 2, axis=0))
 
     @cached_property
+    def symmetric(self) -> bool:
+        """Whether the reverse of every edge is an edge too, whatever the
+        weights: the edge set equals its reverse."""
+        n = self.location_count
+        return bool(np.array_equal(np.sort(self.src * n + self.dst), np.sort(self.dst * n + self.src)))
+
+    @cached_property
     def _incoming_by_distance(self) -> dict["DistanceFunction", csr_array]:
         return {}
 
@@ -211,7 +218,7 @@ def check_strictly_positive(model: SpatialModel, f: DistanceFunction) -> np.ndar
     return mapped
 
 
-def min_distance_matrix(model: SpatialModel, f: DistanceFunction) -> np.ndarray:
+def min_distance_matrix(model: SpatialModel, f: DistanceFunction, limit: float = math.inf) -> np.ndarray:
     """All-pairs minimum route distance: one Dijkstra per source.
 
     Entry [i, j] of the n x n float64 array is the minimum accumulated
@@ -219,9 +226,11 @@ def min_distance_matrix(model: SpatialModel, f: DistanceFunction) -> np.ndarray:
     unreachable pairs.  Requires a strictly positive distance function
     (monotone accumulation makes the greedy settling order correct).
     Searching the forward graph sums each route from its source, as route
-    enumeration does.
+    enumeration does.  Each search stops past ``limit``: a pair at most
+    ``limit`` apart keeps its sum bit for bit (one exactly at ``limit``
+    included), and every pair farther apart reads infinity.
     """
-    return csgraph.dijkstra(model.incoming_weights(f).T, directed=True)
+    return csgraph.dijkstra(model.incoming_weights(f).T, directed=True, limit=limit)
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,7 @@ from strelmon.space import (
     build_spatial_model,
     hop_distance,
     min_distance_matrix,
+    undirected_model,
     weight_sum_distance,
 )
 
@@ -781,6 +782,22 @@ def test_bounded_reach_two_node_chain():
                 assert out[1] is False
 
 
+@pytest.mark.parametrize("domain", [BOOL, QUANT], ids=["boolean", "quantitative"])
+def test_bounded_reach_with_infinite_upper_bound_is_unbounded_reach(domain):
+    """With d2 = inf bounded reach is unbounded reach for every d1, so the
+    walk 0 -> 1 -> 2 reaches the target at 2 over the infinite edge 1 -> 2
+    (a queue that extends only the walks shorter than d2 stops there, since
+    inf < inf is false)."""
+    model = build_spatial_model(3, [(0, 1.0, 1), (1, math.inf, 2)])
+    f = weight_sum_distance()
+    s1 = [domain.top] * 3 if domain is BOOL else [1.0] * 3
+    s2 = [False, False, True] if domain is BOOL else [-1.0, -1.0, 1.0]
+    assert bounded_reach(model, f, 0, math.inf, s1, s2, domain).tolist() == s1
+    for d1 in (0.0, 1.0, 2.0, math.inf):
+        got = bounded_reach(model, f, d1, math.inf, s1, s2, domain).tolist()
+        assert got == unbounded_reach(model, f, d1, s1, s2, domain).tolist()
+
+
 def test_escape_identity_full_interval():
     rng = random.Random(9)
     for domain in (BOOL, QUANT):
@@ -1086,6 +1103,91 @@ def test_escape_visits_out_edges_in_edge_order():
     assert repr(got) == repr(other)
     assert repr(got[82]) == "0.0"
     assert not any(v == 0 and math.copysign(1.0, v) < 0 for v in got)
+
+
+def closure_escape_reference(model, f, interval, s1, domain):
+    """The max/min Floyd-Warshall closure escape ran on every snapshot before
+    symmetric snapshots moved onto single linkage and the distance searches
+    stopped at the interval bound, kept verbatim (from ``d1, d2 = ...`` on)
+    as the reference its replacement is checked against."""
+    d1, d2 = interval.lo, interval.hi
+    dist = min_distance_matrix(model, f)
+    x1 = np.asarray(s1)
+    n = model.location_count
+    e = np.full((n, n), domain.bottom, dtype=x1.dtype)
+    e[model.src, model.dst] = np.minimum(x1[model.src], x1[model.dst])
+    np.fill_diagonal(e, x1)
+    for k in range(n):
+        np.maximum(e, np.minimum(e[:, k, None], e[k]), out=e)
+    return np.where((d1 <= dist) & (dist <= d2), e, domain.bottom).max(axis=1)
+
+
+def _random_undirected(rng, n, edges_per_location, weights):
+    """An undirected graph on n locations: up to edges_per_location * n / 2
+    distinct pairs, each listed in both directions, so sparse draws leave
+    some locations isolated."""
+    draws = edges_per_location * n // 2 if n > 1 else 0
+    pairs = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(draws)}
+    return undirected_model(n, [(a, rng.choice(weights), b) for a, b in sorted(pairs)])
+
+
+@pytest.mark.parametrize("domain", [BOOL, QUANT], ids=["boolean", "quantitative"])
+def test_symmetric_escape_matches_closure_reference(domain, monkeypatch):
+    """On symmetric snapshots escape reads the best walks from single
+    linkage, and its values are the closure's, +-inf included; only which
+    of +0.0 and -0.0 a zero carries may differ.  Edge distances of 0.5, 1
+    and 1.5 and bounds on the same grid put endpoints exactly on d1 and
+    d2, and location counts of 1 and 2 are drawn on purpose."""
+    linkage_calls = []
+    widest_walks = engine._widest_walks
+    monkeypatch.setattr(engine, "_widest_walks", lambda *a: linkage_calls.append(1) or widest_walks(*a))
+    rng = random.Random(1616)
+    pool = (0.0, -0.0, 0.5, -0.5, 2.0, -1.0, math.inf, -math.inf)
+    for trial in range(160):
+        n = (1, 2)[trial] if trial < 2 else rng.choice([2, 3, rng.randint(4, 60)])
+        model = _random_undirected(rng, n, rng.choice([0, 1, 2, 4, 8]), [0.5, 1.0, 1.5])
+        if domain is BOOL:
+            s1 = [rng.random() < 0.7 for _ in range(n)]
+        elif trial % 3:
+            s1 = [rng.choice(pool) for _ in range(n)]
+        else:
+            s1 = [rng.uniform(-1, 1) for _ in range(n)]
+        f = rng.choice([weight_sum_distance(), hop_distance()])
+        d1 = rng.choice([0.0, 0.5, 1.0, 2.5, math.inf])
+        interval = Interval(d1, rng.choice([d1, d1 + 0.5, d1 + 2.0, math.inf]))
+        got = escape(model, f, interval, s1, domain).tolist()
+        want = closure_escape_reference(model, f, interval, s1, domain).tolist()
+        assert repr(one_zero(got)) == repr(one_zero(want))
+    assert len(linkage_calls) == 159  # every trial but the one with n = 1
+
+
+def test_escape_keeps_the_closure_on_directed_snapshots():
+    """Over the one-way edge 0 -> 1 nothing leads from 1 back to 0, yet the
+    single linkage of that edge set joins 0 and 1 either way, which would
+    let 1 escape.  A directed snapshot therefore keeps the closure."""
+    model = build_spatial_model(2, [(0, 1.0, 1)])
+    assert not model.symmetric
+    for domain in (BOOL, QUANT):
+        s1 = np.array([domain.top, domain.top])
+        interval = Interval(1, UNBOUNDED)
+        want = closure_escape_reference(model, hop_distance(), interval, s1, domain).tolist()
+        assert want == [domain.top, domain.bottom]
+        assert escape(model, hop_distance(), interval, s1, domain).tolist() == want
+        assert engine._widest_walks(model, s1, domain)[1, 0] == domain.top
+
+
+@pytest.mark.parametrize("domain", [BOOL, QUANT])
+def test_symmetric_escape_matches_simple_path_enumeration(domain):
+    rng = random.Random(104)
+    f = weight_sum_distance()
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        model = _random_undirected(rng, n, rng.choice([1, 2, 4]), [1.0, 2.0])
+        s1 = _random_spatial(rng, domain, n)
+        d1 = rng.choice([0.0, 1.0, 2.0])
+        d2 = d1 + rng.choice([0.0, 1.0, 3.0, math.inf])
+        got = escape(model, f, Interval(d1, d2), s1, domain).tolist()
+        assert got == simple_path_escape(model, f, d1, d2, s1, domain)
 
 
 def _random_spatial(rng, domain, n):
@@ -1509,15 +1611,17 @@ def test_kernels_leave_read_only_inputs_unchanged(domain):
     path may write into its inputs: given read-only arrays, each returns a
     fresh array and leaves the inputs' bytes as they were.  The paths are
     Boolean Dijkstra (d1 = 0), flooding (d1 > 0, and quantitative d1 = 0),
-    the quantitative relaxation, unbounded reach over infinite edges and the
-    escape closure."""
+    the quantitative relaxation, unbounded reach over infinite edges, the
+    escape closure on directed snapshots and single linkage on symmetric
+    ones."""
     rng = random.Random(4242)
     dtype = bool if domain is BOOL else float
     pool = (True, False) if domain is BOOL else (0.0, -0.0, 0.5, -1.0, math.inf, -math.inf)
     f = weight_sum_distance()
-    for _ in range(20):
+    for trial in range(20):
         n = rng.randint(3, 30)
-        model = _random_digraph(rng, n, 2, [0.5, 1.0, math.inf])
+        random_graph = _random_undirected if trial % 2 else _random_digraph
+        model = random_graph(rng, n, 2, [0.5, 1.0, math.inf])
         s1 = _read_only([rng.choice(pool) for _ in range(n)], dtype)
         s2 = _read_only([rng.choice(pool) for _ in range(n)], dtype)
         before = s1.tobytes(), s2.tobytes()

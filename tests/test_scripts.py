@@ -7,6 +7,7 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
@@ -90,3 +91,20 @@ def test_scaling_bench_scales_quantitative_hop_reach(monkeypatch, capsys):
     assert data[:, :, :2].transpose(1, 0, 2).tolist() == [[[float(v) for v in s] for s in row] for row in pq]
     x = data[:, :, 2]
     assert ((0 <= x) & (x < 1)).all() and len(set(x.ravel().tolist())) == x.size
+
+
+def test_scaling_bench_undirected_escape(monkeypatch, capsys):
+    """--undirected lists the reverse of every drawn edge, so escape takes
+    its symmetric path; the draws are those of the directed instance."""
+    module = _load("scaling_bench")
+    argv = ["--sizes", "20,40", "--steps", "1", "--repeats", "1", "--undirected", "--formula", "escape(hop)[2,inf] p"]
+    monkeypatch.setattr(sys, "argv", ["scaling_bench", *argv])
+    module.main()
+    assert "growth exponent" in capsys.readouterr().out
+    directed = module.instance(20, 2, seed=1).model.snapshot_at(0.0)
+    ctx = module.instance(20, 2, seed=1, undirected=True)
+    model = ctx.model.snapshot_at(0.0)
+    assert model.symmetric and not directed.symmetric
+    edges = set(zip(directed.src.tolist(), directed.dst.tolist()))
+    assert set(zip(model.src.tolist(), model.dst.tolist())) == edges | {(b, a) for a, b in edges}
+    assert np.array_equal(ctx.trace.grid[1], module.instance(20, 2, seed=1).trace.grid[1])

@@ -19,6 +19,7 @@ from strelmon.space import (
     load_model,
     min_distance_matrix,
     save_model,
+    undirected_model,
     weight_sum_distance,
 )
 
@@ -183,6 +184,48 @@ def test_min_distance_triangle_and_symmetry():
     for i in range(n):
         for j in range(n):
             assert dist[i][j] == dist[j][i]
+
+
+def test_min_distance_limit_keeps_pairs_within_it():
+    """With a limit the searches stop past it: a pair at most the limit
+    apart, one exactly at it included, keeps its distance bit for bit, and
+    a farther pair reads infinity."""
+    probe = build_spatial_model(4, [(0, 0.1, 1), (1, 0.2, 2), (2, 0.5, 3)])
+    f = weight_sum_distance()
+    full = min_distance_matrix(probe, f)
+    assert full[0][2] == 0.1 + 0.2 != 0.3
+    limited = min_distance_matrix(probe, f, limit=0.1 + 0.2)
+    assert limited[0].tolist() == [0.0, 0.1, 0.1 + 0.2, math.inf]
+    rng = random.Random(12)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        rng.shuffle(pairs)
+        m = build_spatial_model(n, [(a, rng.choice([0.1, 0.3, 1.0, math.inf]), b) for a, b in pairs[:12]])
+        full = min_distance_matrix(m, f)
+        for limit in (0.0, 0.3, 0.4, 1.0, 2.5, math.inf):
+            want = [[d if d <= limit else math.inf for d in row] for row in full.tolist()]
+            assert min_distance_matrix(m, f, limit=limit).tolist() == want
+
+
+def test_symmetric_edge_sets(tmp_path):
+    """A snapshot is symmetric when the reverse of every edge is an edge,
+    whatever the weights of the two directions."""
+    assert undirected_model(3, [(0, 1.0, 1), (1, 2.0, 2)]).symmetric
+    assert build_spatial_model(1, []).symmetric and build_spatial_model(3, []).symmetric
+    assert build_spatial_model(2, [(0, 1.0, 1), (1, 3.0, 0)]).symmetric
+    assert not build_spatial_model(2, [(0, 1.0, 1)]).symmetric
+    assert not build_spatial_model(3, [(0, 1.0, 1), (1, 1.0, 0), (1, 1.0, 2)]).symmetric
+    # strongly connected, yet no edge's reverse is an edge
+    assert not build_spatial_model(3, [(0, 1.0, 1), (1, 1.0, 2), (2, 1.0, 0)]).symmetric
+    path = tmp_path / "model.json"
+    path.write_text(
+        '{"locations": 3, "snapshots": ['
+        '{"time": 0, "edges": [[0, 1, 1.0], [2, 1, 0.5], [1, 0, 1.0], [1, 2, 0.5]]}, '
+        '{"time": 1, "edges": [[0, 1, 1.0], [1, 2, 0.5], [1, 0, 1.0]]}]}'
+    )
+    both, one_way = (m for _, m in load_model(str(path)).snapshots)
+    assert both.symmetric and not one_way.symmetric
 
 
 def test_min_distance_rejects_nonpositive():
