@@ -10,10 +10,15 @@ several values; the growth exponent is fitted over the one that does.
     scaling_bench.py --sizes 1000,2000,4000,8000 --domain quantitative --formula "(x > 0.2) reach(hop)[0,3] (x > 0.9)"
   escape over nodes on undirected graphs:
     scaling_bench.py --sizes 250,500,1000,2000 --steps 1 --undirected --formula "escape(hop)[2,inf] p"
+  until over locations stepping at their own times:
+    scaling_bench.py --sizes 100,200,300 --steps 40 --async --formula "F[0,1] p"
 
 Each graph draws 4 * n distinct directed edges; --undirected also lists the
 reverse of each.  Each location carries Boolean variables p and q and a
-uniform [0, 1) variable x, drawn from its own random stream.
+uniform [0, 1) variable x, drawn from its own random stream.  Every location
+steps at the times 0, 1, ..., steps - 1, or with --async at 0 and steps - 1
+distinct times on a 1/128 grid below steps, drawn per location from a third
+stream; the values are the same draws either way.
 """
 
 import argparse
@@ -28,8 +33,10 @@ from strelmon.signals import TemporalSignal, Trace
 from strelmon.space import DynamicalSpatialModel, build_spatial_model, hop_distance
 
 
-def instance(n: int, steps: int, seed: int, domain: str = "boolean", undirected: bool = False) -> MonitorContext:
-    rng, xs = random.Random(seed), random.Random(f"x{seed}")
+def instance(
+    n: int, steps: int, seed: int, domain: str = "boolean", undirected: bool = False, asynchronous: bool = False
+) -> MonitorContext:
+    rng, xs, ts = random.Random(seed), random.Random(f"x{seed}"), random.Random(f"t{seed}")
     edges = set()
     while len(edges) < min(4 * n, n * (n - 1)):
         a, b = rng.randrange(n), rng.randrange(n)
@@ -38,14 +45,20 @@ def instance(n: int, steps: int, seed: int, domain: str = "boolean", undirected:
     if undirected:
         edges |= {(b, a) for a, b in edges}
     model = build_spatial_model(n, [(a, 1.0, b) for a, b in edges])
-    times = tuple(float(k) for k in range(steps))
+    grid = tuple(float(k) for k in range(steps))
+
+    def own_times() -> tuple:
+        if not asynchronous:
+            return grid
+        return (0.0, *(k / 128 for k in sorted(ts.sample(range(1, 128 * steps), steps - 1))))
+
     signals = tuple(
         TemporalSignal(
             times,
             tuple((float(rng.random() < 0.3), float(rng.random() < 0.1), xs.random()) for _ in times),
             float(steps),
         )
-        for _ in range(n)
+        for times in (own_times() for _ in range(n))
     )
     return MonitorContext(
         model=DynamicalSpatialModel.static(model),
@@ -62,6 +75,7 @@ def main() -> None:
     parser.add_argument("--formula", default="p reach(hop)[0,3] q")
     parser.add_argument("--domain", choices=("boolean", "quantitative"), default="boolean")
     parser.add_argument("--undirected", action="store_true", help="list both directions of every edge")
+    parser.add_argument("--async", dest="asynchronous", action="store_true", help="step each location at its own times")
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
@@ -76,7 +90,9 @@ def main() -> None:
         for steps in step_counts:
             runs = []
             for attempt in range(args.repeats):
-                ctx = instance(n, steps, seed=attempt, domain=args.domain, undirected=args.undirected)
+                ctx = instance(
+                    n, steps, seed=attempt, domain=args.domain, undirected=args.undirected, asynchronous=args.asynchronous
+                )
                 start = time.perf_counter()
                 monitor(ctx, formula)
                 runs.append(time.perf_counter() - start)

@@ -11,7 +11,7 @@ Structure: an atom is one array expression over the trace grid (a
 comparison, a subtraction, or one call of its interpretation), negation
 and conjunction act on whole arrays over merged grids, and until/since
 share one exact event sweep of all locations at once, each over its own
-steps, costing O(N log N + sum of window segments) for N own steps.  The
+steps, in O(N log N + E log w) for N own steps, E events, w-step windows.  The
 spatial operators evaluate the graph snapshot at every time where an input
 row or the graph changes, once per snapshot and distinct pair of input
 rows; each kernel takes the input rows as arrays, never writes into them,
@@ -199,9 +199,10 @@ def monitor_until(interval: Interval, s1: SpatioTemporalSignal, s2: SpatioTempor
     window at the trace end.  The evaluable domain shrinks by the interval
     upper bound (lower bound when unbounded); an empty domain is an error.
 
-    Cost: O(N log N + sum over events of the own segments in the window) for
-    N own steps of all locations, in one array pass per window offset
-    (``_temporal_sweep``); an unbounded window spans the rest of the trace.
+    Cost: O(N log N + E log w) for N own steps of all locations, E events
+    and windows of up to w own segments, bounded or not: a doubling table of
+    the window fold, one array pass per power of two up to w
+    (``_temporal_sweep``), plus one pass over the steps x locations cells.
     """
     return _temporal_sweep(interval, *_own_steps(s1, s2), domain, future=True)
 
@@ -222,16 +223,23 @@ def _temporal_sweep(interval: Interval, times: np.ndarray, v1: np.ndarray, v2: n
     """The until (``future``) or since sweep of every location at once.
 
     ``own`` marks each location's own steps (the first row is one), which
-    bound its segments and give its events.  Per (location, event e) pair,
-    a grid lookup and the location's running count of own steps find the
-    segments holding e, the near window edge (e + lo, or e - lo for since)
-    and the far one (e + hi or e - hi), clamped to the grid, so an edge
-    past the domain (rounded just outside, or infinite) reads the outermost
-    segment.  Events shifted by an infinite hi lie outside the domain and
-    are dropped.  The fold walks from e's segment to the far edge's,
-    combining s1 into ``running``; from the near edge's segment on it also
-    chooses s2 combined with ``running`` into ``acc``.  All pairs take step
-    d of their walk together.
+    bound its segments and give its events: its own step times shifted by
+    0, lo and hi (back for until, forward for since) inside the domain, and
+    its start.  All events lie in one sorted grid of the shifted trace
+    times, and a location x grid mask lists each location's events in order.
+    Per grid value, a row lookup finds e, the near window edge (e + lo, or
+    e - lo for since) and the far one (e + hi or e - hi), clamped to the
+    grid, so an edge past the domain (rounded just outside, or infinite)
+    reads the outermost row; the location's running count of own steps
+    turns a row into its segment.
+
+    The verdict at e combines s1 from e's segment up to the near edge's with
+    the fold of the segments from there to the far edge's: choose of s2
+    combined with the running combine of s1.  The fold is associative, so
+    level j of a doubling table holds it over every block of 2**j own
+    steps; each pair takes the blocks named by the bits of its length,
+    smallest first (since walks the reversed steps).  Only max and min are
+    reassociated, so the verdicts are those of a step-by-step walk.
     """
     t0 = times[0].item()
     lo, hi = interval.lo, interval.hi
@@ -242,40 +250,60 @@ def _temporal_sweep(interval: Interval, times: np.ndarray, v1: np.ndarray, v2: n
             f"temporal interval [{lo}, {hi}] exceeds the trace horizon: "
             f"evaluable domain of {'until' if future else 'since'} is empty"
         )
-    n, way = own.shape[1], 1 if future else -1
+    (rows, n), way = own.shape, 1 if future else -1
     # own steps flat, one location after another; latest[k, l] is the flat
     # index of l's last own step at or before row k
     loc, row = np.nonzero(own.T)
     count = np.cumsum(own, axis=0)
     latest = count + (np.cumsum(count[-1]) - count[-1] - 1)
-    x1, x2 = v1[row, loc], v2[row, loc]
-    events = np.concatenate([times[row] - way * s for s in (0.0, lo, hi)])
-    inside = (out_start <= events) & (events <= out_end)
-    owners = np.concatenate((np.arange(n), np.tile(loc, 3)[inside]))
-    events = np.concatenate((np.full(n, out_start), events[inside]))
-    order = np.lexsort((events, owners))
-    owners, events = owners[order], events[order]
-    fresh = np.ones(len(events), dtype=bool)
-    fresh[1:] = (owners[1:] != owners[:-1]) | (events[1:] != events[:-1])
-    owners, events = owners[fresh], events[fresh]
+    # every event is a trace time shifted by 0, lo or hi: one grid holds them
+    shifted = np.concatenate([times - way * s for s in (0.0, lo, hi)])
+    inside = (out_start <= shifted) & (shifted <= out_end)
+    grid, slot = np.unique(np.append(shifted[inside], out_start), return_inverse=True)
+    at = np.full(len(shifted), -1)
+    at[inside] = slot[:-1]
+    # mask[l, j] marks grid value j as an event of location l
+    mine = at[np.add.outer(np.arange(3) * rows, row)].ravel()
+    mask = np.zeros((n, len(grid)), dtype=bool)
+    mask[:, slot[-1]] = True
+    mask[np.tile(loc, 3)[mine >= 0], mine[mine >= 0]] = True
+    owners, g = np.nonzero(mask)
 
     def segment(t: np.ndarray) -> np.ndarray:
-        return latest[np.maximum(np.searchsorted(times, t, side="right") - 1, 0), owners]
+        return latest[np.maximum(np.searchsorted(times, t, side="right") - 1, 0)[g], owners]
 
-    k_e = segment(events)
-    span, lead = way * (segment(events + way * hi) - k_e), way * (segment(events + way * lo) - k_e)
-    # longest walks first, so the pairs still walking at step d are a prefix
-    order = np.argsort(-span, kind="stable")
-    k_e, lead = k_e[order], lead[order]
-    live = np.searchsorted(-span[order], -np.arange(span.max() + 1), side="right")
+    k_e, k_near, k_far = segment(grid), segment(grid + way * lo), segment(grid + way * hi)
     dtype = np.result_type(v1, v2)
-    running = np.full(len(events), domain.top, dtype=dtype)
-    acc = np.full(len(events), domain.bottom, dtype=dtype)
-    for d, m in enumerate(live.tolist()):
-        k = k_e[:m] + way * d
-        r = running[:m] = np.minimum(running[:m], x1[k])
-        np.maximum(acc[:m], np.minimum(x2[k], r), out=acc[:m], where=lead[:m] <= d)
-    return canonical(*stack_steps(events, owners, acc[np.argsort(order)], n), out_end)
+    x1, x2 = v1[row, loc].astype(dtype, copy=False), v2[row, loc].astype(dtype, copy=False)
+    if not future:
+        x1, x2 = x1[::-1], x2[::-1]
+        k_e, k_near, k_far = (len(x1) - 1 - k for k in (k_e, k_near, k_far))
+    # s1 over [k_e, k_near) into ``head``; the fold over [k_near, k_far] into
+    # (``running``, ``acc``); each start advances past the blocks taken
+    head_at, head_len = k_e, k_near - k_e
+    tail_at, tail_len = k_near, k_far - k_near + 1
+    head = np.full(len(g), domain.top, dtype=dtype)
+    running = np.full(len(g), domain.top, dtype=dtype)
+    acc = np.full(len(g), domain.bottom, dtype=dtype)
+    # the level tables: per block of h own steps from i, s1 combined over it
+    # (``run``) and the fold over it (``best``)
+    run, best = x1, np.minimum(x1, x2)
+    h, widest = 1, (k_far - k_e).max() + 1
+    while True:
+        take = np.flatnonzero(head_len & h)
+        k = head_at[take]
+        head[take] = np.minimum(head[take], run[k])
+        head_at[take] = k + h
+        take = np.flatnonzero(tail_len & h)
+        k = tail_at[take]
+        acc[take] = np.maximum(acc[take], np.minimum(running[take], best[k]))
+        running[take] = np.minimum(running[take], run[k])
+        tail_at[take] = k + h
+        if 2 * h > widest:
+            break
+        run, best = np.minimum(run[:-h], run[h:]), np.maximum(best[:-h], np.minimum(run[:-h], best[h:]))
+        h *= 2
+    return canonical(*stack_steps(grid[g], owners, np.minimum(head, acc), n), out_end)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +631,7 @@ def escape(
     """
     d1, d2 = interval.lo, interval.hi
     dist = min_distance_matrix(model, f, limit=d2 if d2 < math.inf else d1)
-    x1 = np.asarray(s1)
+    x1 = np.asarray(s1, dtype=bool if domain.name == "boolean" else float)
     n = model.location_count
     if n >= 2 and model.symmetric:
         e = _widest_walks(model, x1, domain)

@@ -19,7 +19,7 @@ from conftest import (
     random_model,
     standard_distances,
 )
-from strelmon.algebra import boolean_domain, maxmin_domain
+from strelmon.algebra import SignalDomain, boolean_domain, maxmin_domain
 from strelmon.logic import (
     And,
     Atomic,
@@ -59,6 +59,7 @@ from strelmon.signals import (
     load_trace,
     run_starts,
     save_trace,
+    stack_steps,
 )
 from strelmon.space import (
     DynamicalSpatialModel,
@@ -748,6 +749,136 @@ def test_monitor_matches_per_location_sweep_reference(domain, monkeypatch):
     assert compared > 2000
 
 
+# The columnar sweep before the doubling fold and the shared event grid,
+# kept verbatim (from its docstring on) as the reference its replacement is
+# checked against: it sorts (location, event) pairs with a lexsort and walks
+# every window one own segment per array pass.
+
+
+def lexsort_sweep_reference(interval: Interval, times: np.ndarray, v1: np.ndarray, v2: np.ndarray, own: np.ndarray, t_end: float, domain: SignalDomain, future: bool) -> SpatioTemporalSignal:
+    """The until (``future``) or since sweep of every location at once.
+
+    ``own`` marks each location's own steps (the first row is one), which
+    bound its segments and give its events.  Per (location, event e) pair,
+    a grid lookup and the location's running count of own steps find the
+    segments holding e, the near window edge (e + lo, or e - lo for since)
+    and the far one (e + hi or e - hi), clamped to the grid, so an edge
+    past the domain (rounded just outside, or infinite) reads the outermost
+    segment.  Events shifted by an infinite hi lie outside the domain and
+    are dropped.  The fold walks from e's segment to the far edge's,
+    combining s1 into ``running``; from the near edge's segment on it also
+    chooses s2 combined with ``running`` into ``acc``.  All pairs take step
+    d of their walk together.
+    """
+    t0 = times[0].item()
+    lo, hi = interval.lo, interval.hi
+    lost = hi if interval.bounded else lo
+    out_start, out_end = (t0, t_end - lost) if future else (t0 + lost, t_end)
+    if out_end < out_start:
+        raise SemanticError(
+            f"temporal interval [{lo}, {hi}] exceeds the trace horizon: "
+            f"evaluable domain of {'until' if future else 'since'} is empty"
+        )
+    n, way = own.shape[1], 1 if future else -1
+    # own steps flat, one location after another; latest[k, l] is the flat
+    # index of l's last own step at or before row k
+    loc, row = np.nonzero(own.T)
+    count = np.cumsum(own, axis=0)
+    latest = count + (np.cumsum(count[-1]) - count[-1] - 1)
+    x1, x2 = v1[row, loc], v2[row, loc]
+    events = np.concatenate([times[row] - way * s for s in (0.0, lo, hi)])
+    inside = (out_start <= events) & (events <= out_end)
+    owners = np.concatenate((np.arange(n), np.tile(loc, 3)[inside]))
+    events = np.concatenate((np.full(n, out_start), events[inside]))
+    order = np.lexsort((events, owners))
+    owners, events = owners[order], events[order]
+    fresh = np.ones(len(events), dtype=bool)
+    fresh[1:] = (owners[1:] != owners[:-1]) | (events[1:] != events[:-1])
+    owners, events = owners[fresh], events[fresh]
+
+    def segment(t: np.ndarray) -> np.ndarray:
+        return latest[np.maximum(np.searchsorted(times, t, side="right") - 1, 0), owners]
+
+    k_e = segment(events)
+    span, lead = way * (segment(events + way * hi) - k_e), way * (segment(events + way * lo) - k_e)
+    # longest walks first, so the pairs still walking at step d are a prefix
+    order = np.argsort(-span, kind="stable")
+    k_e, lead = k_e[order], lead[order]
+    live = np.searchsorted(-span[order], -np.arange(span.max() + 1), side="right")
+    dtype = np.result_type(v1, v2)
+    running = np.full(len(events), domain.top, dtype=dtype)
+    acc = np.full(len(events), domain.bottom, dtype=dtype)
+    for d, m in enumerate(live.tolist()):
+        k = k_e[:m] + way * d
+        r = running[:m] = np.minimum(running[:m], x1[k])
+        np.maximum(acc[:m], np.minimum(x2[k], r), out=acc[:m], where=lead[:m] <= d)
+    return canonical(*stack_steps(events, owners, acc[np.argsort(order)], n), out_end)
+
+
+def _doubling_sweep_instance(rng, domain):
+    """The sweep kernel's own arguments, drawn directly: 1-6 locations on a
+    grid of eighths or of tenths from a decimal start (1-40 rows, one row
+    on purpose), each location stepping at its own rows (every row for a
+    third of them), values among +-0.0, +-1e300 and +-inf as well, and a
+    window whose bounds, in grid units, are often 2**p - 1, 2**p or
+    2**p + 1, so a window spans that many own segments of a location that
+    steps at every row."""
+    decimal = rng.random() < 0.4
+    unit = 10 if decimal else 8
+    first = rng.choice([0, 1, 11]) if decimal else rng.randint(0, 3)
+    rows = 1 if rng.random() < 0.08 else rng.randint(2, 40)
+    times = np.array([(first + i) / unit for i in range(rows)])
+    t_end = (first + rows - 1 + rng.choice([0, 0, 1, 3])) / unit
+    n = rng.randint(1, 6)
+    density = rng.choice([0.15, 0.5, 1.0, 1.0])
+    own = np.array([[k == 0 or rng.random() < density for _ in range(n)] for k in range(rows)])
+    pool = [False, True] if domain is BOOL else [0.0, -0.0, 1.0, -1.0, 2.5, 1e300, -1e300, math.inf, -math.inf]
+    v1, v2 = (np.array([[rng.choice(pool) for _ in range(n)] for _ in range(rows)]) for _ in range(2))
+    # hold each value until the location's next own step, as a step function does
+    held = np.maximum.accumulate(np.where(own, np.arange(rows)[:, None], 0), axis=0)
+    v1, v2 = (np.take_along_axis(v, held, axis=0) for v in (v1, v2))
+
+    def bound():
+        p = rng.randint(0, 5)
+        return rng.choice([0, rng.randint(0, 6), 2**p - 1, 2**p, 2**p + 1])
+
+    lo = rng.choice([0, 0, bound()])
+    hi = math.inf if rng.random() < 0.25 else lo + bound()
+    return Interval(lo / unit, hi / unit), times, v1, v2, own, t_end, unit
+
+
+def _sweep_cells(out):
+    return repr((out.times.tolist(), out.values.shape, one_zero(out.values.ravel().tolist()), out.end_time))
+
+
+@pytest.mark.parametrize("domain", [BOOL, QUANT], ids=["boolean", "quantitative"])
+def test_doubling_sweep_matches_lexsort_reference(domain):
+    """The doubling fold over the shared event grid gives the lexsort
+    sweep's verdicts and grid, bit for bit, for until and since, on dyadic
+    and decimal times, asynchronous locations, one-row inputs, point,
+    bounded and unbounded windows with lo = 0 and lo > 0, and windows of
+    2**p - 1, 2**p and 2**p + 1 own segments."""
+    rng = random.Random(2048)
+    compared = 0
+    spans = set()
+    for _ in range(1500):
+        interval, times, v1, v2, own, t_end, unit = _doubling_sweep_instance(rng, domain)
+        for future in (True, False):
+            args = (interval, times, v1, v2, own, t_end, domain, future)
+            try:
+                want = lexsort_sweep_reference(*args)
+            except SemanticError:
+                with pytest.raises(SemanticError):
+                    engine._temporal_sweep(*args)
+                continue
+            assert _sweep_cells(engine._temporal_sweep(*args)) == _sweep_cells(want), args
+            compared += 1
+            if own.all() and interval.lo == 0 and interval.hi * unit < len(times):
+                spans.add(round(interval.hi * unit))  # own segments a whole window spans
+    assert compared > 2000
+    assert {2**p + d for p in (2, 3, 4, 5) for d in (-1, 0, 1)} <= spans
+
+
 # ---------------------------------------------------------------------------
 # reach / escape building blocks
 
@@ -1174,6 +1305,29 @@ def test_escape_keeps_the_closure_on_directed_snapshots():
         assert want == [domain.top, domain.bottom]
         assert escape(model, hop_distance(), interval, s1, domain).tolist() == want
         assert engine._widest_walks(model, s1, domain)[1, 0] == domain.top
+
+
+@pytest.mark.parametrize("domain", [BOOL, QUANT], ids=["boolean", "quantitative"])
+def test_escape_on_integer_inputs_equals_float_inputs(domain):
+    """An s1 of Python ints is read in the domain's dtype, so both the
+    symmetric and the directed path give the verdicts of the same values as
+    bools or floats, instead of raising on the bottom -inf in an int array."""
+    hop = hop_distance()
+    pair = undirected_model(2, [(0, 1.0, 1)])
+    assert escape(pair, hop, Interval(1, UNBOUNDED), [1, -1], QUANT).tolist() == [-1.0, -1.0]
+    rng = random.Random(1717)
+    models = [pair, build_spatial_model(2, [(0, 1.0, 1)])]
+    models += [_random_undirected(rng, 8, 2, [1.0]) for _ in range(3)]
+    models += [_random_digraph(rng, 8, 2, [1.0]) for _ in range(3)]
+    assert {m.symmetric for m in models} == {True, False}
+    for model in models:
+        for _ in range(8):
+            ints = [rng.choice([0, 1] if domain is BOOL else [-2, -1, 0, 1, 3]) for _ in range(model.location_count)]
+            typed = [bool(v) if domain is BOOL else float(v) for v in ints]
+            for interval in (Interval(1, UNBOUNDED), Interval(0, 2), Interval(2, 2)):
+                got = escape(model, hop, interval, ints, domain)
+                want = escape(model, hop, interval, typed, domain)
+                assert got.dtype == want.dtype and repr(got.tolist()) == repr(want.tolist())
 
 
 @pytest.mark.parametrize("domain", [BOOL, QUANT])

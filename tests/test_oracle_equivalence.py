@@ -79,6 +79,55 @@ def test_monitor_equals_oracle_on_infinite_upper_bounds(domain):
         assert sum(agrees(lambda: formula) for _ in range(150)) > 100, text
 
 
+WIDE_VALUES = (-math.inf, -1e300, -1.0, -0.25, 0.0, 0.5, 1.0, 1e300, math.inf)
+
+
+def wide_instance(rng, max_locations=6):
+    """A wider draw than ``random_instance``: each location steps at its own
+    subset of up to six union times (quarters, first at 0), values include
+    +-inf and +-1e300, edges weigh 0.5, 1, 2 or inf, and a second snapshot
+    may start at an eighth off the trace's quarter grid."""
+    n = rng.randint(1, max_locations)
+    union = [0.0] + sorted(rng.sample([i / 4 for i in range(1, 9)], rng.randint(0, 5)))
+
+    def model():
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        chosen = rng.sample(pairs, rng.randint(0, min(10, len(pairs))))
+        return build_spatial_model(n, [(a, rng.choice([0.5, 1.0, 2.0, math.inf]), b) for a, b in chosen])
+
+    snapshots = [(0.0, model())]
+    if rng.random() < 0.5:
+        snapshots.append((rng.choice([0.125, 0.375, 0.625, 1.125, 1.875]), model()))
+    signals = []
+    for _ in range(n):
+        times = [0.0] + sorted(rng.sample(union[1:], rng.randint(0, len(union) - 1)))
+        values = tuple((rng.choice(WIDE_VALUES), rng.choice(WIDE_VALUES)) for _ in times)
+        signals.append(TemporalSignal(tuple(times), values, 2.5))
+    return DynamicalSpatialModel(tuple(snapshots)), Trace(("x", "y"), tuple(signals))
+
+
+@pytest.mark.parametrize("domain", [boolean_domain(), maxmin_domain()], ids=["boolean", "quantitative"])
+def test_monitor_equals_oracle_on_wide_instances(domain):
+    """Asynchronous locations, non-finite and huge values, infinite and
+    half-unit edge weights, and snapshots between trace steps, under random
+    formulas: the engine and the oracle agree."""
+    rng = random.Random(9031 if domain.name == "boolean" else 9032)
+    checked = 0
+    for _ in range(1500):
+        dm, trace = wide_instance(rng)
+        formula = random_formula(rng, rng.randint(1, 4))
+        ctx = MonitorContext(model=dm, trace=trace, domain=domain, distances=standard_distances())
+        try:
+            got = monitor(ctx, formula)
+        except SemanticError:
+            with pytest.raises(SemanticError):
+                oracle_monitor(ctx, formula)
+            continue
+        compare_spatiotemporal(got, oracle_monitor(ctx, formula), domain, tol=0.0)
+        checked += 1
+    assert checked > 1000
+
+
 def test_oracle_agrees_on_network16_suite(network16_ctx):
     for text in (
         "end_dev reach(hop)[0,1] router",

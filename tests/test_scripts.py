@@ -108,3 +108,22 @@ def test_scaling_bench_undirected_escape(monkeypatch, capsys):
     edges = set(zip(directed.src.tolist(), directed.dst.tolist()))
     assert set(zip(model.src.tolist(), model.dst.tolist())) == edges | {(b, a) for a, b in edges}
     assert np.array_equal(ctx.trace.grid[1], module.instance(20, 2, seed=1).trace.grid[1])
+
+
+def test_scaling_bench_async_steps_each_location_at_its_own_times(monkeypatch, capsys):
+    """--async draws each location's step times from a stream of their own:
+    every location starts at 0 and steps at its own distinct times below
+    the trace end, and its values are the synchronous instance's draws."""
+    module = _load("scaling_bench")
+    argv = ["--sizes", "20", "--steps", "3,6", "--repeats", "1", "--async", "--formula", "F[0,1] p"]
+    monkeypatch.setattr(sys, "argv", ["scaling_bench", *argv])
+    module.main()
+    assert "growth exponent" in capsys.readouterr().out
+    for domain in ("boolean", "quantitative"):
+        sync = module.instance(20, 6, seed=1, domain=domain)
+        ctx = module.instance(20, 6, seed=1, domain=domain, asynchronous=True)
+        assert ctx.trace.end_time == sync.trace.end_time == 6.0
+        own = [s.times for s in ctx.trace.signals]
+        assert all(t[0] == 0.0 and len(set(t)) == 6 and t == tuple(sorted(t)) and t[-1] < 6.0 for t in own)
+        assert len(set(own)) == 20
+        assert [s.values for s in ctx.trace.signals] == [s.values for s in sync.trace.signals]
