@@ -35,7 +35,7 @@ from .logic import (
     UNBOUNDED,
 )
 from .monitor import MonitorContext, monitor, satisfied_locations
-from .signals import TemporalSignal, Trace
+from .signals import Trace
 from .space import (
     BUILTIN_DISTANCES,
     DynamicalSpatialModel,
@@ -188,9 +188,7 @@ def generate_manet(cfg: ManetConfig) -> tuple[DynamicalSpatialModel, DynamicalSp
     variables = ("coord", "router", "end_dev", "battery", "humidity", "pollution")
     one_hot = np.broadcast_to(np.eye(3)[roles][:, None, :], (n, cfg.steps, 3))
     data = np.concatenate((one_hot, np.stack([walks[v] for v in variables[3:]], axis=2)), axis=2)
-    trace = Trace(variables, tuple(
-        TemporalSignal(tuple(times), tuple(map(tuple, rows)), end) for rows in data.tolist()
-    ))
+    trace = Trace.from_arrays(variables, times, data.transpose(1, 0, 2), end)
     return (
         DynamicalSpatialModel(tuple(prox_snaps)),
         DynamicalSpatialModel(tuple(conn_snaps)),
@@ -382,10 +380,8 @@ def simulate_epidemic(cfg: EpidemicConfig) -> tuple[DynamicalSpatialModel, Trace
         next_timer[exposed] = _duration_days(rng, cfg.exposed_shape, cfg.exposed_mean_days, len(exposed))
         state, timer = next_state, next_timer
 
-    times = tuple(float(day) for day in range(cfg.horizon_days))
-    end = float(cfg.horizon_days - 1)
-    columns = states_per_day.T.astype(float).tolist()  # one row of day states per location
-    trace = Trace(("state",), tuple(TemporalSignal(times, tuple(zip(c)), end) for c in columns))
+    days = np.arange(cfg.horizon_days, dtype=float)
+    trace = Trace.from_arrays(("state",), days, states_per_day[:, :, None], days[-1])
     return DynamicalSpatialModel(tuple(snapshots)), trace
 
 

@@ -6,17 +6,21 @@ closed end of the domain.  A spatio-temporal signal (a verdict per location
 and time) is stored as columns: one step grid shared by every location and
 a steps x locations array, with canonical runs; its per-location temporal
 signals are built on demand, only for output.  Traces are vector-valued
-inputs, one temporal signal per location as given, and cache their union
-step grid as one array for the monitor's atoms.
+inputs, stored the same way: one step grid and a steps x locations x
+variables array for the monitor's atoms, plus a mask of each location's own
+steps, from which its temporal signal is built on demand (for output and
+the oracle).  A trace read from CSV is parsed as whole columns.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Any, Sequence
 
 import numpy as np
@@ -130,12 +134,12 @@ class SpatioTemporalSignal:
         )
 
 
-def _on_grid(signals: Sequence[TemporalSignal], dtype=None) -> tuple[np.ndarray, np.ndarray]:
+def _on_grid(signals: Sequence[TemporalSignal]) -> tuple[np.ndarray, np.ndarray]:
     """The union step grid of signals that start together, and every
     signal's values on it, stacked along axis 1."""
     counts = [len(s.times) for s in signals]
     steps = np.array([t for s in signals for t in s.times], dtype=float)
-    values = np.array([v for s in signals for v in s.values], dtype=dtype)
+    values = np.array([v for s in signals for v in s.values])
     return stack_steps(steps, np.repeat(np.arange(len(signals)), counts), values, len(signals))
 
 
@@ -179,36 +183,78 @@ def column_steps(times: np.ndarray, values: np.ndarray) -> list[tuple[tuple, tup
     return [(tuple(steps[a:b]), tuple(held[a:b])) for a, b in zip(bounds, bounds[1:])]
 
 
-@dataclass(frozen=True)
 class Trace:
-    """Vector-valued input signals: one tuple of variable values per step."""
+    """Vector-valued input signals: per location, a tuple of variable values
+    at each of its own steps.
 
-    variables: tuple[str, ...]
-    signals: tuple[TemporalSignal, ...]
+    The trace is stored as columns: ``grid`` is the union step grid of all
+    locations (float64) and a read-only steps x locations x variables
+    float64 array on it, ``own`` a steps x locations bool mask of the cells
+    where a location has a step of its own (its first row all true), and
+    ``end_time`` the closed end of the domain.  ``Trace(variables, signals)``
+    validates its per-location signals and stacks them on the first ``grid``
+    access; ``Trace.from_arrays`` takes the columns directly.  Either way
+    ``signals`` gives each location's own steps as a ``TemporalSignal`` of
+    value tuples, built on demand for an array-built trace, and two traces
+    are equal when their variables and per-location signals are.
+    """
 
-    def __post_init__(self):
-        if not self.variables:
+    def __init__(self, variables: Sequence[str], signals: Sequence[TemporalSignal]):
+        variables, signals = tuple(variables), tuple(signals)
+        if not variables:
             raise SignalError("trace needs at least one variable")
-        _check_same_domain(self.signals)
-        n = len(self.variables)
-        for loc, s in enumerate(self.signals):
+        _check_same_domain(signals)
+        n = len(variables)
+        for loc, s in enumerate(signals):
             for v in s.values:
                 if len(v) != n:
                     raise SignalError(
                         f"location {loc} has a step with {len(v)} values, expected {n}"
                     )
+        self.variables, self.signals = variables, signals
+        self.location_count, self.start, self.end_time = len(signals), signals[0].start, signals[0].end_time
 
-    @property
-    def location_count(self) -> int:
-        return len(self.signals)
+    @classmethod
+    def from_arrays(cls, variables: Sequence[str], times, data, end_time: float, own=None) -> "Trace":
+        """The trace whose union step grid is ``times``, whose steps x
+        locations x variables values are ``data`` and whose domain ends at
+        ``end_time``.  ``own`` marks each location's own steps, and a
+        location's values change only there; without it every location
+        steps at every time.  A NaN value is a ``SignalError`` naming its
+        first cell."""
+        variables = tuple(variables)
+        if not variables:
+            raise SignalError("trace needs at least one variable")
+        times, data = np.array(times, dtype=float), np.array(data, dtype=float)
+        if times.ndim != 1 or not len(times):
+            raise SignalError(f"trace times must be a nonempty 1-d array, got shape {times.shape}")
+        if data.ndim != 3 or data.shape[0] != len(times) or not data.shape[1] or data.shape[2] != len(variables):
+            raise SignalError(
+                f"trace data has shape {data.shape}, expected ({len(times)}, locations, {len(variables)})"
+            )
+        backward = np.flatnonzero(~(times[1:] > times[:-1]))
+        if len(backward):
+            a, b = times[backward[0]:][:2].tolist()
+            raise SignalError(f"step times must strictly increase, got {a} then {b}")
+        end_time = float(end_time)
+        if not end_time >= times[-1]:
+            raise SignalError(f"end time {end_time} precedes last step {times[-1].item()}")
+        own = np.ones(data.shape[:2], dtype=bool) if own is None else np.array(own, dtype=bool)
+        if own.shape != data.shape[:2] or not own[0].all():
+            raise SignalError(f"own steps must be a {data.shape[:2]} mask whose first row is all true")
+        _check_no_nan(variables, times, data)
+        if not (own[1:] | (data[1:] == data[:-1]).all(axis=2)).all():
+            raise SignalError("a location's values change only at its own steps")
+        data.flags.writeable = False
+        trace = cls.__new__(cls)
+        trace.variables, trace.grid, trace.own = variables, (times, data), own
+        trace.location_count, trace.start, trace.end_time = data.shape[1], times[0].item(), end_time
+        return trace
 
-    @property
-    def start(self) -> float:
-        return self.signals[0].start
-
-    @property
-    def end_time(self) -> float:
-        return self.signals[0].end_time
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return self.variables == other.variables and self.signals == other.signals
 
     def step_times(self) -> list[float]:
         return self.grid[0].tolist()
@@ -218,22 +264,95 @@ class Trace:
         """The union step grid, and the variables on it as a read-only
         steps x locations x variables float64 array.  A NaN value is a
         ``SignalError`` naming its first cell; +-inf are values like any other."""
-        times, data = _on_grid(self.signals, float)
-        if np.isnan(data).any():
-            k, loc, var = np.argwhere(np.isnan(data))[0].tolist()
-            raise SignalError(
-                f"location {loc} holds NaN for {self.variables[var]!r} at time {format_number(times[k].item())}"
-            )
+        signals, k = self.signals, len(self.variables)
+        counts = [len(s.times) for s in signals]
+        steps = np.fromiter(chain.from_iterable(s.times for s in signals), float, sum(counts))
+        flat = chain.from_iterable(chain.from_iterable(s.values for s in signals))
+        values = np.fromiter(flat, float, sum(counts) * k).reshape(-1, k)
+        times, data = stack_steps(steps, np.repeat(np.arange(len(signals)), counts), values, len(signals))
+        _check_no_nan(self.variables, times, data)
         data.flags.writeable = False
         return times, data
+
+    @cached_property
+    def own(self) -> np.ndarray:
+        """Per cell of ``grid``, whether the location has a step of its own there."""
+        times = self.grid[0]
+        own = np.zeros((len(times), self.location_count), dtype=bool)
+        for loc, s in enumerate(self.signals):
+            own[np.searchsorted(times, s.times), loc] = True
+        return own
+
+    @cached_property
+    def signals(self) -> tuple[TemporalSignal, ...]:
+        """Per location, its own steps and the value tuples there."""
+        (times, data), starts = self.grid, self.own.T
+        steps = np.broadcast_to(times, starts.shape)[starts].tolist()
+        held = list(map(tuple, data.swapaxes(0, 1)[starts].tolist()))
+        bounds = [0] + np.cumsum(starts.sum(axis=1)).tolist()
+        return tuple(
+            TemporalSignal(tuple(steps[a:b]), tuple(held[a:b]), self.end_time)
+            for a, b in zip(bounds, bounds[1:])
+        )
+
+
+def _check_no_nan(variables: tuple[str, ...], times: np.ndarray, data: np.ndarray) -> None:
+    if np.isnan(data).any():
+        k, loc, var = np.argwhere(np.isnan(data))[0].tolist()
+        raise SignalError(
+            f"location {loc} holds NaN for {variables[var]!r} at time {format_number(times[k].item())}"
+        )
 
 
 def load_trace(path: str) -> Trace:
     """Read a trace CSV: header location,time,<var...>, rows sorted by (location, time).
 
     Times and values must be finite numbers.  Each location keeps its own
-    steps; ``Trace.grid`` puts them on one grid for the monitor.
+    steps (``Trace.own``).  The rows are parsed as whole columns; a file
+    that fails there in any way, by an error, a warning or a check, is read
+    again one row at a time, which accepts the same files and names the
+    first bad line of any other.
     """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = _load_columns(path)
+    except Exception:  # whatever went wrong, the row loop meets it again and reports it
+        trace = None
+    return _load_rows(path) if trace is None else trace
+
+
+def _load_columns(path: str) -> Trace | None:
+    """The trace in ``path`` from one ``np.loadtxt`` pass, checked as
+    ``_load_rows`` checks it, or None where a check fails."""
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None or len(header) < 3 or header[0] != "location" or header[1] != "time":
+            return None
+        variables = tuple(header[2:])
+        fields = [("location", np.int64), ("time", float), ("values", float, (len(variables),))]
+        rows = np.loadtxt(fh, dtype=np.dtype(fields), delimiter=",", comments=None, ndmin=1)
+    if not len(rows):
+        return None
+    loc, t, values = rows["location"], rows["time"], rows["values"]
+    later, same = loc[1:] > loc[:-1], loc[1:] == loc[:-1]
+    firsts = np.flatnonzero(np.concatenate(([True], later)))
+    # sorted by (location, time) with ids 0..n-1, and every number finite
+    if not (
+        loc[0] == 0 and loc[-1] == len(firsts) - 1 and (later | same & (t[1:] > t[:-1])).all()
+        and np.isfinite(t).all() and np.isfinite(values).all()
+    ):
+        return None
+    times, data = stack_steps(t, loc, values, len(firsts))
+    own = np.zeros(data.shape[:2], dtype=bool)
+    own[np.searchsorted(times, t), loc] = True
+    # a location starting after the others leaves a gap in own's first row,
+    # which from_arrays rejects
+    return Trace.from_arrays(variables, times, data, times[-1], own)
+
+
+def _load_rows(path: str) -> Trace:
+    """``load_trace`` one row at a time, raising at the first bad line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:

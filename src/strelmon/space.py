@@ -301,19 +301,23 @@ def delaunay_proximity(pos: EuclideanPositions) -> set[tuple[int, int]]:
 
 
 def connectivity_graph(pos: EuclideanPositions, radius: float) -> set[tuple[int, int]]:
-    """Pairs within the communication radius, boundary inclusive."""
+    """Pairs within the communication radius, boundary inclusive, as
+    ``math.hypot`` of the coordinate differences decides it.
+
+    ``np.hypot`` of the same differences is within a few ulps of it, so it
+    decides every pair except those within a relative 1e-12 of the radius,
+    which ``math.hypot`` decides again."""
     if radius < 0:
         raise ModelError("radius must be nonnegative")
-    n = len(pos)
-    rel: set[tuple[int, int]] = set()
-    for i in range(n):
-        xi, yi = pos[i]
-        for j in range(i + 1, n):
-            xj, yj = pos[j]
-            if math.hypot(xi - xj, yi - yj) <= radius:
-                rel.add((i, j))
-                rel.add((j, i))
-    return rel
+    pts = np.asarray(pos.points, dtype=float).reshape(-1, 2)
+    i, j = np.triu_indices(len(pts), 1)
+    d = np.hypot(*(pts[i] - pts[j]).T)
+    within = d <= radius
+    for k in np.flatnonzero(np.abs(d - radius) <= 1e-12 * max(radius, 1)).tolist():
+        (xi, yi), (xj, yj) = pos[i[k]], pos[j[k]]
+        within[k] = math.hypot(xi - xj, yi - yj) <= radius
+    a, b = i[within], j[within]
+    return set(zip(np.concatenate((a, b)).tolist(), np.concatenate((b, a)).tolist()))
 
 
 def save_model(dm: DynamicalSpatialModel, path: str) -> None:

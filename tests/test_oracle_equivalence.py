@@ -161,3 +161,22 @@ def test_oracle_rejects_large_instances():
     ctx2 = MonitorContext(model=model2, trace=trace2, domain=boolean_domain(), distances={})
     with pytest.raises(OracleLimitError):
         oracle_monitor(ctx2, parse("x"))
+
+
+@pytest.mark.xfail(strict=True, reason="decimal step times: the engine's `s - shift` events land at "
+                   "0.30000000000000004 next to the step at 0.3; integer ticks would mend it")
+def test_until_on_decimal_step_times_equals_oracle():
+    """Boolean (p > 0.5) U[0,0.1] (q > 0.5) on one location stepping at 0,
+    0.1, ..., 0.4, p true throughout and q = 1, 0, 0, 0, 1: at 0.3 the
+    window [0.3, 0.4] reaches q's step at 0.4, so the verdict is true."""
+    times = (0.0, 0.1, 0.2, 0.3, 0.4)
+    q = (1.0, 0.0, 0.0, 0.0, 1.0)
+    trace = Trace(("p", "q"), (TemporalSignal(times, tuple((1.0, v) for v in q), 0.4),))
+    model = DynamicalSpatialModel.static(build_spatial_model(1, []))
+    ctx = MonitorContext(model=model, trace=trace, domain=boolean_domain(), distances={})
+    formula = parse("(p > 0.5) U[0,0.1] (q > 0.5)")
+    want = oracle_monitor(ctx, formula)
+    assert want.value_at(0, 0.3) is True
+    got = monitor(ctx, formula)
+    assert got.value_at(0, 0.3) is True
+    assert (got.step_times(), got.values.tolist()) == (want.step_times(), want.values.tolist())

@@ -1,9 +1,15 @@
+import csv
+import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from strelmon import signals
+from strelmon.scenarios import EpidemicConfig, ManetConfig, generate_manet, simulate_epidemic
 from strelmon.signals import (
     SignalError,
     SpatioTemporalSignal,
@@ -127,3 +133,249 @@ def test_load_trace_rejects_gap_in_locations(tmp_path):
     path.write_text("location,time,x\n0,0,1\n2,0,1\n")
     with pytest.raises(SignalError):
         load_trace(str(path))
+
+
+# ---------------------------------------------------------------------------
+# load_trace against the row loop
+
+
+def row_loop_load_trace_reference(path: str) -> Trace:
+    """``load_trace`` as one loop over the CSV rows: the reader that the
+    columnar reader replaced, kept as the reference it must equal."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SignalError(f"{path}: empty trace file") from None
+        if len(header) < 3 or header[0] != "location" or header[1] != "time":
+            raise SignalError(f"{path}: header must be location,time,<variables...>")
+        variables = tuple(header[2:])
+        per_loc: dict[int, list[tuple[float, tuple[float, ...]]]] = {}
+        last_key: tuple[int, float] | None = None
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise SignalError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            try:
+                loc = int(row[0])
+                t = float(row[1])
+                vals = tuple(float(x) for x in row[2:])
+            except ValueError as exc:
+                raise SignalError(f"{path}:{lineno}: {exc}") from None
+            if not math.isfinite(t):
+                raise SignalError(f"{path}:{lineno}: non-finite time {row[1]!r}")
+            if not all(map(math.isfinite, vals)):
+                name, text = next(
+                    (name, text) for name, text, v in zip(variables, row[2:], vals)
+                    if not math.isfinite(v)
+                )
+                raise SignalError(f"{path}:{lineno}: non-finite value {text!r} for {name!r}")
+            key = (loc, t)
+            if last_key is not None and key <= last_key:
+                raise SignalError(f"{path}:{lineno}: rows must be sorted by (location, time)")
+            last_key = key
+            per_loc.setdefault(loc, []).append((t, vals))
+    if not per_loc:
+        raise SignalError(f"{path}: no data rows")
+    locations = sorted(per_loc)
+    if locations != list(range(len(locations))):
+        raise SignalError(f"{path}: locations must be contiguous ids 0..n-1, got {locations}")
+    end = max(steps[-1][0] for steps in per_loc.values())
+    signals = tuple(
+        TemporalSignal(
+            tuple(t for t, _ in per_loc[loc]),
+            tuple(v for _, v in per_loc[loc]),
+            end,
+        )
+        for loc in locations
+    )
+    return Trace(variables, signals)
+
+
+def _reader_outcome(read, path):
+    """What a reader makes of a file: the trace's variables, per-location
+    signals and grid bytes, or the exception's type and text."""
+    try:
+        trace = read(path)
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+    times, data = trace.grid
+    return trace, times.tobytes(), data.tobytes(), data.shape, trace.own.tobytes()
+
+
+def _scenario_csvs(tmp_path):
+    manet = generate_manet(ManetConfig(node_count=12, routers=4, end_devices=7, steps=6, seed=3))[2]
+    epidemic = simulate_epidemic(EpidemicConfig(node_count=30, initial_infected=3, horizon_days=12, seed=2))[1]
+    rng = random.Random(41)
+    grid = [i / 10 for i in range(9)]
+    steps = []
+    for loc in range(5):
+        # the file keeps no end time; location 0 steps at the end
+        times = (0.0, *sorted(rng.sample(grid[1:-1], rng.randint(0, 7)))) + ((0.8,) if loc == 0 else ())
+        values = tuple((rng.randint(-4, 4) / 4, float(rng.randint(0, 1))) for _ in times)
+        steps.append(TemporalSignal(times, values, 0.8))
+    asynchronous = Trace(("x", "y"), steps)
+    paths = []
+    for name, trace in (("manet", manet), ("epidemic", epidemic), ("asynchronous", asynchronous)):
+        paths.append(str(tmp_path / f"{name}.csv"))
+        save_trace(trace, paths[-1])
+    return paths
+
+
+READER_CORPUS = {
+    "crlf": "location,time,x\r\n0,0,1\r\n0,1,2\r\n1,0,3\r\n",
+    "lone-cr": "location,time,x\r0,0,1\r0,1,2\r1,0,3\r",
+    "blank-lines": "location,time,x\n0,0,1\n\n0,1,2\n\n1,0,3\n\n",
+    "whitespace-line": "location,time,x\n0,0,1\n \n1,0,3\n",
+    "quoted-fields": 'location,time,x\n"0",0,1\n1,"0","3"\n',
+    "quoted-header": 'location,time,"x,y"\n0,0,1\n1,0,3\n',
+    "underscore": "location,time,x\n0,0,1_0\n1,0,3\n",
+    "space-before-id": "location,time,x\n 0,0,1\n 1,0,3\n",
+    "plus-sign": "location,time,x\n+0,+0,+1\n+1,0,3\n",
+    "float-location": "location,time,x\n0,0,1\n3.0,0,3\n",
+    "exponent-location": "location,time,x\n0,0,1\n1e0,0,3\n",
+    "bare-dots": "location,time,x\n0,0,1.\n0,.5,2\n1,0,.5\n",
+    "inf": "location,time,x\n0,0,inf\n1,0,3\n",
+    "nan": "location,time,x\n0,0,1\n1,0,nan\n",
+    "overflow": "location,time,x\n0,0,1e400\n1,0,3\n",
+    "infinite-time": "location,time,x\n0,0,1\n0,1e400,2\n1,0,3\n",
+    "comment-line": "location,time,x\n# a comment\n0,0,1\n1,0,3\n",
+    "trailing-comma": "location,time,x\n0,0,1,\n1,0,3,\n",
+    "short-row": "location,time,x,y\n0,0,1,2\n1,0,3\n",
+    "empty-field": "location,time,x\n0,0,\n1,0,3\n",
+    "header-only": "location,time,x\n",
+    "empty-file": "",
+    "bad-header": "loc,time,x\n0,0,1\n",
+    "no-variables": "location,time\n0,0\n",
+    "no-final-newline": "location,time,x\n0,0,1\n1,0,3",
+    "unsorted-locations": "location,time,x\n1,0,1\n0,0,1\n",
+    "unsorted-times": "location,time,x\n0,1,1\n0,0,1\n",
+    "repeated-pair": "location,time,x\n0,0,1\n0,0,2\n1,0,3\n",
+    "signed-zero-pair": "location,time,x\n0,0,1\n0,-0.0,2\n1,0,3\n",
+    "gap-in-ids": "location,time,x\n0,0,1\n2,0,1\n",
+    "negative-id": "location,time,x\n-1,0,1\n0,0,1\n",
+    "negative-id-and-gap": "location,time,x\n-2,0,1\n1,0,1\n",
+    "huge-id": "location,time,x\n0,0,1\n99999999999999999999,0,3\n",
+    "late-start": "location,time,x\n0,0,1\n1,0.5,3\n",
+    "negative-start": "location,time,x\n0,-1.5,1\n0,2,4\n1,-1.5,3\n",
+    "nul-byte": "location,time,x\n0,0,1\x00\n1,0,3\n",
+    "fullwidth-digit": "location,time,x\n0,0,３\n1,0,3\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(READER_CORPUS))
+def test_load_trace_equals_row_loop_on_corpus(name, tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text(READER_CORPUS[name], newline="")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _reader_outcome(load_trace, str(path))
+    assert got == _reader_outcome(row_loop_load_trace_reference, str(path))
+    assert not caught  # a numpy warning sends the file to the row loop, not to the caller
+
+
+def test_load_trace_reads_clean_files_in_one_pass(tmp_path, monkeypatch):
+    """The manet, epidemic and asynchronous CSVs, and CRLF, blank-line and
+    signed files, give the row loop's trace without reaching the row loop."""
+    paths = _scenario_csvs(tmp_path)
+    for name in ("crlf", "lone-cr", "blank-lines", "space-before-id", "plus-sign", "bare-dots",
+                 "no-final-newline", "negative-start", "quoted-header"):
+        paths.append(str(tmp_path / f"{name}.csv"))
+        with open(paths[-1], "w", newline="") as fh:
+            fh.write(READER_CORPUS[name])
+    wants = [_reader_outcome(row_loop_load_trace_reference, path) for path in paths]
+
+    def no_row_loop(path):
+        raise AssertionError(f"{path} was read row by row")
+
+    monkeypatch.setattr(signals, "_load_rows", no_row_loop)
+    for path, want in zip(paths, wants):
+        got = _reader_outcome(load_trace, path)
+        assert isinstance(got[0], Trace) and got == want, path
+
+
+def test_load_trace_equals_row_loop_on_mutated_files(tmp_path):
+    """Seeded edits of small files, with characters that either reader may
+    treat differently, give the same trace or the same error."""
+    rng = random.Random(1811)
+    bases = [
+        "location,time,x,y\n0,0,1,2\n0,0.5,3,4\n1,0,5,6\n1,1.5,7,8\n",
+        "location,time,x\n0,0,1\n1,0,0\n2,0,1\n",
+        "location,time,a\r\n0,0,1\r\n0,1,2\r\n1,0,3\r\n",
+    ]
+    alphabet = list("0123456789,.-+eE\n\r \t\"#_") + ["inf", "nan", "1e400", "\x00", "\x85", "３", "\n\n"]
+    path = str(tmp_path / "trace.csv")
+    parsed = 0
+    for _ in range(3000):
+        text = rng.choice(bases)
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randrange(len(text) + 1)
+            edit = rng.random()
+            if edit < 0.4:
+                text = text[:k] + rng.choice(alphabet) + text[k:]
+            elif edit < 0.7:
+                text = text[:k] + text[k + 1:]
+            else:
+                text = text[:k] + rng.choice(alphabet) + text[k + 1:]
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        got = _reader_outcome(load_trace, path)
+        assert got == _reader_outcome(row_loop_load_trace_reference, path), repr(text)
+        parsed += isinstance(got[0], Trace)
+    assert parsed > 100  # the edits leave many files readable
+
+
+# ---------------------------------------------------------------------------
+# array-built traces
+
+
+def test_from_arrays_equals_the_signal_built_trace():
+    times = np.array([0.0, 1.0, 2.5])
+    data = np.array([[[1.0, 0.0], [2.0, 1.0]], [[1.0, 0.0], [3.0, 1.0]], [[4.0, 1.0], [3.0, 1.0]]])
+    own = np.array([[True, True], [True, True], [True, False]])
+    got = Trace.from_arrays(("x", "y"), times, data, 4.0, own)
+    want = Trace(("x", "y"), (
+        sig([(0.0, (1.0, 0.0)), (1.0, (1.0, 0.0)), (2.5, (4.0, 1.0))], 4.0),
+        sig([(0.0, (2.0, 1.0)), (1.0, (3.0, 1.0))], 4.0),
+    ))
+    assert got == want and got.signals == want.signals
+    assert got.own.tolist() == want.own.tolist() == own.tolist()
+    for a, b in zip(got.grid, want.grid):
+        assert a.tobytes() == b.tobytes() and a.shape == b.shape
+    assert not got.grid[1].flags.writeable
+    assert (got.location_count, got.start, got.end_time, got.step_times()) == (2, 0.0, 4.0, [0.0, 1.0, 2.5])
+    every = Trace.from_arrays(("x", "y"), times, data, 4.0)
+    assert every.own.all() and [s.times for s in every.signals] == [(0.0, 1.0, 2.5)] * 2
+    assert every != got
+
+
+def test_from_arrays_validation():
+    times, data = np.array([0.0, 1.0]), np.zeros((2, 3, 1))
+    cases = [
+        ((), times, data, 1.0, None, "trace needs at least one variable"),
+        (("x",), np.zeros(0), np.zeros((0, 3, 1)), 1.0, None, "nonempty 1-d array"),
+        (("x", "y"), times, data, 1.0, None, r"shape \(2, 3, 1\), expected \(2, locations, 2\)"),
+        (("x",), times, np.zeros((2, 0, 1)), 1.0, None, "expected"),
+        (("x",), np.array([0.0, 0.0]), data, 1.0, None, "strictly increase, got 0.0 then 0.0"),
+        (("x",), np.array([0.0, math.nan]), data, 1.0, None, "strictly increase"),
+        (("x",), times, data, 0.5, None, "end time 0.5 precedes last step 1.0"),
+        (("x",), times, data, 1.0, np.ones((2, 2), dtype=bool), "mask"),
+        (("x",), times, data, 1.0, [[True, False, True], [True, True, True]], "first row is all true"),
+        (("x",), times, np.arange(6.0).reshape(2, 3, 1), 1.0, [[1, 1, 1], [1, 0, 1]], "only at its own steps"),
+    ]
+    for variables, t, d, end, own, message in cases:
+        with pytest.raises(SignalError, match=message):
+            Trace.from_arrays(variables, t, d, end, own)
+    nan = np.array([[[1.0, 2.0]], [[0.0, math.nan]]])
+    with pytest.raises(SignalError) as err:
+        Trace.from_arrays(("x", "y"), np.array([0.0, 1.5]), nan, 2.0)
+    assert str(err.value) == "location 0 holds NaN for 'y' at time 1.5"
+
+
+def test_from_arrays_copies_its_inputs():
+    times, data = np.array([0.0]), np.ones((1, 2, 1))
+    trace = Trace.from_arrays(("x",), times, data, 1.0)
+    data[0, 0, 0] = 5.0
+    assert data.flags.writeable and trace.grid[1].tolist() == [[[1.0], [1.0]]]

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import weighted9_model
@@ -357,6 +358,69 @@ def test_delaunay_matches_brute_force_on_random_points():
         pts = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(n)]
         pairs = undirected_pairs(delaunay_proximity(EuclideanPositions(tuple(pts))))
         assert pairs == brute_force_delaunay(pts)
+
+
+def loop_connectivity_graph_reference(pos: EuclideanPositions, radius: float) -> set[tuple[int, int]]:
+    """``connectivity_graph`` as the double loop over pairs that it replaced."""
+    if radius < 0:
+        raise ModelError("radius must be nonnegative")
+    n = len(pos)
+    rel: set[tuple[int, int]] = set()
+    for i in range(n):
+        xi, yi = pos[i]
+        for j in range(i + 1, n):
+            xj, yj = pos[j]
+            if math.hypot(xi - xj, yi - yj) <= radius:
+                rel.add((i, j))
+                rel.add((j, i))
+    return rel
+
+
+def test_connectivity_graph_equals_the_double_loop():
+    """Seeded position sets, a third of them on a quarter lattice so that
+    pairs lie exactly at the radius, give the double loop's pairs."""
+    at_radius = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(1, 60)
+        if seed % 3 == 0:
+            pts = tuple((rng.randint(0, 24) / 4, rng.randint(0, 24) / 4) for _ in range(n))
+            radius = rng.choice([0.0, 0.25, 1.25, 2.5, 3.75, 5.0])
+        else:
+            pts = tuple((rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(n))
+            radius = rng.uniform(0, 6)
+        pos = EuclideanPositions(pts)
+        want = loop_connectivity_graph_reference(pos, radius)
+        assert connectivity_graph(pos, radius) == want, seed
+        at_radius += sum(math.hypot(pts[a][0] - pts[b][0], pts[a][1] - pts[b][1]) == radius for a, b in want)
+    assert at_radius > 100
+
+
+def test_connectivity_graph_at_the_radius_and_one_ulp_either_side():
+    for (dx, dy), radius in [((3.0, 4.0), 5.0), ((0.3, 0.4), 0.5), ((1e-3, 0.0), 1e-3), ((5e5, 12e5), 13e5)]:
+        for x in (dx, math.nextafter(dx, 0.0), math.nextafter(dx, math.inf)):
+            for r in (radius, math.nextafter(radius, 0.0), math.nextafter(radius, math.inf)):
+                pos = EuclideanPositions(((0.0, 0.0), (x, dy), (x, -dy)))
+                want = loop_connectivity_graph_reference(pos, r)
+                assert connectivity_graph(pos, r) == want, (x, dy, r)
+        pos = EuclideanPositions(((0.0, 0.0), (dx, dy)))
+        assert connectivity_graph(pos, radius) == {(0, 1), (1, 0)}
+        assert connectivity_graph(pos, math.nextafter(math.hypot(dx, dy), 0.0)) == set()
+
+
+def test_connectivity_graph_where_np_hypot_and_math_hypot_differ():
+    """With either hypot's value as the radius, the pair is decided as
+    ``math.hypot`` decides it."""
+    rng = random.Random(5)
+    vectors = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(20000)]
+    distances = np.hypot(*np.array(vectors).T).tolist()
+    differing = [(v, d) for v, d in zip(vectors, distances) if d != math.hypot(*v)][:20]
+    if not differing:
+        pytest.skip("np.hypot equals math.hypot on every drawn vector here")
+    for (x, y), d in differing:
+        pos = EuclideanPositions(((0.0, 0.0), (x, y)))
+        for radius in (d, math.hypot(x, y)):
+            assert connectivity_graph(pos, radius) == loop_connectivity_graph_reference(pos, radius)
 
 
 def test_connectivity_graph():
