@@ -39,12 +39,10 @@ from .signals import Trace
 from .space import (
     BUILTIN_DISTANCES,
     DynamicalSpatialModel,
-    EuclideanPositions,
     SpatialModel,
-    connectivity_graph,
-    delaunay_proximity,
-    euclidean_model,
-    undirected_model,
+    check_finite_positions,
+    delaunay_edges,
+    radius_edges,
 )
 
 # SEIR state encoding used by the single trace variable "state"
@@ -113,6 +111,8 @@ class SignalWalk:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ConfigError(f"walk range [{self.lo}, {self.hi}] is empty")
+        if not self.step >= 0:
+            raise ConfigError(f"config field 'step' must be nonnegative, got {self.step!r}")
 
 
 @dataclass(frozen=True)
@@ -140,6 +140,12 @@ class ManetConfig:
             raise ConfigError("need at least 3 nodes")
         if self.steps < 1:
             raise ConfigError("need at least one step")
+        if not self.side >= 0:
+            raise ConfigError(f"config field 'side' must be nonnegative, got {self.side!r}")
+        if not self.jitter >= 0:
+            raise ConfigError(f"config field 'jitter' must be nonnegative, got {self.jitter!r}")
+        if not math.isfinite(2 * self.jitter):  # the width of each jitter draw
+            raise ConfigError(f"config field 'jitter' must keep 2 * jitter finite, got {self.jitter!r}")
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ManetConfig":
@@ -179,12 +185,11 @@ def generate_manet(cfg: ManetConfig) -> tuple[DynamicalSpatialModel, DynamicalSp
     for k in range(cfg.steps):
         if k > 0 and cfg.jitter > 0:
             positions = positions + rng.uniform(-cfg.jitter, cfg.jitter, size=(n, 2))
-        pos = EuclideanPositions(tuple((float(x), float(y)) for x, y in positions))
-        prox = euclidean_model(pos, sorted(delaunay_proximity(pos)))
-        conn_pairs = sorted((a, b) for a, b in connectivity_graph(pos, cfg.radius) if a < b)
-        conn = undirected_model(n, [(a, 1.0, b) for a, b in conn_pairs])
-        prox_snaps.append((times[k], prox))
-        conn_snaps.append((times[k], conn))
+        check_finite_positions(positions)
+        a, b = delaunay_edges(positions)
+        prox_snaps.append((times[k], SpatialModel(n, a, b, positions[a] - positions[b])))
+        i, j = radius_edges(positions, cfg.radius)
+        conn_snaps.append((times[k], SpatialModel.undirected(n, i, j, np.ones(len(i)))))
     variables = ("coord", "router", "end_dev", "battery", "humidity", "pollution")
     one_hot = np.broadcast_to(np.eye(3)[roles][:, None, :], (n, cfg.steps, 3))
     data = np.concatenate((one_hot, np.stack([walks[v] for v in variables[3:]], axis=2)), axis=2)
@@ -300,6 +305,12 @@ def _duration_days(rng: np.random.Generator, shape: float, mean: float, k: int) 
     return np.maximum(1, np.rint(rng.gamma(shape, mean / shape, size=k))).astype(int)
 
 
+def _logs(p: np.ndarray) -> np.ndarray:
+    """``math.log`` of each probability.  Not ``np.log``: numpy's SIMD log
+    differs from libm in the last bit."""
+    return np.fromiter(map(math.log, p.tolist()), dtype=float, count=len(p))
+
+
 def simulate_epidemic(cfg: EpidemicConfig) -> tuple[DynamicalSpatialModel, Trace]:
     """Daily-step SEIR simulation; returns the contact model and the state trace.
 
@@ -334,6 +345,7 @@ def simulate_epidemic(cfg: EpidemicConfig) -> tuple[DynamicalSpatialModel, Trace
     timer[seeds] = _duration_days(rng, cfg.infectious_shape, cfg.infectious_mean_days, len(seeds))
 
     static_keys = static[0] * n + static[1]
+    static_logs = _logs(static[2])  # a static contact's p is the same every day
     # directed contacts, each pair then its reverse, weighted by infection probability
     static_net = SpatialModel.undirected(n, *static)
     static_tried = np.zeros(len(static_net.src), dtype=bool)  # (infective, susceptible) pairs tried
@@ -349,14 +361,15 @@ def simulate_epidemic(cfg: EpidemicConfig) -> tuple[DynamicalSpatialModel, Trace
         dynamic_keys = dynamic[0] * n + dynamic[1]
         keys = np.sort(np.concatenate((static_keys, dynamic_keys)))
         keys = keys[np.diff(keys, prepend=-1) != 0]
-        ps, pd = np.zeros(len(keys)), np.zeros(len(keys))
-        ps[np.searchsorted(keys, static_keys)] = static[2]
-        pd[np.searchsorted(keys, dynamic_keys)] = dynamic[2]
-        # probabilities are positive, so 0 marks a network without the contact
-        p = np.where(pd == 0, ps, np.where(ps == 0, pd, 1.0 - (1.0 - ps) * (1.0 - pd)))
-        # math.log, not np.log: numpy's SIMD log differs from libm in the last bit
-        weights = -np.fromiter(map(math.log, p.tolist()), dtype=float, count=len(p))
-        snapshots.append((float(day), SpatialModel.undirected(n, keys // n, keys % n, weights)))
+        static_at, drawn = np.searchsorted(keys, static_keys), np.searchsorted(keys, dynamic_keys)
+        ps = np.zeros(len(keys))
+        ps[static_at] = static[2]
+        ps, pd = ps[drawn], dynamic[2]  # per drawn contact
+        logs = np.zeros(len(keys))
+        logs[static_at] = static_logs
+        # probabilities are positive, so 0 marks a drawn contact without a static one
+        logs[drawn] = _logs(np.where(ps == 0, pd, 1.0 - (1.0 - ps) * (1.0 - pd)))
+        snapshots.append((float(day), SpatialModel.undirected(n, keys // n, keys % n, -logs)))
 
         # state update for the next day
         trial = (state[static_net.src] == INFECTED) & (state[static_net.dst] == SUSCEPTIBLE) & ~static_tried

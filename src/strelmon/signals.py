@@ -8,8 +8,8 @@ a steps x locations array, with canonical runs; its per-location temporal
 signals are built on demand, only for output.  Traces are vector-valued
 inputs, stored the same way: one step grid and a steps x locations x
 variables array for the monitor's atoms, plus a mask of each location's own
-steps, from which its temporal signal is built on demand (for output and
-the oracle).  A trace read from CSV is parsed as whole columns.
+steps, from which its temporal signal is built on demand (for the oracle
+and equality).  A trace is read from CSV and written to it as whole columns.
 """
 
 from __future__ import annotations
@@ -406,9 +406,15 @@ def _load_rows(path: str) -> Trace:
 
 
 def save_trace(trace: Trace, path: str) -> None:
+    """Write the trace CSV that ``load_trace`` reads: a row per own step of
+    each location, location by location, every number as ``format_number``
+    prints it.  The rows come from ``grid`` and ``own``; each distinct
+    number is formatted once."""
+    (times, data), (loc, k) = trace.grid, np.nonzero(trace.own.T)
+    cells = np.column_stack((times[k], data[k, loc]))
+    distinct, index = np.unique(cells.ravel(), return_inverse=True)
+    text = np.array([format_number(x) for x in distinct.tolist()], dtype=object)[index.reshape(cells.shape)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["location", "time"] + list(trace.variables))
-        for loc, sig in enumerate(trace.signals):
-            for t, vals in zip(sig.times, sig.values):
-                writer.writerow([loc, format_number(t)] + [format_number(v) for v in vals])
+        writer.writerows(zip(loc.tolist(), *text.T.tolist()))

@@ -7,7 +7,9 @@ embedded in the plane).  Undirected graphs are encoded as two opposite
 edges, each edge followed by its reverse.  A distance function maps a whole
 weight array to strictly positive numbers; a route's distance is the sum of
 its mapped weights, and the distance between two locations is the minimum
-over all routes.
+over all routes.  Relations over points in the plane (Delaunay neighbours,
+pairs within a radius) are computed from an (n, 2) array of positions as
+sorted ``(src, dst)`` arrays, from which snapshots are built directly.
 """
 
 from __future__ import annotations
@@ -238,9 +240,7 @@ class EuclideanPositions:
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        for i, (x, y) in enumerate(self.points):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ModelError(f"position of location {i} is not finite: ({x}, {y})")
+        check_finite_positions(self.array)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -248,10 +248,23 @@ class EuclideanPositions:
     def __getitem__(self, loc: int) -> tuple[float, float]:
         return self.points[loc]
 
+    @property
+    def array(self) -> np.ndarray:
+        """The points as an (n, 2) float64 array."""
+        return np.asarray(self.points, dtype=float).reshape(len(self.points), 2)
+
+
+def check_finite_positions(points: np.ndarray) -> None:
+    """Raise ModelError naming the first row of an (n, 2) array that is not finite."""
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        x, y = points[bad[0]].tolist()
+        raise ModelError(f"position of location {bad[0]} is not finite: ({x}, {y})")
+
 
 def euclidean_model(pos: EuclideanPositions, relation: Iterable[tuple[int, int]]) -> SpatialModel:
     """Edges carry the 2d difference vector between the endpoint positions."""
-    pts = np.asarray(pos.points, dtype=float).reshape(-1, 2)
+    pts = pos.array
     a, b = np.array(list(relation), dtype=np.int64).reshape(-1, 2).T
     return SpatialModel(len(pos), a, b, pts[a] - pts[b])
 
@@ -268,56 +281,72 @@ def _line_direction(pts: np.ndarray) -> np.ndarray | None:
     return d if np.all(np.abs(cross) == 0.0) else None
 
 
-def delaunay_proximity(pos: EuclideanPositions) -> set[tuple[int, int]]:
-    """Symmetric Delaunay-triangulation relation over the positions.
+def _pairs(src: np.ndarray, dst: np.ndarray) -> set[tuple[int, int]]:
+    return set(zip(src.tolist(), dst.tolist()))
+
+
+def delaunay_edges(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric Delaunay-triangulation relation over an (n, 2) array of
+    finite points, as int64 ``(src, dst)`` arrays sorted by (src, dst).
 
     Degenerate inputs are handled deterministically: exactly collinear point
     sets become the chain of consecutive neighbours along the line, and
     cocircular ties are broken by a tiny index-scaled perturbation of the
     coordinates before triangulating, so repeated runs agree bit for bit.
     """
-    n = len(pos)
+    n = len(pts)
     if n < 2:
-        return set()
-    pts = np.asarray(pos.points, dtype=float)
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     direction = _line_direction(pts)
     if direction is not None:
-        order = np.argsort(pts @ direction, kind="stable").tolist()
-        rel = set(zip(order, order[1:]))
-        return rel | {(b, a) for a, b in rel}
+        order = np.argsort(pts @ direction, kind="stable")
+        sides = np.stack((order[:-1], order[1:]), axis=1)
+    else:
+        from scipy.spatial import Delaunay, QhullError
 
-    from scipy.spatial import Delaunay, QhullError
+        extent = float(np.max(np.ptp(pts, axis=0)))
+        eps = 1e-9 * (extent if extent > 0 else 1.0)
+        angles = 2.399963229728653 * np.arange(n)  # golden angle spreads directions
+        jitter = eps * (np.arange(n) + 1)[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        try:
+            tri = Delaunay(pts + jitter)
+        except QhullError as exc:
+            raise ModelError(f"triangulation failed: {exc}") from None
+        sides = tri.simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    sides = sides.astype(np.int64)
+    keys = np.unique(np.concatenate((sides[:, 0] * n + sides[:, 1], sides[:, 1] * n + sides[:, 0])))
+    return keys // n, keys % n
 
-    extent = float(np.max(np.ptp(pts, axis=0)))
-    eps = 1e-9 * (extent if extent > 0 else 1.0)
-    angles = 2.399963229728653 * np.arange(n)  # golden angle spreads directions
-    jitter = eps * (np.arange(n) + 1)[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    try:
-        tri = Delaunay(pts + jitter)
-    except QhullError as exc:
-        raise ModelError(f"triangulation failed: {exc}") from None
-    rel = {(s[i], s[(i + 1) % 3]) for s in tri.simplices.tolist() for i in range(3)}
-    return rel | {(b, a) for a, b in rel}
+
+def delaunay_proximity(pos: EuclideanPositions) -> set[tuple[int, int]]:
+    """``delaunay_edges`` of the positions as a set of (src, dst) pairs."""
+    return _pairs(*delaunay_edges(pos.array))
 
 
-def connectivity_graph(pos: EuclideanPositions, radius: float) -> set[tuple[int, int]]:
-    """Pairs within the communication radius, boundary inclusive, as
-    ``math.hypot`` of the coordinate differences decides it.
+def radius_edges(pts: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j of an (n, 2) array of points within the communication
+    radius, boundary inclusive, as ``math.hypot`` of the coordinate
+    differences decides it; int64 ``(i, j)`` arrays sorted by (i, j).
 
     ``np.hypot`` of the same differences is within a few ulps of it, so it
     decides every pair except those within a relative 1e-12 of the radius,
     which ``math.hypot`` decides again."""
     if radius < 0:
         raise ModelError("radius must be nonnegative")
-    pts = np.asarray(pos.points, dtype=float).reshape(-1, 2)
     i, j = np.triu_indices(len(pts), 1)
     d = np.hypot(*(pts[i] - pts[j]).T)
     within = d <= radius
     for k in np.flatnonzero(np.abs(d - radius) <= 1e-12 * max(radius, 1)).tolist():
-        (xi, yi), (xj, yj) = pos[i[k]], pos[j[k]]
+        (xi, yi), (xj, yj) = pts[i[k]].tolist(), pts[j[k]].tolist()
         within[k] = math.hypot(xi - xj, yi - yj) <= radius
-    a, b = i[within], j[within]
-    return set(zip(np.concatenate((a, b)).tolist(), np.concatenate((b, a)).tolist()))
+    return i[within].astype(np.int64), j[within].astype(np.int64)
+
+
+def connectivity_graph(pos: EuclideanPositions, radius: float) -> set[tuple[int, int]]:
+    """``radius_edges`` of the positions in both directions, as a set of
+    (src, dst) pairs."""
+    a, b = radius_edges(pos.array, radius)
+    return _pairs(a, b) | _pairs(b, a)
 
 
 def save_model(dm: DynamicalSpatialModel, path: str) -> None:

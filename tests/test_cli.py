@@ -438,6 +438,30 @@ def test_simulate_config_field_type_exit_code(tmp_path, capsys, kind, cfg, field
     assert len(err) == 1 and f"config field {field!r}" in err[0], err
 
 
+@pytest.mark.parametrize(
+    "cfg, field",
+    [
+        ({"side": -5}, "side"),
+        ({"side": -0.5, "jitter": 0}, "side"),
+        ({"jitter": -1}, "jitter"),
+        ({"jitter": 1e308}, "jitter"),
+        ({"jitter": 9e307}, "jitter"),
+        ({"battery": {"lo": 0, "hi": 1, "step": -1}}, "step"),
+        ({"pollution": {"lo": 0, "hi": 200, "step": -1e-300}}, "step"),
+    ],
+)
+def test_simulate_manet_out_of_range_config_exit_code(tmp_path, capsys, cfg, field):
+    """A negative side, jitter or walk step, or a jitter whose draws span more
+    than a float holds, is a one-line error naming the field; these used to
+    run silently or end in a traceback or a numpy error."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["simulate", "manet", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"config field {field!r}" in err[0], err
+    assert not list(tmp_path.glob("x.*"))
+
+
 def test_simulate_manet_files(tmp_path):
     cfg = {
         "node_count": 10,

@@ -618,3 +618,80 @@ def test_simulate_epidemic_matches_per_edge_reference(variant):
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
         if not variant:
             assert (want_trace.grid[1] != SUSCEPTIBLE).sum() > cfg.initial_infected * 30  # it spreads
+
+
+def loop_generate_manet_reference(cfg: ManetConfig):
+    """``generate_manet`` as it was with per-step tuples of points, relation
+    sets and sorted pair lists, kept as the reference for the array build."""
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    n = cfg.node_count
+    order = rng.permutation(n)
+    roles = np.full(n, 2)  # 0 coordinator, 1 router, 2 end device
+    roles[order[: 1 + cfg.routers]] = 1
+    roles[order[0]] = 0
+    positions = rng.uniform(0.0, cfg.side, size=(n, 2))
+    walks = {
+        name: [_walk(rng, getattr(cfg, name), cfg.steps) for _ in range(n)]
+        for name in ("battery", "humidity", "pollution")
+    }
+    times = [k * cfg.step_duration for k in range(cfg.steps)]
+    end = cfg.steps * cfg.step_duration
+    prox_snaps, conn_snaps = [], []
+    for k in range(cfg.steps):
+        if k > 0 and cfg.jitter > 0:
+            positions = positions + rng.uniform(-cfg.jitter, cfg.jitter, size=(n, 2))
+        pos = space.EuclideanPositions(tuple((float(x), float(y)) for x, y in positions))
+        prox = space.euclidean_model(pos, sorted(space.delaunay_proximity(pos)))
+        conn_pairs = sorted((a, b) for a, b in space.connectivity_graph(pos, cfg.radius) if a < b)
+        conn = undirected_model(n, [(a, 1.0, b) for a, b in conn_pairs])
+        prox_snaps.append((times[k], prox))
+        conn_snaps.append((times[k], conn))
+    variables = ("coord", "router", "end_dev", "battery", "humidity", "pollution")
+    one_hot = np.broadcast_to(np.eye(3)[roles][:, None, :], (n, cfg.steps, 3))
+    data = np.concatenate((one_hot, np.stack([walks[v] for v in variables[3:]], axis=2)), axis=2)
+    trace = Trace.from_arrays(variables, times, data.transpose(1, 0, 2), end)
+    return (
+        DynamicalSpatialModel(tuple(prox_snaps)),
+        DynamicalSpatialModel(tuple(conn_snaps)),
+        trace,
+    )
+
+
+def _manet_outcome(generate, cfg: ManetConfig):
+    """Every snapshot's time and edge-array bytes, and the trace's grid and
+    own bytes; or the exception's type and text."""
+    try:
+        proximity, connectivity, trace = generate(cfg)
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+    arrays = [
+        (t, *((a.dtype, a.shape, a.tobytes()) for a in (m.src, m.dst, m.weight)))
+        for model in (proximity, connectivity) for t, m in model.snapshots
+    ]
+    grid = [(a.dtype, a.shape, a.tobytes()) for a in (*trace.grid, trace.own)]
+    return arrays, grid, trace.end_time
+
+
+MANET_SIZES = {
+    "default": {},
+    "benchmark-size": {"node_count": 100, "routers": 30, "end_devices": 69, "side": 10 * math.sqrt(5), "steps": 14},
+    "no-jitter": {"jitter": 0.0},
+    "coincident": {"side": 0.0},
+    "coincident-no-jitter": {"side": 0.0, "jitter": 0.0, "steps": 3},
+    "three-nodes": {"node_count": 3, "routers": 1, "end_devices": 1},
+    "three-coincident": {"node_count": 3, "routers": 1, "end_devices": 1, "side": 0.0, "jitter": 0.0},
+    "zero-radius": {"radius": 0.0},
+    "zero-radius-coincident": {"radius": 0.0, "side": 0.0, "jitter": 0.0, "steps": 2},
+    "radius-above-diagonal": {"radius": 10.0 * math.sqrt(2) * 1.01, "jitter": 0.0},
+    "one-step": {"steps": 1},
+}
+
+
+@pytest.mark.parametrize("size", sorted(MANET_SIZES))
+def test_generate_manet_equals_loop_reference(size):
+    """Same seed, same random draws: every snapshot's src, dst and weight
+    arrays and the trace's grid and own equal the loop's bit for bit."""
+    for seed in range(6):
+        cfg = replace(ManetConfig(), seed=seed, **MANET_SIZES[size])
+        assert _manet_outcome(generate_manet, cfg) == _manet_outcome(loop_generate_manet_reference, cfg), seed
+

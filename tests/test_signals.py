@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from strelmon import signals
+from strelmon.logic import format_number
 from strelmon.scenarios import EpidemicConfig, ManetConfig, generate_manet, simulate_epidemic
 from strelmon.signals import (
     SignalError,
@@ -379,3 +380,70 @@ def test_from_arrays_copies_its_inputs():
     trace = Trace.from_arrays(("x",), times, data, 1.0)
     data[0, 0, 0] = 5.0
     assert data.flags.writeable and trace.grid[1].tolist() == [[[1.0], [1.0]]]
+
+
+# ---------------------------------------------------------------------------
+# the trace writer
+
+
+def row_loop_save_trace_reference(trace: Trace, path: str) -> None:
+    """``save_trace`` as the row loop over ``Trace.signals`` that it replaced."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["location", "time"] + list(trace.variables))
+        for loc, sig in enumerate(trace.signals):
+            for t, vals in zip(sig.times, sig.values):
+                writer.writerow([loc, format_number(t)] + [format_number(v) for v in vals])
+
+
+# one value per format_number branch: the infinities, integral values below
+# 1e16 in magnitude (signed zeros included), and everything else as repr
+EDGE_VALUES = (
+    0.0, -0.0, math.inf, -math.inf, 1e16, -1e16, math.nextafter(1e16, 0.0), 2.0**53, -(2.0**53),
+    1e-300, -1e-300, 0.1, -0.1, 0.5, 3.0, -7.0, 1e300, 5e-324, 123456789.125,
+)
+
+
+def _writer_traces():
+    manet = generate_manet(ManetConfig(node_count=12, routers=4, end_devices=7, steps=6, seed=3))[2]
+    wide = generate_manet(ManetConfig(node_count=100, routers=30, end_devices=69, side=10 * math.sqrt(5), steps=14))[2]
+    epidemic = simulate_epidemic(EpidemicConfig(node_count=30, initial_infected=3, horizon_days=12, seed=2))[1]
+    rng = random.Random(7)
+    steps = []
+    for loc in range(6):
+        times = (-1.5, *sorted(rng.sample([-0.0, 0.1, 0.25, 1.0, 2.0**53, 1e16], rng.randint(0, 6))))
+        steps.append(TemporalSignal(times, tuple((rng.choice(EDGE_VALUES), rng.choice(EDGE_VALUES)) for _ in times), 1e17))
+    asynchronous = Trace(("x", "y"), steps)
+    python_numbers = Trace(("i,j", 'q"'), (sig([(0, (1, True)), (2, (-3, False))], 5), sig([(0, (0, 0.5))], 5)))
+    own = np.array([[True, True, True], [False, True, True], [True, False, True], [False, False, True]])
+    data, picks = np.zeros((4, 3, 1)), iter(EDGE_VALUES[::-1])
+    for k, loc in np.ndindex(own.shape):
+        data[k, loc] = next(picks) if own[k, loc] else data[k - 1, loc]
+    array_built = Trace.from_arrays(("v",), [0.0, 0.1, 1e-300 + 1.0, 2.0**53], data, 2.0**53, own)
+    every = Trace.from_arrays(("v",), np.arange(len(EDGE_VALUES), dtype=float), np.array(EDGE_VALUES)[:, None, None], 99.0)
+    return {
+        "manet": manet, "manet-benchmark-size": wide, "epidemic": epidemic, "asynchronous": asynchronous,
+        "python-numbers": python_numbers, "array-built-asynchronous": array_built, "every-edge-value": every,
+    }
+
+
+@pytest.mark.parametrize("name", ["manet", "manet-benchmark-size", "epidemic", "asynchronous",
+                                  "python-numbers", "array-built-asynchronous", "every-edge-value"])
+def test_save_trace_equals_row_loop(name, tmp_path):
+    """The rows written from ``grid`` and ``own`` are the row loop's bytes."""
+    trace = _writer_traces()[name]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    save_trace(trace, str(got))
+    row_loop_save_trace_reference(trace, str(want))
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_save_trace_hits_every_format_number_branch(tmp_path):
+    trace = _writer_traces()["every-edge-value"]
+    path = tmp_path / "trace.csv"
+    save_trace(trace, str(path))
+    written = [line.split(",")[2] for line in path.read_text().splitlines()[1:]]
+    assert written == [
+        "0", "0", "inf", "-inf", "1e+16", "-1e+16", "9999999999999998", "9007199254740992", "-9007199254740992",
+        "1e-300", "-1e-300", "0.1", "-0.1", "0.5", "3", "-7", "1e+300", "5e-324", "123456789.125",
+    ]

@@ -11,14 +11,17 @@ from strelmon.space import (
     EuclideanPositions,
     ModelError,
     build_spatial_model,
+    check_finite_positions,
     check_strictly_positive,
     connectivity_graph,
+    delaunay_edges,
     delaunay_proximity,
     euclidean_model,
     euclidean_norm_distance,
     hop_distance,
     load_model,
     min_distance_matrix,
+    radius_edges,
     save_model,
     undirected_model,
     weight_sum_distance,
@@ -358,6 +361,88 @@ def test_delaunay_matches_brute_force_on_random_points():
         pts = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(n)]
         pairs = undirected_pairs(delaunay_proximity(EuclideanPositions(tuple(pts))))
         assert pairs == brute_force_delaunay(pts)
+
+
+def set_delaunay_proximity_reference(pos: EuclideanPositions) -> set[tuple[int, int]]:
+    """``delaunay_proximity`` as it was, building its set pair by pair."""
+    from strelmon.space import _line_direction
+
+    n = len(pos)
+    if n < 2:
+        return set()
+    pts = np.asarray(pos.points, dtype=float)
+    direction = _line_direction(pts)
+    if direction is not None:
+        order = np.argsort(pts @ direction, kind="stable").tolist()
+        rel = set(zip(order, order[1:]))
+        return rel | {(b, a) for a, b in rel}
+
+    from scipy.spatial import Delaunay, QhullError
+
+    extent = float(np.max(np.ptp(pts, axis=0)))
+    eps = 1e-9 * (extent if extent > 0 else 1.0)
+    angles = 2.399963229728653 * np.arange(n)  # golden angle spreads directions
+    jitter = eps * (np.arange(n) + 1)[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    try:
+        tri = Delaunay(pts + jitter)
+    except QhullError as exc:
+        raise ModelError(f"triangulation failed: {exc}") from None
+    rel = {(s[i], s[(i + 1) % 3]) for s in tri.simplices.tolist() for i in range(3)}
+    return rel | {(b, a) for a, b in rel}
+
+
+def _point_sets():
+    """Seeded position sets: uniform, on a coarse lattice (cocircular ties),
+    collinear along a slanted line, and with every point coincident."""
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randint(0, 60)
+        kind = seed % 4
+        if kind == 0:
+            yield tuple((rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(n))
+        elif kind == 1:
+            yield tuple((float(rng.randint(0, 4)), float(rng.randint(0, 4))) for _ in range(n))
+        elif kind == 2:
+            yield tuple((x, 2.0 * x - 1.0) for x in (float(rng.randint(-9, 9)) for _ in range(n)))
+        else:
+            yield ((1.5, -2.0),) * n
+
+
+def _sorted_pairs(a, b):
+    keys = a * (max(a.max(initial=0), b.max(initial=0)) + 1) + b
+    return a.dtype == b.dtype == np.int64 and bool((np.diff(keys) > 0).all())
+
+
+def test_delaunay_edges_equal_the_set_reference():
+    """The kernel's sorted pairs are the set the pair-by-pair build made."""
+    for pts in _point_sets():
+        pos = EuclideanPositions(pts)
+        want = set_delaunay_proximity_reference(pos)
+        a, b = delaunay_edges(np.array(pts, dtype=float).reshape(-1, 2))
+        assert _sorted_pairs(a, b) and list(zip(a.tolist(), b.tolist())) == sorted(want)
+        assert delaunay_proximity(pos) == want
+
+
+def test_radius_edges_are_the_sorted_pairs_below_the_diagonal():
+    for pts in _point_sets():
+        pos = EuclideanPositions(pts)
+        for radius in (0.0, 1.0, 3.0, 100.0):
+            want = loop_connectivity_graph_reference(pos, radius)
+            i, j = radius_edges(np.array(pts, dtype=float).reshape(-1, 2), radius)
+            assert _sorted_pairs(i, j) and list(zip(i.tolist(), j.tolist())) == sorted((a, b) for a, b in want if a < b)
+            assert connectivity_graph(pos, radius) == want
+
+
+def test_check_finite_positions_says_what_euclidean_positions_says():
+    for points in (((0.0, 0.0), (math.inf, 1.0)), ((2.5, math.nan),), ((0.0, 1.0), (1.0, 2.0), (3.0, -math.inf))):
+        with pytest.raises(ModelError) as want:
+            EuclideanPositions(points)
+        with pytest.raises(ModelError) as got:
+            check_finite_positions(np.array(points))
+        assert str(got.value) == str(want.value) and "is not finite" in str(got.value)
+    check_finite_positions(np.zeros((0, 2)))
+    with pytest.raises(ValueError):
+        EuclideanPositions(((1.0, 2.0, 3.0, 4.0),))
 
 
 def loop_connectivity_graph_reference(pos: EuclideanPositions, radius: float) -> set[tuple[int, int]]:
