@@ -26,7 +26,7 @@ import math
 import random
 import time
 
-from strelmon.algebra import boolean_domain, maxmin_domain
+from strelmon.algebra import signal_domain_by_name
 from strelmon.logic import parse
 from strelmon.monitor import MonitorContext, monitor
 from strelmon.signals import TemporalSignal, Trace
@@ -63,7 +63,7 @@ def instance(
     return MonitorContext(
         model=DynamicalSpatialModel.static(model),
         trace=Trace(("p", "q", "x"), signals),
-        domain=boolean_domain() if domain == "boolean" else maxmin_domain(),
+        domain=signal_domain_by_name(domain),
         distances={"hop": hop_distance()},
     )
 

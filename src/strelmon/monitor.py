@@ -3,8 +3,9 @@
 ``monitor`` evaluates a formula over a trace on a dynamic weighted graph and
 returns a verdict per location and time: for every subformula one step grid
 and one steps x locations array (``SpatioTemporalSignal``).  Verdicts are
-bools or extended reals, as the context's domain says; choose is ``max``
-and combine is ``min``.  The reals have one zero: every node returns +0.0,
+bool or float64 arrays (extended reals), as the context's domain says, and
+every kernel reads the domain from its inputs' dtype.  Choose is ``max``,
+combine is ``min``, and the reals have one zero: every node returns +0.0,
 never -0.0 (``canonical``), so no kernel needs a rule for equal values.
 
 Structure: an atom is one array expression over the trace grid (a
@@ -79,6 +80,21 @@ MAX_FLOOD_ROUNDS = 10_000
 
 
 _AT_PREFIX = "at_"
+
+# The verdict domain a kernel input's dtype names, as (bottom, top).
+_BOUNDS = {np.dtype(bool): (False, True), np.dtype(float): (-math.inf, math.inf)}
+
+
+def _verdicts(*inputs) -> tuple:
+    """The kernel inputs as arrays, then the bottom and top of the domain
+    their one dtype names: bool for Boolean verdicts, float64 for max/min
+    ones.  Any other dtype, or a mix, is a TypeError."""
+    arrays = [np.asarray(x) for x in inputs]
+    dtype = arrays[0].dtype
+    if dtype not in _BOUNDS or any(a.dtype != dtype for a in arrays):
+        got = ", ".join(str(a.dtype) for a in arrays)
+        raise TypeError(f"kernel inputs must be all bool or all float64, got {got}")
+    return (*arrays, *_BOUNDS[dtype])
 
 
 @dataclass
@@ -187,7 +203,7 @@ def validate_formula(ctx: MonitorContext, formula: Formula) -> None:
 # temporal operators
 
 
-def monitor_until(interval: Interval, s1: SpatioTemporalSignal, s2: SpatioTemporalSignal, domain: SignalDomain) -> SpatioTemporalSignal:
+def monitor_until(interval: Interval, s1: SpatioTemporalSignal, s2: SpatioTemporalSignal) -> SpatioTemporalSignal:
     """Exact until sweep for piecewise-constant inputs, at every location.
 
     output(t) = choose over t' in [t+lo, t+hi] of
@@ -204,12 +220,12 @@ def monitor_until(interval: Interval, s1: SpatioTemporalSignal, s2: SpatioTempor
     the window fold, one array pass per power of two up to w
     (``_temporal_sweep``), plus one pass over the steps x locations cells.
     """
-    return _temporal_sweep(interval, *_own_steps(s1, s2), domain, future=True)
+    return _temporal_sweep(interval, *_own_steps(s1, s2), future=True)
 
 
-def monitor_since(interval: Interval, s1: SpatioTemporalSignal, s2: SpatioTemporalSignal, domain: SignalDomain) -> SpatioTemporalSignal:
+def monitor_since(interval: Interval, s1: SpatioTemporalSignal, s2: SpatioTemporalSignal) -> SpatioTemporalSignal:
     """Time-mirrored analogue of monitor_until (window in the past)."""
-    return _temporal_sweep(interval, *_own_steps(s1, s2), domain, future=False)
+    return _temporal_sweep(interval, *_own_steps(s1, s2), future=False)
 
 
 def _own_steps(s1: SpatioTemporalSignal, s2: SpatioTemporalSignal) -> tuple:
@@ -219,7 +235,7 @@ def _own_steps(s1: SpatioTemporalSignal, s2: SpatioTemporalSignal) -> tuple:
     return times, v1, v2, run_starts(v1) | run_starts(v2), end
 
 
-def _temporal_sweep(interval: Interval, times: np.ndarray, v1: np.ndarray, v2: np.ndarray, own: np.ndarray, t_end: float, domain: SignalDomain, future: bool) -> SpatioTemporalSignal:
+def _temporal_sweep(interval: Interval, times: np.ndarray, v1: np.ndarray, v2: np.ndarray, own: np.ndarray, t_end: float, future: bool) -> SpatioTemporalSignal:
     """The until (``future``) or since sweep of every location at once.
 
     ``own`` marks each location's own steps (the first row is one), which
@@ -241,6 +257,7 @@ def _temporal_sweep(interval: Interval, times: np.ndarray, v1: np.ndarray, v2: n
     smallest first (since walks the reversed steps).  Only max and min are
     reassociated, so the verdicts are those of a step-by-step walk.
     """
+    v1, v2, bottom, top = _verdicts(v1, v2)
     t0 = times[0].item()
     lo, hi = interval.lo, interval.hi
     lost = hi if interval.bounded else lo
@@ -273,8 +290,7 @@ def _temporal_sweep(interval: Interval, times: np.ndarray, v1: np.ndarray, v2: n
         return latest[np.maximum(np.searchsorted(times, t, side="right") - 1, 0)[g], owners]
 
     k_e, k_near, k_far = segment(grid), segment(grid + way * lo), segment(grid + way * hi)
-    dtype = np.result_type(v1, v2)
-    x1, x2 = v1[row, loc].astype(dtype, copy=False), v2[row, loc].astype(dtype, copy=False)
+    x1, x2 = v1[row, loc], v2[row, loc]
     if not future:
         x1, x2 = x1[::-1], x2[::-1]
         k_e, k_near, k_far = (len(x1) - 1 - k for k in (k_e, k_near, k_far))
@@ -282,9 +298,9 @@ def _temporal_sweep(interval: Interval, times: np.ndarray, v1: np.ndarray, v2: n
     # (``running``, ``acc``); each start advances past the blocks taken
     head_at, head_len = k_e, k_near - k_e
     tail_at, tail_len = k_near, k_far - k_near + 1
-    head = np.full(len(g), domain.top, dtype=dtype)
-    running = np.full(len(g), domain.top, dtype=dtype)
-    acc = np.full(len(g), domain.bottom, dtype=dtype)
+    head = np.full(len(g), top)
+    running = np.full(len(g), top)
+    acc = np.full(len(g), bottom)
     # the level tables: per block of h own steps from i, s1 combined over it
     # (``run``) and the fold over it (``best``)
     run, best = x1, np.minimum(x1, x2)
@@ -310,30 +326,15 @@ def _temporal_sweep(interval: Interval, times: np.ndarray, v1: np.ndarray, v2: n
 # spatial operators
 
 
-def reach(
-    model: SpatialModel,
-    f: DistanceFunction,
-    interval: Interval,
-    s1: np.ndarray,
-    s2: np.ndarray,
-    domain: SignalDomain,
-) -> np.ndarray:
+def reach(model: SpatialModel, f: DistanceFunction, interval: Interval, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     """Dispatch on the upper distance bound: flooding when bounded, fixpoint
     back-propagation when unbounded."""
     if interval.hi == math.inf:
-        return unbounded_reach(model, f, interval.lo, s1, s2, domain)
-    return bounded_reach(model, f, interval.lo, interval.hi, s1, s2, domain)
+        return unbounded_reach(model, f, interval.lo, s1, s2)
+    return bounded_reach(model, f, interval.lo, interval.hi, s1, s2)
 
 
-def bounded_reach(
-    model: SpatialModel,
-    f: DistanceFunction,
-    d1: float,
-    d2: float,
-    s1: np.ndarray,
-    s2: np.ndarray,
-    domain: SignalDomain,
-) -> np.ndarray:
+def bounded_reach(model: SpatialModel, f: DistanceFunction, d1: float, d2: float, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     """Choose over route prefixes with accumulated distance in [d1, d2].
 
     The result at l is the choose over finite route prefixes from l whose
@@ -357,21 +358,22 @@ def bounded_reach(
     length lies in [d1, d1 + n * d_max], and the extra d_max absorbs
     rounding.
     """
+    s1, s2, _, _ = _verdicts(s1, s2)
     incoming = model.incoming_weights(f)
     if not d1 <= d2:
         raise SemanticError(f"malformed distance interval [{d1}, {d2}]")
     if d2 == math.inf:
-        return unbounded_reach(model, f, d1, s1, s2, domain)
+        return unbounded_reach(model, f, d1, s1, s2)
     if d1 > 0:
         steps = incoming.data
         if np.isfinite(steps).all() and d2 >= d1 + (model.location_count + 1) * steps.max(initial=0):
-            return unbounded_reach(model, f, d1, s1, s2, domain)
-    elif domain.name == "boolean":
+            return unbounded_reach(model, f, d1, s1, s2)
+    elif s2.dtype == bool:
         return _reached_within(incoming, s1, s2, d2)
-    return _flood(incoming, d1, d2, s1, s2, domain)
+    return _flood(incoming, d1, d2, s1, s2)
 
 
-def _flood(incoming: csr_array, d1: float, d2: float, s1: np.ndarray, s2: np.ndarray, domain: SignalDomain) -> np.ndarray:
+def _flood(incoming: csr_array, d1: float, d2: float, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     """The flooding of ``bounded_reach``.
 
     With d1 > 0 the rounds are bounded first, and more than
@@ -421,8 +423,8 @@ def _flood(incoming: csr_array, d1: float, d2: float, s1: np.ndarray, s2: np.nda
     x1, target = np.asarray(s1), np.asarray(s2)
     steps = incoming.data
     if steps.size and (steps == steps[0]).all():
-        return _uniform_flood(incoming, steps[0].item(), d1, d2, x1, target, domain)
-    bottom = domain.bottom
+        return _uniform_flood(incoming, steps[0].item(), d1, d2, x1, target)
+    bottom, _ = _BOUNDS[target.dtype]
     prune = d1 == 0
     s = target.copy() if prune else np.full(n, bottom, dtype=target.dtype)
     loc, dist, val = np.arange(n), np.zeros(n), target
@@ -451,7 +453,7 @@ def _flood(incoming: csr_array, d1: float, d2: float, s1: np.ndarray, s2: np.nda
     return s
 
 
-def _uniform_flood(incoming: csr_array, c: float, d1: float, d2: float, x1: np.ndarray, target: np.ndarray, domain: SignalDomain) -> np.ndarray:
+def _uniform_flood(incoming: csr_array, c: float, d1: float, d2: float, x1: np.ndarray, target: np.ndarray) -> np.ndarray:
     """``_flood`` when every edge distance is c, in max/min rounds over the
     edge arrays.  A walk of k edges is d_k = ((0 + c) + c) + ... long, summed
     as the queue sums it, so the step counts k with d1 <= d_k <= d2, the
@@ -466,7 +468,7 @@ def _uniform_flood(incoming: csr_array, c: float, d1: float, d2: float, x1: np.n
     round while d_k stays within d2.  It never needs more than n rounds, as
     an optimal walk past the first k1 edges is a simple path.
     """
-    n, bottom = len(target), domain.bottom
+    n, (bottom, _) = len(target), _BOUNDS[target.dtype]
     y, d = target, 0.0
     if d1 > 0:
         src, dst = _edges(incoming)
@@ -481,7 +483,7 @@ def _uniform_flood(incoming: csr_array, c: float, d1: float, d2: float, x1: np.n
     # the queue extends a walk only while it is shorter than d2
     while rounds < n and d < d2 and d + c <= d2:
         rounds, d = rounds + 1, d + c
-    return _back_propagate(incoming, x1, y, domain, rounds)
+    return _back_propagate(incoming, x1, y, rounds)
 
 
 def _edges(incoming: csr_array) -> tuple[np.ndarray, np.ndarray]:
@@ -528,28 +530,19 @@ def _reached_within(incoming: csr_array, s1: np.ndarray, targets: np.ndarray, li
     ``everywhere``, the search runs on ``incoming`` itself.
     """
     graph = incoming
-    gate = np.asarray(s1, dtype=bool)
-    if not gate.all():
-        keep = gate[incoming.indices]
+    if not s1.all():
+        keep = s1[incoming.indices]
         kept_before = np.concatenate(([0], np.cumsum(keep)))
         graph = csr_array(
             (incoming.data[keep], incoming.indices[keep], kept_before[incoming.indptr]),
             shape=incoming.shape,
         )
-    hit = np.asarray(targets, dtype=bool)
     unweighted = limit == math.inf
-    dist = csgraph.dijkstra(graph, indices=np.flatnonzero(hit), min_only=True, unweighted=unweighted, limit=limit)
-    return hit | (dist < math.inf if unweighted else dist <= limit)
+    dist = csgraph.dijkstra(graph, indices=np.flatnonzero(targets), min_only=True, unweighted=unweighted, limit=limit)
+    return targets | (dist < math.inf if unweighted else dist <= limit)
 
 
-def unbounded_reach(
-    model: SpatialModel,
-    f: DistanceFunction,
-    d1: float,
-    s1: np.ndarray,
-    s2: np.ndarray,
-    domain: SignalDomain,
-) -> np.ndarray:
+def unbounded_reach(model: SpatialModel, f: DistanceFunction, d1: float, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     """Reach with no upper distance bound.
 
     With d1 = 0 the seed is s2 itself.  Otherwise a route counts from its
@@ -561,24 +554,25 @@ def unbounded_reach(
     combined with the d1 = 0 value at dst.  Seeds are then back-propagated
     until a fixpoint (``_back_propagate``).
     """
+    s1, s2, bottom, _ = _verdicts(s1, s2)
     incoming = model.incoming_weights(f)
     if d1 == 0:
-        return _back_propagate(incoming, s1, s2, domain)
+        return _back_propagate(incoming, s1, s2)
     finite = np.isfinite(incoming.data)
     if d1 == math.inf:
         # no route of finite edges is infinitely long
-        s = np.full(model.location_count, domain.bottom)
+        s = np.full(model.location_count, bottom)
     else:
         d_max = incoming.data[finite].max(initial=0).item()
-        s = _flood(incoming, d1, d1 + d_max, s1, s2, domain)
+        s = _flood(incoming, d1, d1 + d_max, s1, s2)
     if not finite.all():
-        anywhere = _back_propagate(incoming, s1, s2, domain)
+        anywhere = _back_propagate(incoming, s1, s2)
         src, dst = (a[~finite] for a in _edges(incoming))
-        np.maximum.at(s, src, np.minimum(np.asarray(s1)[src], anywhere[dst]))
-    return _back_propagate(incoming, s1, s, domain)
+        np.maximum.at(s, src, np.minimum(s1[src], anywhere[dst]))
+    return _back_propagate(incoming, s1, s)
 
 
-def _back_propagate(incoming: csr_array, s1: np.ndarray, s: np.ndarray, domain: SignalDomain, rounds: Optional[int] = None) -> np.ndarray:
+def _back_propagate(incoming: csr_array, s1: np.ndarray, s: np.ndarray, rounds: Optional[int] = None) -> np.ndarray:
     """Fixpoint in which s[src] absorbs s[dst] combined with s1[src] for every
     edge src -> dst, or at most ``rounds`` rounds of it.  It ignores weights,
     so the uncapped Boolean fixpoint is plain reachability from the seeds
@@ -586,12 +580,11 @@ def _back_propagate(incoming: csr_array, s1: np.ndarray, s: np.ndarray, domain: 
     edge at once (for Booleans min is "and" and max is "or"), and the loop
     stops at the first round that changes nothing: an optimal route is a
     simple path, so that takes at most n + 1 rounds."""
-    boolean = domain.name == "boolean"
-    if boolean and rounds is None:
+    s = np.array(s)  # a copy, which the rounds raise in place
+    if s.dtype == bool and rounds is None:
         return _reached_within(incoming, s1, s, math.inf)
     src, dst = _edges(incoming)
-    s = np.array(s, dtype=bool if boolean else float)
-    gate = np.asarray(s1, dtype=s.dtype)[src]
+    gate = s1[src]
     for _ in range(incoming.shape[0] + 1 if rounds is None else rounds):
         via = np.minimum(gate, s[dst])
         if not (via > s[src]).any():
@@ -600,13 +593,7 @@ def _back_propagate(incoming: csr_array, s1: np.ndarray, s: np.ndarray, domain: 
     return s
 
 
-def escape(
-    model: SpatialModel,
-    f: DistanceFunction,
-    interval: Interval,
-    s1: np.ndarray,
-    domain: SignalDomain,
-) -> np.ndarray:
+def escape(model: SpatialModel, f: DistanceFunction, interval: Interval, s1: np.ndarray) -> np.ndarray:
     """Escape: best value over routes leaving l through satisfying locations
     whose endpoint sits at a graph minimum distance inside the interval.
 
@@ -629,22 +616,22 @@ def escape(
     at 1,000 locations and 0.094 s at 2,000 with single linkage, and 1.9 s
     and 18.7 s with the closure.
     """
+    x1, bottom, _ = _verdicts(s1)
     d1, d2 = interval.lo, interval.hi
     dist = min_distance_matrix(model, f, limit=d2 if d2 < math.inf else d1)
-    x1 = np.asarray(s1, dtype=bool if domain.name == "boolean" else float)
     n = model.location_count
     if n >= 2 and model.symmetric:
-        e = _widest_walks(model, x1, domain)
+        e = _widest_walks(model, x1)
     else:
-        e = np.full((n, n), domain.bottom, dtype=x1.dtype)
+        e = np.full((n, n), bottom)
         e[model.src, model.dst] = np.minimum(x1[model.src], x1[model.dst])
         np.fill_diagonal(e, x1)
         for k in range(n):
             np.maximum(e, np.minimum(e[:, k, None], e[k]), out=e)
-    return np.where((d1 <= dist) & (dist <= d2), e, domain.bottom).max(axis=1)
+    return np.where((d1 <= dist) & (dist <= d2), e, bottom).max(axis=1)
 
 
-def _widest_walks(model: SpatialModel, x1: np.ndarray, domain: SignalDomain) -> np.ndarray:
+def _widest_walks(model: SpatialModel, x1: np.ndarray) -> np.ndarray:
     """Escape's ``e`` on a symmetric edge set, by single linkage (a minimum
     spanning forest, in C).  With the k distinct s1 values ranked from 0,
     an edge's walk value min(s1[u], s1[v]) becomes the height k minus its
@@ -664,7 +651,7 @@ def _widest_walks(model: SpatialModel, x1: np.ndarray, domain: SignalDomain) -> 
     heights = np.full(n * (n - 1) // 2, k + 1.0)  # condensed: pairs (u, v), u < v, row by row
     heights[n * u - u * (u + 1) // 2 + v - u - 1] = k - np.minimum(rank[u], rank[v])
     joined = cophenet(linkage(heights, method="single")).astype(np.intp)
-    levels = np.append(values[::-1], np.array(domain.bottom, dtype=x1.dtype))
+    levels = np.append(values[::-1], _BOUNDS[x1.dtype][0])
     e = squareform(levels[joined - 1], checks=False)
     np.fill_diagonal(e, x1)
     return e
@@ -692,7 +679,6 @@ def _eval(ctx: MonitorContext, node: Formula, cache: dict) -> SpatioTemporalSign
 
 
 def _eval_node(ctx: MonitorContext, node: Formula, cache: dict) -> SpatioTemporalSignal:
-    dom = ctx.domain
     if isinstance(node, Atomic):
         return _atom_signal(ctx, node)
     if isinstance(node, Not):
@@ -702,7 +688,7 @@ def _eval_node(ctx: MonitorContext, node: Formula, cache: dict) -> SpatioTempora
         return SpatioTemporalSignal(child.times, values, child.end_time)
     if isinstance(node, (Until, Since)):
         sweep = monitor_until if isinstance(node, Until) else monitor_since
-        return sweep(node.interval, _eval(ctx, node.left, cache), _eval(ctx, node.right, cache), dom)
+        return sweep(node.interval, _eval(ctx, node.left, cache), _eval(ctx, node.right, cache))
     if not isinstance(node, (And, Reach, Escape)):
         raise SemanticError(f"cannot monitor non-core node {type(node).__name__}")
     operands = [node.child] if isinstance(node, Escape) else [node.left, node.right]
@@ -722,7 +708,7 @@ def _eval_node(ctx: MonitorContext, node: Formula, cache: dict) -> SpatioTempora
         model = ctx.model.snapshot_at(t)
         key = (id(model), *(r[k].tobytes() for r in rows))
         if key not in done:
-            done[key] = kernel(model, f, node.interval, *(r[k] for r in rows), dom)
+            done[key] = kernel(model, f, node.interval, *(r[k] for r in rows))
         out[k] = done[key]
     return canonical(times, out, end)
 

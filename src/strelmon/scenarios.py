@@ -505,12 +505,11 @@ def property_library() -> dict[str, Callable[..., Formula]]:
 # experiments
 
 
-def count_satisfied(model: DynamicalSpatialModel, trace: Trace, formula: Formula,
-                    domain: SignalDomain, interpretation=None) -> int:
+def count_satisfied(model: DynamicalSpatialModel, trace: Trace, formula: Formula, interpretation=None) -> int:
     ctx = MonitorContext(
         model=model,
         trace=trace,
-        domain=domain,
+        domain=boolean_domain(),
         distances={name: make() for name, make in BUILTIN_DISTANCES.items()},
         interpretation=interpretation,
     )
@@ -536,31 +535,27 @@ def _simulations(cfg: EpidemicConfig, runs: int):
         yield simulate_epidemic(replace(cfg, seed=cfg.seed + run))
 
 
-def sweep_safe_radius(cfg: EpidemicConfig, radii: Sequence[float], T: float, runs: int,
-                      domain: SignalDomain | None = None) -> SweepResult:
+def sweep_safe_radius(cfg: EpidemicConfig, radii: Sequence[float], T: float, runs: int) -> SweepResult:
     """Monitor the safe-radius property across radii over repeated simulations.
 
     Each run simulates once and monitors every radius on the same trace, so
     per-run monotonicity in r is observable.  Counts are the number of
     locations satisfied at time zero.
     """
-    domain = domain or boolean_domain()
-    interpretation = epidemic_interpretation(domain)
+    interpretation = epidemic_interpretation(boolean_domain())
     counts: list[list[int]] = [[] for _ in radii]
     for model, trace in _simulations(cfg, runs):
         for i, r in enumerate(radii):
             counts[i].append(
-                count_satisfied(model, trace, safe_radius(r, T), domain, interpretation)
+                count_satisfied(model, trace, safe_radius(r, T), interpretation)
             )
     return SweepResult(tuple(radii), tuple(tuple(c) for c in counts))
 
 
-def dangerous_days_counts(cfg: EpidemicConfig, runs: int,
-                          domain: SignalDomain | None = None) -> list[int]:
+def dangerous_days_counts(cfg: EpidemicConfig, runs: int) -> list[int]:
     """Satisfied-location counts of the dangerous-days property, one per run."""
-    domain = domain or boolean_domain()
-    interpretation = epidemic_interpretation(domain)
+    interpretation = epidemic_interpretation(boolean_domain())
     return [
-        count_satisfied(model, trace, dangerous_days(), domain, interpretation)
+        count_satisfied(model, trace, dangerous_days(), interpretation)
         for model, trace in _simulations(cfg, runs)
     ]

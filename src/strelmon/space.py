@@ -277,7 +277,8 @@ def _line_direction(pts: np.ndarray) -> np.ndarray | None:
     if not apart.size:
         return np.array([1.0, 0.0])  # the perturbation below separates them
     d = offsets[apart[0]]
-    cross = offsets[:, 0] * d[1] - offsets[:, 1] * d[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed cross (inf or nan) is off the line
+        cross = offsets[:, 0] * d[1] - offsets[:, 1] * d[0]
     return d if np.all(np.abs(cross) == 0.0) else None
 
 
@@ -311,7 +312,8 @@ def delaunay_edges(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         try:
             tri = Delaunay(pts + jitter)
         except QhullError as exc:
-            raise ModelError(f"triangulation failed: {exc}") from None
+            first_line = str(exc).partition("\n")[0]  # qhull appends many lines of context
+            raise ModelError(f"triangulation failed: {first_line}") from None
         sides = tri.simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
     sides = sides.astype(np.int64)
     keys = np.unique(np.concatenate((sides[:, 0] * n + sides[:, 1], sides[:, 1] * n + sides[:, 0])))

@@ -217,7 +217,7 @@ def test_criterion_3_enumeration_oracles():
         s2 = _random_spatial(rng, domain, n)
         d1 = rng.choice([0.0, 1.0, 2.0])
         d2 = d1 + rng.choice([0.0, 1.0, 3.0])
-        got = bounded_reach(model, f, d1, d2, s1, s2, domain)
+        got = bounded_reach(model, f, d1, d2, s1, s2)
         want = [walk_reach(model, f, d1, d2, s1, s2, domain, loc) for loc in range(n)]
         mismatches += _count_mismatch(got, want, domain)
     for case in range(300):
@@ -227,7 +227,7 @@ def test_criterion_3_enumeration_oracles():
         s1 = _random_spatial(rng, domain, n)
         s2 = _random_spatial(rng, domain, n)
         d1 = rng.choice([0.0, 1.0, 2.0, 4.0])
-        got = unbounded_reach(model, f, d1, s1, s2, domain)
+        got = unbounded_reach(model, f, d1, s1, s2)
         want = dense_unbounded_reach(model, f, d1, s1, s2, domain)
         mismatches += _count_mismatch(got, want, domain)
     for case in range(300):
@@ -237,7 +237,7 @@ def test_criterion_3_enumeration_oracles():
         s1 = _random_spatial(rng, domain, n)
         d1 = rng.choice([0.0, 1.0, 2.0])
         hi = rng.choice([1.0, 3.0, None])
-        got = escape(model, f, Interval(d1, None if hi is None else d1 + hi), s1, domain)
+        got = escape(model, f, Interval(d1, None if hi is None else d1 + hi), s1)
         want = simple_path_escape(
             model, f, d1, math.inf if hi is None else d1 + hi, s1, domain
         )

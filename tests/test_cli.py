@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import pytest
 
@@ -459,6 +460,22 @@ def test_simulate_manet_out_of_range_config_exit_code(tmp_path, capsys, cfg, fie
     assert main(["simulate", "manet", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and f"config field {field!r}" in err[0], err
+    assert not list(tmp_path.glob("x.*"))
+
+
+@pytest.mark.parametrize("side", [1e90, 1e200])
+def test_simulate_manet_huge_side_is_one_line_triangulation_error(tmp_path, capsys, side):
+    """A side so large that qhull cannot triangulate the positions is one
+    stderr line: qhull's message is cut to its first line, and the
+    collinearity test's overflowing cross product warns no more.  Under
+    pytest numpy's warnings do not reach stderr, so they are made errors."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"side": side}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "manet", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: triangulation failed"), err
     assert not list(tmp_path.glob("x.*"))
 
 

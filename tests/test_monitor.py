@@ -98,7 +98,7 @@ def _one_location(future):
     signals: every step of either input, merged over their common domain,
     counts as an own step, so the sweep reads each listed step."""
 
-    def sweep(interval, s1, s2, domain):
+    def sweep(interval, s1, s2):
         t0, t_end = max(s1.start, s2.start), min(s1.end_time, s2.end_time)
         if t0 > t_end:
             raise SemanticError("signals have no common time domain")
@@ -106,7 +106,7 @@ def _one_location(future):
         v1, v2 = (np.array([[s.value_at(t)] for t in steps]) for s in (s1, s2))
         own = np.ones(v1.shape, dtype=bool)
         out = engine._temporal_sweep(
-            interval, np.array(steps, dtype=float), v1, v2, own, t_end, domain, future
+            interval, np.array(steps, dtype=float), v1, v2, own, t_end, future
         )
         return out.signals[0]
 
@@ -119,7 +119,7 @@ monitor_until, monitor_since = _one_location(True), _one_location(False)
 def test_until_with_constant_true_left_is_sliding_max():
     s1 = sig([(0, True)], 4)
     s2 = sig([(0, False), (1, True), (2, False)], 4)
-    out = monitor_until(Interval(0, 1), s1, s2, BOOL)
+    out = monitor_until(Interval(0, 1), s1, s2)
     # true exactly while the window [t, t+1] overlaps [1, 2)
     assert out.value_at(0) is True
     assert out.value_at(1.5) is True
@@ -130,14 +130,14 @@ def test_until_with_constant_true_left_is_sliding_max():
 def test_until_with_bottom_right_is_bottom():
     s1 = sig([(0, True), (1, False)], 4)
     s2 = sig([(0, False)], 4)
-    out = monitor_until(Interval(0, 2), s1, s2, BOOL)
+    out = monitor_until(Interval(0, 2), s1, s2)
     assert all(v is False for v in out.values)
 
 
 def test_until_point_window():
     s1 = sig([(0, 5.0)], 4)
     s2 = sig([(0, 1.0), (2, 3.0)], 4)
-    out = monitor_until(Interval(1, 1), s1, s2, QUANT)
+    out = monitor_until(Interval(1, 1), s1, s2)
     assert out.value_at(0) == 1.0
     assert out.value_at(1) == 3.0  # window point t+1 = 2 sits on the step
     assert out.end_time == 3
@@ -147,7 +147,7 @@ def test_until_empty_domain_is_an_error():
     s1 = sig([(0, True)], 1)
     s2 = sig([(0, True)], 1)
     with pytest.raises(SemanticError):
-        monitor_until(Interval(0, 2), s1, s2, BOOL)
+        monitor_until(Interval(0, 2), s1, s2)
 
 
 def until_dense_oracle(interval, s1, s2, domain, t):
@@ -187,7 +187,7 @@ def test_until_matches_dense_oracle(domain):
         lo = rng.choice([0, 0.125, 0.25])
         hi = lo + rng.choice([0, 0.125, 0.5, 0.75])
         interval = Interval(lo, hi)
-        out = monitor_until(interval, s1, s2, domain)
+        out = monitor_until(interval, s1, s2)
         probes = list(out.times) + [
             (a + b) / 2 for a, b in zip(out.times, out.times[1:])
         ] + [out.end_time]
@@ -239,7 +239,7 @@ def test_since_mirrors_until_under_time_reversal():
         rev1 = lambda u: s1.value_at(end - u)
         rev2 = lambda u: s2.value_at(end - u)
         breakpoints = sorted({end - t for t in times} | {0.0, end})
-        out_since = monitor_since(interval, s1, s2, QUANT)
+        out_since = monitor_since(interval, s1, s2)
         probes = list(out_since.times) + [
             (a + b) / 2 for a, b in zip(out_since.times, out_since.times[1:])
         ] + [out_since.end_time]
@@ -253,11 +253,11 @@ def test_since_mirrors_until_under_time_reversal():
 def test_since_trivial_cases():
     s_top = sig([(0, True)], 4)
     s2 = sig([(0, False), (1, True)], 4)
-    out = monitor_since(Interval(0, 1), s_top, s2, BOOL)
+    out = monitor_since(Interval(0, 1), s_top, s2)
     # past window [t-1, t] overlaps [1, ...) from t = 1 on
     assert out.start == 1
     assert out.value_at(1) is True
-    both_top = monitor_since(Interval(0, 1), s_top, s_top, BOOL)
+    both_top = monitor_since(Interval(0, 1), s_top, s_top)
     assert all(v is True for v in both_top.values)
 
 
@@ -280,8 +280,8 @@ def test_infinite_upper_bound_runs_to_the_trace_edge(domain):
         if lo > grid[-1]:
             continue
         for kernel, reference in ((monitor_until, until_reference), (monitor_since, since_reference)):
-            got = kernel(Interval(lo, math.inf), s1, s2, domain)
-            assert got == kernel(Interval(lo, None), s1, s2, domain)
+            got = kernel(Interval(lo, math.inf), s1, s2)
+            assert got == kernel(Interval(lo, None), s1, s2)
             want = reference(Interval(lo, math.inf), s1, s2, domain)
             assert (got.times, one_zero(got.values), got.end_time) == (
                 want.times, one_zero(want.values), want.end_time
@@ -496,9 +496,9 @@ def test_sweep_kernel_matches_sample_loop_reference(domain):
                 continue
             except SemanticError:
                 with pytest.raises(SemanticError):
-                    kernel(interval, s1, s2, domain)
+                    kernel(interval, s1, s2)
                 continue
-            got = kernel(interval, s1, s2, domain)
+            got = kernel(interval, s1, s2)
             assert repr((got.times, one_zero(got.values), got.end_time)) == repr(
                 (want.times, one_zero(want.values), want.end_time)
             ), (interval, s1, s2)
@@ -508,7 +508,7 @@ def test_sweep_kernel_matches_sample_loop_reference(domain):
             m1, m2 = (
                 TemporalSignal(merged, tuple(map(s.value_at, merged)), s.end_time) for s in (s1, s2)
             )
-            got = kernel(interval, m1, m2, domain)
+            got = kernel(interval, m1, m2)
             assert repr((got.times, one_zero(got.values), got.end_time)) == repr(
                 (want.times, one_zero(want.values), want.end_time)
             ), (interval, s1, s2)
@@ -532,9 +532,9 @@ def test_sweep_kernel_reads_inputs_over_their_common_domain(domain):
                 want = reference(interval, s1, s2, domain)
             except SemanticError:
                 with pytest.raises(SemanticError):
-                    kernel(interval, s1, s2, domain)
+                    kernel(interval, s1, s2)
                 continue
-            got = kernel(interval, s1, s2, domain)
+            got = kernel(interval, s1, s2)
             assert repr((got.times, one_zero(got.values), got.end_time)) == repr(
                 (want.times, one_zero(want.values), want.end_time)
             ), (interval, s1, s2)
@@ -546,16 +546,16 @@ def test_window_edges_rounded_outside_the_domain():
     """e - hi and e + hi may round just past the domain; the window then
     reads the outermost segment instead of raising or wrapping around."""
     p = TemporalSignal((0.1, 0.2, 0.3, 0.5), (True, False, True, True), 0.5)
-    assert monitor_since(Interval(0, 0.4), p, p, BOOL) == TemporalSignal((0.5,), (True,), 0.5)
+    assert monitor_since(Interval(0, 0.4), p, p) == TemporalSignal((0.5,), (True,), 0.5)
     # 0.5 - 0.4 rounds below 0.1: the point window must read q at 0.1, not at 0.5
     top = TemporalSignal((0.1,), (True,), 0.5)
     q = TemporalSignal((0.1, 0.5), (True, False), 0.5)
-    assert monitor_since(Interval(0.4, 0.4), top, q, BOOL).values == (True,)
+    assert monitor_since(Interval(0.4, 0.4), top, q).values == (True,)
     s = TemporalSignal((1.1,), (True,), 1.7)
-    out = monitor_until(Interval(0, 0.6), s, s, BOOL)
+    out = monitor_until(Interval(0, 0.6), s, s)
     assert (out.times, out.values, out.end_time) == ((1.1,), (True,), 1.7 - 0.6)
     late = TemporalSignal((1.1, 1.6), (False, True), 1.7)
-    assert monitor_until(Interval(0, 0.6), s, late, BOOL).values == (True,)
+    assert monitor_until(Interval(0, 0.6), s, late).values == (True,)
 
 
 # The per-location segment sweep the columnar one replaced, kept verbatim as
@@ -669,10 +669,10 @@ def column_steps(times, *arrays):
     return [tuple(tuple(f[a:b]) for f in flat) for a, b in zip(bounds, bounds[1:])]
 
 
-def _per_location_reference(sweep):
-    """``sweep`` in the engine's former until/since step."""
+def _per_location_reference(sweep, dom):
+    """``sweep`` over the domain ``dom`` in the engine's former until/since step."""
 
-    def kernel(interval, left, right, dom):
+    def kernel(interval, left, right):
         times, rows, end = engine._aligned([left, right])
         # each location's inputs on its own merged steps, as the sweep reads them
         return SpatioTemporalSignal.from_signals([
@@ -734,8 +734,8 @@ def test_monitor_matches_per_location_sweep_reference(domain, monkeypatch):
         ctx, formulas = _async_temporal_instance(rng, domain)
         for formula in formulas:
             with monkeypatch.context() as patch:
-                patch.setattr(engine, "monitor_until", _per_location_reference(segment_until_reference))
-                patch.setattr(engine, "monitor_since", _per_location_reference(segment_since_reference))
+                patch.setattr(engine, "monitor_until", _per_location_reference(segment_until_reference, domain))
+                patch.setattr(engine, "monitor_since", _per_location_reference(segment_since_reference, domain))
                 try:
                     want = monitor(ctx, formula)
                 except SemanticError:
@@ -864,14 +864,14 @@ def test_doubling_sweep_matches_lexsort_reference(domain):
     for _ in range(1500):
         interval, times, v1, v2, own, t_end, unit = _doubling_sweep_instance(rng, domain)
         for future in (True, False):
-            args = (interval, times, v1, v2, own, t_end, domain, future)
+            args = (interval, times, v1, v2, own, t_end)
             try:
-                want = lexsort_sweep_reference(*args)
+                want = lexsort_sweep_reference(*args, domain, future)
             except SemanticError:
                 with pytest.raises(SemanticError):
-                    engine._temporal_sweep(*args)
+                    engine._temporal_sweep(*args, future)
                 continue
-            assert _sweep_cells(engine._temporal_sweep(*args)) == _sweep_cells(want), args
+            assert _sweep_cells(engine._temporal_sweep(*args, future)) == _sweep_cells(want), (args, future)
             compared += 1
             if own.all() and interval.lo == 0 and interval.hi * unit < len(times):
                 spans.add(round(interval.hi * unit))  # own segments a whole window spans
@@ -890,15 +890,15 @@ def test_reach_zero_interval_is_target_signal():
         model = random_model(rng, n, 10)
         s1 = [rng.random() < 0.5 for _ in range(n)]
         s2 = [rng.random() < 0.5 for _ in range(n)]
-        out = reach(model, hop_distance(), Interval(0, 0), s1, s2, BOOL).tolist()
+        out = reach(model, hop_distance(), Interval(0, 0), s1, s2).tolist()
         assert out == s2
 
 
 def test_bounded_reach_isolated_location():
     model = build_spatial_model(1, [])
-    out = bounded_reach(model, hop_distance(), 0, 3, [False], [True], BOOL)
+    out = bounded_reach(model, hop_distance(), 0, 3, [False], [True])
     assert out == [True]
-    out2 = bounded_reach(model, hop_distance(), 1, 3, [True], [True], BOOL)
+    out2 = bounded_reach(model, hop_distance(), 1, 3, [True], [True])
     assert out2 == [False]
 
 
@@ -908,7 +908,7 @@ def test_bounded_reach_two_node_chain():
     for a in (False, True):
         for b in (False, True):
             for c in (False, True):
-                out = bounded_reach(model, hop_distance(), 1, 1, [a, c], [False, b], BOOL).tolist()
+                out = bounded_reach(model, hop_distance(), 1, 1, [a, c], [False, b]).tolist()
                 assert out[0] == (a and b)
                 assert out[1] is False
 
@@ -923,10 +923,10 @@ def test_bounded_reach_with_infinite_upper_bound_is_unbounded_reach(domain):
     f = weight_sum_distance()
     s1 = [domain.top] * 3 if domain is BOOL else [1.0] * 3
     s2 = [False, False, True] if domain is BOOL else [-1.0, -1.0, 1.0]
-    assert bounded_reach(model, f, 0, math.inf, s1, s2, domain).tolist() == s1
+    assert bounded_reach(model, f, 0, math.inf, s1, s2).tolist() == s1
     for d1 in (0.0, 1.0, 2.0, math.inf):
-        got = bounded_reach(model, f, d1, math.inf, s1, s2, domain).tolist()
-        assert got == unbounded_reach(model, f, d1, s1, s2, domain).tolist()
+        got = bounded_reach(model, f, d1, math.inf, s1, s2).tolist()
+        assert got == unbounded_reach(model, f, d1, s1, s2).tolist()
 
 
 def test_escape_identity_full_interval():
@@ -939,7 +939,7 @@ def test_escape_identity_full_interval():
                 s1 = [rng.random() < 0.5 for _ in range(n)]
             else:
                 s1 = [rng.randint(-8, 8) / 4 for _ in range(n)]
-            out = escape(model, hop_distance(), Interval(0, UNBOUNDED), s1, domain).tolist()
+            out = escape(model, hop_distance(), Interval(0, UNBOUNDED), s1).tolist()
             assert out == s1
 
 
@@ -947,7 +947,7 @@ def test_escape_network16_example():
     model = network16_model()
     end_dev = {0, 1, 2, 3, 5, 11, 12, 13, 14}
     s1 = [loc not in end_dev for loc in range(16)]
-    out = escape(model, hop_distance(), Interval(2, UNBOUNDED), s1, BOOL).tolist()
+    out = escape(model, hop_distance(), Interval(2, UNBOUNDED), s1).tolist()
     assert out[9] is True  # location 10, via the two-router corridor
 
 
@@ -965,7 +965,7 @@ def test_bounded_reach_matches_walk_enumeration(domain):
         s1, s2 = _random_spatial(rng, domain, n), _random_spatial(rng, domain, n)
         d1 = rng.choice([0.0, 1.0, 2.0])
         d2 = d1 + rng.choice([0.0, 1.0, 3.0])
-        got = bounded_reach(model, f, d1, d2, s1, s2, domain)
+        got = bounded_reach(model, f, d1, d2, s1, s2)
         for loc in range(n):
             want = walk_reach(model, f, d1, d2, s1, s2, domain, loc)
             assert got[loc] == want
@@ -980,7 +980,7 @@ def test_unbounded_reach_matches_dense_fixpoint(domain):
         model = random_model(rng, n, 10)
         s1, s2 = _random_spatial(rng, domain, n), _random_spatial(rng, domain, n)
         d1 = rng.choice([0.0, 1.0, 2.0, 4.0])
-        got = unbounded_reach(model, f, d1, s1, s2, domain).tolist()
+        got = unbounded_reach(model, f, d1, s1, s2).tolist()
         want = dense_unbounded_reach(model, f, d1, s1, s2, domain)
         assert got == want
 
@@ -991,8 +991,8 @@ def test_bounded_reach_with_infinite_upper_bound_terminates():
     f = weight_sum_distance()
     s1, s2 = [1.0, 1.0], [1.0, -1.0]
     with deadline(30):
-        got = bounded_reach(model, f, 0.5, math.inf, s1, s2, QUANT).tolist()
-    assert got == unbounded_reach(model, f, 0.5, s1, s2, QUANT).tolist()
+        got = bounded_reach(model, f, 0.5, math.inf, s1, s2).tolist()
+    assert got == unbounded_reach(model, f, 0.5, s1, s2).tolist()
 
 
 @pytest.mark.parametrize("domain", [BOOL, QUANT])
@@ -1006,7 +1006,7 @@ def test_bounded_reach_with_huge_finite_upper_bound(domain):
     rng = random.Random(106)
     with deadline(30):
         for d2 in (1e6, 1e308):
-            got = bounded_reach(two_cycle, hop_distance(), 0.5, d2, [top, top], [top, bottom], domain).tolist()
+            got = bounded_reach(two_cycle, hop_distance(), 0.5, d2, [top, top], [top, bottom]).tolist()
             assert got == [top, top]
         for _ in range(60):
             n = rng.randint(1, 4)
@@ -1014,8 +1014,8 @@ def test_bounded_reach_with_huge_finite_upper_bound(domain):
             f = rng.choice([hop_distance(), weight_sum_distance()])
             s1, s2 = _random_spatial(rng, domain, n), _random_spatial(rng, domain, n)
             d1 = rng.choice([0.5, 1.0, 2.0])
-            got = bounded_reach(model, f, d1, rng.choice([1e6, 1e308]), s1, s2, domain).tolist()
-            assert got == unbounded_reach(model, f, d1, s1, s2, domain).tolist()
+            got = bounded_reach(model, f, d1, rng.choice([1e6, 1e308]), s1, s2).tolist()
+            assert got == unbounded_reach(model, f, d1, s1, s2).tolist()
             assert got == dense_unbounded_reach(model, f, d1, s1, s2, domain)
             far = d1 + (n + 1) * max(f.map(model.weight).tolist(), default=0)
             assert got == [walk_reach(model, f, d1, far, s1, s2, domain, l) for l in range(n)]
@@ -1032,7 +1032,7 @@ def test_unbounded_reach_with_infinite_edges(domain):
     s1, s2 = [top] * 3, [top, bottom, bottom]
     rng = random.Random(105)
     with deadline(30):
-        assert unbounded_reach(model, f, 0.5, s1, s2, domain).tolist() == [top, top, bottom]
+        assert unbounded_reach(model, f, 0.5, s1, s2).tolist() == [top, top, bottom]
         for _ in range(300):
             n = rng.randint(1, 6)
             pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
@@ -1044,7 +1044,7 @@ def test_unbounded_reach_with_infinite_edges(domain):
             model = build_spatial_model(n, edges)
             s1, s2 = _random_spatial(rng, domain, n), _random_spatial(rng, domain, n)
             d1 = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0, 5.0])
-            got = unbounded_reach(model, f, d1, s1, s2, domain).tolist()
+            got = unbounded_reach(model, f, d1, s1, s2).tolist()
             assert got == dense_unbounded_reach(model, f, d1, s1, s2, domain)
 
 
@@ -1058,14 +1058,14 @@ def test_reach_with_infinite_lower_bound():
     model = build_spatial_model(3, [(0, 1.0, 1), (1, 1.0, 0), (1, math.inf, 2)])
     far = Interval(math.inf, UNBOUNDED)
     with deadline(30):
-        assert reach(model, f, far, [1.0] * 3, [1.0, -1.0, 2.0], QUANT).tolist() == [1.0, 1.0, -math.inf]
-        assert reach(model, f, far, [True] * 3, [True, False, True], BOOL).tolist() == [True, True, False]
+        assert reach(model, f, far, [1.0] * 3, [1.0, -1.0, 2.0]).tolist() == [1.0, 1.0, -math.inf]
+        assert reach(model, f, far, [True] * 3, [True, False, True]).tolist() == [True, True, False]
         # without an infinite edge no route is long enough
         finite = build_spatial_model(3, [(0, 1.0, 1), (1, 1.0, 0), (1, 5.0, 2)])
         for domain in (BOOL, QUANT):
             top = [domain.top] * 3
             for m, g in ((finite, f), (model, hop_distance())):
-                assert reach(m, g, far, top, top, domain).tolist() == [domain.bottom] * 3
+                assert reach(m, g, far, top, top).tolist() == [domain.bottom] * 3
 
 
 @pytest.mark.parametrize("domain", [BOOL, QUANT])
@@ -1082,23 +1082,23 @@ def test_flooding_over_the_round_budget_is_one_line_error(domain):
     with deadline(10):
         for interval, distances, rounds in cases:
             with pytest.raises(SemanticError) as err:
-                reach(two_cycle, hop_distance(), interval, s1, s2, domain)
+                reach(two_cycle, hop_distance(), interval, s1, s2)
             assert str(err.value) == (
                 f"reach over distances {distances} needs about {rounds} flooding rounds, "
                 f"more than MAX_FLOOD_ROUNDS = {engine.MAX_FLOOD_ROUNDS}"
             )
         # below the budget the walks of exactly 21 hops from 0 end at 1
-        got = reach(two_cycle, hop_distance(), Interval(21, 21), s1, s2, domain).tolist()
+        got = reach(two_cycle, hop_distance(), Interval(21, 21), s1, s2).tolist()
         assert got == [domain.bottom, domain.top]
         # an edge on no cycle counts once, however short: 2 rounds, not 2e6
         path = build_spatial_model(3, [(0, 1e-6, 1), (1, 1.0, 2)])
         ends = [domain.bottom, domain.bottom, domain.top]
-        got = reach(path, weight_sum_distance(), Interval(1, 2), [domain.top] * 3, ends, domain)
+        got = reach(path, weight_sum_distance(), Interval(1, 2), [domain.top] * 3, ends)
         assert got.tolist() == [domain.top, domain.top, domain.bottom]
         # nor are the over-budget many locations of a chain, if d2 is short
         chain = build_spatial_model(over + 1, [(i, 1.0, i + 1) for i in range(over)])
         ends = [domain.bottom] * over + [domain.top]
-        got = reach(chain, hop_distance(), Interval(1, 1), [domain.top] * (over + 1), ends, domain)
+        got = reach(chain, hop_distance(), Interval(1, 1), [domain.top] * (over + 1), ends)
         assert got.tolist() == ends[1:] + [domain.bottom]
 
 
@@ -1113,7 +1113,7 @@ def test_escape_matches_simple_path_enumeration(domain):
         d1 = rng.choice([0.0, 1.0, 2.0])
         hi = rng.choice([1.0, 3.0, None])
         d2 = None if hi is None else d1 + hi
-        got = escape(model, f, Interval(d1, d2), s1, domain).tolist()
+        got = escape(model, f, Interval(d1, d2), s1).tolist()
         want = simple_path_escape(
             model, f, d1, math.inf if d2 is None else d2, s1, domain
         )
@@ -1206,7 +1206,7 @@ def test_escape_matches_walk_matrix_reference(domain):
             s1 = [rng.choice(pool) for _ in range(n)]
         d1 = rng.choice([0.0, 1.0, 2.5])
         interval = Interval(d1, None if trial % 2 else d1 + rng.choice([0.0, 1.0, 4.0]))
-        got = escape(model, f, interval, s1, domain).tolist()
+        got = escape(model, f, interval, s1).tolist()
         want = walk_matrix_escape(model, f, interval, s1, domain)
         assert got == want
         if domain is BOOL:
@@ -1226,11 +1226,11 @@ def test_escape_visits_out_edges_in_edge_order():
     s1 = [rng.choice((0.0, -0.0, 0.5, -0.5, 1.0)) for _ in range(n)]
     edges = list(zip(model.src.tolist(), model.weight.tolist(), model.dst.tolist()))
     resorted = build_spatial_model(n, sorted(edges, key=lambda e: (e[0], e[2])))
-    got = escape(model, hop_distance(), Interval(1, UNBOUNDED), s1, QUANT).tolist()
-    other = escape(resorted, hop_distance(), Interval(1, UNBOUNDED), s1, QUANT).tolist()
+    got = escape(model, hop_distance(), Interval(1, UNBOUNDED), s1).tolist()
+    other = escape(resorted, hop_distance(), Interval(1, UNBOUNDED), s1).tolist()
     assert got == other
-    got = escape(model, hop_distance(), Interval(1, UNBOUNDED), one_zero(s1), QUANT).tolist()
-    other = escape(resorted, hop_distance(), Interval(1, UNBOUNDED), one_zero(s1), QUANT).tolist()
+    got = escape(model, hop_distance(), Interval(1, UNBOUNDED), one_zero(s1)).tolist()
+    other = escape(resorted, hop_distance(), Interval(1, UNBOUNDED), one_zero(s1)).tolist()
     assert repr(got) == repr(other)
     assert repr(got[82]) == "0.0"
     assert not any(v == 0 and math.copysign(1.0, v) < 0 for v in got)
@@ -1286,7 +1286,7 @@ def test_symmetric_escape_matches_closure_reference(domain, monkeypatch):
         f = rng.choice([weight_sum_distance(), hop_distance()])
         d1 = rng.choice([0.0, 0.5, 1.0, 2.5, math.inf])
         interval = Interval(d1, rng.choice([d1, d1 + 0.5, d1 + 2.0, math.inf]))
-        got = escape(model, f, interval, s1, domain).tolist()
+        got = escape(model, f, interval, s1).tolist()
         want = closure_escape_reference(model, f, interval, s1, domain).tolist()
         assert repr(one_zero(got)) == repr(one_zero(want))
     assert len(linkage_calls) == 159  # every trial but the one with n = 1
@@ -1303,31 +1303,53 @@ def test_escape_keeps_the_closure_on_directed_snapshots():
         interval = Interval(1, UNBOUNDED)
         want = closure_escape_reference(model, hop_distance(), interval, s1, domain).tolist()
         assert want == [domain.top, domain.bottom]
-        assert escape(model, hop_distance(), interval, s1, domain).tolist() == want
-        assert engine._widest_walks(model, s1, domain)[1, 0] == domain.top
+        assert escape(model, hop_distance(), interval, s1).tolist() == want
+        assert engine._widest_walks(model, s1)[1, 0] == domain.top
 
 
-@pytest.mark.parametrize("domain", [BOOL, QUANT], ids=["boolean", "quantitative"])
-def test_escape_on_integer_inputs_equals_float_inputs(domain):
-    """An s1 of Python ints is read in the domain's dtype, so both the
-    symmetric and the directed path give the verdicts of the same values as
-    bools or floats, instead of raising on the bottom -inf in an int array."""
-    hop = hop_distance()
-    pair = undirected_model(2, [(0, 1.0, 1)])
-    assert escape(pair, hop, Interval(1, UNBOUNDED), [1, -1], QUANT).tolist() == [-1.0, -1.0]
-    rng = random.Random(1717)
-    models = [pair, build_spatial_model(2, [(0, 1.0, 1)])]
-    models += [_random_undirected(rng, 8, 2, [1.0]) for _ in range(3)]
-    models += [_random_digraph(rng, 8, 2, [1.0]) for _ in range(3)]
-    assert {m.symmetric for m in models} == {True, False}
-    for model in models:
-        for _ in range(8):
-            ints = [rng.choice([0, 1] if domain is BOOL else [-2, -1, 0, 1, 3]) for _ in range(model.location_count)]
-            typed = [bool(v) if domain is BOOL else float(v) for v in ints]
-            for interval in (Interval(1, UNBOUNDED), Interval(0, 2), Interval(2, 2)):
-                got = escape(model, hop, interval, ints, domain)
-                want = escape(model, hop, interval, typed, domain)
-                assert got.dtype == want.dtype and repr(got.tolist()) == repr(want.tolist())
+def _public_kernels():
+    """Every public kernel as a function of its inputs, on two locations
+    joined both ways: s1 and s2 as arrays (escape reads s1 only), or as
+    one-step signals for until and since."""
+    pair, hop = undirected_model(2, [(0, 1.0, 1)]), hop_distance()
+
+    def signal(values):
+        return SpatioTemporalSignal(np.array([0.0]), np.array([values]), 1.0)
+
+    return {
+        "monitor_until": lambda a, b: engine.monitor_until(Interval(0, 1), signal(a), signal(b)),
+        "monitor_since": lambda a, b: engine.monitor_since(Interval(0, 1), signal(a), signal(b)),
+        "reach": lambda a, b: reach(pair, hop, Interval(0, 1), a, b),
+        "bounded_reach": lambda a, b: bounded_reach(pair, hop, 1, 2, a, b),
+        "unbounded_reach": lambda a, b: unbounded_reach(pair, hop, 1, a, b),
+        "escape": lambda a, _b: escape(pair, hop, Interval(1, UNBOUNDED), a),
+    }
+
+
+@pytest.mark.parametrize("kernel", list(_public_kernels()))
+def test_kernels_take_only_bool_or_float64_inputs(kernel):
+    """A kernel reads its verdict domain from its inputs' dtype, so inputs
+    that are not all bool or all float64 name no domain: a list of ints, a
+    float32 array, or a bool input beside a float64 one is a one-line
+    TypeError naming the dtypes, not a guessed domain or an OverflowError
+    on the -inf bottom in an int array."""
+    run = _public_kernels()[kernel]
+    ints, narrow = [1, -1], np.array([1.0, -1.0], dtype=np.float32)
+    cases = [
+        ((ints, ints), "int64, int64", "int64"),
+        ((narrow, narrow), "float32, float32", "float32"),
+        (([True, False], [1.0, -1.0]), "bool, float64", None),
+        (([1.0, -1.0], [True, False]), "float64, bool", None),
+    ]
+    for inputs, pair, single in cases:
+        got = single if kernel == "escape" else pair
+        if got is None:
+            continue
+        with pytest.raises(TypeError) as raised:
+            run(*inputs)
+        assert str(raised.value) == f"kernel inputs must be all bool or all float64, got {got}"
+    for inputs in (([True, False], [False, True]), ([1.0, -1.0], [-1.0, 1.0])):
+        assert run(*inputs) is not None
 
 
 @pytest.mark.parametrize("domain", [BOOL, QUANT])
@@ -1340,7 +1362,7 @@ def test_symmetric_escape_matches_simple_path_enumeration(domain):
         s1 = _random_spatial(rng, domain, n)
         d1 = rng.choice([0.0, 1.0, 2.0])
         d2 = d1 + rng.choice([0.0, 1.0, 3.0, math.inf])
-        got = escape(model, f, Interval(d1, d2), s1, domain).tolist()
+        got = escape(model, f, Interval(d1, d2), s1).tolist()
         assert got == simple_path_escape(model, f, d1, d2, s1, domain)
 
 
@@ -1398,15 +1420,15 @@ def test_boolean_reach_kernels_on_large_random_digraphs():
             radii.append(dist)
             walk_starts.append((start, dist))
         for d2 in radii:
-            got = bounded_reach(model, f, 0.0, d2, s1, s2, BOOL).tolist()
-            flooded = bounded_reach(model, f, 0.0, d2, coded(s1), coded(s2), QUANT).tolist()
+            got = bounded_reach(model, f, 0.0, d2, s1, s2).tolist()
+            flooded = bounded_reach(model, f, 0.0, d2, coded(s1), coded(s2)).tolist()
             assert got == [v > 0 for v in flooded]
             assert all(v is True or v is False for v in got)
             for start, dist in walk_starts:
                 if dist <= d2:
                     assert got[start] is True
         for d1 in [0.0] if with_inf else [0.0, 0.25]:
-            got = unbounded_reach(model, f, d1, s1, s2, BOOL).tolist()
+            got = unbounded_reach(model, f, d1, s1, s2).tolist()
             assert got == dense_unbounded_reach(model, f, d1, s1, s2, BOOL)
             assert all(v is True or v is False for v in got)
             if with_inf:
@@ -1500,16 +1522,16 @@ def test_flooding_matches_dict_reference(domain, monkeypatch):
             s2 = [rng.choice(pool) for _ in range(n)]
             d1 = rng.choice([0.0, 0.0, 0.5, 1.0, 2.0])
         d2 = d1 + rng.choice([0.0, 0.3, 1.0, 2.0, 3.0])
-        got = bounded_reach(model, f, d1, d2, s1, s2, domain).tolist()
+        got = bounded_reach(model, f, d1, d2, s1, s2).tolist()
         assert repr(one_zero(got)) == repr(one_zero(flooding_reference(model, f, d1, d2, s1, s2, domain)))
         if d1 > 0:
             with monkeypatch.context() as patch:
                 patch.setattr(
                     engine, "_flood",
-                    lambda _incoming, lo, hi, a, b, dom: flooding_reference(model, f, lo, hi, a, b, dom),
+                    lambda _incoming, lo, hi, a, b: flooding_reference(model, f, lo, hi, a, b, domain),
                 )
-                want = unbounded_reach(model, f, d1, s1, s2, domain).tolist()
-            assert repr(one_zero(unbounded_reach(model, f, d1, s1, s2, domain).tolist())) == repr(one_zero(want))
+                want = unbounded_reach(model, f, d1, s1, s2).tolist()
+            assert repr(one_zero(unbounded_reach(model, f, d1, s1, s2).tolist())) == repr(one_zero(want))
 
 
 @pytest.mark.parametrize("domain", [BOOL, QUANT], ids=["boolean", "quantitative"])
@@ -1543,7 +1565,7 @@ def test_uniform_distance_flooding_matches_dict_reference(domain, monkeypatch):
         f = hop_distance() if c == 1.0 and rng.random() < 0.5 else weight_sum_distance()
         s1, s2 = values(n, 0.7), values(n, 0.3)
         calls.clear()
-        got = engine._flood(model.incoming_weights(f), d1, d2, s1, s2, domain)
+        got = engine._flood(model.incoming_weights(f), d1, d2, s1, s2)
         assert calls == ([c] if len(model.src) else [])
         assert got.dtype == (bool if domain is BOOL else float)
         assert repr(one_zero(got.tolist())) == repr(one_zero(flooding_reference(model, f, d1, d2, s1, s2, domain)))
@@ -1557,11 +1579,11 @@ def test_uniform_distance_flooding_matches_dict_reference(domain, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(
                 engine, "_flood",
-                lambda _incoming, lo, hi, a, b, dom: flooding_reference(model, hop_distance(), lo, hi, a, b, dom),
+                lambda _incoming, lo, hi, a, b: flooding_reference(model, hop_distance(), lo, hi, a, b, domain),
             )
-            want = unbounded_reach(model, hop_distance(), d1, s1, s2, domain).tolist()
+            want = unbounded_reach(model, hop_distance(), d1, s1, s2).tolist()
         calls.clear()
-        got = unbounded_reach(model, hop_distance(), d1, s1, s2, domain).tolist()
+        got = unbounded_reach(model, hop_distance(), d1, s1, s2).tolist()
         assert calls == [1.0]
         assert repr(one_zero(got)) == repr(one_zero(want))
 
@@ -1610,7 +1632,7 @@ def test_deep_exact_steps_match_walk_enumeration(domain):
             s2 = _random_spatial(rng, domain, n)
             for d1 in DEEP_LOWER_BOUNDS:
                 d2 = d1 + rng.choice([0, 1, 2, 3])
-                got = reach(model, f, Interval(d1, d2), s1, s2, domain).tolist()
+                got = reach(model, f, Interval(d1, d2), s1, s2).tolist()
                 assert got == [walk_reach(model, f, d1, d2, s1, s2, domain, l) for l in range(n)], (trial, d1, d2)
 
 
@@ -1624,10 +1646,10 @@ def test_lightest_cycle_bounds_the_flooding_rounds(domain):
     model = build_spatial_model(3, [(0, 1.0, 1), (1, 1.0, 2), (2, 1e-6, 1)])
     f = weight_sum_distance()
     s1, s2 = [top] * 3, [bottom, bottom, top]
-    got = bounded_reach(model, f, 1.0, 2.0, s1, s2, domain).tolist()
+    got = bounded_reach(model, f, 1.0, 2.0, s1, s2).tolist()
     assert got == [walk_reach(model, f, 1.0, 2.0, s1, s2, domain, l) for l in range(3)] == [top] * 3
     with pytest.raises(SemanticError, match=r"needs about 3e\+04 flooding rounds"):
-        bounded_reach(model, f, 1e4, 1e4, s1, s2, domain)
+        bounded_reach(model, f, 1e4, 1e4, s1, s2)
 
 
 # The relaxation quantitative unbounded reach and escape ran before the
@@ -1727,7 +1749,7 @@ def test_unbounded_reach_matches_relaxation_reference():
         s1 = [rng.choice(pool) for _ in range(n)]
         s2 = [rng.choice(pool) for _ in range(n)]
         d1 = rng.choice([0.0, 1.0, 2.0])
-        got = unbounded_reach(model, f, d1, s1, s2, QUANT).tolist()
+        got = unbounded_reach(model, f, d1, s1, s2).tolist()
         want = quantitative_unbounded_reach_reference(model, f, d1, s1, s2, QUANT)
         assert repr(one_zero(got)) == repr(one_zero(want))
 
@@ -1749,7 +1771,7 @@ def test_escape_matches_per_start_relaxation_reference(domain):
             s1 = [rng.choice(pool) for _ in range(n)]
         d1 = rng.choice([0.0, 1.0, 2.0])
         interval = Interval(d1, None if trial % 2 else d1 + rng.choice([0.0, 1.0, 4.0]))
-        got = escape(model, f, interval, s1, domain).tolist()
+        got = escape(model, f, interval, s1).tolist()
         assert repr(one_zero(got)) == repr(one_zero(per_start_escape_reference(model, f, interval, s1, domain)))
 
 
@@ -1780,12 +1802,12 @@ def test_kernels_leave_read_only_inputs_unchanged(domain):
         s2 = _read_only([rng.choice(pool) for _ in range(n)], dtype)
         before = s1.tobytes(), s2.tobytes()
         calls = [
-            lambda: bounded_reach(model, f, 0.0, 2.0, s1, s2, domain),
-            lambda: bounded_reach(model, f, 0.5, 2.0, s1, s2, domain),
-            lambda: unbounded_reach(model, f, 0.0, s1, s2, domain),
-            lambda: unbounded_reach(model, f, 1.0, s1, s2, domain),
-            lambda: escape(model, f, Interval(1.0, UNBOUNDED), s1, domain),
-            lambda: escape(model, f, Interval(0.0, 2.0), s1, domain),
+            lambda: bounded_reach(model, f, 0.0, 2.0, s1, s2),
+            lambda: bounded_reach(model, f, 0.5, 2.0, s1, s2),
+            lambda: unbounded_reach(model, f, 0.0, s1, s2),
+            lambda: unbounded_reach(model, f, 1.0, s1, s2),
+            lambda: escape(model, f, Interval(1.0, UNBOUNDED), s1),
+            lambda: escape(model, f, Interval(0.0, 2.0), s1),
         ]
         for call in calls:
             out = call()
@@ -2046,8 +2068,8 @@ def test_interval_monotonicity_of_reach():
         d1_large = d1_small + rng.choice([0.0, 1.0])
         d2_small = d1_large + rng.choice([0.0, 2.0])
         d2_large = d2_small + rng.choice([0.0, 2.0])
-        inner = bounded_reach(model, f, d1_large, d2_small, s1, s2, QUANT)
-        outer = bounded_reach(model, f, d1_small, d2_large, s1, s2, QUANT)
+        inner = bounded_reach(model, f, d1_large, d2_small, s1, s2)
+        outer = bounded_reach(model, f, d1_small, d2_large, s1, s2)
         for a, b in zip(inner, outer):
             assert a <= b
 
@@ -2163,7 +2185,7 @@ def test_quantitative_tie_order_keeps_signed_zeros():
         out = monitor(ctx, parse(text))
         assert repr([(s.times, s.values) for s in out.signals]) == want, text
     one_edge = build_spatial_model(2, [(0, 1.0, 1)])
-    out = escape(one_edge, hop_distance(), Interval(1, UNBOUNDED), [0.0, -0.0], QUANT).tolist()
+    out = escape(one_edge, hop_distance(), Interval(1, UNBOUNDED), [0.0, -0.0]).tolist()
     assert repr(one_zero(out)) == "[0.0, -inf]"
 
 
