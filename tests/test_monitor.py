@@ -1307,6 +1307,37 @@ def test_escape_keeps_the_closure_on_directed_snapshots():
         assert engine._widest_walks(model, s1)[1, 0] == domain.top
 
 
+@pytest.mark.parametrize("domain", [BOOL, QUANT], ids=["boolean", "quantitative"])
+def test_escape_on_integer_inputs_equals_float_inputs(domain):
+    """A list of Python ints names no domain, so escape raises the one-line
+    TypeError on it, on the symmetric and the directed path alike, instead
+    of the bare OverflowError on the bottom -inf in an int array.  The same
+    ints in the domain's dtype give the verdicts of the values written as
+    bools or floats."""
+    hop = hop_distance()
+    pair = undirected_model(2, [(0, 1.0, 1)])
+    message = "kernel inputs must be all bool or all float64, got int64"
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        escape(pair, hop, Interval(1, UNBOUNDED), [1, -1])
+    assert escape(pair, hop, Interval(1, UNBOUNDED), np.array([1, -1], dtype=float)).tolist() == [-1.0, -1.0]
+    rng = random.Random(1717)
+    models = [pair, build_spatial_model(2, [(0, 1.0, 1)])]
+    models += [_random_undirected(rng, 8, 2, [1.0]) for _ in range(3)]
+    models += [_random_digraph(rng, 8, 2, [1.0]) for _ in range(3)]
+    assert {m.symmetric for m in models} == {True, False}
+    dtype = np.asarray(domain.top).dtype
+    for model in models:
+        for _ in range(8):
+            ints = [rng.choice([0, 1] if domain is BOOL else [-2, -1, 0, 1, 3]) for _ in range(model.location_count)]
+            typed = [bool(v) if domain is BOOL else float(v) for v in ints]
+            for interval in (Interval(1, UNBOUNDED), Interval(0, 2), Interval(2, 2)):
+                with pytest.raises(TypeError, match=f"^{message}$"):
+                    escape(model, hop, interval, ints)
+                got = escape(model, hop, interval, np.array(ints, dtype=dtype))
+                want = escape(model, hop, interval, typed)
+                assert got.dtype == want.dtype and repr(got.tolist()) == repr(want.tolist())
+
+
 def _public_kernels():
     """Every public kernel as a function of its inputs, on two locations
     joined both ways: s1 and s2 as arrays (escape reads s1 only), or as
