@@ -12,8 +12,6 @@ from .space import (
     EuclideanPositions,
     SpatialModel,
     build_spatial_model,
-    connectivity_graph,
-    delaunay_proximity,
     euclidean_model,
     hop_distance,
     euclidean_norm_distance,

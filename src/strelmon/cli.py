@@ -28,7 +28,7 @@ from .scenarios import (
     simulate_epidemic,
     sweep_safe_radius,
 )
-from .signals import SignalError, SpatioTemporalSignal, column_steps, load_trace, save_trace
+from .signals import SignalError, SpatioTemporalSignal, column_steps, load_trace, run_starts, save_trace
 from .space import BUILTIN_DISTANCES, ModelError, load_model, save_model
 
 EXIT_OK = 0
@@ -41,7 +41,7 @@ def write_signal_csv(sig: SpatioTemporalSignal, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["location", "time", "value"])
-        for loc, (times, values) in enumerate(column_steps(sig.times, sig.values)):
+        for loc, (times, values) in enumerate(column_steps(sig.times, sig.values, run_starts(sig.values))):
             for t, v in zip(times, values):
                 writer.writerow([loc, format_number(t), format_number(v)])
 

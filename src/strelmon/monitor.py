@@ -319,7 +319,8 @@ def _temporal_sweep(interval: Interval, times: np.ndarray, v1: np.ndarray, v2: n
             break
         run, best = np.minimum(run[:-h], run[h:]), np.maximum(best[:-h], np.minimum(run[:-h], best[h:]))
         h *= 2
-    return canonical(*stack_steps(grid[g], owners, np.minimum(head, acc), n), out_end)
+    out_times, _, stacked = stack_steps(grid[g], owners, np.minimum(head, acc), n)
+    return canonical(out_times, stacked, out_end)
 
 
 # ---------------------------------------------------------------------------

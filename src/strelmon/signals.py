@@ -9,7 +9,8 @@ signals are built on demand, only for output.  Traces are vector-valued
 inputs, stored the same way: one step grid and a steps x locations x
 variables array for the monitor's atoms, plus a mask of each location's own
 steps, from which its temporal signal is built on demand (for the oracle
-and equality).  A trace is read from CSV and written to it as whole columns.
+and equality).  Per-location signals and CSV rows are stacked into those
+columns by one function, ``_from_steps``, and written to CSV as columns.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class TemporalSignal:
         for a, b in zip(self.times, self.times[1:]):
             if not a < b:
                 raise SignalError(f"step times must strictly increase, got {a} then {b}")
-        if self.end_time < self.times[-1]:
+        if not self.end_time >= self.times[-1]:
             raise SignalError(f"end time {self.end_time} precedes last step {self.times[-1]}")
 
     @property
@@ -71,13 +72,22 @@ class TemporalSignal:
         return TemporalSignal(tuple(times), tuple(values), self.end_time)
 
 
-def _check_same_domain(signals: Sequence[TemporalSignal]) -> None:
-    first = signals[0]
-    for s in signals[1:]:
-        if s.start != first.start or s.end_time != first.end_time:
-            raise SignalError(
-                f"signal domains differ: [{first.start}, {first.end_time}] vs [{s.start}, {s.end_time}]"
-            )
+def _check_same_domain(domains: Sequence[tuple[float, float]]) -> None:
+    """Every location's (start, end) is the first one's, and there is one."""
+    if not domains:
+        raise SignalError("a signal needs at least one location")
+    (start, end), *rest = domains
+    for s, e in rest:
+        if s != start or e != end:
+            raise SignalError(f"signal domains differ: [{start}, {end}] vs [{s}, {e}]")
+
+
+def _flat_steps(signals: Sequence[TemporalSignal]) -> tuple[np.ndarray, np.ndarray, list]:
+    """The signals' steps one after another: their times, the index of the
+    signal each belongs to, and their values as a list."""
+    values = list(chain.from_iterable(s.values for s in signals))
+    steps = np.fromiter(chain.from_iterable(s.times for s in signals), float, len(values))
+    return steps, np.repeat(np.arange(len(signals)), [len(s.times) for s in signals]), values
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,8 +109,10 @@ class SpatioTemporalSignal:
     @classmethod
     def from_signals(cls, signals: Sequence[TemporalSignal]) -> "SpatioTemporalSignal":
         """Per-location signals sharing one domain, on the union of their grids."""
-        _check_same_domain(signals)
-        return canonical(*_on_grid(signals), signals[0].end_time)
+        _check_same_domain([(s.start, s.end_time) for s in signals])
+        steps, owners, values = _flat_steps(signals)
+        times, _, stacked = stack_steps(steps, owners, np.array(values), len(signals))
+        return canonical(times, stacked, signals[0].end_time)
 
     @property
     def location_count(self) -> int:
@@ -130,29 +142,21 @@ class SpatioTemporalSignal:
         """One minimized step function per location, with Python values."""
         return tuple(
             TemporalSignal(times, values, self.end_time)
-            for times, values in column_steps(self.times, self.values)
+            for times, values in column_steps(self.times, self.values, run_starts(self.values))
         )
 
 
-def _on_grid(signals: Sequence[TemporalSignal]) -> tuple[np.ndarray, np.ndarray]:
-    """The union step grid of signals that start together, and every
-    signal's values on it, stacked along axis 1."""
-    counts = [len(s.times) for s in signals]
-    steps = np.array([t for s in signals for t in s.times], dtype=float)
-    values = np.array([v for s in signals for v in s.values])
-    return stack_steps(steps, np.repeat(np.arange(len(signals)), counts), values, len(signals))
-
-
-def stack_steps(steps: np.ndarray, owners: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def stack_steps(steps: np.ndarray, owners: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     """The union grid of n step functions given flat, one after another
-    (``owners`` numbers them, and each starts at the common start), and
-    every one's values on it, stacked along axis 1."""
+    (``owners`` numbers them, and each starts at the common start), the
+    grid row of each step, and every function's values on the grid,
+    stacked along axis 1."""
     times, rows = np.unique(steps, return_inverse=True)
     # each cell takes the last step of its function at or before it; step
     # indices grow down each column, so a running maximum finds it
     latest = np.zeros((len(times), n), dtype=np.intp)
     latest[rows, owners] = np.arange(len(steps))
-    return times, values[np.maximum.accumulate(latest, axis=0)]
+    return times, rows, values[np.maximum.accumulate(latest, axis=0)]
 
 
 def run_starts(values: np.ndarray) -> np.ndarray:
@@ -173,12 +177,14 @@ def canonical(times: np.ndarray, values: np.ndarray, end_time: float) -> SpatioT
     return SpatioTemporalSignal(times[keep], values[keep], end_time)
 
 
-def column_steps(times: np.ndarray, values: np.ndarray) -> list[tuple[tuple, tuple]]:
-    """Per location, the times of its own steps (its first cell and every
-    change) and its values there, as tuples of Python numbers."""
-    starts = run_starts(values).T
+def column_steps(times: np.ndarray, values: np.ndarray, starts: np.ndarray) -> list[tuple[tuple, tuple]]:
+    """Per location (axis 1 of ``values``), the times of the cells that the
+    steps x locations mask ``starts`` marks (``run_starts``, or a trace's own
+    steps) and its values there, as tuples of Python numbers (lists for a
+    vector value)."""
+    starts = starts.T
     steps = np.broadcast_to(times, starts.shape)[starts].tolist()
-    held = values.T[starts].tolist()
+    held = values.swapaxes(0, 1)[starts].tolist()
     bounds = [0] + np.cumsum(starts.sum(axis=1)).tolist()
     return [(tuple(steps[a:b]), tuple(held[a:b])) for a, b in zip(bounds, bounds[1:])]
 
@@ -191,19 +197,21 @@ class Trace:
     locations (float64) and a read-only steps x locations x variables
     float64 array on it, ``own`` a steps x locations bool mask of the cells
     where a location has a step of its own (its first row all true), and
-    ``end_time`` the closed end of the domain.  ``Trace(variables, signals)``
-    validates its per-location signals and stacks them on the first ``grid``
-    access; ``Trace.from_arrays`` takes the columns directly.  Either way
-    ``signals`` gives each location's own steps as a ``TemporalSignal`` of
-    value tuples, built on demand for an array-built trace, and two traces
-    are equal when their variables and per-location signals are.
+    ``end_time`` the closed end of the domain.  ``Trace.from_arrays`` takes
+    the columns and checks them.  Steps given flat reach it through
+    ``_from_steps``: the CSV reader's rows, and the per-location signals of
+    ``Trace(variables, signals)``, which are checked at once and stacked on
+    the first ``grid`` or ``own`` access.  Either way ``signals`` gives each
+    location's own steps as a ``TemporalSignal`` of value tuples, built on
+    demand for an array-built trace, and two traces are equal when their
+    variables and per-location signals are.
     """
 
     def __init__(self, variables: Sequence[str], signals: Sequence[TemporalSignal]):
         variables, signals = tuple(variables), tuple(signals)
         if not variables:
             raise SignalError("trace needs at least one variable")
-        _check_same_domain(signals)
+        _check_same_domain([(s.start, s.end_time) for s in signals])
         n = len(variables)
         for loc, s in enumerate(signals):
             for v in s.values:
@@ -221,7 +229,7 @@ class Trace:
         ``end_time``.  ``own`` marks each location's own steps, and a
         location's values change only there; without it every location
         steps at every time.  A NaN value is a ``SignalError`` naming its
-        first cell."""
+        first cell; +-inf are values like any other."""
         variables = tuple(variables)
         if not variables:
             raise SignalError("trace needs at least one variable")
@@ -242,8 +250,11 @@ class Trace:
         own = np.ones(data.shape[:2], dtype=bool) if own is None else np.array(own, dtype=bool)
         if own.shape != data.shape[:2] or not own[0].all():
             raise SignalError(f"own steps must be a {data.shape[:2]} mask whose first row is all true")
-        _check_no_nan(variables, times, data)
-        if not (own[1:] | (data[1:] == data[:-1]).all(axis=2)).all():
+        if np.isnan(data).any():
+            k, loc, var = np.argwhere(np.isnan(data))[0].tolist()
+            at = format_number(times[k].item())
+            raise SignalError(f"location {loc} holds NaN for {variables[var]!r} at time {at}")
+        if not (own[1:, :, None] | (data[1:] == data[:-1])).all():
             raise SignalError("a location's values change only at its own steps")
         data.flags.writeable = False
         trace = cls.__new__(cls)
@@ -260,48 +271,35 @@ class Trace:
         return self.grid[0].tolist()
 
     @cached_property
-    def grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """The union step grid, and the variables on it as a read-only
-        steps x locations x variables float64 array.  A NaN value is a
-        ``SignalError`` naming its first cell; +-inf are values like any other."""
-        signals, k = self.signals, len(self.variables)
-        counts = [len(s.times) for s in signals]
-        steps = np.fromiter(chain.from_iterable(s.times for s in signals), float, sum(counts))
-        flat = chain.from_iterable(chain.from_iterable(s.values for s in signals))
-        values = np.fromiter(flat, float, sum(counts) * k).reshape(-1, k)
-        times, data = stack_steps(steps, np.repeat(np.arange(len(signals)), counts), values, len(signals))
-        _check_no_nan(self.variables, times, data)
-        data.flags.writeable = False
-        return times, data
+    def _stacked(self) -> "Trace":
+        steps, owners, values = _flat_steps(self.signals)
+        k = len(self.variables)
+        flat = np.fromiter(chain.from_iterable(values), float, len(values) * k).reshape(-1, k)
+        return _from_steps(self.variables, steps, owners, flat, self.location_count, self.end_time)
 
-    @cached_property
-    def own(self) -> np.ndarray:
-        """Per cell of ``grid``, whether the location has a step of its own there."""
-        times = self.grid[0]
-        own = np.zeros((len(times), self.location_count), dtype=bool)
-        for loc, s in enumerate(self.signals):
-            own[np.searchsorted(times, s.times), loc] = True
-        return own
+    # stacked on first use for a signal-built trace; from_arrays sets both directly
+    grid = cached_property(lambda self: self._stacked.grid)
+    own = cached_property(lambda self: self._stacked.own)
 
     @cached_property
     def signals(self) -> tuple[TemporalSignal, ...]:
         """Per location, its own steps and the value tuples there."""
-        (times, data), starts = self.grid, self.own.T
-        steps = np.broadcast_to(times, starts.shape)[starts].tolist()
-        held = list(map(tuple, data.swapaxes(0, 1)[starts].tolist()))
-        bounds = [0] + np.cumsum(starts.sum(axis=1)).tolist()
         return tuple(
-            TemporalSignal(tuple(steps[a:b]), tuple(held[a:b]), self.end_time)
-            for a, b in zip(bounds, bounds[1:])
+            TemporalSignal(times, tuple(map(tuple, values)), self.end_time)
+            for times, values in column_steps(*self.grid, self.own)
         )
 
 
-def _check_no_nan(variables: tuple[str, ...], times: np.ndarray, data: np.ndarray) -> None:
-    if np.isnan(data).any():
-        k, loc, var = np.argwhere(np.isnan(data))[0].tolist()
-        raise SignalError(
-            f"location {loc} holds NaN for {variables[var]!r} at time {format_number(times[k].item())}"
-        )
+def _from_steps(variables: tuple[str, ...], steps, owners, values, n: int, end_time: float) -> Trace:
+    """The trace of n locations whose steps are given flat, location by
+    location (as ``stack_steps`` takes them), checked by ``from_arrays``.
+    A location's own steps are the grid rows its steps fall on, so one that
+    starts after the others leaves a gap in the first row, which
+    ``from_arrays`` rejects."""
+    times, rows, data = stack_steps(steps, owners, values, n)
+    own = np.zeros(data.shape[:2], dtype=bool)
+    own[rows, owners] = True
+    return Trace.from_arrays(variables, times, data, end_time, own)
 
 
 def load_trace(path: str) -> Trace:
@@ -311,7 +309,7 @@ def load_trace(path: str) -> Trace:
     steps (``Trace.own``).  The rows are parsed as whole columns; a file
     that fails there in any way, by an error, a warning or a check, is read
     again one row at a time, which accepts the same files and names the
-    first bad line of any other.
+    first bad line of any other.  Both readers end in ``_from_steps``.
     """
     try:
         with warnings.catch_warnings():
@@ -343,12 +341,7 @@ def _load_columns(path: str) -> Trace | None:
         and np.isfinite(t).all() and np.isfinite(values).all()
     ):
         return None
-    times, data = stack_steps(t, loc, values, len(firsts))
-    own = np.zeros(data.shape[:2], dtype=bool)
-    own[np.searchsorted(times, t), loc] = True
-    # a location starting after the others leaves a gap in own's first row,
-    # which from_arrays rejects
-    return Trace.from_arrays(variables, times, data, times[-1], own)
+    return _from_steps(variables, t, loc, values, len(firsts), t.max())
 
 
 def _load_rows(path: str) -> Trace:
@@ -362,8 +355,7 @@ def _load_rows(path: str) -> Trace:
         if len(header) < 3 or header[0] != "location" or header[1] != "time":
             raise SignalError(f"{path}: header must be location,time,<variables...>")
         variables = tuple(header[2:])
-        per_loc: dict[int, list[tuple[float, tuple[float, ...]]]] = {}
-        last_key: tuple[int, float] | None = None
+        rows: list[tuple[int, float, tuple[float, ...]]] = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -383,26 +375,19 @@ def _load_rows(path: str) -> Trace:
                     if not math.isfinite(v)
                 )
                 raise SignalError(f"{path}:{lineno}: non-finite value {text!r} for {name!r}")
-            key = (loc, t)
-            if last_key is not None and key <= last_key:
+            if rows and (loc, t) <= rows[-1][:2]:
                 raise SignalError(f"{path}:{lineno}: rows must be sorted by (location, time)")
-            last_key = key
-            per_loc.setdefault(loc, []).append((t, vals))
-    if not per_loc:
+            rows.append((loc, t, vals))
+    if not rows:
         raise SignalError(f"{path}: no data rows")
-    locations = sorted(per_loc)
+    owners, steps, values = zip(*rows)
+    firsts = [k for k in range(len(owners)) if k == 0 or owners[k] != owners[k - 1]]
+    locations = [owners[k] for k in firsts]
     if locations != list(range(len(locations))):
         raise SignalError(f"{path}: locations must be contiguous ids 0..n-1, got {locations}")
-    end = max(steps[-1][0] for steps in per_loc.values())
-    signals = tuple(
-        TemporalSignal(
-            tuple(t for t, _ in per_loc[loc]),
-            tuple(v for _, v in per_loc[loc]),
-            end,
-        )
-        for loc in locations
-    )
-    return Trace(variables, signals)
+    end = max(steps[k - 1] for k in firsts[1:] + [len(steps)])
+    _check_same_domain([(steps[k], end) for k in firsts])
+    return _from_steps(variables, np.array(steps), np.array(owners), np.array(values), len(firsts), end)
 
 
 def save_trace(trace: Trace, path: str) -> None:

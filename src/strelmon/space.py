@@ -282,10 +282,6 @@ def _line_direction(pts: np.ndarray) -> np.ndarray | None:
     return d if np.all(np.abs(cross) == 0.0) else None
 
 
-def _pairs(src: np.ndarray, dst: np.ndarray) -> set[tuple[int, int]]:
-    return set(zip(src.tolist(), dst.tolist()))
-
-
 def delaunay_edges(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric Delaunay-triangulation relation over an (n, 2) array of
     finite points, as int64 ``(src, dst)`` arrays sorted by (src, dst).
@@ -320,11 +316,6 @@ def delaunay_edges(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys // n, keys % n
 
 
-def delaunay_proximity(pos: EuclideanPositions) -> set[tuple[int, int]]:
-    """``delaunay_edges`` of the positions as a set of (src, dst) pairs."""
-    return _pairs(*delaunay_edges(pos.array))
-
-
 def radius_edges(pts: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """The pairs i < j of an (n, 2) array of points within the communication
     radius, boundary inclusive, as ``math.hypot`` of the coordinate
@@ -342,13 +333,6 @@ def radius_edges(pts: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray
         (xi, yi), (xj, yj) = pts[i[k]].tolist(), pts[j[k]].tolist()
         within[k] = math.hypot(xi - xj, yi - yj) <= radius
     return i[within].astype(np.int64), j[within].astype(np.int64)
-
-
-def connectivity_graph(pos: EuclideanPositions, radius: float) -> set[tuple[int, int]]:
-    """``radius_edges`` of the positions in both directions, as a set of
-    (src, dst) pairs."""
-    a, b = radius_edges(pos.array, radius)
-    return _pairs(a, b) | _pairs(b, a)
 
 
 def save_model(dm: DynamicalSpatialModel, path: str) -> None:

@@ -34,11 +34,30 @@ from strelmon.monitor import MonitorContext
 from strelmon.signals import TemporalSignal, Trace
 from strelmon.space import (
     DynamicalSpatialModel,
+    EuclideanPositions,
     build_spatial_model,
+    delaunay_edges,
     hop_distance,
+    radius_edges,
     undirected_model,
     weight_sum_distance,
 )
+
+def _pairs(src, dst) -> set[tuple[int, int]]:
+    return set(zip(src.tolist(), dst.tolist()))
+
+
+def delaunay_proximity(pos: EuclideanPositions) -> set[tuple[int, int]]:
+    """``delaunay_edges`` of the positions as a set of (src, dst) pairs."""
+    return _pairs(*delaunay_edges(pos.array))
+
+
+def connectivity_graph(pos: EuclideanPositions, radius: float) -> set[tuple[int, int]]:
+    """``radius_edges`` of the positions in both directions, as a set of
+    (src, dst) pairs."""
+    a, b = radius_edges(pos.array, radius)
+    return _pairs(a, b) | _pairs(b, a)
+
 
 # A fixed example order for the property tests, so a CI failure reproduces
 # locally with the same flag: pytest --hypothesis-profile=ci

@@ -812,7 +812,8 @@ def lexsort_sweep_reference(interval: Interval, times: np.ndarray, v1: np.ndarra
         k = k_e[:m] + way * d
         r = running[:m] = np.minimum(running[:m], x1[k])
         np.maximum(acc[:m], np.minimum(x2[k], r), out=acc[:m], where=lead[:m] <= d)
-    return canonical(*stack_steps(events, owners, acc[np.argsort(order)], n), out_end)
+    times, _, values = stack_steps(events, owners, acc[np.argsort(order)], n)
+    return canonical(times, values, out_end)
 
 
 def _doubling_sweep_instance(rng, domain):

@@ -5,7 +5,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from conftest import compare_spatiotemporal
+from conftest import compare_spatiotemporal, connectivity_graph, delaunay_proximity
 from strelmon.algebra import boolean_domain, maxmin_domain
 from strelmon.logic import (
     Atomic,
@@ -641,8 +641,8 @@ def loop_generate_manet_reference(cfg: ManetConfig):
         if k > 0 and cfg.jitter > 0:
             positions = positions + rng.uniform(-cfg.jitter, cfg.jitter, size=(n, 2))
         pos = space.EuclideanPositions(tuple((float(x), float(y)) for x, y in positions))
-        prox = space.euclidean_model(pos, sorted(space.delaunay_proximity(pos)))
-        conn_pairs = sorted((a, b) for a, b in space.connectivity_graph(pos, cfg.radius) if a < b)
+        prox = space.euclidean_model(pos, sorted(delaunay_proximity(pos)))
+        conn_pairs = sorted((a, b) for a, b in connectivity_graph(pos, cfg.radius) if a < b)
         conn = undirected_model(n, [(a, 1.0, b) for a, b in conn_pairs])
         prox_snaps.append((times[k], prox))
         conn_snaps.append((times[k], conn))

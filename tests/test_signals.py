@@ -2,6 +2,8 @@ import csv
 import math
 import random
 import warnings
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -50,6 +52,23 @@ def test_validation():
         TemporalSignal((0.0, 0.0), ("a", "b"), 1.0)
     with pytest.raises(SignalError):
         TemporalSignal((0.0, 2.0), ("a", "b"), 1.0)
+
+
+def test_nan_end_time_is_rejected_as_from_arrays_rejects_it():
+    with pytest.raises(SignalError) as got:
+        TemporalSignal((0.0,), ((1.0,),), math.nan)
+    with pytest.raises(SignalError) as want:
+        Trace.from_arrays(("x",), [0.0], [[[1.0]]], math.nan)
+    assert str(got.value) == str(want.value) == "end time nan precedes last step 0.0"
+    with pytest.raises(SignalError, match="precedes last step nan"):
+        TemporalSignal((math.nan,), (1,), 5.0)
+
+
+def test_no_signals_is_a_signal_error():
+    with pytest.raises(SignalError, match="at least one location"):
+        Trace(("x",), ())
+    with pytest.raises(SignalError, match="at least one location"):
+        SpatioTemporalSignal.from_signals([])
 
 
 def test_minimize():
@@ -134,6 +153,147 @@ def test_load_trace_rejects_gap_in_locations(tmp_path):
     path.write_text("location,time,x\n0,0,1\n2,0,1\n")
     with pytest.raises(SignalError):
         load_trace(str(path))
+
+
+# ---------------------------------------------------------------------------
+# signal-built traces against the lazy stacking they replaced
+
+
+def _check_same_domain_reference(signals):
+    first = signals[0]
+    for s in signals[1:]:
+        if s.start != first.start or s.end_time != first.end_time:
+            raise SignalError(
+                f"signal domains differ: [{first.start}, {first.end_time}] vs [{s.start}, {s.end_time}]"
+            )
+
+
+def _stack_steps_reference(steps, owners, values, n):
+    times, rows = np.unique(steps, return_inverse=True)
+    latest = np.zeros((len(times), n), dtype=np.intp)
+    latest[rows, owners] = np.arange(len(steps))
+    return times, values[np.maximum.accumulate(latest, axis=0)]
+
+
+def _check_no_nan_reference(variables, times, data):
+    if np.isnan(data).any():
+        k, loc, var = np.argwhere(np.isnan(data))[0].tolist()
+        raise SignalError(
+            f"location {loc} holds NaN for {variables[var]!r} at time {format_number(times[k].item())}"
+        )
+
+
+class LazyTraceReference:
+    """``Trace(variables, signals)`` as it was: its checks, and ``grid``,
+    ``own`` and (for an array-built trace) ``signals`` as it built them."""
+
+    def __init__(self, variables, signals):
+        variables, signals = tuple(variables), tuple(signals)
+        if not variables:
+            raise SignalError("trace needs at least one variable")
+        _check_same_domain_reference(signals)
+        n = len(variables)
+        for loc, s in enumerate(signals):
+            for v in s.values:
+                if len(v) != n:
+                    raise SignalError(
+                        f"location {loc} has a step with {len(v)} values, expected {n}"
+                    )
+        self.variables, self.signals = variables, signals
+        self.location_count, self.start, self.end_time = len(signals), signals[0].start, signals[0].end_time
+
+    @cached_property
+    def grid(self):
+        signals, k = self.signals, len(self.variables)
+        counts = [len(s.times) for s in signals]
+        steps = np.fromiter(chain.from_iterable(s.times for s in signals), float, sum(counts))
+        flat = chain.from_iterable(chain.from_iterable(s.values for s in signals))
+        values = np.fromiter(flat, float, sum(counts) * k).reshape(-1, k)
+        times, data = _stack_steps_reference(steps, np.repeat(np.arange(len(signals)), counts), values, len(signals))
+        _check_no_nan_reference(self.variables, times, data)
+        data.flags.writeable = False
+        return times, data
+
+    @cached_property
+    def own(self):
+        times = self.grid[0]
+        own = np.zeros((len(times), self.location_count), dtype=bool)
+        for loc, s in enumerate(self.signals):
+            own[np.searchsorted(times, s.times), loc] = True
+        return own
+
+    def array_built_signals(self):
+        (times, data), starts = self.grid, self.own.T
+        steps = np.broadcast_to(times, starts.shape)[starts].tolist()
+        held = list(map(tuple, data.swapaxes(0, 1)[starts].tolist()))
+        bounds = [0] + np.cumsum(starts.sum(axis=1)).tolist()
+        return tuple(
+            TemporalSignal(tuple(steps[a:b]), tuple(held[a:b]), self.end_time)
+            for a, b in zip(bounds, bounds[1:])
+        )
+
+
+# values of every kind a trace step may hold: Python ints (one above 2**53)
+# and bools, signed zeros, infinities and numbers near the float range
+TRACE_VALUES = (0, 1, -3, 2**53 + 1, True, False, 0.0, -0.0, math.inf, -math.inf, 1e300, -1e300, 0.1, 2.5)
+
+
+def _signal_sets(count):
+    """Seeded asynchronous per-location signals: a shared start (+0.0 at
+    some locations and -0.0 at others when it is zero), own later steps,
+    and, now and then, a late start, a value tuple of the wrong length or a
+    NaN value."""
+    rng = random.Random(2113)
+    for case in range(count):
+        n, k = rng.randint(1, 6), rng.randint(1, 3)
+        start = rng.choice([0.0, -1.5, 1e-300, -1e300])
+        later = [t for t in (0.1, 0.25, 1, 2.0**53, 1e300) if t > start]
+        fault = case % 10
+        sigs = []
+        for loc in range(n):
+            first = -0.0 if start == 0.0 and rng.random() < 0.5 else start
+            times = (first, *sorted(rng.sample(later, rng.randint(0, len(later)))))
+            sigs.append([times, [tuple(rng.choice(TRACE_VALUES) for _ in range(k)) for _ in times]])
+        loc = rng.randrange(n)
+        times, values = sigs[loc]
+        if fault == 1 and n > 1 and len(times) > 1:
+            sigs[loc] = [times[1:], values[1:]]
+        elif fault == 2:
+            values[-1] = values[-1] + (1.0,) if rng.random() < 0.5 else values[-1][:-1]
+        elif fault == 3:
+            values[-1] = values[-1][:-1] + (math.nan,)
+        end = float(max(max(times) for times, _ in sigs) + rng.choice([0, 1]))
+        variables = tuple(f"v{i}" for i in range(k))
+        yield variables, [TemporalSignal(tuple(times), tuple(values), end) for times, values in sigs]
+
+
+def _stacking_outcome(cls, variables, sigs):
+    """The grid and own bytes of a signal-built trace and the signals of the
+    array-built one, as reprs so that -0.0 differs from 0.0, or the error text."""
+    try:
+        trace = cls(variables, sigs)
+        (times, data), own = trace.grid, trace.own
+    except SignalError as exc:
+        return str(exc)
+    if cls is Trace:
+        rebuilt = Trace.from_arrays(variables, times, data, trace.end_time, own).signals
+    else:
+        rebuilt = trace.array_built_signals()
+    shapes = [(a.dtype.str, a.shape, a.flags.writeable) for a in (times, data, own)]
+    return times.tobytes(), data.tobytes(), own.tobytes(), shapes, repr(rebuilt)
+
+
+def test_signal_built_trace_equals_the_lazy_stacking_it_replaced():
+    faults = ("signal domains differ", "values, expected", "holds NaN")
+    met = set()
+    for variables, sigs in _signal_sets(400):
+        got = _stacking_outcome(Trace, variables, sigs)
+        assert got == _stacking_outcome(LazyTraceReference, variables, sigs), (variables, sigs)
+        if isinstance(got, str):
+            met |= {fault for fault in faults if fault in got}
+        else:
+            assert Trace(variables, sigs).signals == tuple(sigs)
+    assert met == set(faults)  # a late start, a wrong-length tuple and a NaN all occurred
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import weighted9_model
+from conftest import connectivity_graph, delaunay_proximity, weighted9_model
 from strelmon.space import (
     DynamicalSpatialModel,
     EuclideanPositions,
@@ -13,9 +13,7 @@ from strelmon.space import (
     build_spatial_model,
     check_finite_positions,
     check_strictly_positive,
-    connectivity_graph,
     delaunay_edges,
-    delaunay_proximity,
     euclidean_model,
     euclidean_norm_distance,
     hop_distance,
