@@ -2,6 +2,7 @@
 
 Subcommands:
     monitor   load a model, a trace and a formula, write the verdict signal
+              as the trace CSV of one variable (``signals.write_signal_csv``)
     simulate  generate a scenario (manet or epidemic) as model + trace files
     sweep     run the safe-radius experiment and write an r,mean,std table
 
@@ -28,22 +29,13 @@ from .scenarios import (
     simulate_epidemic,
     sweep_safe_radius,
 )
-from .signals import SignalError, SpatioTemporalSignal, column_steps, load_trace, run_starts, save_trace
+from .signals import SignalError, load_trace, save_trace, write_signal_csv
 from .space import BUILTIN_DISTANCES, ModelError, load_model, save_model
 
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_SEMANTIC = 2
 EXIT_IO = 3
-
-
-def write_signal_csv(sig: SpatioTemporalSignal, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["location", "time", "value"])
-        for loc, (times, values) in enumerate(column_steps(sig.times, sig.values, run_starts(sig.values))):
-            for t, v in zip(times, values):
-                writer.writerow([loc, format_number(t), format_number(v)])
 
 
 def _build_distances(bindings: list[str]) -> dict:
@@ -88,40 +80,35 @@ def cmd_monitor(args) -> int:
     return EXIT_OK
 
 
-def _load_config(path: str, cls):
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return cls.from_dict(data)
+def _load_config(args, cls):
+    """The ``--config`` file as a ``cls``, or ``cls``'s defaults, with ``--seed`` applied."""
+    cfg = cls()
+    if args.config:
+        with open(args.config) as fh:
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{args.config}: invalid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ConfigError(f"{args.config}: config must be a JSON object")
+        cfg = cls.from_dict(data)
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
 def cmd_simulate(args) -> int:
     if args.kind == "manet":
-        cfg = _load_config(args.config, ManetConfig) if args.config else ManetConfig()
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        proximity, connectivity, trace = generate_manet(cfg)
+        proximity, connectivity, trace = generate_manet(_load_config(args, ManetConfig))
         save_model(proximity, f"{args.out}.proximity.json")
         save_model(connectivity, f"{args.out}.connectivity.json")
-        save_trace(trace, f"{args.out}.trace.csv")
     else:
-        cfg = _load_config(args.config, EpidemicConfig) if args.config else EpidemicConfig()
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        model, trace = simulate_epidemic(cfg)
+        model, trace = simulate_epidemic(_load_config(args, EpidemicConfig))
         save_model(model, f"{args.out}.model.json")
-        save_trace(trace, f"{args.out}.trace.csv")
+    save_trace(trace, f"{args.out}.trace.csv")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config, EpidemicConfig) if args.config else EpidemicConfig()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    cfg = _load_config(args, EpidemicConfig)  # a bad config is reported before bad --radii
     radii = [float(r) for r in args.radii.split(",") if r.strip() != ""]
     if not radii:
         raise ConfigError("--radii must list at least one radius")

@@ -40,6 +40,7 @@ from .space import (
     BUILTIN_DISTANCES,
     DynamicalSpatialModel,
     SpatialModel,
+    both_directions,
     check_finite_positions,
     delaunay_edges,
     radius_edges,
@@ -347,8 +348,8 @@ def simulate_epidemic(cfg: EpidemicConfig) -> tuple[DynamicalSpatialModel, Trace
     static_keys = static[0] * n + static[1]
     static_logs = _logs(static[2])  # a static contact's p is the same every day
     # directed contacts, each pair then its reverse, weighted by infection probability
-    static_net = SpatialModel.undirected(n, *static)
-    static_tried = np.zeros(len(static_net.src), dtype=bool)  # (infective, susceptible) pairs tried
+    static_src, static_dst, static_p = both_directions(*static)
+    static_tried = np.zeros(len(static_src), dtype=bool)  # (infective, susceptible) pairs tried
     snapshots = []
     states_per_day = np.zeros((cfg.horizon_days, n), dtype=int)
     for day in range(cfg.horizon_days):
@@ -371,14 +372,12 @@ def simulate_epidemic(cfg: EpidemicConfig) -> tuple[DynamicalSpatialModel, Trace
         logs[drawn] = _logs(np.where(ps == 0, pd, 1.0 - (1.0 - ps) * (1.0 - pd)))
         snapshots.append((float(day), SpatialModel.undirected(n, keys // n, keys % n, -logs)))
 
-        # state update for the next day
-        trial = (state[static_net.src] == INFECTED) & (state[static_net.dst] == SUSCEPTIBLE) & ~static_tried
-        static_tried |= trial
-        dynamic_net = SpatialModel.undirected(n, *dynamic)
-        dynamic_trial = (state[dynamic_net.src] == INFECTED) & (state[dynamic_net.dst] == SUSCEPTIBLE)
-        targets = np.concatenate((static_net.dst[trial], dynamic_net.dst[dynamic_trial]))
-        odds = np.concatenate((static_net.weight[trial], dynamic_net.weight[dynamic_trial]))
-        exposed = targets[rng.random(len(targets)) < odds]
+        # state update for the next day: one trial per directed contact, static ones first
+        src, dst, p = map(np.concatenate, zip((static_src, static_dst, static_p), both_directions(*dynamic)))
+        trial = (state[src] == INFECTED) & (state[dst] == SUSCEPTIBLE)
+        trial[: len(static_tried)] &= ~static_tried
+        static_tried |= trial[: len(static_tried)]
+        exposed = dst[trial][rng.random(np.count_nonzero(trial)) < p[trial]]
         next_state, next_timer = state.copy(), timer.copy()
         progressing = timer > 0
         next_timer[progressing] -= 1

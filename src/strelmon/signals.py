@@ -10,7 +10,8 @@ inputs, stored the same way: one step grid and a steps x locations x
 variables array for the monitor's atoms, plus a mask of each location's own
 steps, from which its temporal signal is built on demand (for the oracle
 and equality).  Per-location signals and CSV rows are stacked into those
-columns by one function, ``_from_steps``, and written to CSV as columns.
+columns by one function, ``_from_steps``, and written to CSV as columns by
+``save_trace``, which writes a verdict as the trace of one variable.
 """
 
 from __future__ import annotations
@@ -393,8 +394,8 @@ def _load_rows(path: str) -> Trace:
 def save_trace(trace: Trace, path: str) -> None:
     """Write the trace CSV that ``load_trace`` reads: a row per own step of
     each location, location by location, every number as ``format_number``
-    prints it.  The rows come from ``grid`` and ``own``; each distinct
-    number is formatted once."""
+    prints it, from ``grid`` and ``own``, each distinct number formatted
+    once.  Verdicts are written here too (``write_signal_csv``)."""
     (times, data), (loc, k) = trace.grid, np.nonzero(trace.own.T)
     cells = np.column_stack((times[k], data[k, loc]))
     distinct, index = np.unique(cells.ravel(), return_inverse=True)
@@ -403,3 +404,8 @@ def save_trace(trace: Trace, path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(["location", "time"] + list(trace.variables))
         writer.writerows(zip(loc.tolist(), *text.T.tolist()))
+
+
+def write_signal_csv(sig: SpatioTemporalSignal, path: str) -> None:
+    """Write a verdict as the trace of one variable, ``value``, stepping at its run starts."""
+    save_trace(Trace.from_arrays(("value",), sig.times, sig.values[:, :, None], sig.end_time, run_starts(sig.values)), path)

@@ -79,8 +79,7 @@ class SpatialModel:
     @classmethod
     def undirected(cls, n: int, src, dst, weight) -> "SpatialModel":
         """Both directions of every listed edge, each followed by its reverse."""
-        pairs = np.column_stack((src, dst))
-        return cls(n, pairs.ravel(), pairs[:, ::-1].ravel(), np.repeat(np.asarray(weight, dtype=float), 2, axis=0))
+        return cls(n, *both_directions(src, dst, weight))
 
     @cached_property
     def symmetric(self) -> bool:
@@ -105,6 +104,12 @@ class SpatialModel:
             n = self.location_count
             cache[f] = csr_array((check_strictly_positive(self, f), (self.dst, self.src)), shape=(n, n))
         return cache[f]
+
+
+def both_directions(src, dst, weight) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edge arrays of every listed edge followed by its reverse, of the same weight."""
+    pairs = np.column_stack((src, dst))
+    return pairs.ravel(), pairs[:, ::-1].ravel(), np.repeat(np.asarray(weight, dtype=float), 2, axis=0)
 
 
 def _edge_arrays(edges: Iterable[tuple[int, Weight, int]]) -> tuple[list, list, np.ndarray]:

@@ -3,11 +3,27 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from conftest import NETWORK16_COORD, NETWORK16_EDGES, NETWORK16_END_DEV, NETWORK16_ROUTER, deadline
+from strelmon.algebra import boolean_domain, maxmin_domain
 from strelmon.cli import main
-from strelmon.logic import MAX_DEPTH
+from strelmon.logic import MAX_DEPTH, format_number
+from strelmon.monitor import MonitorContext, monitor
+from strelmon.scenarios import (
+    EpidemicConfig,
+    ManetConfig,
+    connect,
+    dangerous_days,
+    epidemic_interpretation,
+    generate_manet,
+    safe_radius,
+    safe_route,
+    simulate_epidemic,
+)
+from strelmon.signals import SignalError, canonical, column_steps, load_trace, run_starts, write_signal_csv
+from strelmon.space import euclidean_norm_distance, hop_distance, weight_sum_distance
 
 
 def write_network16(tmp_path):
@@ -561,3 +577,102 @@ def test_sweep_needs_at_least_one_run(tmp_path, capsys, runs):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "at least one run" in err[0], err
     assert not out.exists()
+
+
+def test_sweep_reports_a_bad_config_before_bad_radii(tmp_path, capsys):
+    """The config is loaded before --radii is checked, so a run with both
+    faults names the config."""
+    cfg_path = tmp_path / "epi.json"
+    cfg_path.write_text("[]")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg_path), "--radii", ",", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "config must be a JSON object" in err[0], err
+    assert not out.exists()
+
+
+def row_loop_write_signal_csv_reference(sig, path: str) -> None:
+    """The verdict writer as the CLI's own row loop, before it wrote the
+    verdict as a one-variable trace through ``save_trace``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["location", "time", "value"])
+        for loc, (times, values) in enumerate(column_steps(sig.times, sig.values, run_starts(sig.values))):
+            for t, v in zip(times, values):
+                writer.writerow([loc, format_number(t), format_number(v)])
+
+
+VERDICT_VALUES = (math.inf, -math.inf, 0.0, -0.0, 0.1, -2.5, 1e16, 2**53 + 1, 5e-324)
+
+
+def seeded_verdicts(count: int):
+    """Canonical verdicts, Boolean and quantitative in turn, on 1-6
+    locations, over decimal step times from a start that may be negative."""
+    rng = np.random.default_rng(22)
+    for k in range(count):
+        steps, n = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+        start = float(rng.choice([-3.5, -0.1, 0.0, 0.3]))
+        times = start + np.cumsum(np.concatenate(([0.0], rng.choice([0.1, 0.2, 0.3, 0.7, 1.0], steps - 1))))
+        end = times[-1].item() + float(rng.choice([0.0, 0.1, 2.0]))
+        if k % 2:
+            values = rng.choice(np.array(VERDICT_VALUES, dtype=float), size=(steps, n))
+        else:
+            values = rng.random((steps, n)) < 0.5
+        yield canonical(times, values, end)
+
+
+def monitored_verdicts(name: str):
+    """Verdicts of the scenario properties, Boolean and quantitative."""
+    if name == "manet":
+        prox, conn, trace = generate_manet(ManetConfig(node_count=12, routers=4, end_devices=7, steps=6, seed=5))
+        runs = [
+            (conn, connect(), {"hop": hop_distance()}),
+            (prox, safe_route(2.0, 2.0), {"euclid": euclidean_norm_distance()}),
+        ]
+    else:
+        model, trace = simulate_epidemic(EpidemicConfig(node_count=40, horizon_days=15, initial_infected=4, seed=30))
+        distances = {"weight": weight_sum_distance(), "hop": hop_distance()}
+        runs = [(model, safe_radius(2.0, 5.0), distances), (model, dangerous_days(), distances)]
+    for domain in (boolean_domain(), maxmin_domain()):
+        interpretation = epidemic_interpretation(domain) if name == "epidemic" else None
+        for model, formula, distances in runs:
+            yield monitor(MonitorContext(model, trace, domain, distances, interpretation), formula)
+
+
+def verdict_cases(case: str):
+    return list(seeded_verdicts(300) if case == "seeded" else monitored_verdicts(case))
+
+
+@pytest.mark.parametrize("case", ["seeded", "manet", "epidemic"])
+def test_write_signal_csv_equals_the_replaced_row_loop(case, tmp_path):
+    """The verdict written as a one-variable trace has the bytes of the row
+    loop it replaced."""
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    for sig in verdict_cases(case):
+        write_signal_csv(sig, str(got))
+        row_loop_write_signal_csv_reference(sig, str(want))
+        assert got.read_bytes() == want.read_bytes(), (sig.times, sig.values)
+
+
+@pytest.mark.parametrize("case", ["seeded", "manet", "epidemic"])
+def test_a_verdict_csv_is_a_trace(case, tmp_path):
+    """``load_trace`` reads a verdict CSV back as the trace of one variable,
+    ``value``, whose own steps are the verdict's run starts.  The file keeps
+    no end time, so the trace ends at the last step.  A verdict holding
+    +-inf is not a trace, whose values must be finite."""
+    path = tmp_path / "verdict.csv"
+    finite = 0
+    for sig in verdict_cases(case):
+        write_signal_csv(sig, str(path))
+        if not np.isfinite(sig.values).all():
+            with pytest.raises(SignalError, match="non-finite value"):
+                load_trace(str(path))
+            continue
+        finite += 1
+        trace = load_trace(str(path))
+        assert trace.variables == ("value",)
+        assert np.array_equal(trace.grid[0], sig.times)
+        assert np.array_equal(trace.grid[1][:, :, 0], sig.values.astype(float))
+        assert np.array_equal(trace.own, run_starts(sig.values))
+        assert trace.end_time == sig.times[-1]
+    assert finite
