@@ -16,9 +16,9 @@ steps, in O(N log N + E log w) for N own steps, E events, w-step windows.  The
 spatial operators evaluate the graph snapshot at every time where an input
 row or the graph changes, once per snapshot and distinct pair of input
 rows; each kernel takes the input rows as arrays, never writes into them,
-and returns a new array.  On the snapshot's cached sparse weights, Boolean
-reach with lower bound zero and Boolean unbounded reach are shortest-path
-searches, and quantitative unbounded reach is a max/min relaxation over
+and returns a new array.  Boolean reach with lower bound zero and Boolean
+unbounded reach are one shortest-path search each on the snapshot's cached
+sparse weights, and quantitative unbounded reach is a max/min relaxation over
 the edge arrays, one array pass per round.  Other bounded reach (with an
 infinite upper bound, or a positive lower bound and an upper bound past
 every loop-erased route, it is unbounded reach) is that relaxation capped
@@ -523,24 +523,20 @@ def _reached_within(incoming: csr_array, s1: np.ndarray, targets: np.ndarray, li
 
     A location holds iff it is a target or a target lies within ``limit`` of
     it along a route whose strict prefix satisfies s1.  The search runs from
-    all targets at once over the incoming edges whose source satisfies s1.
-    Dijkstra sums a route's distances from the target end, as the flooding
-    does, so the ``<= limit`` boundary agrees exactly.  An infinite limit
-    asks only for a route, whatever its weights, so the search is
-    unweighted.  When s1 holds everywhere, as under ``somewhere`` and
-    ``everywhere``, the search runs on ``incoming`` itself.
+    all targets at once on ``incoming``'s edges, with the weight of every
+    edge whose source fails s1 set to inf.  Dijkstra sums a route's
+    distances from the target end, as the flooding does, so the ``<= limit``
+    boundary agrees exactly.  An infinite limit asks only for a route,
+    whatever its weights, so every open edge weighs 1 and ``dist < inf``
+    decides.  When s1 holds everywhere and the limit is finite, as under
+    ``somewhere`` and ``everywhere``, the search runs on ``incoming`` itself.
     """
     graph = incoming
-    if not s1.all():
-        keep = s1[incoming.indices]
-        kept_before = np.concatenate(([0], np.cumsum(keep)))
-        graph = csr_array(
-            (incoming.data[keep], incoming.indices[keep], kept_before[incoming.indptr]),
-            shape=incoming.shape,
-        )
-    unweighted = limit == math.inf
-    dist = csgraph.dijkstra(graph, indices=np.flatnonzero(targets), min_only=True, unweighted=unweighted, limit=limit)
-    return targets | (dist < math.inf if unweighted else dist <= limit)
+    if limit == math.inf or not s1.all():
+        weights = np.where(s1[incoming.indices], 1.0 if limit == math.inf else incoming.data, math.inf)
+        graph = csr_array((weights, incoming.indices, incoming.indptr), shape=incoming.shape)
+    dist = csgraph.dijkstra(graph, indices=np.flatnonzero(targets), min_only=True, limit=limit)
+    return targets | (dist < math.inf) & (dist <= limit)
 
 
 def unbounded_reach(model: SpatialModel, f: DistanceFunction, d1: float, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:

@@ -331,8 +331,6 @@ def _load_columns(path: str) -> Trace | None:
         variables = tuple(header[2:])
         fields = [("location", np.int64), ("time", float), ("values", float, (len(variables),))]
         rows = np.loadtxt(fh, dtype=np.dtype(fields), delimiter=",", comments=None, ndmin=1)
-    if not len(rows):
-        return None
     loc, t, values = rows["location"], rows["time"], rows["values"]
     later, same = loc[1:] > loc[:-1], loc[1:] == loc[:-1]
     firsts = np.flatnonzero(np.concatenate(([True], later)))

@@ -295,6 +295,8 @@ def delaunay_edges(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sets become the chain of consecutive neighbours along the line, and
     cocircular ties are broken by a tiny index-scaled perturbation of the
     coordinates before triangulating, so repeated runs agree bit for bit.
+    Qhull sees the points translated and scaled into the unit box, which
+    leaves the triangulation as it is, so their scale does not matter.
     """
     n = len(pts)
     if n < 2:
@@ -306,12 +308,11 @@ def delaunay_edges(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     else:
         from scipy.spatial import Delaunay, QhullError
 
-        extent = float(np.max(np.ptp(pts, axis=0)))
-        eps = 1e-9 * (extent if extent > 0 else 1.0)
+        extent = float(np.max(np.ptp(pts, axis=0)))  # > 0: the points are not all equal
         angles = 2.399963229728653 * np.arange(n)  # golden angle spreads directions
-        jitter = eps * (np.arange(n) + 1)[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        jitter = 1e-9 * (np.arange(n) + 1)[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
         try:
-            tri = Delaunay(pts + jitter)
+            tri = Delaunay((pts - pts.min(axis=0)) / extent + jitter)
         except QhullError as exc:
             first_line = str(exc).partition("\n")[0]  # qhull appends many lines of context
             raise ModelError(f"triangulation failed: {first_line}") from None
@@ -332,7 +333,8 @@ def radius_edges(pts: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray
     if radius < 0:
         raise ModelError("radius must be nonnegative")
     i, j = np.triu_indices(len(pts), 1)
-    d = np.hypot(*(pts[i] - pts[j]).T)
+    with np.errstate(over="ignore"):  # a distance past the float range is inf, beyond any radius
+        d = np.hypot(*(pts[i] - pts[j]).T)
     within = d <= radius
     for k in np.flatnonzero(np.abs(d - radius) <= 1e-12 * max(radius, 1)).tolist():
         (xi, yi), (xj, yj) = pts[i[k]].tolist(), pts[j[k]].tolist()

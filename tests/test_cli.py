@@ -479,19 +479,34 @@ def test_simulate_manet_out_of_range_config_exit_code(tmp_path, capsys, cfg, fie
     assert not list(tmp_path.glob("x.*"))
 
 
-@pytest.mark.parametrize("side", [1e90, 1e200])
-def test_simulate_manet_huge_side_is_one_line_triangulation_error(tmp_path, capsys, side):
-    """A side so large that qhull cannot triangulate the positions is one
-    stderr line: qhull's message is cut to its first line, and the
-    collinearity test's overflowing cross product warns no more.  Under
-    pytest numpy's warnings do not reach stderr, so they are made errors."""
+@pytest.mark.parametrize("side", [1e90, 1e200, 1.7e308])
+def test_simulate_manet_huge_side_writes_its_files(tmp_path, capsys, side):
+    """qhull triangulates the positions rescaled to the unit box, so a side
+    it could not triangulate unscaled simulates and writes the three files,
+    and neither the collinearity test's cross product nor a distance past
+    the float range warns.  Under pytest numpy's warnings do not reach
+    stderr, so they are made errors."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"side": side}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["simulate", "manet", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+        assert main(["simulate", "manet", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 0
+    assert not capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.glob("x.*")) == ["x.connectivity.json", "x.proximity.json", "x.trace.csv"]
+
+
+def test_simulate_manet_triangulation_error_is_one_line(tmp_path, capsys, monkeypatch):
+    """A qhull failure is one stderr line: qhull's message is cut to its
+    first line."""
+    from scipy.spatial import QhullError
+
+    def fail(points):
+        raise QhullError("QH6154 Qhull precision error: initial simplex is flat\nWhile executing: | qhull d Qz\n")
+
+    monkeypatch.setattr("scipy.spatial.Delaunay", fail)
+    assert main(["simulate", "manet", "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: triangulation failed"), err
+    assert err == ["error: triangulation failed: QH6154 Qhull precision error: initial simplex is flat"]
     assert not list(tmp_path.glob("x.*"))
 
 
@@ -590,6 +605,63 @@ def test_sweep_reports_a_bad_config_before_bad_radii(tmp_path, capsys):
     assert len(err) == 1 and "config must be a JSON object" in err[0], err
     assert not out.exists()
 
+
+_MONITOR = ["monitor", "--model", "{model}", "--trace", "{trace}", "--formula"]
+
+
+@pytest.mark.parametrize(
+    "argv, config, code, fragment",
+    [
+        (["monitor", "--model", "{model}", "--trace", "{short}", "--formula", "coord"], None, 2,
+         "trace has 2 locations but the model has 16"),
+        (["monitor", "--model", "{late}", "--trace", "{trace}", "--formula", "coord"], None, 2,
+         "first snapshot at 1.0 is after the trace start 0.0"),
+        (_MONITOR + ["coord", "--dist", "hop"], None, 2, "--dist expects name=builtin"),
+        (_MONITOR + ["coord", "--dist", "d=manhattan"], None, 2, "unknown builtin 'manhattan'"),
+        (["simulate", "manet", "--config", "{config}", "--out", "{out}"], "{", 2, "invalid JSON"),
+        (["sweep", "--radii", ",", "--out", "{out}"], None, 2, "--radii must list at least one radius"),
+        (["simulate", "manet", "--config", "{config}", "--out", "{out}"],
+         '{"node_count": 2, "routers": 1, "end_devices": 0}', 2, "need at least 3 nodes"),
+        (["simulate", "manet", "--config", "{config}", "--out", "{out}"], '{"steps": 0}', 2,
+         "need at least one step"),
+        (["simulate", "manet", "--config", "{config}", "--out", "{out}"], '{"radius": -1}', 2,
+         "radius must be nonnegative"),
+        (["simulate", "epidemic", "--config", "{config}", "--out", "{out}"],
+         '{"static_degree": {"mean": 5, "p99": 4, "cutoff": 9}}', 2, "need 0 < mean < p99 <= cutoff"),
+        (["simulate", "epidemic", "--config", "{config}", "--out", "{out}"], '{"infection_mean": 1}', 2,
+         "infection_mean must lie in [0, 1)"),
+        (["simulate", "epidemic", "--config", "{config}", "--out", "{out}"],
+         '{"node_count": 10, "initial_infected": 11}', 2, "more initial infected than nodes"),
+        (["simulate", "epidemic", "--config", "{config}", "--out", "{out}"], '{"horizon_days": 1}', 2,
+         "horizon must cover at least two days"),
+        (["simulate", "epidemic", "--config", "{config}", "--out", "{out}"],
+         '{"include_static": false, "include_dynamic": false}', 2, "at least one of the contact networks"),
+        (_MONITOR + ["coord router"], None, 1, "trailing input after formula"),
+        (_MONITOR + ["coord < router"], None, 1, "expected a number after comparison operator"),
+        (_MONITOR + ["coord reach(1) router"], None, 1, "expected a distance-function name"),
+    ],
+    ids=[
+        "location-counts", "late-snapshot", "dist-without-equals", "dist-unknown-builtin", "invalid-json",
+        "empty-radii", "manet-node-count", "manet-steps", "manet-radius", "epidemic-degree",
+        "epidemic-infection-mean", "epidemic-initial-infected", "epidemic-horizon", "epidemic-no-network",
+        "parse-trailing", "parse-threshold", "parse-distance-name",
+    ],
+)
+def test_one_line_diagnostics(tmp_path, capsys, argv, config, code, fragment):
+    """Each fault is one stderr line with its exit code, and no output file."""
+    model, trace = write_network16(tmp_path)
+    short, late, config_path = tmp_path / "short.csv", tmp_path / "late.json", tmp_path / "cfg.json"
+    short.write_text("location,time,coord\n0,0,1\n1,0,0\n")
+    document = json.loads((tmp_path / "model.json").read_text())
+    document["snapshots"][0]["time"] = 1.0
+    late.write_text(json.dumps(document))
+    if config is not None:
+        config_path.write_text(config)
+    paths = {"model": model, "trace": trace, "short": short, "late": late, "config": config_path, "out": tmp_path / "x"}
+    assert main([arg.format(**paths) for arg in argv]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and fragment in err[0], err
+    assert not list(tmp_path.glob("x*"))
 
 def row_loop_write_signal_csv_reference(sig, path: str) -> None:
     """The verdict writer as the CLI's own row loop, before it wrote the

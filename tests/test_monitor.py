@@ -8,6 +8,7 @@ from typing import Any
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph, csr_array
 
 from conftest import (
     deadline,
@@ -38,6 +39,7 @@ from strelmon.logic import (
 from strelmon.monitor import (
     MonitorContext,
     SemanticError,
+    _reached_within,
     bounded_reach,
     escape,
     monitor,
@@ -914,6 +916,12 @@ def test_bounded_reach_two_node_chain():
                 assert out[1] is False
 
 
+def test_bounded_reach_rejects_a_lower_bound_past_the_upper():
+    model = build_spatial_model(2, [(0, 1.0, 1)])
+    with pytest.raises(SemanticError, match=r"malformed distance interval \[2, 1\]"):
+        bounded_reach(model, hop_distance(), 2, 1, [True, True], [False, True])
+
+
 @pytest.mark.parametrize("domain", [BOOL, QUANT], ids=["boolean", "quantitative"])
 def test_bounded_reach_with_infinite_upper_bound_is_unbounded_reach(domain):
     """With d2 = inf bounded reach is unbounded reach for every d1, so the
@@ -1047,6 +1055,70 @@ def test_unbounded_reach_with_infinite_edges(domain):
             d1 = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0, 5.0])
             got = unbounded_reach(model, f, d1, s1, s2).tolist()
             assert got == dense_unbounded_reach(model, f, d1, s1, s2, domain)
+
+
+# The Boolean search as it ran before it moved onto inf-weighted edges of the
+# snapshot's own CSR, kept verbatim (from its docstring on) as the reference
+# its replacement is checked against.
+def filtered_csr_reached_within(incoming: csr_array, s1: np.ndarray, targets: np.ndarray, limit: float) -> np.ndarray:
+    """Boolean reach with lower bound zero, as one multi-source search.
+
+    A location holds iff it is a target or a target lies within ``limit`` of
+    it along a route whose strict prefix satisfies s1.  The search runs from
+    all targets at once over the incoming edges whose source satisfies s1.
+    Dijkstra sums a route's distances from the target end, as the flooding
+    does, so the ``<= limit`` boundary agrees exactly.  An infinite limit
+    asks only for a route, whatever its weights, so the search is
+    unweighted.  When s1 holds everywhere, as under ``somewhere`` and
+    ``everywhere``, the search runs on ``incoming`` itself.
+    """
+    graph = incoming
+    if not s1.all():
+        keep = s1[incoming.indices]
+        kept_before = np.concatenate(([0], np.cumsum(keep)))
+        graph = csr_array(
+            (incoming.data[keep], incoming.indices[keep], kept_before[incoming.indptr]),
+            shape=incoming.shape,
+        )
+    unweighted = limit == math.inf
+    dist = csgraph.dijkstra(graph, indices=np.flatnonzero(targets), min_only=True, unweighted=unweighted, limit=limit)
+    return targets | (dist < math.inf if unweighted else dist <= limit)
+
+
+def test_reached_within_matches_filtered_csr_reference():
+    """On directed and symmetric snapshots of 1-40 locations, with weights
+    that overflow or are infinite, s1 and the targets all, some or none
+    true, and limits from 0 to inf, the search on inf-weighted edges gives
+    the filtered-copy search's verdicts and leaves the cached CSR's bytes
+    as they were."""
+    rng = random.Random(2323)
+    f = weight_sum_distance()
+    weights = (0.1, 0.5, 1.0, 2.0, 1e300, math.inf)
+
+    def pick(n, kind):
+        if kind == "all":
+            return np.ones(n, dtype=bool)
+        if kind == "none":
+            return np.zeros(n, dtype=bool)
+        return np.array([rng.random() < 0.5 for _ in range(n)], dtype=bool)
+
+    for trial in range(240):
+        n = rng.randint(1, 40)
+        symmetric = trial % 2
+        pairs = [(a, b) for a in range(n) for b in range(n) if (a < b if symmetric else a != b)]
+        rng.shuffle(pairs)
+        edges = [(a, rng.choice(weights), b) for a, b in pairs[: rng.randint(0, min(3 * n, len(pairs)))]]
+        model = (undirected_model if symmetric else build_spatial_model)(n, edges)
+        incoming = model.incoming_weights(f)
+        before = [getattr(incoming, k).tobytes() for k in ("data", "indices", "indptr")]
+        for s1_kind in ("all", "some", "none"):
+            for target_kind in ("all", "some", "none"):
+                s1, targets = pick(n, s1_kind), pick(n, target_kind)
+                for limit in (0.0, 0.3, 2.5, 1e308, math.inf):
+                    got = _reached_within(incoming, s1, targets, limit)
+                    want = filtered_csr_reached_within(incoming, s1, targets, limit)
+                    assert got.dtype == bool and np.array_equal(got, want), (trial, s1_kind, target_kind, limit)
+                    assert [getattr(incoming, k).tobytes() for k in ("data", "indices", "indptr")] == before
 
 
 def test_reach_with_infinite_lower_bound():

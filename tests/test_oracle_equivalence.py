@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -10,9 +11,10 @@ from conftest import (
     standard_distances,
 )
 from strelmon.algebra import boolean_domain, maxmin_domain
-from strelmon.logic import Eventually, Globally, Interval, Since, Until, parse
+from strelmon.logic import Atomic, Eventually, Formula, Globally, Interval, Since, Until, parse
 from strelmon.monitor import MonitorContext, SemanticError, monitor
 from strelmon.oracle import OracleLimitError, oracle_monitor
+from strelmon.scenarios import location_acyclic, location_cycle
 from strelmon.signals import TemporalSignal, Trace
 from strelmon.space import DynamicalSpatialModel, build_spatial_model
 
@@ -126,6 +128,42 @@ def test_monitor_equals_oracle_on_wide_instances(domain):
         compare_spatiotemporal(got, oracle_monitor(ctx, formula), domain, tol=0.0)
         checked += 1
     assert checked > 1000
+
+
+def _bare_addresses(node):
+    """``node`` with every comparison on an address atom made the bare atom."""
+    if isinstance(node, Atomic):
+        return Atomic(node.name) if node.name.startswith("at_") else node
+    return dataclasses.replace(node, **{
+        f.name: _bare_addresses(getattr(node, f.name))
+        for f in dataclasses.fields(node) if isinstance(getattr(node, f.name), Formula)
+    })
+
+
+@pytest.mark.parametrize("domain", [boolean_domain(), maxmin_domain()], ids=["boolean", "quantitative"])
+def test_monitor_equals_oracle_on_address_atoms(domain):
+    """Random formulas whose leaves include the address atoms of the first
+    and the last location, and the library's location_cycle and
+    location_acyclic at either, agree with the oracle."""
+    rng = random.Random(9041 if domain.name == "boolean" else 9042)
+    checked = 0
+    while checked < 200:
+        dm, trace = random_instance(rng, domain)
+        n = trace.location_count
+        ctx = MonitorContext(model=dm, trace=trace, domain=domain, distances=standard_distances())
+        leaves = ("x", "y", "at_0", f"at_{n - 1}")
+        for formula in (
+            _bare_addresses(random_formula(rng, rng.randint(1, 4), variables=leaves)),
+            rng.choice([location_cycle, location_acyclic])(rng.choice([0, n - 1])),
+        ):
+            try:
+                got = monitor(ctx, formula)
+            except SemanticError:
+                with pytest.raises(SemanticError):
+                    oracle_monitor(ctx, formula)
+                continue
+            compare_spatiotemporal(got, oracle_monitor(ctx, formula), domain, tol=0.0)
+            checked += 1
 
 
 def test_oracle_agrees_on_network16_suite(network16_ctx):

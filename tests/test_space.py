@@ -250,6 +250,10 @@ def test_snapshot_at():
         DynamicalSpatialModel(((0.0, m0), (0.0, m1)))
 
 
+def test_snapshots_must_agree_on_location_count():
+    with pytest.raises(ModelError, match=r"snapshots disagree on location count: \[2, 3\]"):
+        DynamicalSpatialModel(((0.0, build_spatial_model(2, [])), (1.0, build_spatial_model(3, []))))
+
 def test_euclidean_model():
     pos = EuclideanPositions(((0.0, 0.0), (3.0, 4.0)))
     m = euclidean_model(pos, [(0, 1)])
