@@ -12,13 +12,18 @@ several values; the growth exponent is fitted over the one that does.
     scaling_bench.py --sizes 250,500,1000,2000 --steps 1 --undirected --formula "escape(hop)[2,inf] p"
   until over locations stepping at their own times:
     scaling_bench.py --sizes 100,200,300 --steps 40 --async --formula "F[0,1] p"
+  Boolean reach over long paths from one end:
+    scaling_bench.py --sizes 1000,2000,4000,8000,16000 --steps 1 --graph path --formula "true reach(hop)[0,16000] at_0"
 
-Each graph draws 4 * n distinct directed edges; --undirected also lists the
-reverse of each.  Each location carries Boolean variables p and q and a
-uniform [0, 1) variable x, drawn from its own random stream.  Every location
-steps at the times 0, 1, ..., steps - 1, or with --async at 0 and steps - 1
-distinct times on a 1/128 grid below steps, drawn per location from a third
-stream; the values are the same draws either way.
+A random graph (the default) draws 4 * n distinct directed edges;
+--undirected also lists the reverse of each.  --graph path joins location k
+to k + 1, and --graph grid lays the locations out row by row in ceil(sqrt(n))
+columns and joins each to its right and lower neighbours; both list every
+edge in both directions and draw none.  Each location carries Boolean
+variables p and q and a uniform [0, 1) variable x, drawn from its own random
+stream.  Every location steps at the times 0, 1, ..., steps - 1, or with
+--async at 0 and steps - 1 distinct times on a 1/128 grid below steps, drawn
+per location from a third stream; the values are the same draws either way.
 """
 
 import argparse
@@ -33,15 +38,34 @@ from strelmon.signals import TemporalSignal, Trace
 from strelmon.space import DynamicalSpatialModel, build_spatial_model, hop_distance
 
 
+def graph_edges(graph: str, n: int, rng: random.Random) -> set:
+    """The (src, dst) pairs of a random, path or grid graph on n locations."""
+    if graph == "random":
+        edges = set()
+        while len(edges) < min(4 * n, n * (n - 1)):
+            a, b = rng.randrange(n), rng.randrange(n)
+            if a != b:
+                edges.add((a, b))
+        return edges
+    if graph == "path":
+        edges = {(k, k + 1) for k in range(n - 1)}
+    else:
+        width = math.isqrt(n - 1) + 1  # ceil(sqrt(n)) columns
+        edges = {(k, k + 1) for k in range(n - 1) if (k + 1) % width} | {(k, k + width) for k in range(n - width)}
+    return edges | {(b, a) for a, b in edges}
+
+
 def instance(
-    n: int, steps: int, seed: int, domain: str = "boolean", undirected: bool = False, asynchronous: bool = False
+    n: int,
+    steps: int,
+    seed: int,
+    domain: str = "boolean",
+    undirected: bool = False,
+    asynchronous: bool = False,
+    graph: str = "random",
 ) -> MonitorContext:
     rng, xs, ts = random.Random(seed), random.Random(f"x{seed}"), random.Random(f"t{seed}")
-    edges = set()
-    while len(edges) < min(4 * n, n * (n - 1)):
-        a, b = rng.randrange(n), rng.randrange(n)
-        if a != b:
-            edges.add((a, b))
+    edges = graph_edges(graph, n, rng)
     if undirected:
         edges |= {(b, a) for a, b in edges}
     model = build_spatial_model(n, [(a, 1.0, b) for a, b in edges])
@@ -74,6 +98,7 @@ def main() -> None:
     parser.add_argument("--steps", default="10", help="trace steps per location, comma-separated")
     parser.add_argument("--formula", default="p reach(hop)[0,3] q")
     parser.add_argument("--domain", choices=("boolean", "quantitative"), default="boolean")
+    parser.add_argument("--graph", choices=("random", "path", "grid"), default="random")
     parser.add_argument("--undirected", action="store_true", help="list both directions of every edge")
     parser.add_argument("--async", dest="asynchronous", action="store_true", help="step each location at its own times")
     parser.add_argument("--repeats", type=int, default=3)
@@ -91,13 +116,19 @@ def main() -> None:
             runs = []
             for attempt in range(args.repeats):
                 ctx = instance(
-                    n, steps, seed=attempt, domain=args.domain, undirected=args.undirected, asynchronous=args.asynchronous
+                    n,
+                    steps,
+                    seed=attempt,
+                    domain=args.domain,
+                    undirected=args.undirected,
+                    asynchronous=args.asynchronous,
+                    graph=args.graph,
                 )
                 start = time.perf_counter()
                 monitor(ctx, formula)
                 runs.append(time.perf_counter() - start)
             best.append(min(runs))
-            print(f"n={n:6d}  steps={steps:6d}  best of {args.repeats}: {best[-1]:.3f}s")
+            print(f"n={n:6d}  steps={steps:6d}  best of {args.repeats}: {best[-1]:.4f}s")
     if len(grown) >= 2:
         exponent = math.log(best[-1] / best[0]) / math.log(grown[-1] / grown[0])
         label = "steps" if grown is step_counts else "nodes"

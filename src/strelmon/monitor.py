@@ -16,20 +16,20 @@ steps, in O(N log N + E log w) for N own steps, E events, w-step windows.  The
 spatial operators evaluate the graph snapshot at every time where an input
 row or the graph changes, once per snapshot and distinct pair of input
 rows; each kernel takes the input rows as arrays, never writes into them,
-and returns a new array.  Boolean reach with lower bound zero and Boolean
-unbounded reach are one shortest-path search each on the snapshot's cached
-sparse weights, and quantitative unbounded reach is a max/min relaxation over
-the edge arrays, one array pass per round.  Other bounded reach (with an
-infinite upper bound, or a positive lower bound and an upper bound past
-every loop-erased route, it is unbounded reach) is that relaxation capped
-at the admissible walk lengths when every edge distance is equal, as under
-``hop``, and otherwise floods a queue of (location, distance, value)
-entries in one array pass per round.  Escape takes the best walk between
-every pair from single linkage when the edge set is symmetric, and from
-the max/min Floyd-Warshall closure of an n x n array otherwise; its
-distance searches stop at the interval bound.  Their contracts are spelled
-out on the functions and cross-checked against brute-force oracles in the
-tests.
+and returns a new array.  Boolean unbounded reach, and Boolean reach with
+lower bound zero unless it asks for at most log2(n) equal hops, are one
+shortest-path search each on the snapshot's cached sparse weights, and
+quantitative unbounded reach is a max/min relaxation over the edge arrays,
+one array pass per round.  Other bounded reach (with an infinite upper
+bound, or a positive lower bound and an upper bound past every loop-erased
+route, it is unbounded reach) is that relaxation capped at the admissible
+walk lengths when every edge distance is equal, as under ``hop``, and
+otherwise floods a queue of (location, distance, value) entries in one
+array pass per round.  Escape takes the best walk between every pair from
+single linkage when the edge set is symmetric, and from the max/min
+Floyd-Warshall closure of an n x n array otherwise; its distance searches
+stop at the interval bound.  Their contracts are spelled out on the
+functions and cross-checked against brute-force oracles in the tests.
 """
 
 from __future__ import annotations
@@ -344,10 +344,13 @@ def bounded_reach(model: SpatialModel, f: DistanceFunction, d1: float, d2: float
 
     Boolean verdicts with d1 = 0 are a shortest-path question: l holds iff
     s2 holds at l or some s2 location lies within d2 of l along a route
-    whose strict prefix satisfies s1 (``_reached_within``).  Every other case
-    floods (``_flood``), one array pass per round: max/min rounds over the
-    edge arrays when every edge distance is equal, as under ``hop``, and a
-    queue of (location, distance, value) entries otherwise.
+    whose strict prefix satisfies s1.  One search answers it in O(m log n)
+    (``_reached_within``), unless every edge distance is one value c and
+    d2 / c <= log2(n): then at most log2(n) rounds of one O(m) pass over
+    the edge arrays each answer it (``_uniform_flood``).  Every other case
+    floods (``_flood``), one array pass per round: those rounds when every
+    edge distance is equal, as under ``hop``, and a queue of (location,
+    distance, value) entries otherwise.
 
     When d2 is infinite the call is ``unbounded_reach``, whatever d1, so a
     walk may pass an edge of infinite distance.  With d1 > 0 nothing prunes
@@ -367,10 +370,12 @@ def bounded_reach(model: SpatialModel, f: DistanceFunction, d1: float, d2: float
         return unbounded_reach(model, f, d1, s1, s2)
     if d1 > 0:
         steps = incoming.data
-        if np.isfinite(steps).all() and d2 >= d1 + (model.location_count + 1) * steps.max(initial=0):
+        if np.isfinite(steps).all() and d2 >= d1 + (model.location_count + 1) * steps.max(initial=0).item():
             return unbounded_reach(model, f, d1, s1, s2)
     elif s2.dtype == bool:
-        return _reached_within(incoming, s1, s2, d2)
+        c = _uniform_step(incoming)
+        if c is None or d2 / c > math.log2(model.location_count):
+            return _reached_within(incoming, s1, s2, d2)
     return _flood(incoming, d1, d2, s1, s2)
 
 
@@ -389,7 +394,7 @@ def _flood(incoming: csr_array, d1: float, d2: float, s1: np.ndarray, s2: np.nda
     on-cycle out-edge plus the lightest on-cycle in-edge.
 
     When every edge distance is one value, as under ``hop``, the rounds are
-    max/min passes over the edge arrays (``_uniform_flood``).  Otherwise a
+    passes over the edge arrays (``_uniform_flood``).  Otherwise a
     queue holds one value per (location, accumulated distance), as three
     arrays; it starts with every location at distance 0 and its s2 value.  A
     round drops the entries at the domain bottom (they can never change the
@@ -410,11 +415,12 @@ def _flood(incoming: csr_array, d1: float, d2: float, s1: np.ndarray, s2: np.nda
         lightest = np.full((2, n), math.inf)  # on-cycle out- and in-edge per location
         np.minimum.at(lightest[0], src[on_cycle], cycle_steps)
         np.minimum.at(lightest[1], dst[on_cycle], cycle_steps)
-        rounds = min(
-            d2 / incoming.data.min(initial=math.inf),
-            d2 / cycle_steps.min(initial=math.inf) + n,
-            n * (d2 / lightest.sum(axis=0).min() + 1),
-        )
+        with np.errstate(over="ignore"):  # a bound past the float range is inf
+            rounds = min(
+                d2 / incoming.data.min(initial=math.inf),
+                d2 / cycle_steps.min(initial=math.inf) + n,
+                n * (d2 / lightest.sum(axis=0).min() + 1),
+            )
         if rounds > MAX_FLOOD_ROUNDS:
             interval = f"[{format_number(float(d1))}, {format_number(float(d2))}]"
             raise SemanticError(
@@ -422,9 +428,9 @@ def _flood(incoming: csr_array, d1: float, d2: float, s1: np.ndarray, s2: np.nda
                 f"more than MAX_FLOOD_ROUNDS = {MAX_FLOOD_ROUNDS}"
             )
     x1, target = np.asarray(s1), np.asarray(s2)
-    steps = incoming.data
-    if steps.size and (steps == steps[0]).all():
-        return _uniform_flood(incoming, steps[0].item(), d1, d2, x1, target)
+    c = _uniform_step(incoming)
+    if c is not None:
+        return _uniform_flood(incoming, c, d1, d2, x1, target)
     bottom, _ = _BOUNDS[target.dtype]
     prune = d1 == 0
     s = target.copy() if prune else np.full(n, bottom, dtype=target.dtype)
@@ -455,11 +461,11 @@ def _flood(incoming: csr_array, d1: float, d2: float, s1: np.ndarray, s2: np.nda
 
 
 def _uniform_flood(incoming: csr_array, c: float, d1: float, d2: float, x1: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """``_flood`` when every edge distance is c, in max/min rounds over the
-    edge arrays.  A walk of k edges is d_k = ((0 + c) + c) + ... long, summed
-    as the queue sums it, so the step counts k with d1 <= d_k <= d2, the
-    walks the queue counts, are one run [k1, k2] and every boundary agrees
-    bit for bit, also for a non-dyadic c.
+    """``_flood`` when every edge distance is c, in rounds of ``_step_back``
+    over the edge arrays.  A walk of k edges is d_k = ((0 + c) + c) + ...
+    long, summed as the queue and Dijkstra sum it, so the step counts k with
+    d1 <= d_k <= d2, the walks the queue counts, are one run [k1, k2] and
+    every boundary agrees bit for bit, also for a non-dyadic c.
 
     With d1 > 0, rounds first step y from s2 to the best walks of exactly
     k1 edges: y[l] becomes s1[l] combined with the maximum of y over l's
@@ -472,19 +478,49 @@ def _uniform_flood(incoming: csr_array, c: float, d1: float, d2: float, x1: np.n
     n, (bottom, _) = len(target), _BOUNDS[target.dtype]
     y, d = target, 0.0
     if d1 > 0:
-        src, dst = _edges(incoming)
-        gate = x1[src]
+        step, nowhere = _step_back(incoming, x1), np.full(n, bottom, dtype=target.dtype)
         while d < d1 and (y != bottom).any():
-            y_next = np.full(n, bottom, dtype=target.dtype)
-            np.maximum.at(y_next, src, np.minimum(gate, y[dst]))
-            y, d = y_next, d + c
+            y, d = step(y, nowhere), d + c
         if d > d2:
-            return np.full(n, bottom, dtype=target.dtype)
+            return nowhere
     rounds = 0
     # the queue extends a walk only while it is shorter than d2
     while rounds < n and d < d2 and d + c <= d2:
         rounds, d = rounds + 1, d + c
     return _back_propagate(incoming, x1, y, rounds)
+
+
+def _uniform_step(incoming: csr_array) -> Optional[float]:
+    """The one distance of every edge, or None when they differ or there
+    are no edges."""
+    steps = incoming.data
+    return steps[0].item() if steps.size and (steps == steps[0]).all() else None
+
+
+def _step_back(incoming: csr_array, s1: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The round of ``_uniform_flood`` and ``_back_propagate``: a function
+    of (y, into) that returns a new array, ``into`` raised at every location
+    l to s1[l] combined with the maximum of y over l's out-edges.
+
+    One gather over the edge arrays gives every edge src -> dst its value
+    s1[src] combined with y[dst], and a copy of ``into`` is raised at src by
+    it: with ``np.maximum.at`` for max/min verdicts, and for Booleans, where
+    max is "or", by setting the sources of the true edges.  The Boolean
+    round is a sparse matrix-vector product over the (or, and) semiring.
+    """
+    src, dst = _edges(incoming)
+    gate = s1[src]
+
+    def step(y: np.ndarray, into: np.ndarray) -> np.ndarray:
+        via = np.minimum(gate, y[dst])
+        raised = into.copy()
+        if raised.dtype == bool:
+            raised[src[via]] = True
+        else:
+            np.maximum.at(raised, src, via)
+        return raised
+
+    return step
 
 
 def _edges(incoming: csr_array) -> tuple[np.ndarray, np.ndarray]:
@@ -530,6 +566,8 @@ def _reached_within(incoming: csr_array, s1: np.ndarray, targets: np.ndarray, li
     whatever its weights, so every open edge weighs 1 and ``dist < inf``
     decides.  When s1 holds everywhere and the limit is finite, as under
     ``somewhere`` and ``everywhere``, the search runs on ``incoming`` itself.
+    ``bounded_reach`` sends it the calls over unequal distances or more
+    than log2(n) equal hops, and ``_back_propagate`` every uncapped one.
     """
     graph = incoming
     if limit == math.inf or not s1.all():
@@ -574,19 +612,18 @@ def _back_propagate(incoming: csr_array, s1: np.ndarray, s: np.ndarray, rounds: 
     edge src -> dst, or at most ``rounds`` rounds of it.  It ignores weights,
     so the uncapped Boolean fixpoint is plain reachability from the seeds
     (``_reached_within`` with no limit).  Otherwise each round relaxes every
-    edge at once (for Booleans min is "and" and max is "or"), and the loop
-    stops at the first round that changes nothing: an optimal route is a
-    simple path, so that takes at most n + 1 rounds."""
-    s = np.array(s)  # a copy, which the rounds raise in place
+    edge at once (``_step_back``), and the loop stops at the first round
+    that changes nothing: an optimal route is a simple path, so that takes
+    at most n + 1 rounds."""
+    s = np.array(s)  # a copy: the result never aliases an input
     if s.dtype == bool and rounds is None:
         return _reached_within(incoming, s1, s, math.inf)
-    src, dst = _edges(incoming)
-    gate = s1[src]
+    step = _step_back(incoming, s1)
     for _ in range(incoming.shape[0] + 1 if rounds is None else rounds):
-        via = np.minimum(gate, s[dst])
-        if not (via > s[src]).any():
+        raised = step(s, s)
+        if not (raised > s).any():
             break
-        np.maximum.at(s, src, via)
+        s = raised
     return s
 
 

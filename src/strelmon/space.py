@@ -296,11 +296,16 @@ def delaunay_edges(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cocircular ties are broken by a tiny index-scaled perturbation of the
     coordinates before triangulating, so repeated runs agree bit for bit.
     Qhull sees the points translated and scaled into the unit box, which
-    leaves the triangulation as it is, so their scale does not matter.
+    leaves the triangulation as it is, so their scale does not matter; a
+    coordinate span that is not finite is a ModelError.
     """
     n = len(pts)
     if n < 2:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        span = np.ptp(pts, axis=0)
+    if not np.isfinite(span).all():
+        raise ModelError(f"point coordinates do not span a finite box: {span[0]} by {span[1]}")
     direction = _line_direction(pts)
     if direction is not None:
         order = np.argsort(pts @ direction, kind="stable")
@@ -308,7 +313,7 @@ def delaunay_edges(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     else:
         from scipy.spatial import Delaunay, QhullError
 
-        extent = float(np.max(np.ptp(pts, axis=0)))  # > 0: the points are not all equal
+        extent = span.max()  # > 0: the points are not all equal
         angles = 2.399963229728653 * np.arange(n)  # golden angle spreads directions
         jitter = 1e-9 * (np.arange(n) + 1)[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
         try:

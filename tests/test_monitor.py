@@ -4,7 +4,7 @@ import math
 import random
 from bisect import bisect_right
 from pathlib import Path
-from typing import Any
+from typing import Any, Optional
 
 import numpy as np
 import pytest
@@ -37,9 +37,13 @@ from strelmon.logic import (
     parse,
 )
 from strelmon.monitor import (
+    _BOUNDS,
     MonitorContext,
     SemanticError,
+    _edges,
+    _flood,
     _reached_within,
+    _verdicts,
     bounded_reach,
     escape,
     monitor,
@@ -64,7 +68,9 @@ from strelmon.signals import (
     stack_steps,
 )
 from strelmon.space import (
+    DistanceFunction,
     DynamicalSpatialModel,
+    SpatialModel,
     build_spatial_model,
     hop_distance,
     min_distance_matrix,
@@ -1690,6 +1696,183 @@ def test_uniform_distance_flooding_matches_dict_reference(domain, monkeypatch):
         got = unbounded_reach(model, hop_distance(), d1, s1, s2).tolist()
         assert calls == [1.0]
         assert repr(one_zero(got)) == repr(one_zero(want))
+
+
+# The bounded-reach dispatch, the uniform flooding and the back-propagation
+# as they ran before a Boolean round became one scatter over the edge arrays
+# and Boolean reach with d1 = 0 took the rounds within a few equal hops:
+# every Boolean d1 = 0 call searched, and every round, Boolean or not, was a
+# gather and ``np.maximum.at``.  Kept verbatim, the calls renamed to the copies, as the
+# references the new dispatch and rounds are checked against.
+def dijkstra_dispatch_bounded_reach(model: SpatialModel, f: DistanceFunction, d1: float, d2: float, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """Choose over route prefixes with accumulated distance in [d1, d2].
+
+    The result at l is the choose over finite route prefixes from l whose
+    accumulated distance lands in [d1, d2] of (s2 at the endpoint) combined
+    with s1 over the strict prefix.
+
+    Boolean verdicts with d1 = 0 are a shortest-path question: l holds iff
+    s2 holds at l or some s2 location lies within d2 of l along a route
+    whose strict prefix satisfies s1 (``_reached_within``).  Every other case
+    floods (``_flood``), one array pass per round: max/min rounds over the
+    edge arrays when every edge distance is equal, as under ``hop``, and a
+    queue of (location, distance, value) entries otherwise.
+
+    When d2 is infinite the call is ``unbounded_reach``, whatever d1, so a
+    walk may pass an edge of infinite distance.  With d1 > 0 nothing prunes
+    a cycle, so the rounds would run up to d2 over the smallest edge
+    distance.  When every edge distance is finite and d2 >= d1 + (n + 1) *
+    d_max for the largest edge distance d_max, the call is
+    ``unbounded_reach`` as well: erasing the loops of a route's prefix, up
+    to its shortest suffix of at least d1, leaves a route no worse whose
+    length lies in [d1, d1 + n * d_max], and the extra d_max absorbs
+    rounding.
+    """
+    s1, s2, _, _ = _verdicts(s1, s2)
+    incoming = model.incoming_weights(f)
+    if not d1 <= d2:
+        raise SemanticError(f"malformed distance interval [{d1}, {d2}]")
+    if d2 == math.inf:
+        return unbounded_reach(model, f, d1, s1, s2)
+    if d1 > 0:
+        steps = incoming.data
+        if np.isfinite(steps).all() and d2 >= d1 + (model.location_count + 1) * steps.max(initial=0):
+            return unbounded_reach(model, f, d1, s1, s2)
+    elif s2.dtype == bool:
+        return _reached_within(incoming, s1, s2, d2)
+    return _flood(incoming, d1, d2, s1, s2)
+
+
+
+def maximum_at_uniform_flood(incoming: csr_array, c: float, d1: float, d2: float, x1: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """``_flood`` when every edge distance is c, in max/min rounds over the
+    edge arrays.  A walk of k edges is d_k = ((0 + c) + c) + ... long, summed
+    as the queue sums it, so the step counts k with d1 <= d_k <= d2, the
+    walks the queue counts, are one run [k1, k2] and every boundary agrees
+    bit for bit, also for a non-dyadic c.
+
+    With d1 > 0, rounds first step y from s2 to the best walks of exactly
+    k1 edges: y[l] becomes s1[l] combined with the maximum of y over l's
+    out-edges (bottom without one), until d reaches d1 (or y is bottom
+    everywhere, which it then stays).  The capped ``_back_propagate``
+    seeded with y (s2 when d1 = 0) then adds the walks one edge longer per
+    round while d_k stays within d2.  It never needs more than n rounds, as
+    an optimal walk past the first k1 edges is a simple path.
+    """
+    n, (bottom, _) = len(target), _BOUNDS[target.dtype]
+    y, d = target, 0.0
+    if d1 > 0:
+        src, dst = _edges(incoming)
+        gate = x1[src]
+        while d < d1 and (y != bottom).any():
+            y_next = np.full(n, bottom, dtype=target.dtype)
+            np.maximum.at(y_next, src, np.minimum(gate, y[dst]))
+            y, d = y_next, d + c
+        if d > d2:
+            return np.full(n, bottom, dtype=target.dtype)
+    rounds = 0
+    # the queue extends a walk only while it is shorter than d2
+    while rounds < n and d < d2 and d + c <= d2:
+        rounds, d = rounds + 1, d + c
+    return maximum_at_back_propagate(incoming, x1, y, rounds)
+
+
+
+def maximum_at_back_propagate(incoming: csr_array, s1: np.ndarray, s: np.ndarray, rounds: Optional[int] = None) -> np.ndarray:
+    """Fixpoint in which s[src] absorbs s[dst] combined with s1[src] for every
+    edge src -> dst, or at most ``rounds`` rounds of it.  It ignores weights,
+    so the uncapped Boolean fixpoint is plain reachability from the seeds
+    (``_reached_within`` with no limit).  Otherwise each round relaxes every
+    edge at once (for Booleans min is "and" and max is "or"), and the loop
+    stops at the first round that changes nothing: an optimal route is a
+    simple path, so that takes at most n + 1 rounds."""
+    s = np.array(s)  # a copy, which the rounds raise in place
+    if s.dtype == bool and rounds is None:
+        return _reached_within(incoming, s1, s, math.inf)
+    src, dst = _edges(incoming)
+    gate = s1[src]
+    for _ in range(incoming.shape[0] + 1 if rounds is None else rounds):
+        via = np.minimum(gate, s[dst])
+        if not (via > s[src]).any():
+            break
+        np.maximum.at(s, src, via)
+    return s
+
+
+
+def _pick(rng, n, kind, p):
+    if kind == "all":
+        return np.ones(n, dtype=bool)
+    if kind == "none":
+        return np.zeros(n, dtype=bool)
+    return np.array([rng.random() < p for _ in range(n)], dtype=bool)
+
+
+def test_boolean_rounds_match_search_and_maximum_at_reference(monkeypatch):
+    """Boolean bounded reach on random digraphs of 1-300 locations whose
+    edges all have distance c, for c from 1, 0.1, 0.5, 3, the least
+    subnormal, 1e308 and inf, with s1 and s2 all, some or none true.  With
+    d1 = 0 and d2 the sum of 0 to log2(n) + 3 edges, it takes the rounds
+    exactly when d2 / c <= log2(n) and the search otherwise, and either way
+    gives the search's verdicts, the former dispatch's and the former
+    ``np.maximum.at`` rounds'.  With d1 > 0 it gives the dict flooding's and
+    the former rounds' verdicts.  The rounds never multiply by a distance,
+    so c = inf cannot turn a verdict into inf * 0 = nan."""
+    rng = random.Random(2424)
+    flooded, searched = [], []
+    uniform, search = engine._uniform_flood, engine._reached_within
+    monkeypatch.setattr(engine, "_uniform_flood", lambda *args: flooded.append(args[1]) or uniform(*args))
+    monkeypatch.setattr(engine, "_reached_within", lambda *args: searched.append(args[3]) or search(*args))
+    sides = set()
+    for c in (1.0, 0.1, 0.5, 3.0, 5e-324, 1e308, math.inf):
+        for trial in range(16):
+            n = 1 if trial == 0 else rng.randint(2, 300)
+            model = _random_digraph(rng, n, rng.choice([1, 2, 3]), [c])
+            f = hop_distance() if c == 1.0 and trial % 2 else weight_sum_distance()
+            incoming = model.incoming_weights(f)
+            s1 = _pick(rng, n, rng.choice(["all", "some", "some", "none"]), 0.7)
+            s2 = _pick(rng, n, rng.choice(["all", "some", "some", "none"]), 0.1)
+            sums = [0.0]
+            while len(sums) < math.log2(n) + 4:
+                sums.append(sums[-1] + c)
+            for d2 in [d for d in sums if d < math.inf]:
+                flooded.clear()
+                searched.clear()
+                got = bounded_reach(model, f, 0.0, d2, s1, s2)
+                rounds = len(model.src) > 0 and d2 / c <= math.log2(n)
+                sides.add((c, rounds))
+                assert (flooded, searched) == (([c], []) if rounds else ([], [d2])), (c, n, d2)
+                assert got.dtype == bool
+                assert np.array_equal(got, search(incoming, s1, s2, d2)), (c, n, d2)
+                assert np.array_equal(got, dijkstra_dispatch_bounded_reach(model, f, 0.0, d2, s1, s2))
+                if len(model.src):
+                    assert np.array_equal(got, maximum_at_uniform_flood(incoming, c, 0.0, d2, s1, s2))
+            for d1 in (c, sums[2] if n > 1 else 2 * c):
+                d2 = d1 + rng.choice([0, 1, 2]) * c
+                if not d2 < math.inf:
+                    continue
+                got = bounded_reach(model, f, d1, d2, s1, s2)
+                assert got.tolist() == flooding_reference(model, f, d1, d2, s1.tolist(), s2.tolist(), BOOL)
+                if len(model.src):
+                    assert np.array_equal(got, maximum_at_uniform_flood(incoming, c, d1, d2, s1, s2))
+    # both sides of the selection, where c allows them
+    assert {(c, side) for c in (1.0, 0.1, 0.5, 3.0, 5e-324) for side in (False, True)} <= sides
+
+
+def test_non_dyadic_bound_admits_the_summed_edges(monkeypatch):
+    """Over c = 0.1, [0, 0.3] admits two edges and not three, since
+    0.1 + 0.1 + 0.1 > 0.3: on a chain of 8 locations into a target at the
+    end, the rounds (0.3 / 0.1 is just below 3 = log2(8)) and the search
+    agree."""
+    model = build_spatial_model(8, [(k, 0.1, k + 1) for k in range(7)])
+    f = weight_sum_distance()
+    s1, s2 = np.ones(8, dtype=bool), np.arange(8) == 7
+    calls, uniform = [], engine._uniform_flood
+    monkeypatch.setattr(engine, "_uniform_flood", lambda *args: calls.append(args[1]) or uniform(*args))
+    got = bounded_reach(model, f, 0.0, 0.3, s1, s2)
+    assert calls == [0.1]
+    assert got.tolist() == [False] * 5 + [True] * 3
+    assert np.array_equal(got, _reached_within(model.incoming_weights(f), s1, s2, 0.3))
 
 
 def _cycle_blocks(rng, n):

@@ -127,3 +127,31 @@ def test_scaling_bench_async_steps_each_location_at_its_own_times(monkeypatch, c
         assert all(t[0] == 0.0 and len(set(t)) == 6 and t == tuple(sorted(t)) and t[-1] < 6.0 for t in own)
         assert len(set(own)) == 20
         assert [s.values for s in ctx.trace.signals] == [s.values for s in sync.trace.signals]
+
+
+@pytest.mark.parametrize("graph", ["path", "grid"])
+def test_scaling_bench_path_and_grid_graphs(graph, monkeypatch, capsys):
+    """--graph path joins k to k + 1, --graph grid joins each location to
+    its right and lower neighbours in rows of ceil(sqrt(n)), both in both
+    directions; neither draws an edge, so p and q are the stream's first
+    draws."""
+    module = _load("scaling_bench")
+    argv = ["--sizes", "10,20", "--steps", "2", "--repeats", "1", "--graph", graph, "--formula", "true reach(hop)[0,20] at_0"]
+    monkeypatch.setattr(sys, "argv", ["scaling_bench", *argv])
+    module.main()
+    assert "growth exponent" in capsys.readouterr().out
+    ctx = module.instance(10, 2, seed=1, graph=graph)
+    model = ctx.model.snapshot_at(0.0)
+    if graph == "path":
+        one_way = {(k, k + 1) for k in range(9)}
+    else:  # 4 columns: 0 1 2 3 / 4 5 6 7 / 8 9
+        one_way = {(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (8, 9)} | {(k, k + 4) for k in range(6)}
+    assert set(zip(model.src.tolist(), model.dst.tolist())) == one_way | {(b, a) for a, b in one_way}
+    assert model.symmetric and model.location_count == 10
+    draws = random.Random(1)
+    pq = [[(draws.random() < 0.3, draws.random() < 0.1) for _ in range(2)] for _ in range(10)]
+    _, data = ctx.trace.grid
+    assert data[:, :, :2].transpose(1, 0, 2).tolist() == [[[float(v) for v in s] for s in row] for row in pq]
+    default = module.instance(20, 2, seed=1).model.snapshot_at(0.0)
+    drawn = module.instance(20, 2, seed=1, graph="random").model.snapshot_at(0.0)
+    assert np.array_equal(default.src, drawn.src) and np.array_equal(default.dst, drawn.dst)

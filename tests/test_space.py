@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -424,6 +425,24 @@ def test_delaunay_edges_equal_the_set_reference():
         assert _sorted_pairs(a, b) and list(zip(a.tolist(), b.tolist())) == sorted(want)
         assert delaunay_proximity(pos) == want
 
+
+@pytest.mark.parametrize("pts", [
+    [[-1e308, 0.0], [1e308, 0.0], [0.0, 1e308], [0.0, -1e308], [0.0, 0.0]],
+    [[-1e308, 0.0], [1e308, 0.0], [0.0, 0.0]],
+    [[0.0, 0.0], [math.inf, 0.0], [0.0, 1.0]],
+    [[0.0, 0.0], [1.0, math.nan], [0.0, 1.0]],
+], ids=["overflowing-span", "overflowing-line", "inf", "nan"])
+def test_delaunay_edges_refuse_a_span_that_is_not_finite(pts):
+    """Points whose coordinate span overflows a float, or that are not
+    finite, are a one-line ModelError, with no numpy warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelError) as err:
+            delaunay_edges(np.array(pts))
+    assert str(err.value).startswith("point coordinates do not span a finite box: ")
+    assert "\n" not in str(err.value)
+    # the largest finite span triangulates
+    assert len(delaunay_edges(np.array([[0.0, 0.0], [1.7e308, 0.0], [0.0, 1.7e308]]))[0]) == 6
 
 def test_radius_edges_are_the_sorted_pairs_below_the_diagonal():
     for pts in _point_sets():
