@@ -437,40 +437,61 @@ def desugar(node: Formula) -> Formula:
     globally as its dual, somewhere as a true-reach, everywhere as the dual
     of somewhere, and surround as the region-enclosure conjunction
     phi1 & !reach(phi1, !(phi1|phi2)) & !escape[hi, inf](phi1).
+
+    The result is a DAG whose equal subformulas are one object, so nested
+    surrounds (each uses phi1 four times) grow by a constant per level, not
+    4x, and an identity walk visits each node once.
     """
+    return _interned(_rewrite(node), {}, {})
+
+
+def _rewrite(node: Formula) -> Formula:
     if isinstance(node, Atomic):
         return node
     if isinstance(node, Not):
-        return Not(desugar(node.child))
+        return Not(_rewrite(node.child))
     if isinstance(node, And):
-        return And(desugar(node.left), desugar(node.right))
+        return And(_rewrite(node.left), _rewrite(node.right))
     if isinstance(node, Or):
-        return Not(And(Not(desugar(node.left)), Not(desugar(node.right))))
+        return Not(And(Not(_rewrite(node.left)), Not(_rewrite(node.right))))
     if isinstance(node, Until):
-        return Until(node.interval, desugar(node.left), desugar(node.right))
+        return Until(node.interval, _rewrite(node.left), _rewrite(node.right))
     if isinstance(node, Since):
-        return Since(node.interval, desugar(node.left), desugar(node.right))
+        return Since(node.interval, _rewrite(node.left), _rewrite(node.right))
     if isinstance(node, Eventually):
-        return Until(node.interval, TRUE, desugar(node.child))
+        return Until(node.interval, TRUE, _rewrite(node.child))
     if isinstance(node, Globally):
-        return Not(Until(node.interval, TRUE, Not(desugar(node.child))))
+        return Not(Until(node.interval, TRUE, Not(_rewrite(node.child))))
     if isinstance(node, Reach):
-        return Reach(node.interval, node.distance, desugar(node.left), desugar(node.right))
+        return Reach(node.interval, node.distance, _rewrite(node.left), _rewrite(node.right))
     if isinstance(node, Escape):
-        return Escape(node.interval, node.distance, desugar(node.child))
+        return Escape(node.interval, node.distance, _rewrite(node.child))
     if isinstance(node, Somewhere):
-        return Reach(node.interval, node.distance, TRUE, desugar(node.child))
+        return Reach(node.interval, node.distance, TRUE, _rewrite(node.child))
     if isinstance(node, Everywhere):
-        return Not(Reach(node.interval, node.distance, TRUE, Not(desugar(node.child))))
+        return Not(Reach(node.interval, node.distance, TRUE, Not(_rewrite(node.child))))
     if isinstance(node, Surround):
-        left = desugar(node.left)
-        right = desugar(node.right)
+        left = _rewrite(node.left)
+        right = _rewrite(node.right)
         # !(phi1 | phi2) with the disjunction already pushed through De Morgan
         outside = And(Not(left), Not(right))
         blocked = Not(Reach(node.interval, node.distance, left, outside))
         no_escape = Not(Escape(Interval(node.interval.hi, UNBOUNDED), node.distance, left))
         return And(And(left, blocked), no_escape)
     raise TypeError(f"not a formula node: {node!r}")
+
+
+def _interned(node: Formula, table: dict, done: dict) -> Formula:
+    """``node`` with equal subformulas made one object: each is keyed in
+    ``table`` on its class and fields, a child by the ``id`` of its interned
+    object, so a key costs O(1); ``done`` maps each object seen to its result."""
+    result = done.get(id(node))
+    if result is None:
+        # a dataclass's __dict__ holds its fields in declaration order
+        values = [_interned(v, table, done) if isinstance(v, Formula) else v for v in vars(node).values()]
+        key = (type(node), *(id(v) if isinstance(v, Formula) else v for v in values))
+        result = done[id(node)] = table.setdefault(key, type(node)(*values))
+    return result
 
 
 def is_core(node: Formula) -> bool:
@@ -486,8 +507,13 @@ def is_core(node: Formula) -> bool:
 
 
 def iter_subformulas(node: Formula) -> Iterator[Formula]:
-    yield node
-    for attr in ("child", "left", "right"):
-        sub = getattr(node, attr, None)
-        if isinstance(sub, Formula):
-            yield from iter_subformulas(sub)
+    """Each node object under ``node``, itself included, once, in preorder
+    (left before right): a node shared by several parents at its first visit."""
+    seen: set[int] = set()
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            yield node
+            stack.extend(getattr(node, a) for a in ("right", "left", "child") if hasattr(node, a))

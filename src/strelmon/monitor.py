@@ -7,6 +7,9 @@ bool or float64 arrays (extended reals), as the context's domain says, and
 every kernel reads the domain from its inputs' dtype.  Choose is ``max``,
 combine is ``min``, and the reals have one zero: every node returns +0.0,
 never -0.0 (``canonical``), so no kernel needs a rule for equal values.
+The desugared formula is a DAG (equal subformulas are one object): its
+distinct atoms are evaluated first, which checks every name before any
+operator runs, and every other distinct node once, memoised by identity.
 
 Structure: an atom is one array expression over the trace grid (a
 comparison, a subtraction, or one call of its interpretation), negation
@@ -130,24 +133,24 @@ _COMPARISONS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": ope
 
 
 def _atom_signal(ctx: MonitorContext, atom: Atomic) -> SpatioTemporalSignal:
-    """Interpretation of one atom at every location, on the trace grid."""
+    """Interpretation of one atom at every location, on the trace grid: the
+    one rule from an atom name to values, or to a SemanticError when the
+    name resolves to nothing.  A bare name is ``true``/``false``, then an
+    address ``at_`` plus ASCII digits, then an interpreted name, then a
+    trace variable; a comparison always reads a trace variable."""
     trace, dom = ctx.trace, ctx.domain
     times, data = trace.grid
     boolean = dom.name == "boolean"
     name, c = atom.name, atom.threshold
-    if atom.op is not None:
-        x = data[:, :, _resolve_variable(ctx, name)]
-        if boolean:
-            values = _COMPARISONS[atom.op](x, c)
-        else:
-            # satisfaction margin: positive iff the comparison holds strictly
-            values = x - c if atom.op in (">", ">=") else c - x
-    elif name in ("true", "false"):
+    digits = name[len(_AT_PREFIX):]
+    if atom.op is None and name in ("true", "false"):
         values = np.full(data.shape[:2], dom.top if name == "true" else dom.bottom)
-    elif _is_address(name):
-        here = np.arange(trace.location_count) == int(name[len(_AT_PREFIX):])
+    elif atom.op is None and name.startswith(_AT_PREFIX) and digits.isascii() and digits.isdigit():
+        if not int(digits) < trace.location_count:
+            raise SemanticError(f"address atom {name!r} names a missing location")
+        here = np.arange(trace.location_count) == int(digits)
         values = np.broadcast_to(np.where(here, dom.top, dom.bottom), data.shape[:2])
-    elif ctx.interpretation is not None and name in ctx.interpretation:
+    elif atom.op is None and ctx.interpretation is not None and name in ctx.interpretation:
         values = np.asarray(ctx.interpretation[name](data), dtype=float)
         if values.shape != data.shape[:2]:
             shapes = f"returned shape {values.shape}, expected {data.shape[:2]}"
@@ -156,47 +159,40 @@ def _atom_signal(ctx: MonitorContext, atom: Atomic) -> SpatioTemporalSignal:
             raise SemanticError(f"interpretation of atom {name!r} returned NaN")
         if boolean:
             values = values != 0
+    elif name not in trace.variables:
+        raise SemanticError(
+            f"atom {name!r} is neither a trace variable nor an interpreted name; "
+            f"variables are {list(trace.variables)}"
+        )
     else:
-        x = data[:, :, _resolve_variable(ctx, name)]
-        values = x != 0 if boolean else np.where(x != 0, dom.top, dom.bottom)
+        x = data[:, :, trace.variables.index(name)]
+        if atom.op is None:
+            values = x != 0 if boolean else np.where(x != 0, dom.top, dom.bottom)
+        elif boolean:
+            values = _COMPARISONS[atom.op](x, c)
+        else:
+            # satisfaction margin: positive iff the comparison holds strictly
+            values = x - c if atom.op in (">", ">=") else c - x
     return canonical(times, values, trace.end_time)
 
 
-def _is_address(name: str) -> bool:
-    return name.startswith(_AT_PREFIX) and name[len(_AT_PREFIX):].isdigit()
+def validate_formula(ctx: MonitorContext, formula: Formula) -> dict[int, SpatioTemporalSignal]:
+    """Check every atom and distance-function name before any operator
+    runs, and return the atoms' signals keyed by node identity.
 
-
-def _resolve_variable(ctx: MonitorContext, name: str) -> int:
-    if name not in ctx.trace.variables:
-        raise SemanticError(
-            f"atom {name!r} is neither a trace variable nor an interpreted name; "
-            f"variables are {list(ctx.trace.variables)}"
-        )
-    return ctx.trace.variables.index(name)
-
-
-def validate_formula(ctx: MonitorContext, formula: Formula) -> None:
-    """Check every atom and distance-function name resolves before evaluating."""
+    Each distinct atom object is evaluated once by ``_atom_signal``, whose
+    name errors (and an interpretation's NaN or wrong shape) surface here,
+    in preorder; ``monitor`` starts ``_eval``'s memo from the result."""
+    atoms = {}
     for node in iter_subformulas(formula):
         if isinstance(node, Atomic):
-            name = node.name
-            if node.op is not None:
-                _resolve_variable(ctx, name)
-            elif name in ("true", "false"):
-                pass
-            elif _is_address(name):
-                if not int(name[len(_AT_PREFIX):]) < ctx.trace.location_count:
-                    raise SemanticError(f"address atom {name!r} names a missing location")
-            elif ctx.interpretation is not None and name in ctx.interpretation:
-                pass
-            else:
-                _resolve_variable(ctx, name)
-        elif isinstance(node, (Reach, Escape)):
-            if node.distance not in ctx.distances:
-                raise SemanticError(
-                    f"unknown distance function {node.distance!r}; registered: "
-                    f"{sorted(ctx.distances)}"
-                )
+            atoms[id(node)] = _atom_signal(ctx, node)
+        elif isinstance(node, (Reach, Escape)) and node.distance not in ctx.distances:
+            raise SemanticError(
+                f"unknown distance function {node.distance!r}; registered: "
+                f"{sorted(ctx.distances)}"
+            )
+    return atoms
 
 
 # ---------------------------------------------------------------------------
@@ -698,23 +694,18 @@ def _widest_walks(model: SpatialModel, x1: np.ndarray) -> np.ndarray:
 def monitor(ctx: MonitorContext, formula: Formula) -> SpatioTemporalSignal:
     """Evaluate a formula over the context's trace and dynamic model."""
     core = desugar(formula)
-    validate_formula(ctx, core)
-    cache: dict[Formula, SpatioTemporalSignal] = {}
-    return _eval(ctx, core, cache)
+    return _eval(ctx, core, validate_formula(ctx, core))
 
 
 def _eval(ctx: MonitorContext, node: Formula, cache: dict) -> SpatioTemporalSignal:
-    hit = cache.get(node)
-    if hit is not None:
-        return hit
-    result = _eval_node(ctx, node, cache)
-    cache[node] = result
-    return result
+    """The node's verdict, memoised by node identity in ``cache``."""
+    hit = cache.get(id(node))
+    if hit is None:
+        hit = cache[id(node)] = _eval_node(ctx, node, cache)
+    return hit
 
 
 def _eval_node(ctx: MonitorContext, node: Formula, cache: dict) -> SpatioTemporalSignal:
-    if isinstance(node, Atomic):
-        return _atom_signal(ctx, node)
     if isinstance(node, Not):
         child = _eval(ctx, node.child, cache)
         # 0.0 - v, not -v: -(+0.0) would be -0.0

@@ -78,7 +78,7 @@ def _atom_value(ctx: MonitorContext, atom: Atomic, loc: int, data: tuple) -> Any
         return x - c if atom.op in (">", ">=") else c - x
     if name in ("true", "false"):
         return dom.top if name == "true" else dom.bottom
-    if name.startswith("at_") and name[3:].isdigit():
+    if name.startswith("at_") and name[3:].isascii() and name[3:].isdigit():
         return dom.top if loc == int(name[3:]) else dom.bottom
     if ctx.interpretation is not None and name in ctx.interpretation:
         value = ctx.interpretation[name](np.array(data).reshape(1, 1, -1))

@@ -210,6 +210,25 @@ def random_formula(rng: random.Random, depth: int, variables=("x", "y"), allow_d
     return Globally(ti, sub())
 
 
+def left_nested_surround(levels: int, base="coord", right="router") -> str:
+    """``levels`` left-nested ``(...) surround(hop)[0,1] right`` over
+    ``base``.  Surround's desugaring uses its left operand four times, so as
+    a tree the core of this grows 4x per level."""
+    text = base
+    for _ in range(levels):
+        text = f"({text}) surround(hop)[0,1] {right}"
+    return text
+
+
+def path3_ctx(domain):
+    """Three locations on an undirected hop path 0 - 1 - 2, with variables
+    coord and router (values 0, 0.5 and 1.5) stepping once at 1 over [0, 3]."""
+    model = DynamicalSpatialModel.static(undirected_model(3, [(0, 1.0, 1), (1, 1.0, 2)]))
+    steps = [((1.5, 0.0), (0.5, 1.5)), ((0.0, 1.5), (1.5, 0.5)), ((0.5, 0.5), (0.0, 1.5))]
+    trace = Trace(("coord", "router"), tuple(TemporalSignal((0.0, 1.0), s, 3.0) for s in steps))
+    return MonitorContext(model=model, trace=trace, domain=domain, distances={"hop": hop_distance()})
+
+
 def standard_distances():
     return {"hop": hop_distance(), "weight": weight_sum_distance()}
 

@@ -13,8 +13,10 @@ from scipy.sparse import csgraph, csr_array
 from conftest import (
     deadline,
     compare_spatiotemporal,
+    left_nested_surround,
     make_network16_ctx,
     network16_model,
+    path3_ctx,
     random_formula,
     random_instance,
     random_model,
@@ -53,6 +55,7 @@ from strelmon.monitor import (
 )
 from strelmon.oracle import (
     dense_unbounded_reach,
+    oracle_monitor,
     simple_path_escape,
     walk_reach,
 )
@@ -2415,6 +2418,90 @@ def test_unresolved_names_are_semantic_errors():
         monitor(ctx, parse("coord reach(gap)[0,1] router"))
     with pytest.raises(SemanticError, match="at_99"):
         monitor(ctx, parse("at_99"))
+
+
+@pytest.mark.parametrize("name", ["at_\u00b2", "at_\u0663"])
+@pytest.mark.parametrize("domain", [BOOL, QUANT], ids=["boolean", "quantitative"])
+def test_address_atoms_take_ascii_digits_only(name, domain):
+    """A superscript two or an Arabic-Indic three is a digit to str.isdigit
+    but not to the grammar, so at_\u00b2 is an unknown name in both the
+    engine and the oracle, never an address or a bare ValueError."""
+    ctx = path3_ctx(domain)
+    message = (
+        f"atom {name!r} is neither a trace variable nor an interpreted name; "
+        "variables are ['coord', 'router']"
+    )
+    for run in (monitor, oracle_monitor):
+        with pytest.raises(SemanticError) as err:
+            run(ctx, Atomic(name))
+        assert str(err.value) == message
+
+
+def test_names_are_checked_before_any_operator_runs(monkeypatch):
+    """Every name fault to the right of a reach and an until is reported
+    before either kernel runs, interpretation faults included, with the
+    message the oracle gives too."""
+
+    def operator_ran(*_args):
+        raise AssertionError("an operator ran before the names were checked")
+
+    for kernel in ("reach", "escape", "monitor_until", "monitor_since"):
+        monkeypatch.setattr(engine, kernel, operator_ran)
+    ctx = path3_ctx(BOOL)
+    ctx.interpretation = {
+        "nan_atom": lambda data: np.full(data.shape[:2], np.nan),
+        "flat": lambda data: np.zeros(data.shape[1]),
+    }
+    faults = {
+        "nosuch": "atom 'nosuch' is neither a trace variable nor an interpreted name; "
+        "variables are ['coord', 'router']",
+        "coord reach(gap) router": "unknown distance function 'gap'; registered: ['hop']",
+        "at_99": "address atom 'at_99' names a missing location",
+        "nan_atom": "interpretation of atom 'nan_atom' returned NaN",
+        "flat": "interpretation of atom 'flat' returned shape (3,), expected (2, 3)",
+    }
+    for fault, message in faults.items():
+        formula = parse(f"(coord reach(hop) router) & F[0,1] coord & {fault}")
+        for run in (monitor, oracle_monitor):
+            with pytest.raises(SemanticError) as err:
+                run(ctx, formula)
+            assert str(err.value) == message, (fault, run)
+
+
+@pytest.mark.parametrize("domain", [BOOL, QUANT], ids=["boolean", "quantitative"])
+def test_nested_surround_is_evaluated_as_a_dag(domain):
+    """33 left-nested surrounds (the most the depth cap admits), and X & X
+    with X 16 of them, take one evaluation per distinct core node: as trees
+    they would grow 4x per level."""
+    ctx = path3_ctx(domain)
+    x = left_nested_surround(16)
+    for text in (left_nested_surround(33), f"({x}) & ({x})"):
+        with deadline(2):
+            out = monitor(ctx, parse(text))
+        assert out.values.shape[1] == 3
+
+
+def test_each_distinct_core_node_is_evaluated_once(monkeypatch):
+    """desugar interns equal subformulas into one object, atoms are
+    evaluated once each by validate_formula and every other node once by
+    _eval_node: as many calls as distinct nodes, by identity or by value."""
+    seen = []
+
+    def counted(original):
+        def call(ctx, node, *rest):
+            seen.append(node)
+            return original(ctx, node, *rest)
+
+        return call
+
+    monkeypatch.setattr(engine, "_eval_node", counted(engine._eval_node))
+    monkeypatch.setattr(engine, "_atom_signal", counted(engine._atom_signal))
+    x = left_nested_surround(3)
+    for text in (left_nested_surround(4), f"({x}) & ({x}) & F[0,1] ({x} | coord)"):
+        seen.clear()
+        monitor(path3_ctx(QUANT), parse(text))
+        core = list(iter_subformulas(desugar(parse(text))))
+        assert len({id(node) for node in seen}) == len(seen) == len(core) == len(set(core))
 
 
 def test_address_atoms():

@@ -6,6 +6,8 @@ import pytest
 
 from conftest import (
     compare_spatiotemporal,
+    left_nested_surround,
+    path3_ctx,
     random_formula,
     random_instance,
     standard_distances,
@@ -43,6 +45,17 @@ def test_monitor_equals_oracle_boolean():
 
 def test_monitor_equals_oracle_quantitative():
     assert run_equivalence(seed=9002, rounds=120, domain=maxmin_domain(), tol=1e-9) == 120
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+@pytest.mark.parametrize("domain", [boolean_domain(), maxmin_domain()], ids=["boolean", "quantitative"])
+def test_nested_surround_equals_oracle(domain, levels):
+    """Left-nested surrounds, evaluated by the engine as a DAG, agree with
+    the oracle, which walks the tree without a memo (so only 3 levels)."""
+    ctx = path3_ctx(domain)
+    for base, right in (("coord", "router"), ("coord > 1", "router > 0.25")):
+        formula = parse(left_nested_surround(levels, base, right))
+        compare_spatiotemporal(monitor(ctx, formula), oracle_monitor(ctx, formula), domain)
 
 
 @pytest.mark.parametrize("domain", [boolean_domain(), maxmin_domain()], ids=["boolean", "quantitative"])
