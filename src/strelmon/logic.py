@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -51,7 +52,8 @@ class Interval:
     hi: float
 
     def __post_init__(self):
-        lo, hi = float(self.lo), math.inf if self.hi is None else float(self.hi)
+        # + 0.0 makes -0.0 the one zero, so equal intervals have equal fields
+        lo, hi = float(self.lo) + 0.0, math.inf if self.hi is None else float(self.hi) + 0.0
         if not lo >= 0:
             raise ValueError(f"interval lower bound must be nonnegative, got {self.lo}")
         if not hi >= lo:
@@ -67,13 +69,32 @@ class Interval:
 FULL = Interval(0.0, UNBOUNDED)
 
 
-class Formula:
-    """Base class; nodes are frozen dataclasses and hash by structure."""
+class _Interned(type):
+    """Makes a node class return the one live node with the same class and
+    fields, children compared by identity: equal formulas are one object."""
+
+    def __call__(cls, *args, **kwargs):
+        node = super().__call__(*args, **kwargs)
+        # a dataclass's __dict__ holds its fields in declaration order
+        key = (cls, *(id(v) if isinstance(v, Formula) else v for v in vars(node).values()))
+        return _NODES.setdefault(key, node)
+
+
+# a key names its children by id, which stay unique while the node is alive
+_NODES = weakref.WeakValueDictionary()
+
+
+class Formula(metaclass=_Interned):
+    """Base class; nodes are frozen dataclasses interned at construction, so
+    ``==`` and ``hash`` are by identity and cost O(1) on any DAG."""
 
     __slots__ = ()
 
+    def __reduce__(self):
+        return type(self), tuple(vars(self).values())
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Atomic(Formula):
     name: str
     op: Optional[str] = None  # one of > < >= <= for comparison atoms
@@ -86,56 +107,58 @@ class Atomic(Formula):
             raise ValueError(f"unknown comparison operator {self.op!r}")
         if self.threshold is not None and not math.isfinite(self.threshold):
             raise ValueError(f"comparison threshold must be finite, got {self.threshold}")
+        # + 0.0 makes -0.0 the one zero, so equal atoms have equal fields
+        object.__setattr__(self, "threshold", None if self.op is None else float(self.threshold) + 0.0)
 
 
 TRUE = Atomic("true")
 FALSE = Atomic("false")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Until(Formula):
     interval: Interval
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Since(Formula):
     interval: Interval
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eventually(Formula):
     interval: Interval
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Globally(Formula):
     interval: Interval
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Reach(Formula):
     interval: Interval
     distance: str
@@ -143,28 +166,28 @@ class Reach(Formula):
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Escape(Formula):
     interval: Interval
     distance: str
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Somewhere(Formula):
     interval: Interval
     distance: str
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Everywhere(Formula):
     interval: Interval
     distance: str
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Surround(Formula):
     interval: Interval
     distance: str
@@ -438,11 +461,11 @@ def desugar(node: Formula) -> Formula:
     of somewhere, and surround as the region-enclosure conjunction
     phi1 & !reach(phi1, !(phi1|phi2)) & !escape[hi, inf](phi1).
 
-    The result is a DAG whose equal subformulas are one object, so nested
-    surrounds (each uses phi1 four times) grow by a constant per level, not
-    4x, and an identity walk visits each node once.
+    Nodes are interned, so the result is a DAG whose equal subformulas are
+    one object: nested surrounds (each uses phi1 four times) grow by a
+    constant per level, not 4x, and an identity walk visits each node once.
     """
-    return _interned(_rewrite(node), {}, {})
+    return _rewrite(node)
 
 
 def _rewrite(node: Formula) -> Formula:
@@ -481,29 +504,8 @@ def _rewrite(node: Formula) -> Formula:
     raise TypeError(f"not a formula node: {node!r}")
 
 
-def _interned(node: Formula, table: dict, done: dict) -> Formula:
-    """``node`` with equal subformulas made one object: each is keyed in
-    ``table`` on its class and fields, a child by the ``id`` of its interned
-    object, so a key costs O(1); ``done`` maps each object seen to its result."""
-    result = done.get(id(node))
-    if result is None:
-        # a dataclass's __dict__ holds its fields in declaration order
-        values = [_interned(v, table, done) if isinstance(v, Formula) else v for v in vars(node).values()]
-        key = (type(node), *(id(v) if isinstance(v, Formula) else v for v in values))
-        result = done[id(node)] = table.setdefault(key, type(node)(*values))
-    return result
-
-
 def is_core(node: Formula) -> bool:
-    if isinstance(node, Atomic):
-        return True
-    if isinstance(node, Not):
-        return is_core(node.child)
-    if isinstance(node, (And, Until, Since, Reach)):
-        return is_core(node.left) and is_core(node.right)
-    if isinstance(node, Escape):
-        return is_core(node.child)
-    return False
+    return all(isinstance(n, (Atomic, Not, And, Until, Since, Reach, Escape)) for n in iter_subformulas(node))
 
 
 def iter_subformulas(node: Formula) -> Iterator[Formula]:

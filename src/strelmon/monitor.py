@@ -76,8 +76,7 @@ class SemanticError(ValueError):
 
 # The most rounds a flooding with a positive lower bound may take (see
 # ``_flood``): with d1 > 0 nothing prunes a cycle, so a 2-cycle under
-# ``hop`` floods d2 rounds (about 4 us each on a 2-core VM, 20 us for the
-# queue over unequal distances), and past 2**53 ``d + 1 == d`` never ends.
+# ``hop`` floods d2 rounds, and past 2**53 ``d + 1 == d`` never ends.
 # Above it ``_flood`` raises a SemanticError instead of hanging.
 MAX_FLOOD_ROUNDS = 10_000
 
@@ -641,10 +640,7 @@ def escape(model: SpatialModel, f: DistanceFunction, interval: Interval, s1: np.
     walks: it starts from ``min(s1[src], s1[dst])`` on every edge, s1 on the
     diagonal and bottom elsewhere, and round k lets every walk pass through
     k, so O(n^3) time.  Both take O(n^2) memory, as dense as the distance
-    matrix.  On random undirected graphs with about 8 neighbours per
-    location (2-core VM), quantitative ``escape(hop)[2,inf]`` takes 0.034 s
-    at 1,000 locations and 0.094 s at 2,000 with single linkage, and 1.9 s
-    and 18.7 s with the closure.
+    matrix.
     """
     x1, bottom, _ = _verdicts(s1)
     d1, d2 = interval.lo, interval.hi

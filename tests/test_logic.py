@@ -1,9 +1,12 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
 
-from conftest import random_formula
+from conftest import deadline, left_nested_surround, random_formula
 from strelmon.logic import (
     And,
     Atomic,
@@ -27,6 +30,7 @@ from strelmon.logic import (
     desugar,
     format_formula,
     is_core,
+    iter_subformulas,
     parse,
 )
 
@@ -284,6 +288,7 @@ def test_roundtrip_on_random_asts():
         f = random_formula(rng, rng.randint(0, 4))
         text = format_formula(f)
         assert parse(text) == f, text
+        assert parse(text) is f, text
 
 
 def _interval_formula(rng, depth):
@@ -339,3 +344,61 @@ def test_format_examples():
     assert format_formula(desugar(parse("F p"))) == "true U[0,inf] p"
     surround = desugar(parse("a surround(hop) b"))
     assert parse(format_formula(surround)) == surround
+
+
+def test_separate_desugarings_of_nested_surround_are_one_object():
+    """Every constructor returns the one live node with the same class and
+    fields, so two parses and desugarings of one text give one object."""
+    text = left_nested_surround(33)
+    same = desugar(parse(text)) is desugar(parse(text))
+    assert same  # a bool: a failing assertion on the nodes would print each as a tree
+
+
+def test_hash_eq_set_and_is_core_are_linear_on_nested_surround():
+    """33 left-nested surrounds, the most the depth cap admits, use each left
+    operand four times once desugared: as a tree the core has about 4**33
+    nodes.  Hashing, comparing, collecting and checking it used to walk that
+    tree."""
+    core = desugar(parse(left_nested_surround(33)))
+    other = desugar(parse(left_nested_surround(33)))
+    with deadline(2):
+        hashes_equal = hash(core) == hash(other)
+        equal = core == other and core != core.left
+        distinct = len(set(iter_subformulas(core))) == len(list(iter_subformulas(core)))
+        core_only = is_core(core)
+    assert hashes_equal and equal and distinct and core_only
+
+
+def test_copies_pickles_and_replaces_return_the_same_node():
+    f = parse("(x > 0.5 | y) surround(hop)[0,2] !F[0.25,1] y")
+    for node in (f, desugar(f), desugar(parse(left_nested_surround(33))), Atomic("x", ">=", -1.0)):
+        copies = copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node)), dataclasses.replace(node)
+        assert [c is node for c in copies] == [True] * 4
+    assert dataclasses.replace(f, distance="weight") is parse("(x > 0.5 | y) surround(weight)[0,2] !F[0.25,1] y")
+
+
+@pytest.mark.parametrize("case, first, second", [(0, 1, 1.0), (1, 1.0, 1), (2, -0.0, 0.0), (3, 0.0, -0.0)])
+def test_fields_do_not_depend_on_build_order(case, first, second):
+    """An interned node is the first of its equal nodes that was built, so
+    thresholds and interval bounds are stored as canonical floats (1.0 for
+    1, +0.0 for -0.0) and read back the same whichever came first."""
+    x, a, b = f"order{case}", Atomic(f"order{case}_a"), Atomic(f"order{case}_b")
+    atoms = Atomic(x, ">", first), Atomic(x, ">", second)
+    untils = Until(Interval(first, 1), a, b), Until(Interval(second, 1), a, b)
+    assert atoms[0] is atoms[1] and untils[0] is untils[1]
+    for value in (atoms[1].threshold, untils[1].interval.lo, untils[1].interval.hi):
+        assert type(value) is float and math.copysign(1.0, value) == 1.0
+    assert format_formula(atoms[1]) == f"{x} > {1 if first else 0}"
+    assert format_formula(untils[1]) == f"{a.name} U[{1 if first else 0},1] {b.name}"
+
+
+def test_nodes_are_identical_exactly_when_they_print_alike():
+    rng = random.Random(2606)
+    formulas = [random_formula(rng, rng.randint(0, 2), variables=("x",)) for _ in range(300)]
+    texts = [format_formula(f) for f in formulas]
+    alike = 0
+    for i, (f, text) in enumerate(zip(formulas, texts)):
+        for g, other in zip(formulas[:i], texts[:i]):
+            assert (f is g) == (text == other), (text, other)
+            alike += f is g
+    assert alike > 100
