@@ -464,38 +464,48 @@ def desugar(node: Formula) -> Formula:
     Nodes are interned, so the result is a DAG whose equal subformulas are
     one object: nested surrounds (each uses phi1 four times) grow by a
     constant per level, not 4x, and an identity walk visits each node once.
+    The rewrite visits each node object of its input once too (a memo by
+    identity for this call), so desugaring a core DAG again is as fast and
+    returns the same object.
     """
-    return _rewrite(node)
+    return _rewrite(node, {})
 
 
-def _rewrite(node: Formula) -> Formula:
+def _rewrite(node: Formula, memo: dict[int, Formula]) -> Formula:
+    """``node`` rewritten into the core fragment, memoised by node identity."""
+    if id(node) not in memo:
+        memo[id(node)] = _rewrite_node(node, memo)
+    return memo[id(node)]
+
+
+def _rewrite_node(node: Formula, memo: dict[int, Formula]) -> Formula:
     if isinstance(node, Atomic):
         return node
     if isinstance(node, Not):
-        return Not(_rewrite(node.child))
+        return Not(_rewrite(node.child, memo))
     if isinstance(node, And):
-        return And(_rewrite(node.left), _rewrite(node.right))
+        return And(_rewrite(node.left, memo), _rewrite(node.right, memo))
     if isinstance(node, Or):
-        return Not(And(Not(_rewrite(node.left)), Not(_rewrite(node.right))))
+        return Not(And(Not(_rewrite(node.left, memo)), Not(_rewrite(node.right, memo))))
     if isinstance(node, Until):
-        return Until(node.interval, _rewrite(node.left), _rewrite(node.right))
+        return Until(node.interval, _rewrite(node.left, memo), _rewrite(node.right, memo))
     if isinstance(node, Since):
-        return Since(node.interval, _rewrite(node.left), _rewrite(node.right))
+        return Since(node.interval, _rewrite(node.left, memo), _rewrite(node.right, memo))
     if isinstance(node, Eventually):
-        return Until(node.interval, TRUE, _rewrite(node.child))
+        return Until(node.interval, TRUE, _rewrite(node.child, memo))
     if isinstance(node, Globally):
-        return Not(Until(node.interval, TRUE, Not(_rewrite(node.child))))
+        return Not(Until(node.interval, TRUE, Not(_rewrite(node.child, memo))))
     if isinstance(node, Reach):
-        return Reach(node.interval, node.distance, _rewrite(node.left), _rewrite(node.right))
+        return Reach(node.interval, node.distance, _rewrite(node.left, memo), _rewrite(node.right, memo))
     if isinstance(node, Escape):
-        return Escape(node.interval, node.distance, _rewrite(node.child))
+        return Escape(node.interval, node.distance, _rewrite(node.child, memo))
     if isinstance(node, Somewhere):
-        return Reach(node.interval, node.distance, TRUE, _rewrite(node.child))
+        return Reach(node.interval, node.distance, TRUE, _rewrite(node.child, memo))
     if isinstance(node, Everywhere):
-        return Not(Reach(node.interval, node.distance, TRUE, Not(_rewrite(node.child))))
+        return Not(Reach(node.interval, node.distance, TRUE, Not(_rewrite(node.child, memo))))
     if isinstance(node, Surround):
-        left = _rewrite(node.left)
-        right = _rewrite(node.right)
+        left = _rewrite(node.left, memo)
+        right = _rewrite(node.right, memo)
         # !(phi1 | phi2) with the disjunction already pushed through De Morgan
         outside = And(Not(left), Not(right))
         blocked = Not(Reach(node.interval, node.distance, left, outside))

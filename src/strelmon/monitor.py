@@ -23,7 +23,9 @@ and returns a new array.  Boolean unbounded reach, and Boolean reach with
 lower bound zero unless it asks for at most log2(n) equal hops, are one
 shortest-path search each on the snapshot's cached sparse weights, and
 quantitative unbounded reach is a max/min relaxation over the edge arrays,
-one array pass per round.  Other bounded reach (with an infinite upper
+one array pass per round.  The reach kernels read the weights, the edge
+arrays and the one edge distance from the edge view that each snapshot
+builds once per distance function (``SpatialModel.edges``).  Other bounded reach (with an infinite upper
 bound, or a positive lower bound and an upper bound past every loop-erased
 route, it is unbounded reach) is that relaxation capped at the admissible
 walk lengths when every edge distance is equal, as under ``hop``, and
@@ -64,8 +66,9 @@ from .signals import SpatioTemporalSignal, Trace, canonical, run_starts, stack_s
 from .space import (
     DistanceFunction,
     DynamicalSpatialModel,
+    EdgeView,
     SpatialModel,
-    check_strictly_positive,  # noqa: F401  re-exported; spatial kernels check via incoming_weights
+    check_strictly_positive,  # noqa: F401  re-exported; spatial kernels check via SpatialModel.edges
     min_distance_matrix,
 )
 
@@ -350,31 +353,26 @@ def bounded_reach(model: SpatialModel, f: DistanceFunction, d1: float, d2: float
     When d2 is infinite the call is ``unbounded_reach``, whatever d1, so a
     walk may pass an edge of infinite distance.  With d1 > 0 nothing prunes
     a cycle, so the rounds would run up to d2 over the smallest edge
-    distance.  When every edge distance is finite and d2 >= d1 + (n + 1) *
-    d_max for the largest edge distance d_max, the call is
+    distance.  When d2 >= d1 + (n + 1) * d_max for the largest edge
+    distance d_max (never, with an edge of infinite distance), the call is
     ``unbounded_reach`` as well: erasing the loops of a route's prefix, up
     to its shortest suffix of at least d1, leaves a route no worse whose
     length lies in [d1, d1 + n * d_max], and the extra d_max absorbs
     rounding.
     """
     s1, s2, _, _ = _verdicts(s1, s2)
-    incoming = model.incoming_weights(f)
+    edges = model.edges(f)
+    n = model.location_count
     if not d1 <= d2:
         raise SemanticError(f"malformed distance interval [{d1}, {d2}]")
-    if d2 == math.inf:
+    if d2 == math.inf or d1 > 0 and d2 >= d1 + (n + 1) * edges.incoming.data.max(initial=0).item():
         return unbounded_reach(model, f, d1, s1, s2)
-    if d1 > 0:
-        steps = incoming.data
-        if np.isfinite(steps).all() and d2 >= d1 + (model.location_count + 1) * steps.max(initial=0).item():
-            return unbounded_reach(model, f, d1, s1, s2)
-    elif s2.dtype == bool:
-        c = _uniform_step(incoming)
-        if c is None or d2 / c > math.log2(model.location_count):
-            return _reached_within(incoming, s1, s2, d2)
-    return _flood(incoming, d1, d2, s1, s2)
+    if d1 <= 0 and s2.dtype == bool and (edges.step is None or d2 / edges.step > math.log2(n)):
+        return _reached_within(edges.incoming, s1, s2, d2)
+    return _flood(edges, d1, d2, s1, s2)
 
 
-def _flood(incoming: csr_array, d1: float, d2: float, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+def _flood(edges: EdgeView, d1: float, d2: float, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     """The flooding of ``bounded_reach``.
 
     With d1 > 0 the rounds are bounded first, and more than
@@ -401,15 +399,15 @@ def _flood(incoming: csr_array, d1: float, d2: float, s1: np.ndarray, s2: np.nda
     next queue also drops its dominated entries (``_undominated``).  Both
     cuts leave the output as it is.
     """
+    incoming = edges.incoming
     n = incoming.shape[0]
     if d1 > 0:
-        src, dst = _edges(incoming)
         _, comp = csgraph.connected_components(incoming, connection="strong")
-        on_cycle = comp[dst] == comp[src]
+        on_cycle = comp[edges.dst] == comp[edges.src]
         cycle_steps = incoming.data[on_cycle]
         lightest = np.full((2, n), math.inf)  # on-cycle out- and in-edge per location
-        np.minimum.at(lightest[0], src[on_cycle], cycle_steps)
-        np.minimum.at(lightest[1], dst[on_cycle], cycle_steps)
+        np.minimum.at(lightest[0], edges.src[on_cycle], cycle_steps)
+        np.minimum.at(lightest[1], edges.dst[on_cycle], cycle_steps)
         with np.errstate(over="ignore"):  # a bound past the float range is inf
             rounds = min(
                 d2 / incoming.data.min(initial=math.inf),
@@ -423,9 +421,8 @@ def _flood(incoming: csr_array, d1: float, d2: float, s1: np.ndarray, s2: np.nda
                 f"more than MAX_FLOOD_ROUNDS = {MAX_FLOOD_ROUNDS}"
             )
     x1, target = np.asarray(s1), np.asarray(s2)
-    c = _uniform_step(incoming)
-    if c is not None:
-        return _uniform_flood(incoming, c, d1, d2, x1, target)
+    if edges.step is not None:
+        return _uniform_flood(edges, d1, d2, x1, target)
     bottom, _ = _BOUNDS[target.dtype]
     prune = d1 == 0
     s = target.copy() if prune else np.full(n, bottom, dtype=target.dtype)
@@ -455,12 +452,13 @@ def _flood(incoming: csr_array, d1: float, d2: float, s1: np.ndarray, s2: np.nda
     return s
 
 
-def _uniform_flood(incoming: csr_array, c: float, d1: float, d2: float, x1: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """``_flood`` when every edge distance is c, in rounds of ``_step_back``
-    over the edge arrays.  A walk of k edges is d_k = ((0 + c) + c) + ...
-    long, summed as the queue and Dijkstra sum it, so the step counts k with
-    d1 <= d_k <= d2, the walks the queue counts, are one run [k1, k2] and
-    every boundary agrees bit for bit, also for a non-dyadic c.
+def _uniform_flood(edges: EdgeView, d1: float, d2: float, x1: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """``_flood`` when every edge distance is c (``edges.step``), in rounds
+    of ``_step_back`` over the edge arrays.  A walk of k edges is d_k =
+    ((0 + c) + c) + ... long, summed as the queue and Dijkstra sum it, so
+    the step counts k with d1 <= d_k <= d2, the walks the queue counts, are
+    one run [k1, k2] and every boundary agrees bit for bit, also for a
+    non-dyadic c.
 
     With d1 > 0, rounds first step y from s2 to the best walks of exactly
     k1 edges: y[l] becomes s1[l] combined with the maximum of y over l's
@@ -471,9 +469,10 @@ def _uniform_flood(incoming: csr_array, c: float, d1: float, d2: float, x1: np.n
     an optimal walk past the first k1 edges is a simple path.
     """
     n, (bottom, _) = len(target), _BOUNDS[target.dtype]
+    c = edges.step
     y, d = target, 0.0
     if d1 > 0:
-        step, nowhere = _step_back(incoming, x1), np.full(n, bottom, dtype=target.dtype)
+        step, nowhere = _step_back(edges, x1), np.full(n, bottom, dtype=target.dtype)
         while d < d1 and (y != bottom).any():
             y, d = step(y, nowhere), d + c
         if d > d2:
@@ -482,17 +481,10 @@ def _uniform_flood(incoming: csr_array, c: float, d1: float, d2: float, x1: np.n
     # the queue extends a walk only while it is shorter than d2
     while rounds < n and d < d2 and d + c <= d2:
         rounds, d = rounds + 1, d + c
-    return _back_propagate(incoming, x1, y, rounds)
+    return _back_propagate(edges, x1, y, rounds)
 
 
-def _uniform_step(incoming: csr_array) -> Optional[float]:
-    """The one distance of every edge, or None when they differ or there
-    are no edges."""
-    steps = incoming.data
-    return steps[0].item() if steps.size and (steps == steps[0]).all() else None
-
-
-def _step_back(incoming: csr_array, s1: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+def _step_back(edges: EdgeView, s1: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The round of ``_uniform_flood`` and ``_back_propagate``: a function
     of (y, into) that returns a new array, ``into`` raised at every location
     l to s1[l] combined with the maximum of y over l's out-edges.
@@ -503,24 +495,18 @@ def _step_back(incoming: csr_array, s1: np.ndarray) -> Callable[[np.ndarray, np.
     max is "or", by setting the sources of the true edges.  The Boolean
     round is a sparse matrix-vector product over the (or, and) semiring.
     """
-    src, dst = _edges(incoming)
-    gate = s1[src]
+    gate = s1[edges.src]
 
     def step(y: np.ndarray, into: np.ndarray) -> np.ndarray:
-        via = np.minimum(gate, y[dst])
+        via = np.minimum(gate, y[edges.dst])
         raised = into.copy()
         if raised.dtype == bool:
-            raised[src[via]] = True
+            raised[edges.src[via]] = True
         else:
-            np.maximum.at(raised, src, via)
+            np.maximum.at(raised, edges.src, via)
         return raised
 
     return step
-
-
-def _edges(incoming: csr_array) -> tuple[np.ndarray, np.ndarray]:
-    """(src, dst) of every edge, in the incoming CSR's order."""
-    return incoming.indices, np.repeat(np.arange(incoming.shape[0]), np.diff(incoming.indptr))
 
 
 def _undominated(loc: np.ndarray, dist: np.ndarray, val: np.ndarray, front: tuple) -> tuple:
@@ -585,24 +571,24 @@ def unbounded_reach(model: SpatialModel, f: DistanceFunction, d1: float, s1: np.
     until a fixpoint (``_back_propagate``).
     """
     s1, s2, bottom, _ = _verdicts(s1, s2)
-    incoming = model.incoming_weights(f)
+    edges = model.edges(f)
     if d1 == 0:
-        return _back_propagate(incoming, s1, s2)
-    finite = np.isfinite(incoming.data)
+        return _back_propagate(edges, s1, s2)
+    finite = np.isfinite(edges.incoming.data)
     if d1 == math.inf:
         # no route of finite edges is infinitely long
         s = np.full(model.location_count, bottom)
     else:
-        d_max = incoming.data[finite].max(initial=0).item()
-        s = _flood(incoming, d1, d1 + d_max, s1, s2)
+        d_max = edges.incoming.data[finite].max(initial=0).item()
+        s = _flood(edges, d1, d1 + d_max, s1, s2)
     if not finite.all():
-        anywhere = _back_propagate(incoming, s1, s2)
-        src, dst = (a[~finite] for a in _edges(incoming))
+        anywhere = _back_propagate(edges, s1, s2)
+        src, dst = edges.src[~finite], edges.dst[~finite]
         np.maximum.at(s, src, np.minimum(s1[src], anywhere[dst]))
-    return _back_propagate(incoming, s1, s)
+    return _back_propagate(edges, s1, s)
 
 
-def _back_propagate(incoming: csr_array, s1: np.ndarray, s: np.ndarray, rounds: Optional[int] = None) -> np.ndarray:
+def _back_propagate(edges: EdgeView, s1: np.ndarray, s: np.ndarray, rounds: Optional[int] = None) -> np.ndarray:
     """Fixpoint in which s[src] absorbs s[dst] combined with s1[src] for every
     edge src -> dst, or at most ``rounds`` rounds of it.  It ignores weights,
     so the uncapped Boolean fixpoint is plain reachability from the seeds
@@ -612,9 +598,9 @@ def _back_propagate(incoming: csr_array, s1: np.ndarray, s: np.ndarray, rounds: 
     at most n + 1 rounds."""
     s = np.array(s)  # a copy: the result never aliases an input
     if s.dtype == bool and rounds is None:
-        return _reached_within(incoming, s1, s, math.inf)
-    step = _step_back(incoming, s1)
-    for _ in range(incoming.shape[0] + 1 if rounds is None else rounds):
+        return _reached_within(edges.incoming, s1, s, math.inf)
+    step = _step_back(edges, s1)
+    for _ in range(len(s) + 1 if rounds is None else rounds):
         raised = step(s, s)
         if not (raised > s).any():
             break

@@ -23,6 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from numbers import Real
 from typing import Any, Sequence
 
 import numpy as np
@@ -201,7 +202,8 @@ class Trace:
     ``end_time`` the closed end of the domain.  ``Trace.from_arrays`` takes
     the columns and checks them.  Steps given flat reach it through
     ``_from_steps``: the CSV reader's rows, and the per-location signals of
-    ``Trace(variables, signals)``, which are checked at once and stacked on
+    ``Trace(variables, signals)``, whose value tuples are checked at once
+    (their lengths, and that every value is a real number) and stacked on
     the first ``grid`` or ``own`` access.  Either way ``signals`` gives each
     location's own steps as a ``TemporalSignal`` of value tuples, built on
     demand for an array-built trace, and two traces are equal when their
@@ -220,6 +222,17 @@ class Trace:
                     raise SignalError(
                         f"location {loc} has a step with {len(v)} values, expected {n}"
                     )
+            # one pass in C: ints and floats add up to an int or a float, and only
+            # when another type shows up (as a TypeError or in the sum) is each value looked at
+            try:
+                plain = type(sum(chain.from_iterable(s.values))) in (int, float)
+            except TypeError:
+                plain = False
+            if not plain:
+                for v in s.values:
+                    for name, x in zip(variables, v):
+                        if not isinstance(x, (Real, np.bool_)):
+                            raise SignalError(f"location {loc} has a value for {name!r} that is not a number: {x!r}")
         self.variables, self.signals = variables, signals
         self.location_count, self.start, self.end_time = len(signals), signals[0].start, signals[0].end_time
 

@@ -89,21 +89,42 @@ class SpatialModel:
         return bool(np.array_equal(np.sort(self.src * n + self.dst), np.sort(self.dst * n + self.src)))
 
     @cached_property
-    def _incoming_by_distance(self) -> dict["DistanceFunction", csr_array]:
+    def _views(self) -> dict["DistanceFunction", "EdgeView"]:
         return {}
 
-    def incoming_weights(self, f: "DistanceFunction") -> csr_array:
-        """Reversed adjacency as CSR: row dst, column src, data f(weight).
+    def edges(self, f: "DistanceFunction") -> "EdgeView":
+        """The snapshot's edges under f, as the reach kernels read them.
 
         Built once per distance function and kept with the snapshot, so every
-        edge weight is mapped and checked for strict positivity once.  Raises
-        ModelError if f is not strictly positive on some edge.
+        edge weight is mapped and checked for strict positivity once, and no
+        kernel call derives the view's arrays again.  Raises ModelError if f
+        is not strictly positive on some edge.
         """
-        cache = self._incoming_by_distance
-        if f not in cache:
+        views = self._views
+        if f not in views:
             n = self.location_count
-            cache[f] = csr_array((check_strictly_positive(self, f), (self.dst, self.src)), shape=(n, n))
-        return cache[f]
+            incoming = csr_array((check_strictly_positive(self, f), (self.dst, self.src)), shape=(n, n))
+            dst = np.repeat(np.arange(n), np.diff(incoming.indptr))
+            steps = incoming.data
+            step = steps[0].item() if steps.size and (steps == steps[0]).all() else None
+            views[f] = EdgeView(incoming, incoming.indices, dst, step)
+        return views[f]
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeView:
+    """One snapshot's edges under one distance function (``SpatialModel.edges``).
+
+    ``incoming`` is the reversed adjacency as CSR: row dst, column src, data
+    the mapped distance.  ``src`` and ``dst`` give every edge's endpoints in
+    that CSR's order (``src`` is its ``indices``), and ``step`` is the one
+    distance of every edge, or None when they differ or there are no edges.
+    """
+
+    incoming: csr_array
+    src: np.ndarray
+    dst: np.ndarray
+    step: float | None
 
 
 def both_directions(src, dst, weight) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -183,7 +204,7 @@ class DistanceFunction:
 
 
 # Each built-in is made once (``cache``) and every call returns that object,
-# so a snapshot's per-distance weights (``incoming_weights``) stay cached
+# so a snapshot's per-distance edge views (``SpatialModel.edges``) stay cached
 # across monitoring runs and experiment helpers.
 @cache
 def hop_distance() -> DistanceFunction:
@@ -237,7 +258,7 @@ def min_distance_matrix(model: SpatialModel, f: DistanceFunction, limit: float =
     ``limit`` apart keeps its sum bit for bit (one exactly at ``limit``
     included), and every pair farther apart reads infinity.
     """
-    return csgraph.dijkstra(model.incoming_weights(f).T, directed=True, limit=limit)
+    return csgraph.dijkstra(model.edges(f).incoming.T, directed=True, limit=limit)
 
 
 @dataclass(frozen=True)

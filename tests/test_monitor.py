@@ -4,7 +4,7 @@ import math
 import random
 from bisect import bisect_right
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 import pytest
@@ -35,16 +35,18 @@ from strelmon.logic import (
     UNBOUNDED,
     Until,
     desugar,
+    format_number,
     iter_subformulas,
     parse,
 )
 from strelmon.monitor import (
     _BOUNDS,
+    MAX_FLOOD_ROUNDS,
     MonitorContext,
     SemanticError,
-    _edges,
     _flood,
     _reached_within,
+    _undominated,
     _verdicts,
     bounded_reach,
     escape,
@@ -1118,7 +1120,7 @@ def test_reached_within_matches_filtered_csr_reference():
         rng.shuffle(pairs)
         edges = [(a, rng.choice(weights), b) for a, b in pairs[: rng.randint(0, min(3 * n, len(pairs)))]]
         model = (undirected_model if symmetric else build_spatial_model)(n, edges)
-        incoming = model.incoming_weights(f)
+        incoming = model.edges(f).incoming
         before = [getattr(incoming, k).tobytes() for k in ("data", "indices", "indptr")]
         for s1_kind in ("all", "some", "none"):
             for target_kind in ("all", "some", "none"):
@@ -1552,7 +1554,7 @@ def flooding_reference(model, f, d1, d2, s1, s2, domain):
     """The dict flooding bounded reach ran before it took one array pass per
     round, kept verbatim (from ``n = ...`` on) as the reference ``_flood`` is
     checked against."""
-    incoming = model.incoming_weights(f)
+    incoming = model.edges(f).incoming
     unconstrained_lo = d1 == 0
     n = model.location_count
     bottom = domain.bottom
@@ -1641,7 +1643,7 @@ def test_flooding_matches_dict_reference(domain, monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(
                     engine, "_flood",
-                    lambda _incoming, lo, hi, a, b: flooding_reference(model, f, lo, hi, a, b, domain),
+                    lambda _view, lo, hi, a, b: flooding_reference(model, f, lo, hi, a, b, domain),
                 )
                 want = unbounded_reach(model, f, d1, s1, s2).tolist()
             assert repr(one_zero(unbounded_reach(model, f, d1, s1, s2).tolist())) == repr(one_zero(want))
@@ -1663,7 +1665,7 @@ def test_uniform_distance_flooding_matches_dict_reference(domain, monkeypatch):
     pool = (0.0, -0.0, 0.5, -0.5, 1.0, -1.0, math.inf, -math.inf)
     calls = []
     uniform = engine._uniform_flood
-    monkeypatch.setattr(engine, "_uniform_flood", lambda *args: calls.append(args[1]) or uniform(*args))
+    monkeypatch.setattr(engine, "_uniform_flood", lambda *args: calls.append(args[0].step) or uniform(*args))
 
     def values(n, p):
         if domain is BOOL:
@@ -1678,7 +1680,7 @@ def test_uniform_distance_flooding_matches_dict_reference(domain, monkeypatch):
         f = hop_distance() if c == 1.0 and rng.random() < 0.5 else weight_sum_distance()
         s1, s2 = values(n, 0.7), values(n, 0.3)
         calls.clear()
-        got = engine._flood(model.incoming_weights(f), d1, d2, s1, s2)
+        got = engine._flood(model.edges(f), d1, d2, s1, s2)
         assert calls == ([c] if len(model.src) else [])
         assert got.dtype == (bool if domain is BOOL else float)
         assert repr(one_zero(got.tolist())) == repr(one_zero(flooding_reference(model, f, d1, d2, s1, s2, domain)))
@@ -1692,7 +1694,7 @@ def test_uniform_distance_flooding_matches_dict_reference(domain, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(
                 engine, "_flood",
-                lambda _incoming, lo, hi, a, b: flooding_reference(model, hop_distance(), lo, hi, a, b, domain),
+                lambda _view, lo, hi, a, b: flooding_reference(model, hop_distance(), lo, hi, a, b, domain),
             )
             want = unbounded_reach(model, hop_distance(), d1, s1, s2).tolist()
         calls.clear()
@@ -1732,7 +1734,7 @@ def dijkstra_dispatch_bounded_reach(model: SpatialModel, f: DistanceFunction, d1
     rounding.
     """
     s1, s2, _, _ = _verdicts(s1, s2)
-    incoming = model.incoming_weights(f)
+    incoming = model.edges(f).incoming
     if not d1 <= d2:
         raise SemanticError(f"malformed distance interval [{d1}, {d2}]")
     if d2 == math.inf:
@@ -1743,7 +1745,7 @@ def dijkstra_dispatch_bounded_reach(model: SpatialModel, f: DistanceFunction, d1
             return unbounded_reach(model, f, d1, s1, s2)
     elif s2.dtype == bool:
         return _reached_within(incoming, s1, s2, d2)
-    return _flood(incoming, d1, d2, s1, s2)
+    return _flood(model.edges(f), d1, d2, s1, s2)
 
 
 
@@ -1824,7 +1826,7 @@ def test_boolean_rounds_match_search_and_maximum_at_reference(monkeypatch):
     rng = random.Random(2424)
     flooded, searched = [], []
     uniform, search = engine._uniform_flood, engine._reached_within
-    monkeypatch.setattr(engine, "_uniform_flood", lambda *args: flooded.append(args[1]) or uniform(*args))
+    monkeypatch.setattr(engine, "_uniform_flood", lambda *args: flooded.append(args[0].step) or uniform(*args))
     monkeypatch.setattr(engine, "_reached_within", lambda *args: searched.append(args[3]) or search(*args))
     sides = set()
     for c in (1.0, 0.1, 0.5, 3.0, 5e-324, 1e308, math.inf):
@@ -1832,7 +1834,7 @@ def test_boolean_rounds_match_search_and_maximum_at_reference(monkeypatch):
             n = 1 if trial == 0 else rng.randint(2, 300)
             model = _random_digraph(rng, n, rng.choice([1, 2, 3]), [c])
             f = hop_distance() if c == 1.0 and trial % 2 else weight_sum_distance()
-            incoming = model.incoming_weights(f)
+            incoming = model.edges(f).incoming
             s1 = _pick(rng, n, rng.choice(["all", "some", "some", "none"]), 0.7)
             s2 = _pick(rng, n, rng.choice(["all", "some", "some", "none"]), 0.1)
             sums = [0.0]
@@ -1871,11 +1873,295 @@ def test_non_dyadic_bound_admits_the_summed_edges(monkeypatch):
     f = weight_sum_distance()
     s1, s2 = np.ones(8, dtype=bool), np.arange(8) == 7
     calls, uniform = [], engine._uniform_flood
-    monkeypatch.setattr(engine, "_uniform_flood", lambda *args: calls.append(args[1]) or uniform(*args))
+    monkeypatch.setattr(engine, "_uniform_flood", lambda *args: calls.append(args[0].step) or uniform(*args))
     got = bounded_reach(model, f, 0.0, 0.3, s1, s2)
     assert calls == [0.1]
     assert got.tolist() == [False] * 5 + [True] * 3
-    assert np.array_equal(got, _reached_within(model.incoming_weights(f), s1, s2, 0.3))
+    assert np.array_equal(got, _reached_within(model.edges(f).incoming, s1, s2, 0.3))
+
+
+# Bounded and unbounded reach as they ran before each snapshot cached one
+# edge view per distance function: every call took the CSR alone and derived
+# ``dst`` (``_edges``), the uniform step (``_uniform_step``) and the largest
+# distance again.  The code is kept verbatim, ``model.incoming_weights(f)``
+# read as ``model.edges(f).incoming`` and the calls renamed to the copies, as
+# the reference the view-reading kernels are checked against; the helpers'
+# docstrings are left out.  ``maximum_at_uniform_flood`` and
+# ``maximum_at_back_propagate`` read ``_edges`` too.
+def csr_bounded_reach(model: SpatialModel, f: DistanceFunction, d1: float, d2: float, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """Choose over route prefixes with accumulated distance in [d1, d2].
+
+    The result at l is the choose over finite route prefixes from l whose
+    accumulated distance lands in [d1, d2] of (s2 at the endpoint) combined
+    with s1 over the strict prefix.
+
+    Boolean verdicts with d1 = 0 are a shortest-path question: l holds iff
+    s2 holds at l or some s2 location lies within d2 of l along a route
+    whose strict prefix satisfies s1.  One search answers it in O(m log n)
+    (``_reached_within``), unless every edge distance is one value c and
+    d2 / c <= log2(n): then at most log2(n) rounds of one O(m) pass over
+    the edge arrays each answer it (``csr_uniform_flood``).  Every other case
+    floods (``csr_flood``), one array pass per round: those rounds when every
+    edge distance is equal, as under ``hop``, and a queue of (location,
+    distance, value) entries otherwise.
+
+    When d2 is infinite the call is ``csr_unbounded_reach``, whatever d1, so a
+    walk may pass an edge of infinite distance.  With d1 > 0 nothing prunes
+    a cycle, so the rounds would run up to d2 over the smallest edge
+    distance.  When every edge distance is finite and d2 >= d1 + (n + 1) *
+    d_max for the largest edge distance d_max, the call is
+    ``csr_unbounded_reach`` as well: erasing the loops of a route's prefix, up
+    to its shortest suffix of at least d1, leaves a route no worse whose
+    length lies in [d1, d1 + n * d_max], and the extra d_max absorbs
+    rounding.
+    """
+    s1, s2, _, _ = _verdicts(s1, s2)
+    incoming = model.edges(f).incoming
+    if not d1 <= d2:
+        raise SemanticError(f"malformed distance interval [{d1}, {d2}]")
+    if d2 == math.inf:
+        return csr_unbounded_reach(model, f, d1, s1, s2)
+    if d1 > 0:
+        steps = incoming.data
+        if np.isfinite(steps).all() and d2 >= d1 + (model.location_count + 1) * steps.max(initial=0).item():
+            return csr_unbounded_reach(model, f, d1, s1, s2)
+    elif s2.dtype == bool:
+        c = _uniform_step(incoming)
+        if c is None or d2 / c > math.log2(model.location_count):
+            return _reached_within(incoming, s1, s2, d2)
+    return csr_flood(incoming, d1, d2, s1, s2)
+
+
+def csr_flood(incoming: csr_array, d1: float, d2: float, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    n = incoming.shape[0]
+    if d1 > 0:
+        src, dst = _edges(incoming)
+        _, comp = csgraph.connected_components(incoming, connection="strong")
+        on_cycle = comp[dst] == comp[src]
+        cycle_steps = incoming.data[on_cycle]
+        lightest = np.full((2, n), math.inf)  # on-cycle out- and in-edge per location
+        np.minimum.at(lightest[0], src[on_cycle], cycle_steps)
+        np.minimum.at(lightest[1], dst[on_cycle], cycle_steps)
+        with np.errstate(over="ignore"):  # a bound past the float range is inf
+            rounds = min(
+                d2 / incoming.data.min(initial=math.inf),
+                d2 / cycle_steps.min(initial=math.inf) + n,
+                n * (d2 / lightest.sum(axis=0).min() + 1),
+            )
+        if rounds > MAX_FLOOD_ROUNDS:
+            interval = f"[{format_number(float(d1))}, {format_number(float(d2))}]"
+            raise SemanticError(
+                f"reach over distances {interval} needs about {rounds:.3g} flooding rounds, "
+                f"more than MAX_FLOOD_ROUNDS = {MAX_FLOOD_ROUNDS}"
+            )
+    x1, target = np.asarray(s1), np.asarray(s2)
+    c = _uniform_step(incoming)
+    if c is not None:
+        return csr_uniform_flood(incoming, c, d1, d2, x1, target)
+    bottom, _ = _BOUNDS[target.dtype]
+    prune = d1 == 0
+    s = target.copy() if prune else np.full(n, bottom, dtype=target.dtype)
+    loc, dist, val = np.arange(n), np.zeros(n), target
+    front = (loc[:0], dist[:0], val[:0])
+    while len(loc):
+        live = val != bottom
+        loc, dist, val = loc[live], dist[live], val[live]
+        begin = incoming.indptr[loc]
+        fan = incoming.indptr[loc + 1] - begin
+        entry = np.repeat(np.arange(len(loc)), fan)
+        edge = np.arange(len(entry)) + np.repeat(begin - (np.cumsum(fan) - fan), fan)
+        src, d = incoming.indices[edge], dist[entry] + incoming.data[edge]
+        v = np.minimum(val[entry], x1[src])
+        inside = (d1 <= d) & (d <= d2)
+        np.maximum.at(s, src[inside], v[inside])
+        below = d < d2
+        src, d, v = src[below], d[below], v[below]
+        # per (src, d) group, sorted by value, the last entry holds the maximum
+        order = np.lexsort((v, d, src))
+        src, d, v = src[order], d[order], v[order]
+        last = np.ones(len(src), dtype=bool)
+        last[:-1] = (src[1:] != src[:-1]) | (d[1:] != d[:-1])
+        loc, dist, val = src[last], d[last], v[last]
+        if prune and len(loc):
+            (loc, dist, val), front = _undominated(loc, dist, val, front)
+    return s
+
+
+def csr_uniform_flood(incoming: csr_array, c: float, d1: float, d2: float, x1: np.ndarray, target: np.ndarray) -> np.ndarray:
+    n, (bottom, _) = len(target), _BOUNDS[target.dtype]
+    y, d = target, 0.0
+    if d1 > 0:
+        step, nowhere = csr_step_back(incoming, x1), np.full(n, bottom, dtype=target.dtype)
+        while d < d1 and (y != bottom).any():
+            y, d = step(y, nowhere), d + c
+        if d > d2:
+            return nowhere
+    rounds = 0
+    # the queue extends a walk only while it is shorter than d2
+    while rounds < n and d < d2 and d + c <= d2:
+        rounds, d = rounds + 1, d + c
+    return csr_back_propagate(incoming, x1, y, rounds)
+
+
+def _uniform_step(incoming: csr_array) -> Optional[float]:
+    """The one distance of every edge, or None when they differ or there
+    are no edges."""
+    steps = incoming.data
+    return steps[0].item() if steps.size and (steps == steps[0]).all() else None
+
+
+def csr_step_back(incoming: csr_array, s1: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    src, dst = _edges(incoming)
+    gate = s1[src]
+
+    def step(y: np.ndarray, into: np.ndarray) -> np.ndarray:
+        via = np.minimum(gate, y[dst])
+        raised = into.copy()
+        if raised.dtype == bool:
+            raised[src[via]] = True
+        else:
+            np.maximum.at(raised, src, via)
+        return raised
+
+    return step
+
+
+def _edges(incoming: csr_array) -> tuple[np.ndarray, np.ndarray]:
+    """(src, dst) of every edge, in the incoming CSR's order."""
+    return incoming.indices, np.repeat(np.arange(incoming.shape[0]), np.diff(incoming.indptr))
+
+
+def csr_unbounded_reach(model: SpatialModel, f: DistanceFunction, d1: float, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """Reach with no upper distance bound.
+
+    With d1 = 0 the seed is s2 itself.  Otherwise a route counts from its
+    shortest suffix that is at least d1 long.  When that suffix starts with
+    a finite edge it is at most d1 plus the largest finite edge distance
+    long, so a bounded flooding over that interval seeds its start (none
+    when d1 is infinite).  When it starts with an infinite edge src -> dst,
+    every route on from dst completes it, so src is seeded with s1[src]
+    combined with the d1 = 0 value at dst.  Seeds are then back-propagated
+    until a fixpoint (``csr_back_propagate``).
+    """
+    s1, s2, bottom, _ = _verdicts(s1, s2)
+    incoming = model.edges(f).incoming
+    if d1 == 0:
+        return csr_back_propagate(incoming, s1, s2)
+    finite = np.isfinite(incoming.data)
+    if d1 == math.inf:
+        # no route of finite edges is infinitely long
+        s = np.full(model.location_count, bottom)
+    else:
+        d_max = incoming.data[finite].max(initial=0).item()
+        s = csr_flood(incoming, d1, d1 + d_max, s1, s2)
+    if not finite.all():
+        anywhere = csr_back_propagate(incoming, s1, s2)
+        src, dst = (a[~finite] for a in _edges(incoming))
+        np.maximum.at(s, src, np.minimum(s1[src], anywhere[dst]))
+    return csr_back_propagate(incoming, s1, s)
+
+
+def csr_back_propagate(incoming: csr_array, s1: np.ndarray, s: np.ndarray, rounds: Optional[int] = None) -> np.ndarray:
+    s = np.array(s)  # a copy: the result never aliases an input
+    if s.dtype == bool and rounds is None:
+        return _reached_within(incoming, s1, s, math.inf)
+    step = csr_step_back(incoming, s1)
+    for _ in range(incoming.shape[0] + 1 if rounds is None else rounds):
+        raised = step(s, s)
+        if not (raised > s).any():
+            break
+        s = raised
+    return s
+
+
+def _view_instance(rng: random.Random, domain):
+    """A random snapshot of 1-12 locations whose edges are none, of one
+    distance c (c from 1, 0.1, 0.5, 3 and inf), of several dyadic
+    distances, or of several with inf among them, a distance function, and
+    s1 and s2 over ``domain``'s values, signed zeros and +-inf included."""
+    n = rng.choice([1, 2, 3, 5, 8, 12])
+    kind = rng.choice(["none", "uniform", "mixed", "infinite"])
+    c = rng.choice([1.0, 0.1, 0.5, 3.0, math.inf])
+    weights = {"none": [], "uniform": [c], "mixed": [0.25, 0.5, 1.0, 2.0], "infinite": [0.5, 1.0, math.inf]}[kind]
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    rng.shuffle(pairs)
+    count = rng.randint(1, min(3 * n, len(pairs))) if weights and pairs else 0
+    edges = [(a, rng.choice(weights), b) for a, b in pairs[:count]]
+    if kind == "infinite" and edges:
+        edges[0] = (edges[0][0], math.inf, edges[0][2])
+    model = build_spatial_model(n, edges)
+    f = hop_distance() if weights == [1.0] and rng.random() < 0.5 else weight_sum_distance()
+    if domain is BOOL:
+        s1, s2 = _pick(rng, n, rng.choice(["all", "some", "none"]), 0.7), _pick(rng, n, "some", 0.2)
+    else:
+        pool = (0.0, -0.0, 0.5, -0.5, 1.0, -1.0, math.inf, -math.inf)
+        s1, s2 = (np.array([rng.choice(pool) for _ in range(n)]) for _ in range(2))
+    return model, f, ("none" if not edges else kind), s1, s2
+
+
+def _outcome(kernel, *args):
+    """A kernel's verdicts as (dtype, bytes), or its SemanticError's text."""
+    try:
+        out = kernel(*args)
+    except SemanticError as exc:
+        return str(exc)
+    return out.dtype.str, out.tobytes()
+
+
+@pytest.mark.parametrize("domain", [BOOL, QUANT], ids=["boolean", "quantitative"])
+def test_reach_on_edge_views_matches_csr_reference_bit_for_bit(domain):
+    """On snapshots with no edges, one location, edges of infinite
+    distance, and one or several distances, bounded reach with d1 from 0,
+    positive values and inf, and d2 finite, at the loop-erased bound (just
+    below it, at it and past it) or inf, and unbounded reach with the same
+    d1, give the CSR reference's verdicts bit for bit, or its error."""
+    rng = random.Random(2727)
+    covered = set()
+    with deadline(60):
+        for _ in range(400):
+            model, f, kind, s1, s2 = _view_instance(rng, domain)
+            n = model.location_count
+            d_max = model.edges(f).incoming.data.max(initial=0).item()
+            for d1 in (0.0, rng.choice([0.25, 0.5, 1.0, 2.5, 3.0]), math.inf):
+                assert _outcome(unbounded_reach, model, f, d1, s1, s2) == _outcome(csr_unbounded_reach, model, f, d1, s1, s2)
+                bound = d1 + (n + 1) * d_max
+                finite = d1 + rng.choice([0.0, 0.3, 1.0, 2.0]) * (1.0 if d_max in (0.0, math.inf) else d_max)
+                cases = [("finite", finite), ("below", math.nextafter(bound, 0)), ("bound", bound), ("past", bound + 1)]
+                for where, d2 in [("inf", math.inf)] + (cases if d1 < math.inf else []):
+                    want = _outcome(csr_bounded_reach, model, f, d1, d2, s1, s2)
+                    assert _outcome(bounded_reach, model, f, d1, d2, s1, s2) == want, (kind, n, d1, d2)
+                    covered.add((kind, "zero" if d1 == 0 else "inf" if d1 == math.inf else "positive", where, n == 1))
+    kinds = ("none", "uniform", "mixed", "infinite")
+    assert {(k, d1, w, False) for k in kinds for d1 in ("zero", "positive") for w in ("finite", "bound", "inf")} <= covered
+    assert {(k, "inf", "inf", False) for k in kinds} | {("none", "zero", "finite", True)} <= covered
+
+
+def test_each_snapshot_builds_one_edge_view_per_distance(monkeypatch):
+    """``SpatialModel.edges`` is built once per snapshot and distance
+    function and returns that one object: its CSR holds the mapped
+    distances, ``src`` is the CSR's ``indices``, ``dst`` its rows in the same
+    order and ``step`` the one distance or None.  A second ``monitor`` run
+    on the same context builds no view, since reach and escape read the
+    ones the first run cached."""
+    space = importlib.import_module("strelmon.space")
+    built, edge_view = [], space.EdgeView
+    monkeypatch.setattr(space, "EdgeView", lambda *args: built.append(args) or edge_view(*args))
+    model = build_spatial_model(4, [(0, 0.5, 1), (1, 2.0, 0), (2, 0.5, 1), (3, 1.0, 2)])
+    view, hops = model.edges(weight_sum_distance()), model.edges(hop_distance())
+    assert view is model.edges(weight_sum_distance()) and hops is model.edges(hop_distance()) and view is not hops
+    assert len(built) == 2
+    assert view.src is view.incoming.indices and (view.step, hops.step) == (None, 1.0)
+    assert sorted(zip(view.src.tolist(), view.dst.tolist(), view.incoming.data.tolist())) == sorted(
+        zip(model.src.tolist(), model.dst.tolist(), model.weight.tolist())
+    )
+    ctx = path3_ctx(QUANT)
+    formula = parse("(coord reach(hop)[0,1] router) & (coord reach(hop)[1,2] router) & escape(hop)[1,inf] coord")
+    built.clear()
+    first = monitor(ctx, formula)
+    assert len(built) == 1
+    built.clear()
+    second = monitor(ctx, formula)
+    assert built == [] and first.times.tobytes() == second.times.tobytes() and first.values.tobytes() == second.values.tobytes()
 
 
 def _cycle_blocks(rng, n):
@@ -1978,7 +2264,7 @@ def neighbours_reference(model, forward: bool) -> list[list[int]]:
 def quantitative_unbounded_reach_reference(model, f, d1, s1, s2, domain):
     """Quantitative unbounded reach on the relaxation; the seeding flooding
     is ``flooding_reference``."""
-    incoming = model.incoming_weights(f)
+    incoming = model.edges(f).incoming
     if d1 == 0:
         return back_propagate_reference(model, incoming, s1, list(s2), domain)
     finite = np.isfinite(incoming.data)
@@ -2479,6 +2765,22 @@ def test_nested_surround_is_evaluated_as_a_dag(domain):
         with deadline(2):
             out = monitor(ctx, parse(text))
         assert out.values.shape[1] == 3
+
+
+@pytest.mark.parametrize("domain", [BOOL, QUANT], ids=["boolean", "quantitative"])
+def test_desugaring_a_core_formula_again_returns_it(domain):
+    """desugar rewrites each node object of its input once, so the core of
+    33 left-nested surrounds, about 4**33 nodes as a tree, desugars to
+    itself, and ``monitor``, which desugars what it is given, takes the core
+    as it takes the text.  Walking the core as a tree took 4x per level."""
+    text = left_nested_surround(33)
+    core = desugar(parse(text))
+    ctx = path3_ctx(domain)
+    with deadline(2):
+        same = desugar(core) is core
+        out = monitor(ctx, core)
+    want = monitor(ctx, parse(text))
+    assert same and out.times.tobytes() == want.times.tobytes() and out.values.tobytes() == want.values.tobytes()
 
 
 def test_each_distinct_core_node_is_evaluated_once(monkeypatch):

@@ -108,6 +108,21 @@ def test_trace_validation():
         Trace(("x",), (sig([(0, (1.0,))], 2), sig([(0, (1.0,))], 3)))
 
 
+@pytest.mark.parametrize("bad", ["1.5", None, [1.0]], ids=["string", "none", "list"])
+def test_signal_built_trace_rejects_values_that_are_not_numbers(bad):
+    """A string, None or a list among a signal-built trace's values is one
+    SignalError naming the location, the variable and the value, raised by
+    the constructor: a string used to become a number in ``grid`` and stay
+    a string in ``signals``, and None a NaN that no input held."""
+    good = sig([(0.0, (1.0, 2.0)), (1.0, (1.5, 2.5))], 2.0)
+    with pytest.raises(SignalError) as err:
+        Trace(("x", "y"), (good, sig([(0.0, (1.0, 2.0)), (1.0, (3.0, bad))], 2.0)))
+    assert str(err.value) == f"location 1 has a value for 'y' that is not a number: {bad!r}"
+    # ints, bools, numpy scalars and other real numbers are numbers
+    numbers = Trace(("x", "y"), (sig([(0, (1, True)), (1, (np.float64(0.5), np.int64(2)))], 2),))
+    assert numbers.grid[1][:, 0].tolist() == [[1.0, 1.0], [0.5, 2.0]]
+
+
 def test_trace_csv_roundtrip(tmp_path):
     t = Trace(
         ("x", "flag"),
