@@ -25,7 +25,9 @@ shortest-path search each on the snapshot's cached sparse weights, and
 quantitative unbounded reach is a max/min relaxation over the edge arrays,
 one array pass per round.  The reach kernels read the weights, the edge
 arrays and the one edge distance from the edge view that each snapshot
-builds once per distance function (``SpatialModel.edges``).  Other bounded reach (with an infinite upper
+builds once per distance function (``SpatialModel.edges``), and the view
+keeps the last Boolean search, so the radii of a safe-radius sweep share
+one search per snapshot.  Other bounded reach (with an infinite upper
 bound, or a positive lower bound and an upper bound past every loop-erased
 route, it is unbounded reach) is that relaxation capped at the admissible
 walk lengths when every edge distance is equal, as under ``hop``, and
@@ -343,12 +345,14 @@ def bounded_reach(model: SpatialModel, f: DistanceFunction, d1: float, d2: float
     Boolean verdicts with d1 = 0 are a shortest-path question: l holds iff
     s2 holds at l or some s2 location lies within d2 of l along a route
     whose strict prefix satisfies s1.  One search answers it in O(m log n)
-    (``_reached_within``), unless every edge distance is one value c and
-    d2 / c <= log2(n): then at most log2(n) rounds of one O(m) pass over
-    the edge arrays each answer it (``_uniform_flood``).  Every other case
-    floods (``_flood``), one array pass per round: those rounds when every
-    edge distance is equal, as under ``hop``, and a queue of (location,
-    distance, value) entries otherwise.
+    (``_reached_within``; the snapshot's edge view keeps it, so the same
+    question at a smaller d2 reads it and at a larger d2 widens it once),
+    unless every edge distance is one value c and d2 / c <= log2(n): then
+    at most log2(n) rounds of one O(m) pass over the edge arrays each
+    answer it (``_uniform_flood``).  Every other case floods (``_flood``),
+    one array pass per round: those rounds when every edge distance is
+    equal, as under ``hop``, and a queue of (location, distance, value)
+    entries otherwise.
 
     When d2 is infinite the call is ``unbounded_reach``, whatever d1, so a
     walk may pass an edge of infinite distance.  With d1 > 0 nothing prunes
@@ -368,7 +372,7 @@ def bounded_reach(model: SpatialModel, f: DistanceFunction, d1: float, d2: float
     if d2 == math.inf or d1 > 0 and d2 >= d1 + (n + 1) * edges.incoming.data.max(initial=0).item():
         return unbounded_reach(model, f, d1, s1, s2)
     if d1 <= 0 and s2.dtype == bool and (edges.step is None or d2 / edges.step > math.log2(n)):
-        return _reached_within(edges.incoming, s1, s2, d2)
+        return _reached_within(edges, s1, s2, d2)
     return _flood(edges, d1, d2, s1, s2)
 
 
@@ -535,13 +539,13 @@ def _undominated(loc: np.ndarray, dist: np.ndarray, val: np.ndarray, front: tupl
     return tuple(a[queue] for a in every), tuple(a[kept] for a in every)
 
 
-def _reached_within(incoming: csr_array, s1: np.ndarray, targets: np.ndarray, limit: float) -> np.ndarray:
+def _reached_within(edges: EdgeView, s1: np.ndarray, targets: np.ndarray, limit: float) -> np.ndarray:
     """Boolean reach with lower bound zero, as one multi-source search.
 
     A location holds iff it is a target or a target lies within ``limit`` of
     it along a route whose strict prefix satisfies s1.  The search runs from
-    all targets at once on ``incoming``'s edges, with the weight of every
-    edge whose source fails s1 set to inf.  Dijkstra sums a route's
+    all targets at once on the view's incoming edges, with the weight of
+    every edge whose source fails s1 set to inf.  Dijkstra sums a route's
     distances from the target end, as the flooding does, so the ``<= limit``
     boundary agrees exactly.  An infinite limit asks only for a route,
     whatever its weights, so every open edge weighs 1 and ``dist < inf``
@@ -549,12 +553,27 @@ def _reached_within(incoming: csr_array, s1: np.ndarray, targets: np.ndarray, li
     ``somewhere`` and ``everywhere``, the search runs on ``incoming`` itself.
     ``bounded_reach`` sends it the calls over unequal distances or more
     than log2(n) equal hops, and ``_back_propagate`` every uncapped one.
+
+    The view keeps the last search's distances (``EdgeView.searches``),
+    keyed by whether the limit is infinite (unit weights) and the s1 and
+    target rows, with the limit it searched to.  The same question within
+    that limit reads them and does not search; at a larger limit, as in a
+    safe-radius sweep over growing radii, it searches once with no limit
+    and keeps that.  Weights are positive and float addition is monotone,
+    so a location within ``limit`` gets the same sum under any larger
+    cut-off, and the verdicts are the cut-off search's bit for bit.
     """
-    graph = incoming
-    if limit == math.inf or not s1.all():
-        weights = np.where(s1[incoming.indices], 1.0 if limit == math.inf else incoming.data, math.inf)
-        graph = csr_array((weights, incoming.indices, incoming.indptr), shape=incoming.shape)
-    dist = csgraph.dijkstra(graph, indices=np.flatnonzero(targets), min_only=True, limit=limit)
+    key = (limit == math.inf, s1.tobytes(), targets.tobytes())
+    searched, dist = edges.searches.get(key, (-math.inf, None))
+    if searched < limit:
+        searched = limit if dist is None else math.inf
+        incoming = graph = edges.incoming
+        if limit == math.inf or not s1.all():
+            weights = np.where(s1[incoming.indices], 1.0 if limit == math.inf else incoming.data, math.inf)
+            graph = csr_array((weights, incoming.indices, incoming.indptr), shape=incoming.shape)
+        dist = csgraph.dijkstra(graph, indices=np.flatnonzero(targets), min_only=True, limit=searched)
+        edges.searches.clear()
+        edges.searches[key] = (searched, dist)
     return targets | (dist < math.inf) & (dist <= limit)
 
 
@@ -598,7 +617,7 @@ def _back_propagate(edges: EdgeView, s1: np.ndarray, s: np.ndarray, rounds: Opti
     at most n + 1 rounds."""
     s = np.array(s)  # a copy: the result never aliases an input
     if s.dtype == bool and rounds is None:
-        return _reached_within(edges.incoming, s1, s, math.inf)
+        return _reached_within(edges, s1, s, math.inf)
     step = _step_back(edges, s1)
     for _ in range(len(s) + 1 if rounds is None else rounds):
         raised = step(s, s)

@@ -234,7 +234,7 @@ class Trace:
                         if not isinstance(x, (Real, np.bool_)):
                             raise SignalError(f"location {loc} has a value for {name!r} that is not a number: {x!r}")
         self.variables, self.signals = variables, signals
-        self.location_count, self.start, self.end_time = len(signals), signals[0].start, signals[0].end_time
+        self.location_count, self.start, self.end_time = len(signals), float(signals[0].start), float(signals[0].end_time)
 
     @classmethod
     def from_arrays(cls, variables: Sequence[str], times, data, end_time: float, own=None) -> "Trace":

@@ -18,7 +18,7 @@ import gc
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import chain
 from typing import Any, Callable, Iterable
@@ -119,12 +119,16 @@ class EdgeView:
     the mapped distance.  ``src`` and ``dst`` give every edge's endpoints in
     that CSR's order (``src`` is its ``indices``), and ``step`` is the one
     distance of every edge, or None when they differ or there are no edges.
+    ``searches`` holds the Boolean search ``monitor._reached_within`` ran
+    last on this view, at most one entry, so the radii of a safe-radius
+    sweep share the snapshot's search instead of each running its own.
     """
 
     incoming: csr_array
     src: np.ndarray
     dst: np.ndarray
     step: float | None
+    searches: dict = field(default_factory=dict, repr=False)
 
 
 def both_directions(src, dst, weight) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1126,10 +1126,139 @@ def test_reached_within_matches_filtered_csr_reference():
             for target_kind in ("all", "some", "none"):
                 s1, targets = pick(n, s1_kind), pick(n, target_kind)
                 for limit in (0.0, 0.3, 2.5, 1e308, math.inf):
-                    got = _reached_within(incoming, s1, targets, limit)
+                    got = _reached_within(model.edges(f), s1, targets, limit)
                     want = filtered_csr_reached_within(incoming, s1, targets, limit)
                     assert got.dtype == bool and np.array_equal(got, want), (trial, s1_kind, target_kind, limit)
                     assert [getattr(incoming, k).tobytes() for k in ("data", "indices", "indptr")] == before
+
+
+# The Boolean search as it ran before each edge view kept its last search:
+# every call searched to its own limit on the CSR it was given.  Kept
+# verbatim (from its docstring on) as the reference the kept searches are
+# checked against, and called by the reference kernels below in its place.
+def cutoff_reached_within(incoming: csr_array, s1: np.ndarray, targets: np.ndarray, limit: float) -> np.ndarray:
+    """Boolean reach with lower bound zero, as one multi-source search.
+
+    A location holds iff it is a target or a target lies within ``limit`` of
+    it along a route whose strict prefix satisfies s1.  The search runs from
+    all targets at once on ``incoming``'s edges, with the weight of every
+    edge whose source fails s1 set to inf.  Dijkstra sums a route's
+    distances from the target end, as the flooding does, so the ``<= limit``
+    boundary agrees exactly.  An infinite limit asks only for a route,
+    whatever its weights, so every open edge weighs 1 and ``dist < inf``
+    decides.  When s1 holds everywhere and the limit is finite, as under
+    ``somewhere`` and ``everywhere``, the search runs on ``incoming`` itself.
+    ``bounded_reach`` sends it the calls over unequal distances or more
+    than log2(n) equal hops, and ``_back_propagate`` every uncapped one.
+    """
+    graph = incoming
+    if limit == math.inf or not s1.all():
+        weights = np.where(s1[incoming.indices], 1.0 if limit == math.inf else incoming.data, math.inf)
+        graph = csr_array((weights, incoming.indices, incoming.indptr), shape=incoming.shape)
+    dist = csgraph.dijkstra(graph, indices=np.flatnonzero(targets), min_only=True, limit=limit)
+    return targets | (dist < math.inf) & (dist <= limit)
+
+
+def _spy_searches(monkeypatch) -> list:
+    """The limit of every ``csgraph.dijkstra`` call from now on, in order."""
+    limits, dijkstra = [], csgraph.dijkstra
+    monkeypatch.setattr(csgraph, "dijkstra", lambda *args, **kw: limits.append(kw["limit"]) or dijkstra(*args, **kw))
+    return limits
+
+
+def test_kept_search_matches_cutoff_search_bit_for_bit(monkeypatch):
+    """Random call sequences on one edge view give the cut-off search's
+    verdicts bit for bit, and search exactly when the kept search cannot
+    answer: on a new (inf limit, s1, targets) question to the call's own
+    limit, and on the kept question at a larger limit once with no limit.
+    The snapshots have 1-30 locations, directed or symmetric, with weights
+    0.1, 0.5, 1, 1e300 and inf; each sequence asks rows that share their
+    targets under s1 all, some and none, interleaved, at ascending,
+    descending and repeated limits from 0, 0.3, 2.5, 1e308 and inf."""
+    rng = random.Random(2828)
+    f = weight_sum_distance()
+    weights = (0.1, 0.5, 1.0, 1e300, math.inf)
+    limits = (0.0, 0.3, 2.5, 1e308, math.inf)
+    searched = _spy_searches(monkeypatch)
+    drawn = set()
+    for trial in range(160):
+        n = rng.randint(1, 30)
+        symmetric = trial % 2
+        pairs = [(a, b) for a in range(n) for b in range(n) if (a < b if symmetric else a != b)]
+        rng.shuffle(pairs)
+        edges = [(a, rng.choice(weights), b) for a, b in pairs[: rng.randint(0, min(3 * n, len(pairs)))]]
+        model = (undirected_model if symmetric else build_spatial_model)(n, edges)
+        view = model.edges(f)
+        before = [getattr(view.incoming, k).tobytes() for k in ("data", "indices", "indptr")]
+        rows = [
+            (_pick(rng, n, s1_kind, 0.7), targets)
+            for targets in (_pick(rng, n, "some", 0.2), _pick(rng, n, rng.choice(["all", "none"]), 0.2))
+            for s1_kind in ("all", "some", "none")
+        ]
+        kept = None  # the question last searched and the limit it searched to
+        for _ in range(8):
+            order = rng.choice(["ascending", "descending", "repeated", "interleaved"])
+            calls = sorted(rng.sample(limits, rng.randint(2, 4)), reverse=order == "descending")
+            if order == "repeated":
+                calls = [rng.choice(limits)] * 3
+            elif order == "interleaved":
+                rng.shuffle(calls)
+            row = rng.randrange(len(rows))
+            for limit in calls:
+                if order == "interleaved":
+                    row = rng.randrange(len(rows))
+                s1, targets = rows[row]
+                question = (limit == math.inf, s1.tobytes(), targets.tobytes())
+                if kept and kept[0] == question and kept[1] >= limit:
+                    case, expected = "reuse", []
+                elif kept and kept[0] == question:
+                    case, expected, kept = "widen", [math.inf], (question, math.inf)
+                else:
+                    case, expected, kept = "search", [limit], (question, limit)
+                drawn.add((order, case))
+                searched.clear()
+                got = _reached_within(view, s1, targets, limit)
+                assert searched == expected, (trial, order, row, limit)
+                want = cutoff_reached_within(view.incoming, s1, targets, limit)
+                assert got.dtype == bool and got.tobytes() == want.tobytes(), (trial, order, row, limit)
+        assert [getattr(view.incoming, k).tobytes() for k in ("data", "indices", "indptr")] == before
+    for order in ("ascending", "descending", "repeated", "interleaved"):
+        assert {(order, "search"), (order, "reuse")} <= drawn, order
+    assert ("ascending", "widen") in drawn
+
+
+def test_one_search_serves_every_radius_of_a_snapshot(monkeypatch):
+    """``everywhere``'s question on one snapshot (s1 all true, the same
+    targets) at radii 0.5, 3, 8 and 20 runs two searches, the first cut off
+    at 0.5 and the second unlimited, and 20, 8, 3, 0.5 runs one; a lone
+    call keeps its cut-off, and another s1 row with the same targets
+    searches again.  Every verdict is the cut-off search's."""
+    rng = random.Random(2929)
+    f = weight_sum_distance()
+    searched = _spy_searches(monkeypatch)
+
+    def snapshot():
+        return _random_digraph(random.Random(3030), 200, 3, [0.7, 1.3, 2.9, 4.1])
+
+    s1, some = np.ones(200, dtype=bool), _pick(rng, 200, "some", 0.7)
+    targets = _pick(rng, 200, "some", 0.05)
+
+    def run(model, rows, radii):
+        limits = []
+        for (x1, x2), r in zip(rows, radii):
+            searched.clear()
+            got = bounded_reach(model, f, 0.0, r, x1, x2)
+            limits += searched
+            assert np.array_equal(got, cutoff_reached_within(model.edges(f).incoming, x1, x2, r)), r
+        return limits
+
+    assert run(snapshot(), [(s1, targets)] * 4, [0.5, 3.0, 8.0, 20.0]) == [0.5, math.inf]
+    assert run(snapshot(), [(s1, targets)] * 4, [20.0, 8.0, 3.0, 0.5]) == [20.0]
+    assert run(snapshot(), [(s1, targets)], [3.0]) == [3.0]
+    model = snapshot()
+    rows = [(s1, targets), (some, targets), (s1, targets)]
+    assert run(model, rows, [8.0, 8.0, 8.0]) == [8.0, 8.0, 8.0]
+    assert run(model, [(s1, targets)] * 2, [3.0, 8.0]) == []
 
 
 def test_reach_with_infinite_lower_bound():
@@ -1744,7 +1873,7 @@ def dijkstra_dispatch_bounded_reach(model: SpatialModel, f: DistanceFunction, d1
         if np.isfinite(steps).all() and d2 >= d1 + (model.location_count + 1) * steps.max(initial=0):
             return unbounded_reach(model, f, d1, s1, s2)
     elif s2.dtype == bool:
-        return _reached_within(incoming, s1, s2, d2)
+        return cutoff_reached_within(incoming, s1, s2, d2)
     return _flood(model.edges(f), d1, d2, s1, s2)
 
 
@@ -1793,7 +1922,7 @@ def maximum_at_back_propagate(incoming: csr_array, s1: np.ndarray, s: np.ndarray
     simple path, so that takes at most n + 1 rounds."""
     s = np.array(s)  # a copy, which the rounds raise in place
     if s.dtype == bool and rounds is None:
-        return _reached_within(incoming, s1, s, math.inf)
+        return cutoff_reached_within(incoming, s1, s, math.inf)
     src, dst = _edges(incoming)
     gate = s1[src]
     for _ in range(incoming.shape[0] + 1 if rounds is None else rounds):
@@ -1848,7 +1977,7 @@ def test_boolean_rounds_match_search_and_maximum_at_reference(monkeypatch):
                 sides.add((c, rounds))
                 assert (flooded, searched) == (([c], []) if rounds else ([], [d2])), (c, n, d2)
                 assert got.dtype == bool
-                assert np.array_equal(got, search(incoming, s1, s2, d2)), (c, n, d2)
+                assert np.array_equal(got, search(model.edges(f), s1, s2, d2)), (c, n, d2)
                 assert np.array_equal(got, dijkstra_dispatch_bounded_reach(model, f, 0.0, d2, s1, s2))
                 if len(model.src):
                     assert np.array_equal(got, maximum_at_uniform_flood(incoming, c, 0.0, d2, s1, s2))
@@ -1877,7 +2006,7 @@ def test_non_dyadic_bound_admits_the_summed_edges(monkeypatch):
     got = bounded_reach(model, f, 0.0, 0.3, s1, s2)
     assert calls == [0.1]
     assert got.tolist() == [False] * 5 + [True] * 3
-    assert np.array_equal(got, _reached_within(model.edges(f).incoming, s1, s2, 0.3))
+    assert np.array_equal(got, _reached_within(model.edges(f), s1, s2, 0.3))
 
 
 # Bounded and unbounded reach as they ran before each snapshot cached one
@@ -1928,7 +2057,7 @@ def csr_bounded_reach(model: SpatialModel, f: DistanceFunction, d1: float, d2: f
     elif s2.dtype == bool:
         c = _uniform_step(incoming)
         if c is None or d2 / c > math.log2(model.location_count):
-            return _reached_within(incoming, s1, s2, d2)
+            return cutoff_reached_within(incoming, s1, s2, d2)
     return csr_flood(incoming, d1, d2, s1, s2)
 
 
@@ -2064,7 +2193,7 @@ def csr_unbounded_reach(model: SpatialModel, f: DistanceFunction, d1: float, s1:
 def csr_back_propagate(incoming: csr_array, s1: np.ndarray, s: np.ndarray, rounds: Optional[int] = None) -> np.ndarray:
     s = np.array(s)  # a copy: the result never aliases an input
     if s.dtype == bool and rounds is None:
-        return _reached_within(incoming, s1, s, math.inf)
+        return cutoff_reached_within(incoming, s1, s, math.inf)
     step = csr_step_back(incoming, s1)
     for _ in range(incoming.shape[0] + 1 if rounds is None else rounds):
         raised = step(s, s)

@@ -4,6 +4,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 from conftest import compare_spatiotemporal, connectivity_graph, delaunay_proximity
 from strelmon.algebra import boolean_domain, maxmin_domain
@@ -365,6 +366,34 @@ def test_sweep_checks_each_snapshot_distance_once(monkeypatch):
     sweep_safe_radius(cfg, [0.5, 3.0, 8.0, 20.0], T=3.0, runs=1)
     assert checked
     assert len(checked) == len(set(checked))
+
+
+def test_sweep_searches_each_snapshot_twice_for_every_radius(monkeypatch):
+    """Monitoring safe_radius at radii 0.5, 3, 8 and 20 on one simulated
+    epidemic runs each snapshot's Boolean search twice, cut off at 0.5 and
+    then with no limit, and each radius gets the verdicts of a run on a
+    freshly simulated copy, whose every search stops at its own radius."""
+    limits, dijkstra = [], csgraph.dijkstra
+    monkeypatch.setattr(csgraph, "dijkstra", lambda *args, **kw: limits.append(kw["limit"]) or dijkstra(*args, **kw))
+    cfg = EpidemicConfig(node_count=60, horizon_days=10, initial_infected=5, seed=8)
+    interpretation = epidemic_interpretation(boolean_domain())
+
+    def run(model, trace, r):
+        ctx = MonitorContext(model, trace, boolean_domain(), {"weight": weight_sum_distance()}, interpretation)
+        limits.clear()
+        result = monitor(ctx, safe_radius(r, 7.0))
+        return (result.times.tobytes(), result.values.tobytes()), list(limits)
+
+    radii = (0.5, 3.0, 8.0, 20.0)
+    model, trace = simulate_epidemic(cfg)
+    swept = [run(model, trace, r) for r in radii]
+    alone = [run(*simulate_epidemic(cfg), r) for r in radii]
+    snapshots = len(alone[0][1])
+    assert snapshots == len(model.snapshots)
+    for r, (verdicts, searched), (fresh, own) in zip(radii, swept, alone):
+        assert verdicts == fresh, r
+        assert own == [r] * snapshots
+    assert [searched for _, searched in swept] == [[0.5] * snapshots, [math.inf] * snapshots, [], []]
 
 
 def test_sweep_large_radius_matches_direct_evaluation():

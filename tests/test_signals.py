@@ -11,8 +11,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from strelmon import signals
-from strelmon.logic import format_number
+from strelmon.algebra import boolean_domain
+from strelmon.logic import format_number, parse
+from strelmon.monitor import MonitorContext, monitor
 from strelmon.scenarios import EpidemicConfig, ManetConfig, generate_manet, simulate_epidemic
+from strelmon.space import DynamicalSpatialModel, build_spatial_model
 from strelmon.signals import (
     SignalError,
     SpatioTemporalSignal,
@@ -106,6 +109,20 @@ def test_trace_validation():
         Trace(("x", "y"), (sig([(0, (1.0,))], 2),))
     with pytest.raises(SignalError, match="domains differ"):
         Trace(("x",), (sig([(0, (1.0,))], 2), sig([(0, (1.0,))], 3)))
+
+
+def test_signal_built_trace_stores_float_start_and_end():
+    """Integer step and end times give a signal-built trace the float start
+    and end time that ``from_arrays`` gives, so a verdict over either trace
+    has the same repr: the end time used to stay the int 4 and print as
+    ``end_time=4``."""
+    built = Trace(("x",), (TemporalSignal((0,), ((1.0,),), 4),))
+    arrays = Trace.from_arrays(("x",), [0.0], [[[1.0]]], 4)
+    assert (repr(built.start), repr(built.end_time)) == (repr(arrays.start), repr(arrays.end_time)) == ("0.0", "4.0")
+    model = DynamicalSpatialModel.static(build_spatial_model(1, []))
+    verdicts = [repr(monitor(MonitorContext(model, trace, boolean_domain()), parse("x > 0"))) for trace in (built, arrays)]
+    assert verdicts[0] == verdicts[1]
+    assert "end_time=4.0" in verdicts[0]
 
 
 @pytest.mark.parametrize("bad", ["1.5", None, [1.0]], ids=["string", "none", "list"])
