@@ -6,6 +6,9 @@ several values; the growth exponent is fitted over the one that does.
 
   reach over nodes:  scaling_bench.py --sizes 1000,2000,4000
   until over steps:  scaling_bench.py --sizes 1 --steps 1000,2000,4000,8000,16000 --formula "F[0,50] p"
+  until with a positive lower bound (each window also has a head), and since, over steps:
+    scaling_bench.py --sizes 1 --steps 4000,16000 --formula "p U[2,50] q"
+    scaling_bench.py --sizes 1 --steps 4000,16000 --formula "p S[0,50] q"
   quantitative reach over nodes:
     scaling_bench.py --sizes 1000,2000,4000,8000 --domain quantitative --formula "(x > 0.2) reach(hop)[0,3] (x > 0.9)"
   escape over nodes on undirected graphs:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import re
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -93,8 +94,29 @@ class Formula(metaclass=_Interned):
     def __reduce__(self):
         return type(self), tuple(vars(self).values())
 
+    def __repr__(self) -> str:
+        """The dataclass repr, linear in the distinct nodes: a node that two
+        or more fields hold prints in full once, as ``#k=Node(...)``, and as
+        ``#k`` wherever it recurs, so a tree prints as a dataclass would."""
+        held = Counter(id(v) for node in iter_subformulas(self) for v in vars(node).values() if isinstance(v, Formula))
+        labels: dict[int, str] = {}
 
-@dataclass(frozen=True, eq=False)
+        def show(node) -> str:
+            if not isinstance(node, Formula):
+                return repr(node)
+            if id(node) in labels:
+                return labels[id(node)]
+            label = ""
+            if held[id(node)] > 1:
+                labels[id(node)] = f"#{len(labels) + 1}"
+                label = labels[id(node)] + "="
+            fields = ", ".join(f"{name}={show(value)}" for name, value in vars(node).items())
+            return f"{label}{type(node).__qualname__}({fields})"
+
+        return show(self)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Atomic(Formula):
     name: str
     op: Optional[str] = None  # one of > < >= <= for comparison atoms
@@ -115,50 +137,50 @@ TRUE = Atomic("true")
 FALSE = Atomic("false")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Until(Formula):
     interval: Interval
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Since(Formula):
     interval: Interval
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Eventually(Formula):
     interval: Interval
     child: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Globally(Formula):
     interval: Interval
     child: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Reach(Formula):
     interval: Interval
     distance: str
@@ -166,28 +188,28 @@ class Reach(Formula):
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Escape(Formula):
     interval: Interval
     distance: str
     child: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Somewhere(Formula):
     interval: Interval
     distance: str
     child: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Everywhere(Formula):
     interval: Interval
     distance: str
     child: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Surround(Formula):
     interval: Interval
     distance: str

@@ -15,10 +15,12 @@ Structure: an atom is one array expression over the trace grid (a
 comparison, a subtraction, or one call of its interpretation), negation
 and conjunction act on whole arrays over merged grids, and until/since
 share one exact event sweep of all locations at once, each over its own
-steps, in O(N log N + E log w) for N own steps, E events, w-step windows.  The
-spatial operators evaluate the graph snapshot at every time where an input
-row or the graph changes, once per snapshot and distinct pair of input
-rows; each kernel takes the input rows as arrays, never writes into them,
+steps, in O(N log w + E) for N own steps, E events and w-step windows,
+plus the sort of the event grid: each window is two lookups in one level
+of a table of power-of-two blocks.  The spatial operators evaluate the
+graph snapshot at every time where an input row or the graph changes, once
+per snapshot and distinct pair of input rows; each kernel takes the input
+rows as arrays, never writes into them,
 and returns a new array.  Boolean unbounded reach, and Boolean reach with
 lower bound zero unless it asks for at most log2(n) equal hops, are one
 shortest-path search each on the snapshot's cached sparse weights, and
@@ -64,7 +66,7 @@ from .logic import (
     format_number,
     iter_subformulas,
 )
-from .signals import SpatioTemporalSignal, Trace, canonical, run_starts, stack_steps
+from .signals import SpatioTemporalSignal, Trace, canonical, run_starts
 from .space import (
     DistanceFunction,
     DynamicalSpatialModel,
@@ -215,10 +217,13 @@ def monitor_until(interval: Interval, s1: SpatioTemporalSignal, s2: SpatioTempor
     window at the trace end.  The evaluable domain shrinks by the interval
     upper bound (lower bound when unbounded); an empty domain is an error.
 
-    Cost: O(N log N + E log w) for N own steps of all locations, E events
-    and windows of up to w own segments, bounded or not: a doubling table of
-    the window fold, one array pass per power of two up to w
-    (``_temporal_sweep``), plus one pass over the steps x locations cells.
+    Cost: O(N log w + E) for N own steps of all locations, E events and
+    windows of up to w own segments, bounded or not: a table of the window
+    fold, one array pass per power of two up to w, and two lookups per
+    window in the level of its length (``_temporal_sweep``).  Two blocks
+    that overlap answer a window exactly because only max and min select
+    values.  Add the sort of the event grid and one pass over the steps x
+    locations and locations x grid cells.
     """
     return _temporal_sweep(interval, *_own_steps(s1, s2), future=True)
 
@@ -247,17 +252,26 @@ def _temporal_sweep(interval: Interval, times: np.ndarray, v1: np.ndarray, v2: n
     e - lo for since) and the far one (e + hi or e - hi), clamped to the
     grid, so an edge past the domain (rounded just outside, or infinite)
     reads the outermost row; the location's running count of own steps
-    turns a row into its segment.
+    turns a row into its segment.  With lo = 0 the near edge is e.
 
-    The verdict at e combines s1 from e's segment up to the near edge's with
-    the fold of the segments from there to the far edge's: choose of s2
-    combined with the running combine of s1.  The fold is associative, so
-    level j of a doubling table holds it over every block of 2**j own
-    steps; each pair takes the blocks named by the bits of its length,
-    smallest first (since walks the reversed steps).  Only max and min are
-    reassociated, so the verdicts are those of a step-by-step walk.
+    The verdict at e combines s1 over the head, from e's segment up to the
+    near edge's, with the fold over the tail, the segments from there to
+    the far edge's: choose of s2 combined with the running combine of s1
+    (since walks the reversed steps).  Level p of a table holds, for every
+    block of 2**p own steps, s1 combined over it (``run``) and the fold over
+    it (``best``); each level is built from the one before and replaces it.
+    A tail [a, b] of length L is answered at p = floor(log2 L) by two blocks
+    that overlap or touch, one from a and one ending at b:
+    ``choose(best[a], run[a] combine best[b - 2**p + 1])``, and a non-empty
+    head likewise by ``run`` at its two ends.  The overlap is safe because
+    only max and min select values: where the blocks overlap, the second
+    block's terms can only be too low, and the first block holds those
+    exactly, so the verdicts are those of a step-by-step walk bit for bit.
+    The pairs are bucketed by level once, and each bucket is answered as
+    its level is built.  The output is assembled on the event grid: every
+    grid value takes each location's last event at or before it.
     """
-    v1, v2, bottom, top = _verdicts(v1, v2)
+    v1, v2, _, top = _verdicts(v1, v2)
     t0 = times[0].item()
     lo, hi = interval.lo, interval.hi
     lost = hi if interval.bounded else lo
@@ -274,53 +288,59 @@ def _temporal_sweep(interval: Interval, times: np.ndarray, v1: np.ndarray, v2: n
     count = np.cumsum(own, axis=0)
     latest = count + (np.cumsum(count[-1]) - count[-1] - 1)
     # every event is a trace time shifted by 0, lo or hi: one grid holds them
-    shifted = np.concatenate([times - way * s for s in (0.0, lo, hi)])
+    shifts = (0.0, lo, hi) if lo else (0.0, hi)
+    shifted = np.concatenate([times - way * s for s in shifts])
     inside = (out_start <= shifted) & (shifted <= out_end)
     grid, slot = np.unique(np.append(shifted[inside], out_start), return_inverse=True)
     at = np.full(len(shifted), -1)
     at[inside] = slot[:-1]
     # mask[l, j] marks grid value j as an event of location l
-    mine = at[np.add.outer(np.arange(3) * rows, row)].ravel()
+    mine = at[np.add.outer(np.arange(len(shifts)) * rows, row)].ravel()
     mask = np.zeros((n, len(grid)), dtype=bool)
     mask[:, slot[-1]] = True
-    mask[np.tile(loc, 3)[mine >= 0], mine[mine >= 0]] = True
+    np.put(mask, (np.tile(loc, len(shifts)) * len(grid) + mine)[mine >= 0], True)
     owners, g = np.nonzero(mask)
 
     def segment(t: np.ndarray) -> np.ndarray:
-        return latest[np.maximum(np.searchsorted(times, t, side="right") - 1, 0)[g], owners]
+        return latest.ravel()[np.maximum(np.searchsorted(times, t, side="right") - 1, 0)[g] * n + owners]
 
-    k_e, k_near, k_far = segment(grid), segment(grid + way * lo), segment(grid + way * hi)
+    k_e, k_far = segment(grid), segment(grid + way * hi)
+    k_near = segment(grid + way * lo) if lo else k_e
     x1, x2 = v1[row, loc], v2[row, loc]
     if not future:
         x1, x2 = x1[::-1], x2[::-1]
         k_e, k_near, k_far = (len(x1) - 1 - k for k in (k_e, k_near, k_far))
-    # s1 over [k_e, k_near) into ``head``; the fold over [k_near, k_far] into
-    # (``running``, ``acc``); each start advances past the blocks taken
-    head_at, head_len = k_e, k_near - k_e
-    tail_at, tail_len = k_near, k_far - k_near + 1
-    head = np.full(len(g), top)
-    running = np.full(len(g), top)
-    acc = np.full(len(g), bottom)
-    # the level tables: per block of h own steps from i, s1 combined over it
-    # (``run``) and the fold over it (``best``)
+    # the tail [k_near, k_far] and the head [k_e, k_near), empty when lo = 0
+    tails = _by_level(k_far - k_near + 1)
+    heads = _by_level(k_near - k_e) if lo else []
+    acc, head = np.empty(len(g), dtype=x1.dtype), np.full(len(g), top)
     run, best = x1, np.minimum(x1, x2)
-    h, widest = 1, (k_far - k_e).max() + 1
-    while True:
-        take = np.flatnonzero(head_len & h)
-        k = head_at[take]
-        head[take] = np.minimum(head[take], run[k])
-        head_at[take] = k + h
-        take = np.flatnonzero(tail_len & h)
-        k = tail_at[take]
-        acc[take] = np.maximum(acc[take], np.minimum(running[take], best[k]))
-        running[take] = np.minimum(running[take], run[k])
-        tail_at[take] = k + h
-        if 2 * h > widest:
-            break
-        run, best = np.minimum(run[:-h], run[h:]), np.maximum(best[:-h], np.minimum(run[:-h], best[h:]))
-        h *= 2
-    out_times, _, stacked = stack_steps(grid[g], owners, np.minimum(head, acc), n)
-    return canonical(out_times, stacked, out_end)
+    levels = max(len(tails), len(heads))
+    for p in range(levels):
+        h = 1 << p
+        if p < len(tails):
+            a, b = k_near[tails[p]], k_far[tails[p]]
+            acc[tails[p]] = np.maximum(best[a], np.minimum(run[a], best[b - h + 1]))
+        if p < len(heads):
+            a, b = k_e[heads[p]], k_near[heads[p]]
+            head[heads[p]] = np.minimum(run[a], run[b - h])
+        if p + 1 < levels:
+            run, best = np.minimum(run[:-h], run[h:]), np.maximum(best[:-h], np.minimum(run[:-h], best[h:]))
+    # pairs run location by location in grid order, each location from the
+    # first grid value, so a running count over the mask numbers the last
+    # event of each location at or before each grid value
+    last = np.cumsum(mask).reshape(mask.shape) - 1
+    return canonical(grid, np.minimum(head, acc)[last.T], out_end)
+
+
+def _by_level(lengths: np.ndarray) -> list:
+    """Per level p, the indices of the lengths in [2**p, 2**(p+1)), in
+    order, up to the longest; zero lengths are in none."""
+    # p + 1 for a length in [2**p, 2**(p+1)), 0 for 0; as int8 the stable
+    # sort is a radix sort
+    level = np.frexp(lengths)[1].astype(np.int8)
+    order = np.argsort(level, kind="stable")
+    return np.split(order, np.searchsorted(level[order], np.arange(1, level.max(initial=0) + 1)))[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -369,6 +369,25 @@ def test_hash_eq_set_and_is_core_are_linear_on_nested_surround():
     assert hashes_equal and equal and distinct and core_only
 
 
+def test_repr_prints_each_distinct_node_once():
+    """A tree prints as a dataclass repr would; a node that two or more
+    fields hold prints in full once, as #k=..., and as #k where it recurs.
+    So the 33-level nested-surround core, about 4**33 nodes as a tree,
+    prints at once, in a few characters per distinct node."""
+    b = "Atomic(name='b', op=None, threshold=None)"
+    assert repr(parse("a & !F[0,1] b")) == (
+        "And(left=Atomic(name='a', op=None, threshold=None), right=Not(child="
+        f"Eventually(interval=Interval(lo=0.0, hi=1.0), child={b})))"
+    )
+    assert repr(parse("b U (b & !b)")) == (
+        f"Until(interval=Interval(lo=0.0, hi=inf), left=#1={b}, right=And(left=#1, right=Not(child=#1)))"
+    )
+    core = desugar(parse(left_nested_surround(33)))
+    with deadline(2):
+        text = repr(core)
+    assert len(text) < 300 * len(list(iter_subformulas(core)))
+
+
 def test_copies_pickles_and_replaces_return_the_same_node():
     f = parse("(x > 0.5 | y) surround(hop)[0,2] !F[0.25,1] y")
     for node in (f, desugar(f), desugar(parse(left_nested_surround(33))), Atomic("x", ">=", -1.0)):

@@ -829,18 +829,18 @@ def lexsort_sweep_reference(interval: Interval, times: np.ndarray, v1: np.ndarra
     return canonical(times, values, out_end)
 
 
-def _doubling_sweep_instance(rng, domain):
+def _doubling_sweep_instance(rng, domain, max_rows=40, max_p=5):
     """The sweep kernel's own arguments, drawn directly: 1-6 locations on a
-    grid of eighths or of tenths from a decimal start (1-40 rows, one row
-    on purpose), each location stepping at its own rows (every row for a
-    third of them), values among +-0.0, +-1e300 and +-inf as well, and a
-    window whose bounds, in grid units, are often 2**p - 1, 2**p or
-    2**p + 1, so a window spans that many own segments of a location that
-    steps at every row."""
+    grid of eighths or of tenths from a decimal start (1 to ``max_rows``
+    rows, one row on purpose), each location stepping at its own rows
+    (every row for a third of them), values among +-0.0, +-1e300 and +-inf
+    as well, and a window whose bounds, in grid units, are often 2**p - 1,
+    2**p or 2**p + 1 for p up to ``max_p``, so a window spans that many own
+    segments of a location that steps at every row."""
     decimal = rng.random() < 0.4
     unit = 10 if decimal else 8
     first = rng.choice([0, 1, 11]) if decimal else rng.randint(0, 3)
-    rows = 1 if rng.random() < 0.08 else rng.randint(2, 40)
+    rows = 1 if rng.random() < 0.08 else rng.randint(2, max_rows)
     times = np.array([(first + i) / unit for i in range(rows)])
     t_end = (first + rows - 1 + rng.choice([0, 0, 1, 3])) / unit
     n = rng.randint(1, 6)
@@ -853,7 +853,7 @@ def _doubling_sweep_instance(rng, domain):
     v1, v2 = (np.take_along_axis(v, held, axis=0) for v in (v1, v2))
 
     def bound():
-        p = rng.randint(0, 5)
+        p = rng.randint(0, max_p)
         return rng.choice([0, rng.randint(0, 6), 2**p - 1, 2**p, 2**p + 1])
 
     lo = rng.choice([0, 0, bound()])
@@ -891,6 +891,173 @@ def test_doubling_sweep_matches_lexsort_reference(domain):
                 spans.add(round(interval.hi * unit))  # own segments a whole window spans
     assert compared > 2000
     assert {2**p + d for p in (2, 3, 4, 5) for d in (-1, 0, 1)} <= spans
+
+
+# The sweep before windows were answered by two overlapping table blocks,
+# kept verbatim (from its docstring on) as the reference its replacement is
+# checked against: it answers each window with one table block per bit of
+# its length, and assembles the output with ``stack_steps``.
+
+
+def doubling_sweep_reference(interval: Interval, times: np.ndarray, v1: np.ndarray, v2: np.ndarray, own: np.ndarray, t_end: float, future: bool) -> SpatioTemporalSignal:
+    """The until (``future``) or since sweep of every location at once.
+
+    ``own`` marks each location's own steps (the first row is one), which
+    bound its segments and give its events: its own step times shifted by
+    0, lo and hi (back for until, forward for since) inside the domain, and
+    its start.  All events lie in one sorted grid of the shifted trace
+    times, and a location x grid mask lists each location's events in order.
+    Per grid value, a row lookup finds e, the near window edge (e + lo, or
+    e - lo for since) and the far one (e + hi or e - hi), clamped to the
+    grid, so an edge past the domain (rounded just outside, or infinite)
+    reads the outermost row; the location's running count of own steps
+    turns a row into its segment.
+
+    The verdict at e combines s1 from e's segment up to the near edge's with
+    the fold of the segments from there to the far edge's: choose of s2
+    combined with the running combine of s1.  The fold is associative, so
+    level j of a doubling table holds it over every block of 2**j own
+    steps; each pair takes the blocks named by the bits of its length,
+    smallest first (since walks the reversed steps).  Only max and min are
+    reassociated, so the verdicts are those of a step-by-step walk.
+    """
+    v1, v2, bottom, top = _verdicts(v1, v2)
+    t0 = times[0].item()
+    lo, hi = interval.lo, interval.hi
+    lost = hi if interval.bounded else lo
+    out_start, out_end = (t0, t_end - lost) if future else (t0 + lost, t_end)
+    if out_end < out_start:
+        raise SemanticError(
+            f"temporal interval [{lo}, {hi}] exceeds the trace horizon: "
+            f"evaluable domain of {'until' if future else 'since'} is empty"
+        )
+    (rows, n), way = own.shape, 1 if future else -1
+    # own steps flat, one location after another; latest[k, l] is the flat
+    # index of l's last own step at or before row k
+    loc, row = np.nonzero(own.T)
+    count = np.cumsum(own, axis=0)
+    latest = count + (np.cumsum(count[-1]) - count[-1] - 1)
+    # every event is a trace time shifted by 0, lo or hi: one grid holds them
+    shifted = np.concatenate([times - way * s for s in (0.0, lo, hi)])
+    inside = (out_start <= shifted) & (shifted <= out_end)
+    grid, slot = np.unique(np.append(shifted[inside], out_start), return_inverse=True)
+    at = np.full(len(shifted), -1)
+    at[inside] = slot[:-1]
+    # mask[l, j] marks grid value j as an event of location l
+    mine = at[np.add.outer(np.arange(3) * rows, row)].ravel()
+    mask = np.zeros((n, len(grid)), dtype=bool)
+    mask[:, slot[-1]] = True
+    mask[np.tile(loc, 3)[mine >= 0], mine[mine >= 0]] = True
+    owners, g = np.nonzero(mask)
+
+    def segment(t: np.ndarray) -> np.ndarray:
+        return latest[np.maximum(np.searchsorted(times, t, side="right") - 1, 0)[g], owners]
+
+    k_e, k_near, k_far = segment(grid), segment(grid + way * lo), segment(grid + way * hi)
+    x1, x2 = v1[row, loc], v2[row, loc]
+    if not future:
+        x1, x2 = x1[::-1], x2[::-1]
+        k_e, k_near, k_far = (len(x1) - 1 - k for k in (k_e, k_near, k_far))
+    # s1 over [k_e, k_near) into ``head``; the fold over [k_near, k_far] into
+    # (``running``, ``acc``); each start advances past the blocks taken
+    head_at, head_len = k_e, k_near - k_e
+    tail_at, tail_len = k_near, k_far - k_near + 1
+    head = np.full(len(g), top)
+    running = np.full(len(g), top)
+    acc = np.full(len(g), bottom)
+    # the level tables: per block of h own steps from i, s1 combined over it
+    # (``run``) and the fold over it (``best``)
+    run, best = x1, np.minimum(x1, x2)
+    h, widest = 1, (k_far - k_e).max() + 1
+    while True:
+        take = np.flatnonzero(head_len & h)
+        k = head_at[take]
+        head[take] = np.minimum(head[take], run[k])
+        head_at[take] = k + h
+        take = np.flatnonzero(tail_len & h)
+        k = tail_at[take]
+        acc[take] = np.maximum(acc[take], np.minimum(running[take], best[k]))
+        running[take] = np.minimum(running[take], run[k])
+        tail_at[take] = k + h
+        if 2 * h > widest:
+            break
+        run, best = np.minimum(run[:-h], run[h:]), np.maximum(best[:-h], np.minimum(run[:-h], best[h:]))
+        h *= 2
+    out_times, _, stacked = stack_steps(grid[g], owners, np.minimum(head, acc), n)
+    return canonical(out_times, stacked, out_end)
+
+
+@pytest.mark.parametrize("domain", [BOOL, QUANT], ids=["boolean", "quantitative"])
+def test_two_block_sweep_matches_doubling_reference(domain, monkeypatch):
+    """The sweep that answers each window at one table level, from two
+    blocks that overlap or touch, gives the bytes of the per-bit doubling
+    sweep, for until and since, on windows of up to 2**7 + 1 own segments,
+    and every level p = 0..7 answers some tails and, with lo > 0, some
+    heads, in both directions."""
+    by_level, buckets = engine._by_level, []
+    monkeypatch.setattr(engine, "_by_level", lambda lengths: buckets.append(by_level(lengths)) or buckets[-1])
+    rng = random.Random(7331)
+    compared, hit = 0, set()
+    for _ in range(1200):
+        interval, times, v1, v2, own, t_end, _ = _doubling_sweep_instance(rng, domain, max_rows=300, max_p=7)
+        for future in (True, False):
+            args = (interval, times, v1, v2, own, t_end)
+            try:
+                want = doubling_sweep_reference(*args, future)
+            except SemanticError:
+                with pytest.raises(SemanticError):
+                    engine._temporal_sweep(*args, future)
+                continue
+            buckets.clear()
+            got = engine._temporal_sweep(*args, future)
+            assert got.times.tobytes() == want.times.tobytes(), (args, future)
+            assert (got.values.dtype, got.values.shape) == (want.values.dtype, want.values.shape), (args, future)
+            assert got.values.tobytes() == want.values.tobytes() and got.end_time == want.end_time, (args, future)
+            compared += 1
+            # the first call buckets the tails, the second, when lo > 0, the heads
+            for part, levels in zip(("tail", "head"), buckets):
+                hit.update((future, part, p) for p, bucket in enumerate(levels) if len(bucket))
+    assert compared > 1500
+    assert {(future, part, p) for future in (True, False) for part in ("tail", "head") for p in range(8)} <= hit
+
+
+def _dyadic_trace_ctx(rng, domain):
+    """1-5 locations on an undirected path, each with one variable x that
+    steps at its own quarters in [0, 8) (the first at 0), values among
+    quarters in [-2, 2], over [0, 8]."""
+    n = rng.randint(1, 5)
+    model = DynamicalSpatialModel.static(undirected_model(n, [(k, 1.0, k + 1) for k in range(n - 1)]))
+    signals = []
+    for _ in range(n):
+        times = [0.0] + sorted(rng.sample([k / 4 for k in range(1, 32)], rng.randint(0, 12)))
+        signals.append(TemporalSignal(tuple(times), tuple((rng.randint(-8, 8) / 4,) for _ in times), 8.0))
+    return MonitorContext(model=model, trace=Trace(("x",), tuple(signals)), domain=domain, distances={})
+
+
+@pytest.mark.parametrize("domain", [BOOL, QUANT], ids=["boolean", "quantitative"])
+def test_window_of_a_sum_equals_nested_windows(domain):
+    """On dyadic grids, a window of a + b is a window of a over a window of
+    b: F[0,a+b] phi is F[0,a] F[0,b] phi, G likewise, and true S[0,a+b] phi
+    is true S[0,a] (true S[0,b] phi), times and values alike.  The
+    identities hold for any exact sweep, so they check the engine without
+    sharing its blocks or levels."""
+    rng = random.Random(5407)
+    true = Atomic("true")
+    lengths = [0, 0.25, 0.5, 0.75, 1, 1.25, 2, 2.5, 3, 3.75]
+    for _ in range(150):
+        ctx = _dyadic_trace_ctx(rng, domain)
+        phi = Atomic("x", rng.choice([">", ">=", "<"]), rng.randint(-4, 4) / 4)
+        a, b = rng.choice(lengths), rng.choice(lengths)
+        pairs = [
+            (Eventually(Interval(0, a + b), phi), Eventually(Interval(0, a), Eventually(Interval(0, b), phi))),
+            (Globally(Interval(0, a + b), phi), Globally(Interval(0, a), Globally(Interval(0, b), phi))),
+            (Since(Interval(0, a + b), true, phi), Since(Interval(0, a), true, Since(Interval(0, b), true, phi))),
+        ]
+        for whole, nested in pairs:
+            want, got = monitor(ctx, whole), monitor(ctx, nested)
+            assert repr((got.times.tolist(), got.values.tolist(), got.end_time)) == repr(
+                (want.times.tolist(), want.values.tolist(), want.end_time)
+            ), (whole, a, b)
 
 
 # ---------------------------------------------------------------------------
