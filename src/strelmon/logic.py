@@ -1,25 +1,30 @@
 """Formula syntax tree, concrete grammar, parser, printer and desugaring.
 
-The grammar, with `|` binding loosest and unary operators tightest:
+The grammar is one table, ``_OPERATORS``, of each operator's text and
+binding level, higher binding tighter:
 
-    formula  := or ;
-    or       := and { "|" and } ;
-    and      := temporal { "&" temporal } ;
-    temporal := unary { ("U"|"S") [interval] unary
-                      | "reach" "(" ident ")" [interval] unary
-                      | "surround" "(" ident ")" [interval] unary } ;
-    unary    := "!" unary | "F" [interval] unary | "G" [interval] unary
-              | "escape" "(" ident ")" [interval] unary
-              | "somewhere" "(" ident ")" [interval] unary
-              | "everywhere" "(" ident ")" [interval] unary
+    level 1  |                                       binary
+    level 2  &                                       binary
+    level 3  U  S  reach  surround                   binary
+    level 4  !  F  G  escape  somewhere  everywhere  prefix
+
+and one rule for the binaries: an expression of level k is a unary
+followed by any binaries of level k to 3, each with the expression of one
+level above its own as its right operand, so binaries associate left:
+
+    formula  := binary(1) ;
+    binary(k):= unary { op head binary(level(op) + 1) }   for k <= level(op) <= 3 ;
+    unary    := op head unary                             for level(op) = 4
               | atom | "(" formula ")" ;
+    head     := [ "(" ident ")" ] [interval] ;   distance: spatial ops; none after ! & |
     interval := "[" (number | "inf") "," (number | "inf") "]" ;
     atom     := ident | ident cmp number ; cmp := ">"|"<"|">="|"<=" ;
 
-Binary operators are left-associative.  Every operator takes the same
-optional interval, each bound a number or `inf`; an omitted one means
-[0, inf].  ``Interval(lo, math.inf)`` is the one unbounded interval: a
-temporal one runs to the trace edge.
+The printer reads the same levels: an operand is parenthesised exactly
+where it binds looser than its position admits.  Every operator but `!`,
+`&` and `|` takes the same optional interval, each bound a number or
+`inf`; an omitted one means [0, inf].  ``Interval(lo, math.inf)`` is the
+one unbounded interval: a temporal one runs to the trace edge.
 """
 
 from __future__ import annotations
@@ -98,7 +103,7 @@ class Formula(metaclass=_Interned):
         """The dataclass repr, linear in the distinct nodes: a node that two
         or more fields hold prints in full once, as ``#k=Node(...)``, and as
         ``#k`` wherever it recurs, so a tree prints as a dataclass would."""
-        held = Counter(id(v) for node in iter_subformulas(self) for v in vars(node).values() if isinstance(v, Formula))
+        held = Counter(id(child) for node in iter_subformulas(self) for child in _children(node))
         labels: dict[int, str] = {}
 
         def show(node) -> str:
@@ -217,22 +222,28 @@ class Surround(Formula):
     right: Formula
 
 
+def _children(node: Formula) -> tuple:
+    """A node's operands: its Formula-valued fields, in declaration order."""
+    return tuple(v for v in vars(node).values() if isinstance(v, Formula))
+
+
+# Each operator's text and binding level, higher binding tighter: levels 1
+# to 3 are the binaries, level 4 the prefix operators.  The parser and the
+# printer both read this one table.
+_OPERATORS = {
+    Or: ("|", 1), And: ("&", 2),
+    Until: ("U", 3), Since: ("S", 3), Reach: ("reach", 3), Surround: ("surround", 3),
+    Not: ("!", 4), Eventually: ("F", 4), Globally: ("G", 4),
+    Escape: ("escape", 4), Somewhere: ("somewhere", 4), Everywhere: ("everywhere", 4),
+}
+_PREFIX = 4
+_BY_TEXT = {text: (cls, level) for cls, (text, level) in _OPERATORS.items()}
+_SPATIAL = (Reach, Surround, Escape, Somewhere, Everywhere)  # these name a distance function
+
 # The parser, the desugarer and the monitor all recurse once per tree level,
 # so deeper input is refused with a ParseError: both the operands nested
 # while parsing and the levels of the desugared core tree are capped.
 MAX_DEPTH = 200
-
-# core-tree levels each operator adds once desugared (all others add one)
-_CORE_LEVELS = {Or: 3, Globally: 3, Everywhere: 3, Surround: 6}
-
-# operator keyword -> node class; the spatial ones name a distance function
-_BINARY = {"U": Until, "S": Since, "reach": Reach, "surround": Surround}
-_UNARY = {"F": Eventually, "G": Globally, "escape": Escape, "somewhere": Somewhere,
-          "everywhere": Everywhere}
-_SPATIAL = (Reach, Surround, Escape, Somewhere, Everywhere)
-_KEYWORD = {cls: word for word, cls in {**_BINARY, **_UNARY}.items()}
-
-KEYWORDS = {*_BINARY, *_UNARY, "inf"}
 
 _TOKEN_RE = re.compile(
     r"""
@@ -317,49 +328,37 @@ class _Parser:
         return node
 
     def parse(self) -> Formula:
-        node = self.parse_or()
+        node = self.parse_binary(1)
         if self.peek().kind != "end":
             raise self.error("trailing input after formula", ("end of input",))
         return node
 
-    def parse_or(self) -> Formula:
-        node = self.parse_and()
-        while self.peek().text == "|":
-            node = self.build(self.advance(), Or, node, self.parse_and())
-        return node
-
-    def parse_and(self) -> Formula:
-        node = self.parse_temporal()
-        while self.peek().text == "&":
-            node = self.build(self.advance(), And, node, self.parse_temporal())
-        return node
-
-    def parse_temporal(self) -> Formula:
+    def parse_binary(self, lowest: int) -> Formula:
+        """A unary followed by any binaries of level ``lowest`` or above, each
+        taking what binds tighter than itself as its right operand."""
         node = self.parse_unary()
-        while (tok := self.peek()).kind == "ident" and tok.text in _BINARY:
-            self.advance()
-            cls = _BINARY[tok.text]
-            node = self.build(tok, cls, *self.parse_head(cls), node, self.parse_unary())
-        return node
+        while True:
+            cls, level = _BY_TEXT.get(self.peek().text, (None, 0))
+            if not lowest <= level < _PREFIX:
+                return node
+            tok = self.advance()
+            node = self.build(tok, cls, *self.parse_head(cls), node, self.parse_binary(level + 1))
 
     def parse_unary(self) -> Formula:
         tok = self.peek()
         self.nesting += 1
         if self.nesting > MAX_DEPTH:
             raise self.error(f"formula nests deeper than {MAX_DEPTH} levels")
-        if tok.text == "!":
+        cls, level = _BY_TEXT.get(tok.text, (None, 0))
+        if level == _PREFIX:
             self.advance()
-            node = self.build(tok, Not, self.parse_unary())
-        elif tok.kind == "ident" and tok.text in _UNARY:
-            self.advance()
-            cls = _UNARY[tok.text]
             node = self.build(tok, cls, *self.parse_head(cls), self.parse_unary())
         elif tok.text == "(":
             self.advance()
-            node = self.parse_or()
+            node = self.parse_binary(1)
             self.expect(")")
         elif tok.kind == "ident":
-            if tok.text in KEYWORDS:
+            if cls is not None or tok.text == "inf":
                 raise self.error(f"{tok.text!r} is a reserved word, not an atom", ("atom",))
             node = self.parse_atom()
         else:
@@ -388,8 +387,10 @@ class _Parser:
         return tok.text
 
     def parse_head(self, cls) -> tuple:
-        """The fields an operator keyword is followed by: an interval, and
-        first the distance name of a spatial operator."""
+        """The fields an operator is followed by: none after !, & and |, else
+        an interval, and first the distance name of a spatial operator."""
+        if "interval" not in cls.__dataclass_fields__:
+            return ()
         if cls in _SPATIAL:
             dist = self.parse_distance_name()
             return self.parse_interval(), dist
@@ -432,46 +433,43 @@ def format_number(x: float) -> str:
 
 
 def _head(node: Formula) -> str:
-    """An operator's keyword, distance name and interval as the parser reads
+    """An operator's text, distance name and interval as the parser reads
     them; F and G over [0, inf] print without the interval."""
-    text = _KEYWORD[type(node)]
+    text = _OPERATORS[type(node)][0]
     if isinstance(node, _SPATIAL):
         text += f"({node.distance})"
-    if node.interval == FULL and isinstance(node, (Eventually, Globally)):
+    if "interval" not in vars(node) or (node.interval == FULL and isinstance(node, (Eventually, Globally))):
         return text
     return f"{text}[{format_number(node.interval.lo)},{format_number(node.interval.hi)}]"
 
 
-# precedence levels for printing; higher binds tighter
-_LEVEL_OR = 1
-_LEVEL_AND = 2
-_LEVEL_TEMPORAL = 3
-_LEVEL_UNARY = 4
-
-
-def _fmt(node: Formula, parent_level: int) -> str:
+def _fmt(node: Formula, lowest: int) -> str:
+    """``node``'s text, parenthesised if its operator binds looser than
+    ``lowest``: the level that ``parse_binary`` reads its position at."""
     if isinstance(node, Atomic):
         if node.op is None:
             return node.name
         return f"{node.name} {node.op} {format_number(node.threshold)}"
-    if isinstance(node, Not):
-        return "!" + _fmt(node.child, _LEVEL_UNARY)
-    if isinstance(node, (Eventually, Globally, Escape, Somewhere, Everywhere)):
-        return f"{_head(node)} {_fmt(node.child, _LEVEL_UNARY)}"
-    if isinstance(node, (And, Or)):
-        level = _LEVEL_AND if isinstance(node, And) else _LEVEL_OR
-        op = "&" if isinstance(node, And) else "|"
-        text = f"{_fmt(node.left, level)} {op} {_fmt(node.right, level + 1)}"
-        return f"({text})" if level < parent_level else text
-    if isinstance(node, (Until, Since, Reach, Surround)):
-        text = f"{_fmt(node.left, _LEVEL_TEMPORAL)} {_head(node)} {_fmt(node.right, _LEVEL_UNARY)}"
-        return f"({text})" if _LEVEL_TEMPORAL < parent_level else text
-    raise TypeError(f"not a formula node: {node!r}")
+    if type(node) not in _OPERATORS:
+        raise TypeError(f"not a formula node: {node!r}")
+    level = _OPERATORS[type(node)][1]
+    if level == _PREFIX:
+        (child,) = _children(node)
+        return _head(node) + ("" if isinstance(node, Not) else " ") + _fmt(child, _PREFIX)
+    left, right = _children(node)
+    text = f"{_fmt(left, level)} {_head(node)} {_fmt(right, level + 1)}"
+    return f"({text})" if level < lowest else text
 
 
 def format_formula(node: Formula) -> str:
     """Inverse of parse up to whitespace: parse(format_formula(f)) == f."""
-    return _fmt(node, 0)
+    return _fmt(node, 1)
+
+
+# the core fragment, and the core-tree levels each other operator adds once
+# desugared (all others add one)
+_CORE = (Atomic, Not, And, Until, Since, Reach, Escape)
+_CORE_LEVELS = {Or: 3, Globally: 3, Everywhere: 3, Surround: 6}
 
 
 def desugar(node: Formula) -> Formula:
@@ -501,43 +499,35 @@ def _rewrite(node: Formula, memo: dict[int, Formula]) -> Formula:
 
 
 def _rewrite_node(node: Formula, memo: dict[int, Formula]) -> Formula:
-    if isinstance(node, Atomic):
-        return node
-    if isinstance(node, Not):
-        return Not(_rewrite(node.child, memo))
-    if isinstance(node, And):
-        return And(_rewrite(node.left, memo), _rewrite(node.right, memo))
-    if isinstance(node, Or):
-        return Not(And(Not(_rewrite(node.left, memo)), Not(_rewrite(node.right, memo))))
-    if isinstance(node, Until):
-        return Until(node.interval, _rewrite(node.left, memo), _rewrite(node.right, memo))
-    if isinstance(node, Since):
-        return Since(node.interval, _rewrite(node.left, memo), _rewrite(node.right, memo))
+    """``node``'s fields with its children rewritten, rebuilt as the same
+    class if it is core, else as its definition in the core fragment."""
+    fields = [_rewrite(v, memo) if isinstance(v, Formula) else v for v in vars(node).values()]
+    if isinstance(node, _CORE):
+        return type(node)(*fields)
+    *head, child = fields  # a unary's interval and distance name, and its operand
     if isinstance(node, Eventually):
-        return Until(node.interval, TRUE, _rewrite(node.child, memo))
+        return Until(*head, TRUE, child)
     if isinstance(node, Globally):
-        return Not(Until(node.interval, TRUE, Not(_rewrite(node.child, memo))))
-    if isinstance(node, Reach):
-        return Reach(node.interval, node.distance, _rewrite(node.left, memo), _rewrite(node.right, memo))
-    if isinstance(node, Escape):
-        return Escape(node.interval, node.distance, _rewrite(node.child, memo))
+        return Not(Until(*head, TRUE, Not(child)))
     if isinstance(node, Somewhere):
-        return Reach(node.interval, node.distance, TRUE, _rewrite(node.child, memo))
+        return Reach(*head, TRUE, child)
     if isinstance(node, Everywhere):
-        return Not(Reach(node.interval, node.distance, TRUE, Not(_rewrite(node.child, memo))))
+        return Not(Reach(*head, TRUE, Not(child)))
+    if isinstance(node, Or):
+        left, right = fields
+        return Not(And(Not(left), Not(right)))
     if isinstance(node, Surround):
-        left = _rewrite(node.left, memo)
-        right = _rewrite(node.right, memo)
+        interval, distance, left, right = fields
         # !(phi1 | phi2) with the disjunction already pushed through De Morgan
         outside = And(Not(left), Not(right))
-        blocked = Not(Reach(node.interval, node.distance, left, outside))
-        no_escape = Not(Escape(Interval(node.interval.hi, UNBOUNDED), node.distance, left))
+        blocked = Not(Reach(interval, distance, left, outside))
+        no_escape = Not(Escape(Interval(interval.hi, UNBOUNDED), distance, left))
         return And(And(left, blocked), no_escape)
     raise TypeError(f"not a formula node: {node!r}")
 
 
 def is_core(node: Formula) -> bool:
-    return all(isinstance(n, (Atomic, Not, And, Until, Since, Reach, Escape)) for n in iter_subformulas(node))
+    return all(isinstance(n, _CORE) for n in iter_subformulas(node))
 
 
 def iter_subformulas(node: Formula) -> Iterator[Formula]:
@@ -550,4 +540,4 @@ def iter_subformulas(node: Formula) -> Iterator[Formula]:
         if id(node) not in seen:
             seen.add(id(node))
             yield node
-            stack.extend(getattr(node, a) for a in ("right", "left", "child") if hasattr(node, a))
+            stack.extend(reversed(_children(node)))

@@ -14,6 +14,7 @@ from strelmon.logic import (
     Eventually,
     Everywhere,
     FULL,
+    Formula,
     Globally,
     Interval,
     MAX_DEPTH,
@@ -27,8 +28,10 @@ from strelmon.logic import (
     TRUE,
     UNBOUNDED,
     Until,
+    _Parser,
     desugar,
     format_formula,
+    format_number,
     is_core,
     iter_subformulas,
     parse,
@@ -76,6 +79,76 @@ def test_left_associative_binaries():
         Reach(Interval(0, 1), "hop", Atomic("a"), Atomic("b")),
         Atomic("c"),
     )
+
+
+# hand-written binding levels and builders, independent of the parser's table
+_PAIR_BINARIES = {
+    "|": (1, Or),
+    "&": (2, And),
+    "U[0,1]": (3, lambda left, right: Until(Interval(0, 1), left, right)),
+    "S[1,inf]": (3, lambda left, right: Since(Interval(1, math.inf), left, right)),
+    "reach(hop)[0,2]": (3, lambda left, right: Reach(Interval(0, 2), "hop", left, right)),
+    "surround(w)[0,inf]": (3, lambda left, right: Surround(FULL, "w", left, right)),
+}
+_PAIR_PREFIXES = {  # each text is followed directly by its operand's
+    "!": Not,
+    "F ": lambda child: Eventually(FULL, child),
+    "G[0,1] ": lambda child: Globally(Interval(0, 1), child),
+    "escape(hop)[2,inf] ": lambda child: Escape(Interval(2, math.inf), "hop", child),
+    "somewhere(w)[0,1] ": lambda child: Somewhere(Interval(0, 1), "w", child),
+    "everywhere(hop)[0,inf] ": lambda child: Everywhere(FULL, "hop", child),
+}
+_PAIR_A, _PAIR_B, _PAIR_C = Atomic("a"), Atomic("b"), Atomic("c")
+
+
+def _prints_and_parses_back(f, text):
+    assert format_formula(f) == text
+    assert parse(text) is f
+
+
+@pytest.mark.parametrize("outer", [*_PAIR_BINARIES, *_PAIR_PREFIXES], ids=str.strip)
+def test_precedence_of_every_operator_pair(outer):
+    """Each operator over each other one: a binary under a binary as its
+    left and as its right operand, a binary under a prefix, a prefix under
+    a binary or a prefix.  The bare text parses by the binding levels, and
+    the printer parenthesises exactly where the operand binds looser than
+    its position admits: below the level on the left, at or below it on the
+    right, and any binary under a prefix."""
+    a, b, c = _PAIR_A, _PAIR_B, _PAIR_C
+    if outer in _PAIR_PREFIXES:
+        make = _PAIR_PREFIXES[outer]
+        for prefix, make_prefix in _PAIR_PREFIXES.items():
+            _prints_and_parses_back(make(make_prefix(a)), f"{outer}{prefix}a")
+        for inner, (_, make_inner) in _PAIR_BINARIES.items():
+            _prints_and_parses_back(make(make_inner(a, b)), f"{outer}(a {inner} b)")
+            assert parse(f"{outer}a {inner} b") is make_inner(make(a), b)
+        return
+    level, make = _PAIR_BINARIES[outer]
+    for prefix, make_prefix in _PAIR_PREFIXES.items():
+        _prints_and_parses_back(make(make_prefix(a), make_prefix(b)), f"{prefix}a {outer} {prefix}b")
+    for inner, (inner_level, make_inner) in _PAIR_BINARIES.items():
+        bare = f"a {inner} b {outer} c"
+        if inner_level >= level:
+            assert parse(bare) is make(make_inner(a, b), c), bare
+        else:
+            assert parse(bare) is make_inner(a, make(b, c)), bare
+        left = f"a {inner} b" if inner_level >= level else f"(a {inner} b)"
+        _prints_and_parses_back(make(make_inner(a, b), c), f"{left} {outer} c")
+        right = f"b {inner} c" if inner_level > level else f"(b {inner} c)"
+        _prints_and_parses_back(make(a, make_inner(b, c)), f"a {outer} {right}")
+
+
+@pytest.mark.parametrize("first", _PAIR_BINARIES)
+def test_left_associativity_of_every_binary_pair(first):
+    """Two binaries of one level, either first, group to the left, so the
+    printer parenthesises a right operand of the same level and no left one."""
+    a, b, c = _PAIR_A, _PAIR_B, _PAIR_C
+    level, make_first = _PAIR_BINARIES[first]
+    for second, (other, make_second) in _PAIR_BINARIES.items():
+        if other != level:
+            continue
+        _prints_and_parses_back(make_second(make_first(a, b), c), f"a {first} b {second} c")
+        _prints_and_parses_back(make_first(a, make_second(b, c)), f"a {first} (b {second} c)")
 
 
 def test_parens_override():
@@ -421,3 +494,245 @@ def test_nodes_are_identical_exactly_when_they_print_alike():
             assert (f is g) == (text == other), (text, other)
             alike += f is g
     assert alike > 100
+
+
+# The parser, printer and desugaring that the one operator table replaced,
+# verbatim, with the tables they read.  The reference parser inherits the
+# tokens, atoms, intervals and node building that were kept.
+
+# operator keyword -> node class; the spatial ones name a distance function
+_BINARY = {"U": Until, "S": Since, "reach": Reach, "surround": Surround}
+_UNARY = {"F": Eventually, "G": Globally, "escape": Escape, "somewhere": Somewhere,
+          "everywhere": Everywhere}
+_SPATIAL = (Reach, Surround, Escape, Somewhere, Everywhere)
+_KEYWORD = {cls: word for word, cls in {**_BINARY, **_UNARY}.items()}
+
+KEYWORDS = {*_BINARY, *_UNARY, "inf"}
+
+
+class ReferenceParser(_Parser):
+    def parse(self) -> Formula:
+        node = self.parse_or()
+        if self.peek().kind != "end":
+            raise self.error("trailing input after formula", ("end of input",))
+        return node
+
+    def parse_or(self) -> Formula:
+        node = self.parse_and()
+        while self.peek().text == "|":
+            node = self.build(self.advance(), Or, node, self.parse_and())
+        return node
+
+    def parse_and(self) -> Formula:
+        node = self.parse_temporal()
+        while self.peek().text == "&":
+            node = self.build(self.advance(), And, node, self.parse_temporal())
+        return node
+
+    def parse_temporal(self) -> Formula:
+        node = self.parse_unary()
+        while (tok := self.peek()).kind == "ident" and tok.text in _BINARY:
+            self.advance()
+            cls = _BINARY[tok.text]
+            node = self.build(tok, cls, *self.parse_head(cls), node, self.parse_unary())
+        return node
+
+    def parse_unary(self) -> Formula:
+        tok = self.peek()
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise self.error(f"formula nests deeper than {MAX_DEPTH} levels")
+        if tok.text == "!":
+            self.advance()
+            node = self.build(tok, Not, self.parse_unary())
+        elif tok.kind == "ident" and tok.text in _UNARY:
+            self.advance()
+            cls = _UNARY[tok.text]
+            node = self.build(tok, cls, *self.parse_head(cls), self.parse_unary())
+        elif tok.text == "(":
+            self.advance()
+            node = self.parse_or()
+            self.expect(")")
+        elif tok.kind == "ident":
+            if tok.text in KEYWORDS:
+                raise self.error(f"{tok.text!r} is a reserved word, not an atom", ("atom",))
+            node = self.parse_atom()
+        else:
+            raise self.error("expected a formula", ("atom", "!", "(", "F", "G"))
+        self.nesting -= 1
+        return node
+
+    def parse_head(self, cls) -> tuple:
+        """The fields an operator keyword is followed by: an interval, and
+        first the distance name of a spatial operator."""
+        if cls in _SPATIAL:
+            dist = self.parse_distance_name()
+            return self.parse_interval(), dist
+        return (self.parse_interval(),)
+
+
+def _head(node: Formula) -> str:
+    """An operator's keyword, distance name and interval as the parser reads
+    them; F and G over [0, inf] print without the interval."""
+    text = _KEYWORD[type(node)]
+    if isinstance(node, _SPATIAL):
+        text += f"({node.distance})"
+    if node.interval == FULL and isinstance(node, (Eventually, Globally)):
+        return text
+    return f"{text}[{format_number(node.interval.lo)},{format_number(node.interval.hi)}]"
+
+
+# precedence levels for printing; higher binds tighter
+_LEVEL_OR = 1
+_LEVEL_AND = 2
+_LEVEL_TEMPORAL = 3
+_LEVEL_UNARY = 4
+
+
+def _fmt(node: Formula, parent_level: int) -> str:
+    if isinstance(node, Atomic):
+        if node.op is None:
+            return node.name
+        return f"{node.name} {node.op} {format_number(node.threshold)}"
+    if isinstance(node, Not):
+        return "!" + _fmt(node.child, _LEVEL_UNARY)
+    if isinstance(node, (Eventually, Globally, Escape, Somewhere, Everywhere)):
+        return f"{_head(node)} {_fmt(node.child, _LEVEL_UNARY)}"
+    if isinstance(node, (And, Or)):
+        level = _LEVEL_AND if isinstance(node, And) else _LEVEL_OR
+        op = "&" if isinstance(node, And) else "|"
+        text = f"{_fmt(node.left, level)} {op} {_fmt(node.right, level + 1)}"
+        return f"({text})" if level < parent_level else text
+    if isinstance(node, (Until, Since, Reach, Surround)):
+        text = f"{_fmt(node.left, _LEVEL_TEMPORAL)} {_head(node)} {_fmt(node.right, _LEVEL_UNARY)}"
+        return f"({text})" if _LEVEL_TEMPORAL < parent_level else text
+    raise TypeError(f"not a formula node: {node!r}")
+
+
+def _rewrite(node: Formula, memo: dict[int, Formula]) -> Formula:
+    """``node`` rewritten into the core fragment, memoised by node identity."""
+    if id(node) not in memo:
+        memo[id(node)] = _rewrite_node(node, memo)
+    return memo[id(node)]
+
+
+def _rewrite_node(node: Formula, memo: dict[int, Formula]) -> Formula:
+    if isinstance(node, Atomic):
+        return node
+    if isinstance(node, Not):
+        return Not(_rewrite(node.child, memo))
+    if isinstance(node, And):
+        return And(_rewrite(node.left, memo), _rewrite(node.right, memo))
+    if isinstance(node, Or):
+        return Not(And(Not(_rewrite(node.left, memo)), Not(_rewrite(node.right, memo))))
+    if isinstance(node, Until):
+        return Until(node.interval, _rewrite(node.left, memo), _rewrite(node.right, memo))
+    if isinstance(node, Since):
+        return Since(node.interval, _rewrite(node.left, memo), _rewrite(node.right, memo))
+    if isinstance(node, Eventually):
+        return Until(node.interval, TRUE, _rewrite(node.child, memo))
+    if isinstance(node, Globally):
+        return Not(Until(node.interval, TRUE, Not(_rewrite(node.child, memo))))
+    if isinstance(node, Reach):
+        return Reach(node.interval, node.distance, _rewrite(node.left, memo), _rewrite(node.right, memo))
+    if isinstance(node, Escape):
+        return Escape(node.interval, node.distance, _rewrite(node.child, memo))
+    if isinstance(node, Somewhere):
+        return Reach(node.interval, node.distance, TRUE, _rewrite(node.child, memo))
+    if isinstance(node, Everywhere):
+        return Not(Reach(node.interval, node.distance, TRUE, Not(_rewrite(node.child, memo))))
+    if isinstance(node, Surround):
+        left = _rewrite(node.left, memo)
+        right = _rewrite(node.right, memo)
+        # !(phi1 | phi2) with the disjunction already pushed through De Morgan
+        outside = And(Not(left), Not(right))
+        blocked = Not(Reach(node.interval, node.distance, left, outside))
+        no_escape = Not(Escape(Interval(node.interval.hi, UNBOUNDED), node.distance, left))
+        return And(And(left, blocked), no_escape)
+    raise TypeError(f"not a formula node: {node!r}")
+
+
+def reference_parse(text):
+    return ReferenceParser(text).parse()
+
+
+def reference_desugar(node):
+    return _rewrite(node, {})
+
+
+# a token string is operands joined by binaries, some operands under
+# prefixes or parenthesised, then 0 to 2 tokens deleted, inserted or replaced
+_CORPUS_ATOMS = ["a", "b", "x > 0.5", "x <= -1", "true", "at_1"]
+_CORPUS_BINARIES = ["|", "&", "U", "S[0,1]", "U[2,inf]", "reach(hop)", "reach(w)[0,2]", "surround(hop)[1,3]",
+                    "S[inf,inf]"]
+_CORPUS_PREFIXES = ["!", "F", "G[0,1]", "F[1,inf]", "escape(hop)[2,inf]", "somewhere(hop)", "everywhere(w)[0,1]"]
+_CORPUS_NOISE = ["(", ")", "[", "]", ",", "inf", "1", ">", "F[2,1]", "U[0", "reach", "(hop)", "surround(1)", "?",
+                 "x > 1e400", "a U[inf,2]", "escape[0,1]"]
+_CORPUS_DEEP = [
+    "!" * 199 + "q", "!" * 200 + "q", "(" * 199 + "q" + ")" * 199, "(" * 200 + "q" + ")" * 200,
+    "G[0,1] " * 66 + "q", "G[0,1] " * 67 + "q", "p | (" * 66 + "q" + ")" * 66, "p | (" * 67 + "q" + ")" * 67,
+    left_nested_surround(33), left_nested_surround(34),
+]
+
+
+def _corpus_operand(rng, depth):
+    prefixes = [rng.choice(_CORPUS_PREFIXES) for _ in range(rng.choice([0, 0, 0, 0, 1, 2]))]
+    if depth > 0 and rng.random() < 0.3:
+        return [*prefixes, "(", *_corpus_expression(rng, depth - 1), ")"]
+    return [*prefixes, rng.choice(_CORPUS_ATOMS)]
+
+
+def _corpus_expression(rng, depth):
+    tokens = _corpus_operand(rng, depth)
+    for _ in range(rng.choice([0, 1, 1, 2, 3])):
+        tokens += [rng.choice(_CORPUS_BINARIES), *_corpus_operand(rng, depth)]
+    return tokens
+
+
+def _corpus_string(rng):
+    tokens = _corpus_expression(rng, 2)
+    vocabulary = _CORPUS_ATOMS + _CORPUS_BINARIES + _CORPUS_PREFIXES + _CORPUS_NOISE
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        i, edit = rng.randrange(len(tokens) + 1), rng.random()
+        if edit < 2 / 3 and i < len(tokens):
+            tokens[i : i + 1] = [] if edit < 1 / 3 else [rng.choice(vocabulary)]
+        else:
+            tokens.insert(i, rng.choice(vocabulary))
+    separators = rng.choices([" ", "", "\n"], weights=[18, 1, 1], k=len(tokens))
+    return "".join(s + t for s, t in zip(separators, tokens))
+
+
+def _tree_size(node, memo):
+    """The node count of ``node`` printed as a tree."""
+    if id(node) not in memo:
+        memo[id(node)] = 1 + sum(_tree_size(v, memo) for v in vars(node).values() if isinstance(v, Formula))
+    return memo[id(node)]
+
+
+def _outcome(parse_text, print_formula, desugar_formula, text):
+    """A text's formula, its printed form and its desugared form, printed
+    unless it is large as a tree; or the exact ParseError text."""
+    try:
+        f = parse_text(text)
+    except ParseError as exc:
+        return str(exc)
+    core = desugar_formula(f)
+    printed_core = print_formula(core) if _tree_size(core, {}) < 5000 else None
+    return f, print_formula(f), core, printed_core
+
+
+def test_one_operator_table_parses_prints_and_desugars_as_the_replaced_code():
+    """On seeded random token strings, the one-table parser and printer and
+    the one-rule desugaring give the same formula object, printed form and
+    desugared form as the three parser loops, the level constants and the
+    per-class rewrites they replaced; or the same ParseError text."""
+    rng = random.Random(3030)
+    corpus = _CORPUS_DEEP + [_corpus_string(rng) for _ in range(3000)]
+    reference_print = lambda node: _fmt(node, 0)
+    parsed = 0
+    with deadline(10):
+        for text in corpus:
+            expected = _outcome(reference_parse, reference_print, reference_desugar, text)
+            assert _outcome(parse, format_formula, desugar, text) == expected, text
+            parsed += not isinstance(expected, str)
+    assert 1000 < parsed < len(corpus) - 1000  # both outcomes are common

@@ -155,3 +155,22 @@ def test_scaling_bench_path_and_grid_graphs(graph, monkeypatch, capsys):
     default = module.instance(20, 2, seed=1).model.snapshot_at(0.0)
     drawn = module.instance(20, 2, seed=1, graph="random").model.snapshot_at(0.0)
     assert np.array_equal(default.src, drawn.src) and np.array_equal(default.dst, drawn.dst)
+
+
+def test_scaling_bench_times_monitoring_not_the_first_stacking_of_the_grid(monkeypatch, capsys):
+    """A signal-built trace stacks its step grid on first use; the script
+    builds it before the timer starts, so every timed ``monitor`` call finds
+    the grid already there."""
+    module = _load("scaling_bench")
+    timed, calls = module.monitor, []
+
+    def monitor(ctx, formula):
+        calls.append("grid" in vars(ctx.trace))
+        return timed(ctx, formula)
+
+    monkeypatch.setattr(module, "monitor", monitor)
+    argv = ["--sizes", "1", "--steps", "20,40", "--repeats", "2", "--formula", "p U[0,5] q"]
+    monkeypatch.setattr(sys, "argv", ["scaling_bench", *argv])
+    module.main()
+    assert "growth exponent" in capsys.readouterr().out
+    assert calls == [True] * 4
