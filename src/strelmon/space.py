@@ -21,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import chain
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NoReturn
 
 import numpy as np
 from scipy.sparse import csgraph, csr_array
@@ -132,8 +132,9 @@ class EdgeView:
 
 
 def both_directions(src, dst, weight) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The edge arrays of every listed edge followed by its reverse, of the same weight."""
-    pairs = np.column_stack((src, dst))
+    """The edge arrays of every listed edge followed by its reverse, of the same weight.
+    An endpoint outside the int64 range is an OverflowError here, not cast."""
+    pairs = np.column_stack((np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)))
     return pairs.ravel(), pairs[:, ::-1].ravel(), np.repeat(np.asarray(weight, dtype=float), 2, axis=0)
 
 
@@ -374,9 +375,15 @@ def radius_edges(pts: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray
 
 def save_model(dm: DynamicalSpatialModel, path: str) -> None:
     """Write the dynamic-model JSON that ``load_model`` reads, one snapshot
-    per line (compact, so the C encoder does the work)."""
+    per line (compact, so the C encoder does the work).
+
+    Each snapshot is written as edge columns: ``"src"`` and ``"dst"`` list
+    the endpoints in edge order, and ``"weight"`` lists the scalar weights,
+    or, for 2d vectors, two lists: the x components, then the y components.
+    So the reader builds a few long lists, not two lists per edge.
+    """
     lines = ",\n".join(
-        json.dumps({"time": t, "edges": list(zip(*(a.tolist() for a in (m.src, m.dst, m.weight))))})
+        json.dumps({"time": t, "src": m.src.tolist(), "dst": m.dst.tolist(), "weight": m.weight.T.tolist()})
         for t, m in dm.snapshots
     )
     with open(path, "w") as fh:
@@ -386,10 +393,17 @@ def save_model(dm: DynamicalSpatialModel, path: str) -> None:
 def load_model(path: str) -> DynamicalSpatialModel:
     """Read the dynamic-model JSON: {"locations": n, "snapshots": [...]}.
 
-    Each snapshot lists edges as [src, dst, weight]: src and dst are JSON
-    integers, weight a number (not a bool) or a two-element array of them,
-    one kind per snapshot.  "undirected": true expands every edge to both
-    directions.  Non-finite weights and times are rejected.
+    A snapshot gives its edges in one of two forms, never both:
+
+    - columns, as ``save_model`` writes them: ``"src"`` and ``"dst"`` are
+      arrays of JSON integers, and ``"weight"`` is an array of numbers (not
+      bools) or, for 2d vectors, two such arrays, the x components and then
+      the y components; all of one length, the edge count;
+    - ``"edges"``: a list of [src, dst, weight] entries, the weight a number
+      or a two-element array of them, one kind per snapshot.
+
+    A snapshot with neither has no edges.  "undirected": true expands every
+    edge to both directions.  Non-finite weights and times are rejected.
     """
     enabled = gc.isenabled()
     gc.disable()  # the parsed document holds no cycles: collecting while it lives frees nothing
@@ -412,7 +426,7 @@ def load_model(path: str) -> DynamicalSpatialModel:
             try:
                 if not isinstance(snap, dict) or type(snap.get("time")) not in (int, float):
                     raise ModelError("expected an object with a numeric 'time'")
-                edges = _edges_from_json(snap.get("edges", []))
+                edges = _snapshot_edges(snap)
                 model = SpatialModel.undirected(n, *edges) if undirected else SpatialModel(n, *edges)
                 t = float(snap["time"])
                 if not math.isfinite(t):
@@ -429,20 +443,55 @@ def load_model(path: str) -> DynamicalSpatialModel:
             gc.enable()
 
 
-def _edges_from_json(entries) -> tuple:
-    """A snapshot's [src, dst, weight] entries as (src, dst, weight) arrays.
-    Types are checked in bulk, then one entry at a time to name a bad one."""
-    if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {3}:
+_COLUMNS = ("src", "dst", "weight")
+
+
+def _snapshot_edges(snap: dict) -> tuple:
+    """A snapshot's (src, dst, weight) from its columns or its "edges" list."""
+    if not any(key in snap for key in _COLUMNS):
+        entries = snap.get("edges", [])
+        if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {3}):
+            _raise_first_bad_edge(entries)
         src, dst, w = zip(*entries) if entries else ((), (), ())
-        kinds = set(map(type, w))
-        if kinds == {list} and set(map(len, w)) == {2}:
-            kinds = set(map(type, chain.from_iterable(w)))
-        if set(map(type, src + dst)) <= {int} and kinds <= {int, float}:
-            weight = np.array(w, dtype=float)
-            if np.isfinite(weight).all():
-                return src, dst, weight
-    for entry in entries:
-        _check_edge_json(entry)
+        vector = set(map(type, w)) == {list} and set(map(len, w)) == {2}
+        return _edge_columns(src, dst, list(zip(*w)) if vector else [w], entries)
+    if "edges" in snap:
+        raise ModelError("a snapshot lists its edges as 'edges' or as 'src', 'dst' and 'weight', not both")
+    src, dst, weight = (snap.get(key) for key in _COLUMNS)
+    for key, column in zip(_COLUMNS, (src, dst, weight)):
+        if type(column) is not list:
+            raise ModelError(f"'{key}' must be an array, got {column!r}")
+    if not (weight and type(weight[0]) is list):
+        return _edge_columns(src, dst, [weight], map(list, zip(src, dst, weight)))
+    if len(weight) != 2 or type(weight[1]) is not list:
+        raise ModelError("a vector 'weight' must be two arrays: the x components, then the y components")
+    return _edge_columns(src, dst, weight, ([s, d, list(w)] for s, d, *w in zip(src, dst, *weight)))
+
+
+def _edge_columns(src: list, dst: list, parts: list, rows: Iterable) -> tuple:
+    """One snapshot's edge columns as (src, dst, weight) for ``SpatialModel``.
+
+    ``parts`` holds the weight components: ``[w]`` for scalar weights,
+    ``[xs, ys]`` for 2d vectors.  The lengths are checked first, then, in
+    bulk, the types (JSON integers for endpoints, numbers for weights: a
+    bool is neither) and that every weight is finite.  If a bulk check
+    fails, the snapshot's [src, dst, weight] ``rows`` (read only then) are
+    checked one at a time, so the message names the first bad edge.
+    """
+    lengths = [len(src), len(dst), *map(len, parts)]
+    if len(set(lengths)) > 1:
+        names = ("src", "dst", "weight") if len(parts) == 1 else ("src", "dst", "x weight", "y weight")
+        raise ModelError("edge columns differ in length: " + ", ".join(f"{k} {v}" for k, v in zip(names, lengths)))
+    if set(map(type, src)) | set(map(type, dst)) <= {int} and set(map(type, chain(*parts))) <= {int, float}:
+        weight = np.array(parts, dtype=float)
+        if np.isfinite(weight).all():
+            return src, dst, weight[0] if len(parts) == 1 else weight.T.copy()
+    _raise_first_bad_edge(rows)
+
+
+def _raise_first_bad_edge(rows: Iterable) -> NoReturn:
+    for row in rows:
+        _check_edge_json(row)
     raise ModelError("edge weights must be all scalars or all 2d vectors")
 
 

@@ -331,10 +331,37 @@ def test_monitor_non_finite_model_exit_code(tmp_path, capsys, snapshot):
          "snapshot 0: edge weights must be all scalars or all 2d vectors"),
         ('{"locations": 16, "snapshots": [{"time": true, "edges": []}]}', "snapshot 0: "),
         ('{"locations": 16, "snapshots": [{"time": 0, "edges": [[0, 1', "invalid JSON"),
+        ('{"locations": 16, "undirected": true, "snapshots": [{"time": 0, "edges": [[9223372036854775808, 1, 1.0]]}]}',
+         "snapshot 0: Python int too large to convert to C long"),
+        # the column form, as save_model writes it
+        ('{"locations": 16, "snapshots": [{"time": 0, "src": [0, 1], "dst": [1], "weight": [1.0, 1.0]}]}',
+         "snapshot 0: edge columns differ in length: src 2, dst 1, weight 2"),
+        ('{"locations": 16, "snapshots": [{"time": 0, "src": [0], "dst": [1], "weight": [1.0]}, '
+         '{"time": 1, "src": [0, true], "dst": [1, 2], "weight": [1.0, 1.0]}]}',
+         "snapshot 1: edge endpoints must be integers, got [True, 2, 1.0]"),
+        ('{"locations": 16, "snapshots": [{"time": 0, "src": [0], "dst": [1], "weight": ["1.0"]}]}',
+         "snapshot 0: edge [0, 1] has a weight that is not a number: '1.0'"),
+        ('{"locations": 16, "snapshots": [{"time": 0, "src": [0, 1], "dst": [1, 2], "weight": [1.0, NaN]}]}',
+         "snapshot 0: edge [1, 2] has non-finite weight nan"),
+        ('{"locations": 16, "snapshots": [{"time": 0, "src": [], "dst": [], "weight": [[], []]}, '
+         '{"time": 1, "src": [0], "dst": [1], "weight": [[3.0], [Infinity]]}]}',
+         "snapshot 1: edge [0, 1] has non-finite weight [3.0, inf]"),
+        ('{"locations": 16, "snapshots": [{"time": 0, "src": [0, 1], "dst": [1, 2], "weight": [[1.0, 2.0], [1.0]]}]}',
+         "snapshot 0: edge columns differ in length: src 2, dst 2, x weight 2, y weight 1"),
+        ('{"locations": 16, "snapshots": [{"time": 0, "src": [0], "dst": [1], "weight": [[1.0], [2.0], [3.0]]}]}',
+         "snapshot 0: a vector 'weight' must be two arrays: the x components, then the y components"),
+        ('{"locations": 16, "snapshots": [{"time": 0, "src": 0, "dst": [1], "weight": [1.0]}]}',
+         "snapshot 0: 'src' must be an array, got 0"),
+        ('{"locations": 16, "snapshots": [{"time": 0, "src": [0], "dst": [1], "weight": [1.0], "edges": []}]}',
+         "snapshot 0: a snapshot lists its edges as 'edges' or as 'src', 'dst' and 'weight', not both"),
     ],
     ids=["no-time", "edge-not-a-list", "locations-not-an-integer", "non-numeric-weight",
          "short-vector-weight", "undirected-not-a-bool", "fractional-endpoint", "bool-endpoint",
-         "bool-weight", "no-snapshots", "mixed-weight-kinds", "bool-time", "truncated"],
+         "bool-weight", "no-snapshots", "mixed-weight-kinds", "bool-time", "truncated",
+         "undirected-endpoint-past-int64", "columns-of-unequal-length", "column-bool-endpoint",
+         "column-string-weight", "column-nan-weight", "column-infinite-vector-component",
+         "vector-components-of-unequal-length", "three-vector-components", "column-not-an-array",
+         "edges-and-columns"],
 )
 def test_monitor_malformed_model_one_line_error(tmp_path, capsys, document, fragment):
     _model, trace = write_network16(tmp_path)

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import json
 import math
 import random
 import warnings
@@ -11,6 +13,7 @@ from strelmon.space import (
     DynamicalSpatialModel,
     EuclideanPositions,
     ModelError,
+    SpatialModel,
     build_spatial_model,
     check_finite_positions,
     check_strictly_positive,
@@ -560,6 +563,45 @@ def test_model_json_roundtrip(tmp_path):
     assert edge_triples(back.snapshots[0][1]) == edge_triples(m0)
     assert edge_triples(back.snapshots[1][1]) == edge_triples(m1)
 
+    # seeded random models, written by save_model and by hand in either form
+    rng = random.Random(3131)
+    for _ in range(200):
+        n, undirected = rng.randint(1, 6), rng.random() < 0.3
+        build = SpatialModel.undirected if undirected else SpatialModel
+        saved, by_edges, edge_form, column_form, t = [], [], [], [], rng.choice([-2.5, 0, 0.1])
+        for _ in range(rng.randint(1, 4)):
+            vector = rng.random() < 0.5
+            pairs = [(a, b) for a in range(n) for b in range(n) if (a < b if undirected else a != b)]
+            chosen = rng.sample(pairs, rng.randint(0, len(pairs)))
+            src, dst = [a for a, _ in chosen], [b for _, b in chosen]
+            w = [[roundtrip_weight(rng), roundtrip_weight(rng)] if vector else roundtrip_weight(rng) for _ in src]
+            weight = np.array(w, dtype=float).reshape((len(src), 2) if vector else len(src))
+            saved.append((t, build(n, src, dst, weight)))
+            # an empty "edges" list has no weight kind: it reads back as scalar weights
+            by_edges.append((t, build(n, src, dst, weight if src else [])))
+            edge_form.append({"time": t, "edges": [list(e) for e in zip(src, dst, w)]})
+            column_form.append({"time": t, "src": src, "dst": dst, "weight": weight.T.tolist()})
+            t += rng.choice([0.5, 1, 1e-3])
+        dm = DynamicalSpatialModel(tuple(saved))
+        save_model(dm, str(path))
+        assert_same_model(load_model(str(path)), dm)
+        for snapshots, want in ((column_form, dm), (edge_form, DynamicalSpatialModel(tuple(by_edges)))):
+            path.write_text(json.dumps({"locations": n, "undirected": undirected, "snapshots": snapshots}))
+            assert_same_model(load_model(str(path)), want)
+
+
+def roundtrip_weight(rng) -> float:
+    return rng.choice([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.5, -0.1, 3, rng.uniform(-1e3, 1e3)])
+
+
+def assert_same_model(got, want):
+    assert got.snapshot_times() == want.snapshot_times()
+    assert got.location_count == want.location_count
+    for (_, a), (_, b) in zip(got.snapshots, want.snapshots, strict=True):
+        for key in ("src", "dst", "weight"):
+            x, y = getattr(a, key), getattr(b, key)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), key
+
 
 def test_model_json_undirected(tmp_path):
     path = tmp_path / "model.json"
@@ -576,3 +618,207 @@ def test_model_json_malformed(tmp_path):
     path.write_text('{"locations": 2}')
     with pytest.raises(ModelError):
         load_model(str(path))
+
+
+def reference_load_model(path: str) -> DynamicalSpatialModel:
+    # The replaced reader, verbatim but for the names of the replaced
+    # helpers it calls, and ``SpatialModel.undirected`` written out with the
+    # replaced ``both_directions``.
+    """Read the dynamic-model JSON: {"locations": n, "snapshots": [...]}.
+
+    Each snapshot lists edges as [src, dst, weight]: src and dst are JSON
+    integers, weight a number (not a bool) or a two-element array of them,
+    one kind per snapshot.  "undirected": true expands every edge to both
+    directions.  Non-finite weights and times are rejected.
+    """
+    enabled = gc.isenabled()
+    gc.disable()  # the parsed document holds no cycles: collecting while it lives frees nothing
+    try:
+        with open(path) as fh:
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ModelError(f"{path}: invalid JSON: {exc}") from None
+        if not isinstance(doc, dict) or not isinstance(doc.get("snapshots"), list):
+            raise ModelError(f"{path}: expected an object with 'locations' and a 'snapshots' list")
+        n = doc.get("locations")
+        if type(n) is not int:
+            raise ModelError(f"{path}: 'locations' must be an integer, got {n!r}")
+        undirected = doc.get("undirected", False)
+        if type(undirected) is not bool:
+            raise ModelError(f"{path}: 'undirected' must be true or false, got {undirected!r}")
+        snapshots = []
+        for index, snap in enumerate(doc["snapshots"]):
+            try:
+                if not isinstance(snap, dict) or type(snap.get("time")) not in (int, float):
+                    raise ModelError("expected an object with a numeric 'time'")
+                edges = reference_edges_from_json(snap.get("edges", []))
+                model = SpatialModel(n, *reference_both_directions(*edges)) if undirected else SpatialModel(n, *edges)
+                t = float(snap["time"])
+                if not math.isfinite(t):
+                    raise ModelError(f"non-finite time {snap['time']!r}")
+            except (TypeError, ValueError, OverflowError) as exc:  # ModelError included
+                raise ModelError(f"{path}: snapshot {index}: {exc}") from None
+            snapshots.append((t, model))
+        try:
+            return DynamicalSpatialModel(tuple(snapshots))
+        except ModelError as exc:
+            raise ModelError(f"{path}: {exc}") from None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def reference_both_directions(src, dst, weight) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edge arrays of every listed edge followed by its reverse, of the same weight.
+    (``SpatialModel.undirected`` called this before it took int64 endpoints.)"""
+    pairs = np.column_stack((src, dst))
+    return pairs.ravel(), pairs[:, ::-1].ravel(), np.repeat(np.asarray(weight, dtype=float), 2, axis=0)
+
+
+def reference_edges_from_json(entries) -> tuple:
+    """A snapshot's [src, dst, weight] entries as (src, dst, weight) arrays.
+    Types are checked in bulk, then one entry at a time to name a bad one."""
+    if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {3}:
+        src, dst, w = zip(*entries) if entries else ((), (), ())
+        kinds = set(map(type, w))
+        if kinds == {list} and set(map(len, w)) == {2}:
+            kinds = set(map(type, itertools.chain.from_iterable(w)))
+        if set(map(type, src + dst)) <= {int} and kinds <= {int, float}:
+            weight = np.array(w, dtype=float)
+            if np.isfinite(weight).all():
+                return src, dst, weight
+    for entry in entries:
+        reference_check_edge_json(entry)
+    raise ModelError("edge weights must be all scalars or all 2d vectors")
+
+
+def reference_check_edge_json(entry) -> None:
+    if not isinstance(entry, list) or len(entry) != 3:
+        raise ModelError(f"edge entry must be [src, dst, weight], got {entry!r}")
+    src, dst, w = entry
+    if type(src) is not int or type(dst) is not int:
+        raise ModelError(f"edge endpoints must be integers, got {entry!r}")
+    if isinstance(w, list) and len(w) != 2:
+        raise ModelError(f"vector weight must have two components, got {w!r}")
+    parts = w if isinstance(w, list) else [w]
+    if not all(type(x) in (int, float) for x in parts):  # bool is no number here
+        raise ModelError(f"edge [{src}, {dst}] has a weight that is not a number: {w!r}")
+    if not all(map(math.isfinite, parts)):
+        raise ModelError(f"edge [{src}, {dst}] has non-finite weight {w!r}")
+
+
+# Cells of a mutated edges-form document.  1e400 is written as that literal,
+# which JSON reads as an infinite float; every other value as json.dumps writes it.
+_HUGE = "<1e400>"
+_ODD_VALUES = (math.nan, math.inf, -math.inf, _HUGE, True, False, None, "1", "a", [], {}, 2.5, -1,
+               2**63, 2**64, -2**63 - 1, 10**400)
+
+
+def mutated_edge_document(rng: random.Random) -> dict:
+    """A random edges-form model document, then up to three random faults:
+    odd cells, vector weights of the wrong length, entries dropped or
+    repeated, fields dropped or retyped, endpoints out of range."""
+    n = rng.randint(1, 5)
+    doc: dict = {"locations": n, "snapshots": []}
+    if rng.random() < 0.3:
+        doc["undirected"] = rng.random() < 0.5
+    t = rng.choice([0, 0.5, -1])
+    for _ in range(rng.randint(1, 3)):
+        vector = rng.random() < 0.5
+        pairs = [(a, b) for a in range(n) for b in range(n) if a < b or (a != b and not doc.get("undirected"))]
+        edges = [[a, b, [rng.uniform(-5, 5), rng.choice([1, 0.25, -3])] if vector else rng.choice([1, 2.5, 0.5, 7])]
+                 for a, b in rng.sample(pairs, rng.randint(0, len(pairs)))]
+        doc["snapshots"].append({"time": t, "edges": edges})
+        t += rng.choice([1, 0.5, 2])
+    for _ in range(rng.randint(0, 3)):
+        snapshots = doc.get("snapshots")
+        if not (isinstance(snapshots, list) and snapshots and isinstance(snap := rng.choice(snapshots), dict)):
+            break
+        edges = snap.get("edges") if isinstance(snap.get("edges"), list) else []
+        entries = [entry for entry in edges if isinstance(entry, list) and len(entry) == 3]
+        fault = rng.randrange(9)
+        if fault == 0 and entries:  # an odd cell: an endpoint, a weight or a vector component
+            entry = rng.choice(entries)
+            if isinstance(entry[2], list) and rng.random() < 0.5:
+                entry[2][rng.randrange(2)] = rng.choice(_ODD_VALUES)
+            else:
+                entry[rng.randrange(3)] = rng.choice(_ODD_VALUES)
+        elif fault == 1 and entries:  # a vector weight of 1 or 3 components, or a vector among scalars
+            entry = rng.choice(entries)
+            w = entry[2] if isinstance(entry[2], list) else [entry[2]]
+            entry[2] = rng.choice([w[:1], w[:1] * 3, [1.0, 2.0]])
+        elif fault == 2 and edges:  # an entry dropped or repeated
+            i = rng.randrange(len(edges))
+            edges.insert(i, edges[i]) if rng.random() < 0.5 else edges.pop(i)
+        elif fault == 3 and edges:  # an entry retyped or of the wrong length
+            i = rng.randrange(len(edges))
+            shorter_or_longer = [edges[i][:2], edges[i] + [1]] if isinstance(edges[i], list) else []
+            edges[i] = rng.choice(shorter_or_longer + [5, None, "e", {"src": 0}])
+        elif fault == 4 and entries:  # an endpoint out of range or past the int64 range
+            rng.choice(entries)[rng.randrange(2)] = rng.choice([n, -1, n + 7, 2**63, -2**63 - 1, 2**64])
+        elif fault == 5:  # a snapshot field dropped or retyped
+            key = rng.choice(["time", "edges"])
+            if rng.random() < 0.4:
+                snap.pop(key, None)
+            else:
+                snap[key] = rng.choice(_ODD_VALUES + ("", [[0, 1, 1.0]]))
+        elif fault == 6:  # a document field dropped or retyped
+            key = rng.choice(["locations", "undirected", "snapshots"])
+            if rng.random() < 0.4:
+                doc.pop(key, None)
+            else:
+                doc[key] = rng.choice(_ODD_VALUES + (0, 3.0, "x"))
+        elif fault == 7:  # a snapshot retyped, or the times out of order
+            i = rng.randrange(len(doc["snapshots"]))
+            if rng.random() < 0.5:
+                doc["snapshots"][i] = rng.choice([None, [], 1, "s"])
+            else:
+                snap["time"] = rng.choice([-1, 0, 1, 2.5, math.nan])
+        elif fault == 8:  # weights of the other kind throughout
+            for entry in entries:
+                entry[2] = entry[2][0] if isinstance(entry[2], list) else [entry[2], 1.0]
+    return doc
+
+
+def test_both_model_forms_load_as_the_replaced_edge_list_reader(tmp_path):
+    """Every edges-form document loads to the same model as with the
+    replaced reader, bit for bit, or fails with the same ModelError text.
+
+    One change is meant: with "undirected": true the replaced reader let
+    numpy cast an endpoint outside the int64 range (a float or uint64 array
+    cast to int64) and named a wrapped endpoint, at times after a
+    RuntimeWarning; now that snapshot is the OverflowError a directed one
+    gives."""
+    rng = random.Random(31031)
+    path = str(tmp_path / "model.json")
+    loaded, messages, overflows = 0, set(), 0
+    for _ in range(1500):
+        doc = mutated_edge_document(rng)
+        with open(path, "w") as fh:
+            fh.write(json.dumps(doc).replace(json.dumps(_HUGE), "1e400"))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # the cast above
+                want = reference_load_model(path)
+        except ModelError as exc:
+            want = str(exc)
+        try:
+            got = load_model(path)
+        except ModelError as exc:
+            got = str(exc)
+        if isinstance(want, str):
+            prefix = want.partition(": snapshot ")[2].partition(": ")[0]
+            if got != want and doc.get("undirected") is True and got == (
+                    f"{path}: snapshot {prefix}: Python int too large to convert to C long"):
+                snap = doc["snapshots"][int(prefix)]
+                assert any(not -2**63 <= x < 2**63 for e in snap["edges"] for x in e[:2] if type(x) is int)
+                overflows += 1
+                continue
+            assert got == want, doc
+            messages.add(prefix and want.partition(": snapshot ")[2].partition(": ")[2] or want[len(path):])
+        else:
+            assert not isinstance(got, str), (got, doc)
+            assert_same_model(got, want)
+            loaded += 1
+    assert loaded > 300 and len(messages) > 50 and overflows, (loaded, len(messages), overflows)
