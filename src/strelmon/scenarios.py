@@ -209,7 +209,12 @@ def generate_manet(cfg: ManetConfig) -> tuple[DynamicalSpatialModel, DynamicalSp
 @dataclass(frozen=True)
 class DegreeSpec:
     """Lognormal degree distribution pinned by mean and 99th percentile,
-    truncated by resampling above the cutoff."""
+    truncated by resampling above the cutoff.  Its (mu, sigma) is solved
+    once, when the spec is built.
+
+    A lognormal's p99 / mean is e^(z99 sigma - sigma^2 / 2), which peaks at
+    e^(z99^2 / 2) ~ 14.97 at sigma = z99, so a spec at or past that ratio
+    has no fit."""
 
     mean: float
     p99: float
@@ -218,17 +223,24 @@ class DegreeSpec:
     def __post_init__(self):
         if not (0 < self.mean < self.p99 <= self.cutoff):
             raise ConfigError(f"need 0 < mean < p99 <= cutoff, got {self}")
-
-    def lognormal_params(self) -> tuple[float, float]:
         z99 = 2.3263478740408408  # standard normal 99th percentile
         target = math.log(self.p99 / self.mean)
 
         def gap(sigma: float) -> float:
             return z99 * sigma - sigma * sigma / 2.0 - target
 
-        sigma = brentq(gap, 1e-9, z99 - 1e-9)
-        mu = math.log(self.mean) - sigma * sigma / 2.0
-        return mu, sigma
+        lo, hi = 1e-9, z99 - 1e-9
+        if gap(lo) * gap(hi) > 0:  # brentq's own test for a root in the bracket
+            raise ConfigError(
+                f"no lognormal fits {self}: p99 / mean must lie between "
+                f"{math.exp(gap(lo) + target):.10g} and {math.exp(gap(hi) + target):.4g}, "
+                f"got {self.p99 / self.mean:.10g}"
+            )
+        sigma = brentq(gap, lo, hi)
+        object.__setattr__(self, "_params", (math.log(self.mean) - sigma * sigma / 2.0, sigma))
+
+    def lognormal_params(self) -> tuple[float, float]:
+        return self._params
 
 
 @dataclass(frozen=True)
@@ -279,15 +291,29 @@ def _sample_degrees(rng: np.random.Generator, spec: DegreeSpec, n: int) -> np.nd
 def _chung_lu_edges(rng: np.random.Generator, degrees: np.ndarray, nodes: np.ndarray):
     """Expected-degree graph: pair (i, j) kept with prob min(1, d_i d_j / sum(d)).
     Pairs i < j are tried row by row (rows with d_i > 0) with one uniform draw
-    each, in blocks of rows that bound the memory; returns the kept pairs."""
+    each, in blocks of rows that bound the memory; returns the kept pairs.
+
+    A draw is first compared with its row's bound min(1, d_i * top / sum(d)),
+    where top is the largest d_j with j > i, and only the draws under it are
+    tested exactly.  The degrees are nonnegative, and correctly rounded `*`
+    and `/` are monotone, so every p_ij of the row is at most the bound: a
+    draw over it would fail the exact test too, and the kept pairs are those
+    of testing every pair.  A candidate's row i comes from a table of each
+    draw's row in the block, and j from the draw's offset within the row."""
     total = float(degrees.sum())
     k = len(nodes)
     rows = np.flatnonzero(degrees > 0)
+    top = np.append(np.maximum.accumulate(degrees[::-1])[::-1], 0.0)  # top[i] = max(degrees[i:])
     pairs = []
     for block in np.array_split(rows, 1 + len(rows) * k // 2**20):
-        i, b = np.nonzero(np.arange(k) > block[:, None])
-        a = block[i]
-        kept = rng.random(len(a)) < np.minimum(1.0, degrees[a] * degrees[b] / total)
+        length = k - 1 - block  # pairs (i, j > i) of each row
+        end = np.cumsum(length)
+        draws = rng.random(int(length.sum()))
+        bound = np.minimum(1.0, degrees[block] * top[block + 1] / total)
+        index = np.flatnonzero(draws < np.repeat(bound, length))
+        row = np.repeat(np.arange(len(block)), length)[index]
+        a, b = block[row], index + (block + 1 - (end - length))[row]  # row i's pairs start at end - length
+        kept = draws[index] < np.minimum(1.0, degrees[a] * degrees[b] / total)
         pairs.append((nodes[a[kept]], nodes[b[kept]]))
     return tuple(map(np.concatenate, zip(*pairs)))
 

@@ -381,7 +381,17 @@ def save_model(dm: DynamicalSpatialModel, path: str) -> None:
     the endpoints in edge order, and ``"weight"`` lists the scalar weights,
     or, for 2d vectors, two lists: the x components, then the y components.
     So the reader builds a few long lists, not two lists per edge.
+
+    A non-finite weight or time, which ``load_model`` rejects, raises the
+    ``ModelError`` the loader would give, before the file is opened.
     """
+    for index, (t, m) in enumerate(dm.snapshots):
+        if not np.isfinite(m.weight).all():
+            e = int(np.argwhere(~np.isfinite(m.weight))[0, 0])  # the first edge holding one
+            w = m.weight[e].tolist()
+            raise ModelError(f"{path}: snapshot {index}: edge [{m.src[e]}, {m.dst[e]}] has non-finite weight {w!r}")
+        if not math.isfinite(t):
+            raise ModelError(f"{path}: snapshot {index}: non-finite time {float(t)!r}")
     lines = ",\n".join(
         json.dumps({"time": t, "src": m.src.tolist(), "dst": m.dst.tolist(), "weight": m.weight.T.tolist()})
         for t, m in dm.snapshots

@@ -452,6 +452,21 @@ def test_simulate_invalid_config_field(tmp_path, capsys):
     assert "wrong_field" in capsys.readouterr().err
 
 
+def test_simulate_epidemic_unfittable_degree_spec_is_one_line(tmp_path, capsys):
+    """p99 / mean past e^(z99^2 / 2) ~ 14.97 has no lognormal fit: one stderr
+    line naming the spec and the limit, exit code 2, and no file; it used to
+    be brentq's "f(a) and f(b) must have different signs"."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"static_degree": {"mean": 1.0, "p99": 20.0, "cutoff": 50.0}}))
+    assert main(["simulate", "epidemic", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "error: no lognormal fits DegreeSpec(mean=1.0, p99=20.0, cutoff=50.0): "
+        "p99 / mean must lie between 1.000000002 and 14.97, got 20"
+    ]
+    assert not list(tmp_path.glob("x*"))
+
+
 @pytest.mark.parametrize(
     "kind, cfg, field",
     [

@@ -4,6 +4,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.sparse import csgraph
 
 from conftest import compare_spatiotemporal, connectivity_graph, delaunay_proximity
@@ -47,7 +48,7 @@ from strelmon.scenarios import (
     target_reachable,
     _sample_degrees,
 )
-from strelmon import space
+from strelmon import scenarios, space
 from strelmon.signals import TemporalSignal, Trace
 from strelmon.space import DynamicalSpatialModel, hop_distance, undirected_model, weight_sum_distance
 
@@ -259,6 +260,102 @@ def test_lognormal_parameterization_matches_constraints():
     mu, sigma = spec.lognormal_params()
     assert math.exp(mu + sigma * sigma / 2) == pytest.approx(10.0, rel=1e-9)
     assert math.exp(mu + 2.3263478740408408 * sigma) == pytest.approx(50.0, rel=1e-9)
+
+
+def brentq_lognormal_params_reference(spec: DegreeSpec) -> tuple[float, float]:
+    """``DegreeSpec.lognormal_params`` as it solved on every call."""
+    z99 = 2.3263478740408408  # standard normal 99th percentile
+    target = math.log(spec.p99 / spec.mean)
+
+    def gap(sigma: float) -> float:
+        return z99 * sigma - sigma * sigma / 2.0 - target
+
+    sigma = brentq(gap, 1e-9, z99 - 1e-9)
+    mu = math.log(spec.mean) - sigma * sigma / 2.0
+    return mu, sigma
+
+
+def test_degree_spec_is_fit_once_with_the_same_bits(monkeypatch):
+    """The stored (mu, sigma) is the per-call solve's, bit for bit, and a
+    simulation solves nothing."""
+    rng = np.random.default_rng(3232)
+    specs = [EpidemicConfig().static_degree, EpidemicConfig().dynamic_degree, DegreeSpec(1.0, 14.9, 20.0)]
+    for mean, ratio in zip(rng.uniform(0.1, 100, 100), rng.uniform(1.001, 14.9, 100)):
+        specs.append(DegreeSpec(float(mean), float(mean * ratio), float(mean * ratio * 2)))
+    for spec in specs:
+        assert spec.lognormal_params() == brentq_lognormal_params_reference(spec), spec
+        assert replace(spec).lognormal_params() == spec.lognormal_params()
+    solves = []
+    monkeypatch.setattr(scenarios, "brentq", lambda *args: solves.append(args))
+    simulate_epidemic(EpidemicConfig(node_count=40, horizon_days=14, initial_infected=2, seed=1))
+    assert solves == []
+
+
+@pytest.mark.parametrize("mean, p99", [(1.0, 20.0), (1.0, 15.0), (2.0, 2.0 + 1e-12)])
+def test_degree_spec_without_a_fit_is_a_config_error(mean, p99):
+    """No lognormal has p99 / mean at or past e^(z99^2 / 2) ~ 14.97, nor
+    within the bracket's sigma = 1e-9 of 1; brentq used to raise its own
+    sign error on the first simulation."""
+    with pytest.raises(ConfigError, match=r"no lognormal fits DegreeSpec\(.*between 1\.000000002 and 14\.97, got"):
+        DegreeSpec(mean, p99, 50.0)
+    with pytest.raises(ConfigError, match="no lognormal fits"):
+        EpidemicConfig.from_dict({"dynamic_degree": {"mean": mean, "p99": p99, "cutoff": 50.0}})
+    assert DegreeSpec(1.0, 14.96, 50.0).lognormal_params()[1] < 2.3263478740408408
+
+
+def block_chung_lu_reference(rng: np.random.Generator, degrees: np.ndarray, nodes: np.ndarray):
+    """Expected-degree graph: pair (i, j) kept with prob min(1, d_i d_j / sum(d)).
+    Pairs i < j are tried row by row (rows with d_i > 0) with one uniform draw
+    each, in blocks of rows that bound the memory; returns the kept pairs."""
+    total = float(degrees.sum())
+    k = len(nodes)
+    rows = np.flatnonzero(degrees > 0)
+    pairs = []
+    for block in np.array_split(rows, 1 + len(rows) * k // 2**20):
+        i, b = np.nonzero(np.arange(k) > block[:, None])
+        a = block[i]
+        kept = rng.random(len(a)) < np.minimum(1.0, degrees[a] * degrees[b] / total)
+        pairs.append((nodes[a[kept]], nodes[b[kept]]))
+    return tuple(map(np.concatenate, zip(*pairs)))
+
+
+def chung_lu_degree_vectors():
+    """(degrees, nodes) inputs: lognormal degrees at several sizes, some with
+    zeros (or all zero), some large enough that most pairs clamp at 1, and
+    node labels contiguous or not; last, one input of two row blocks."""
+    rng = np.random.default_rng(3232)
+    for case in range(560):
+        k = (0, 1, 2, 3, 17, 64, 500)[case % 7]
+        degrees = rng.lognormal(rng.uniform(0, 3), rng.uniform(0.1, 1.5), size=k)
+        kind = case // 7 % 5
+        if kind == 1:
+            degrees[rng.random(k) < rng.uniform(0.1, 0.9)] = 0.0
+        elif kind == 2:
+            degrees[:] = 0.0
+        elif kind == 3:
+            degrees *= rng.uniform(10, 1e3)  # d_i d_j / sum(d) past 1 for many pairs
+        elif kind == 4:
+            degrees = np.where(rng.random(k) < 0.5, degrees, 0.0) * rng.choice([1e-3, 1.0, 1e6])
+        nodes = np.arange(k) if case % 2 else np.sort(rng.choice(5 * k + 7, size=k, replace=False))
+        yield degrees, nodes
+    yield rng.lognormal(2.0, 0.8, size=1100), np.arange(3, 2203, 2)
+
+
+def test_chung_lu_edges_equal_the_block_reference():
+    """The row-bound sampler keeps the block sampler's pairs (dtype and bytes)
+    from the same draws, and leaves the generator in the same state."""
+    rng = np.random.default_rng(3233)
+    blocks = set()
+    for degrees, nodes in chung_lu_degree_vectors():
+        k, rows = len(nodes), np.count_nonzero(degrees > 0)
+        blocks.add(1 + rows * k // 2**20)
+        seed = int(rng.integers(2**63))
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want, got = block_chung_lu_reference(want_rng, degrees, nodes), scenarios._chung_lu_edges(got_rng, degrees, nodes)
+        for x, y in zip(got, want, strict=True):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), (k, degrees)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert blocks == {1, 2}
 
 
 def test_property_library_trees():

@@ -603,6 +603,63 @@ def assert_same_model(got, want):
             assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), key
 
 
+def unchecked_save_model_reference(dm: DynamicalSpatialModel, path: str) -> None:
+    """``save_model`` as it wrote any weight and time, ``Infinity`` and ``NaN`` included."""
+    lines = ",\n".join(
+        json.dumps({"time": t, "src": m.src.tolist(), "dst": m.dst.tolist(), "weight": m.weight.T.tolist()})
+        for t, m in dm.snapshots
+    )
+    with open(path, "w") as fh:
+        fh.write(f'{{"locations": {dm.location_count}, "snapshots": [\n{lines}\n]}}\n')
+
+
+def test_save_model_refuses_a_non_finite_weight(tmp_path):
+    """``SpatialModel`` takes an infinite weight, which ``load_model`` rejects:
+    ``save_model`` raises the loader's error and writes no file."""
+    path = tmp_path / "model.json"
+    dm = DynamicalSpatialModel.static(build_spatial_model(2, [(0, math.inf, 1)]))
+    with pytest.raises(ModelError) as refused:
+        save_model(dm, str(path))
+    assert str(refused.value) == f"{path}: snapshot 0: edge [0, 1] has non-finite weight inf"
+    assert not path.exists()
+
+
+def test_every_model_save_model_accepts_loads_back_equal(tmp_path):
+    """Seeded models with non-finite weights and times among finite ones:
+    each one ``save_model`` writes loads back equal, and each one it refuses
+    is refused with the error ``load_model`` gives on the file the unchecked
+    writer makes of it, with no file left."""
+    path = tmp_path / "model.json"
+    rng = random.Random(3232)
+    draw = lambda: rng.choice([math.inf, -math.inf, math.nan]) if rng.random() < 0.05 else roundtrip_weight(rng)
+    refused = 0
+    for _ in range(300):
+        n, snapshots, t = rng.randint(2, 5), [], rng.choice([-math.inf, -1.0, 0, 0.5])
+        for _ in range(rng.randint(1, 3)):
+            vector, pairs = rng.random() < 0.5, [(a, b) for a in range(n) for b in range(n) if a != b]
+            chosen = rng.sample(pairs, rng.randint(0, min(4, len(pairs))))
+            w = [[draw(), draw()] if vector else draw() for _ in chosen]
+            weight = np.array(w, dtype=float).reshape((len(chosen), 2) if vector else len(chosen))
+            snapshots.append((t, SpatialModel(n, [a for a, _ in chosen], [b for _, b in chosen], weight)))
+            t = rng.choice([t + 1.5, math.inf]) if rng.random() < 0.9 else math.nan
+        if not all(a < b for (a, _), (b, _) in zip(snapshots, snapshots[1:])):
+            continue
+        dm = DynamicalSpatialModel(tuple(snapshots))
+        path.unlink(missing_ok=True)
+        try:
+            save_model(dm, str(path))
+        except ModelError as exc:
+            refused += 1
+            assert not path.exists()
+            unchecked_save_model_reference(dm, str(path))
+            with pytest.raises(ModelError) as rejected:
+                load_model(str(path))
+            assert str(rejected.value) == str(exc)
+        else:
+            assert_same_model(load_model(str(path)), dm)
+    assert 50 < refused < 250
+
+
 def test_model_json_undirected(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(
