@@ -39,7 +39,7 @@ import math
 import random
 import time
 
-from strelmon.algebra import signal_domain_by_name
+from strelmon.algebra import DOMAINS, signal_domain_by_name
 from strelmon.logic import parse
 from strelmon.monitor import MonitorContext, monitor
 from strelmon.signals import TemporalSignal, Trace
@@ -105,7 +105,7 @@ def main() -> None:
     parser.add_argument("--sizes", default="1000,2000,4000", help="location counts, comma-separated")
     parser.add_argument("--steps", default="10", help="trace steps per location, comma-separated")
     parser.add_argument("--formula", default="p reach(hop)[0,3] q")
-    parser.add_argument("--domain", choices=("boolean", "quantitative"), default="boolean")
+    parser.add_argument("--domain", choices=sorted(DOMAINS), default="boolean")
     parser.add_argument("--graph", choices=("random", "path", "grid"), default="random")
     parser.add_argument("--undirected", action="store_true", help="list both directions of every edge")
     parser.add_argument("--async", dest="asynchronous", action="store_true", help="step each location at its own times")

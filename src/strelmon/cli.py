@@ -18,7 +18,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .algebra import signal_domain_by_name
+from .algebra import DOMAINS, signal_domain_by_name
 from .logic import ParseError, format_number, parse
 from .monitor import MonitorContext, SemanticError, monitor, satisfied_locations
 from .scenarios import (
@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_mon.add_mutually_exclusive_group(required=True)
     group.add_argument("--formula")
     group.add_argument("--formula-file")
-    p_mon.add_argument("--domain", choices=["boolean", "quantitative"], default="boolean")
+    p_mon.add_argument("--domain", choices=sorted(DOMAINS), default="boolean")
     p_mon.add_argument("--dist", action="append", metavar="NAME=BUILTIN",
                        help="bind a distance-function name to hop|weight|euclid")
     p_mon.add_argument("--out")

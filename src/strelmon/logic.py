@@ -526,10 +526,6 @@ def _rewrite_node(node: Formula, memo: dict[int, Formula]) -> Formula:
     raise TypeError(f"not a formula node: {node!r}")
 
 
-def is_core(node: Formula) -> bool:
-    return all(isinstance(n, _CORE) for n in iter_subformulas(node))
-
-
 def iter_subformulas(node: Formula) -> Iterator[Formula]:
     """Each node object under ``node``, itself included, once, in preorder
     (left before right): a node shared by several parents at its first visit."""

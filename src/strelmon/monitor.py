@@ -9,7 +9,9 @@ combine is ``min``, and the reals have one zero: every node returns +0.0,
 never -0.0 (``canonical``), so no kernel needs a rule for equal values.
 The desugared formula is a DAG (equal subformulas are one object): its
 distinct atoms are evaluated first, which checks every name before any
-operator runs, and every other distinct node once, memoised by identity.
+operator runs, and every other distinct node once.  Each verdict is kept
+on the context, keyed by the node (``MonitorContext.verdicts``), so the
+formulas monitored on one context share their common subformulas.
 
 Structure: an atom is one array expression over the trace grid (a
 comparison, a subtraction, or one call of its interpretation), negation
@@ -106,15 +108,25 @@ def _verdicts(*inputs) -> tuple:
     return (*arrays, *_BOUNDS[dtype])
 
 
-@dataclass
+@dataclass(frozen=True)
 class MonitorContext:
-    """Everything a monitoring run needs besides the formula.
+    """Everything a monitoring run needs besides the formula, and the
+    verdicts of every node monitored on it.
 
     ``interpretation`` optionally maps atom names to functions from the
     trace's read-only steps x locations x variables array to the atom's
     steps x locations array; atoms without an entry fall back to trace
     variables (bare Boolean variables or comparisons).  The names ``true``
     and ``false`` and the per-location address atoms ``at_<id>`` are built in.
+
+    ``verdicts`` maps each core node that ``monitor`` evaluated on this
+    context to its verdict, so a later formula reads every subformula it
+    shares with an earlier one.  Nodes are interned, so the key is the node
+    itself, and the context holds it alive.  The verdicts live as long as
+    the context.  They hold only while its inputs do: the fields are frozen,
+    and the mappings (``distances``, ``interpretation``) must not change
+    after the first call.  ``dataclasses.replace(ctx)`` gives a context on
+    the same inputs with a fresh, empty memo.
     """
 
     model: DynamicalSpatialModel
@@ -122,6 +134,7 @@ class MonitorContext:
     domain: SignalDomain
     distances: Mapping[str, DistanceFunction] = field(default_factory=dict)
     interpretation: Optional[Mapping[str, Callable[[np.ndarray], Any]]] = None
+    verdicts: dict[Formula, SpatioTemporalSignal] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.model.location_count != self.trace.location_count:
@@ -182,23 +195,22 @@ def _atom_signal(ctx: MonitorContext, atom: Atomic) -> SpatioTemporalSignal:
     return canonical(times, values, trace.end_time)
 
 
-def validate_formula(ctx: MonitorContext, formula: Formula) -> dict[int, SpatioTemporalSignal]:
+def validate_formula(ctx: MonitorContext, formula: Formula) -> None:
     """Check every atom and distance-function name before any operator
-    runs, and return the atoms' signals keyed by node identity.
+    runs, and store each atom's signal in ``ctx.verdicts``.
 
-    Each distinct atom object is evaluated once by ``_atom_signal``, whose
-    name errors (and an interpretation's NaN or wrong shape) surface here,
-    in preorder; ``monitor`` starts ``_eval``'s memo from the result."""
-    atoms = {}
+    Each distinct atom not yet on the context is evaluated once by
+    ``_atom_signal``, whose name errors (and an interpretation's NaN or
+    wrong shape) surface here, in preorder; an atom already there was
+    checked by an earlier call."""
     for node in iter_subformulas(formula):
-        if isinstance(node, Atomic):
-            atoms[id(node)] = _atom_signal(ctx, node)
+        if isinstance(node, Atomic) and node not in ctx.verdicts:
+            ctx.verdicts[node] = _atom_signal(ctx, node)
         elif isinstance(node, (Reach, Escape)) and node.distance not in ctx.distances:
             raise SemanticError(
                 f"unknown distance function {node.distance!r}; registered: "
                 f"{sorted(ctx.distances)}"
             )
-    return atoms
 
 
 # ---------------------------------------------------------------------------
@@ -713,34 +725,36 @@ def _widest_walks(model: SpatialModel, x1: np.ndarray) -> np.ndarray:
 
 
 def monitor(ctx: MonitorContext, formula: Formula) -> SpatioTemporalSignal:
-    """Evaluate a formula over the context's trace and dynamic model."""
+    """Evaluate a formula over the context's trace and dynamic model; the
+    verdicts of its core's nodes stay in ``ctx.verdicts``."""
     core = desugar(formula)
-    return _eval(ctx, core, validate_formula(ctx, core))
+    validate_formula(ctx, core)
+    return _eval(ctx, core)
 
 
-def _eval(ctx: MonitorContext, node: Formula, cache: dict) -> SpatioTemporalSignal:
-    """The node's verdict, memoised by node identity in ``cache``."""
-    hit = cache.get(id(node))
+def _eval(ctx: MonitorContext, node: Formula) -> SpatioTemporalSignal:
+    """The node's verdict, from ``ctx.verdicts`` or evaluated into it."""
+    hit = ctx.verdicts.get(node)
     if hit is None:
-        hit = cache[id(node)] = _eval_node(ctx, node, cache)
+        hit = ctx.verdicts[node] = _eval_node(ctx, node)
     return hit
 
 
-def _eval_node(ctx: MonitorContext, node: Formula, cache: dict) -> SpatioTemporalSignal:
+def _eval_node(ctx: MonitorContext, node: Formula) -> SpatioTemporalSignal:
     if isinstance(node, Not):
-        child = _eval(ctx, node.child, cache)
+        child = _eval(ctx, node.child)
         # 0.0 - v, not -v: -(+0.0) would be -0.0
         values = ~child.values if child.values.dtype == bool else 0.0 - child.values
         return SpatioTemporalSignal(child.times, values, child.end_time)
     if isinstance(node, (Until, Since)):
         sweep = monitor_until if isinstance(node, Until) else monitor_since
-        return sweep(node.interval, _eval(ctx, node.left, cache), _eval(ctx, node.right, cache))
+        return sweep(node.interval, _eval(ctx, node.left), _eval(ctx, node.right))
     if not isinstance(node, (And, Reach, Escape)):
         raise SemanticError(f"cannot monitor non-core node {type(node).__name__}")
     operands = [node.child] if isinstance(node, Escape) else [node.left, node.right]
     spatial = isinstance(node, (Reach, Escape))
     times, rows, end = _aligned(
-        [_eval(ctx, x, cache) for x in operands], ctx.model.snapshot_times() if spatial else ()
+        [_eval(ctx, x) for x in operands], ctx.model.snapshot_times() if spatial else ()
     )
     if isinstance(node, And):
         return canonical(times, np.minimum(*rows), end)

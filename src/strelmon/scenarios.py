@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, is_dataclass, replace
-from typing import Any, Callable, Mapping, Sequence, get_type_hints
+from typing import Any, Callable, Iterator, Mapping, Sequence, get_type_hints
 
 import numpy as np
 from scipy.optimize import brentq
@@ -88,13 +88,21 @@ def _field_value(kind, value: Any, name: str) -> Any:
 
 
 def _config_from_dict(cls, data: Mapping[str, Any], prefix: str = ""):
+    """A ``cls`` from its JSON object; a nested object (``prefix`` is its
+    dotted field name and a dot) prefixes its own check's error with that
+    name."""
     types = get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
         if key not in types:
             raise ConfigError(f"unknown config field {key!r} for {cls.__name__}")
         kwargs[key] = _field_value(types[key], value, prefix + key)
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        if not prefix:
+            raise
+        raise ConfigError(f"config field {prefix[:-1]!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +121,7 @@ class SignalWalk:
         if not self.lo < self.hi:
             raise ConfigError(f"walk range [{self.lo}, {self.hi}] is empty")
         if not self.step >= 0:
-            raise ConfigError(f"config field 'step' must be nonnegative, got {self.step!r}")
+            raise ConfigError(f"step must be nonnegative, got {self.step!r}")
 
 
 @dataclass(frozen=True)
@@ -530,17 +538,6 @@ def property_library() -> dict[str, Callable[..., Formula]]:
 # experiments
 
 
-def count_satisfied(model: DynamicalSpatialModel, trace: Trace, formula: Formula, interpretation=None) -> int:
-    ctx = MonitorContext(
-        model=model,
-        trace=trace,
-        domain=boolean_domain(),
-        distances={name: make() for name, make in BUILTIN_DISTANCES.items()},
-        interpretation=interpretation,
-    )
-    return len(satisfied_locations(monitor(ctx, formula), ctx, t=0.0))
-
-
 @dataclass(frozen=True)
 class SweepResult:
     radii: tuple[float, ...]
@@ -552,35 +549,36 @@ class SweepResult:
         return [(r, float(c.mean()), float(c.std())) for r, c in zip(self.radii, counts)]
 
 
-def _simulations(cfg: EpidemicConfig, runs: int):
-    """(model, trace) of each run, simulated from seeds cfg.seed, cfg.seed + 1, ..."""
+def _run_contexts(cfg: EpidemicConfig, runs: int) -> Iterator[MonitorContext]:
+    """One Boolean context per run, simulated from seeds cfg.seed,
+    cfg.seed + 1, ..., with the built-in distances and the epidemic atoms:
+    the formulas monitored on a run's context share their subformulas."""
     if runs < 1:
         raise ConfigError(f"need at least one run, got runs = {runs}")
+    domain = boolean_domain()
+    distances = {name: make() for name, make in BUILTIN_DISTANCES.items()}
+    interpretation = epidemic_interpretation(domain)
     for run in range(runs):
-        yield simulate_epidemic(replace(cfg, seed=cfg.seed + run))
+        model, trace = simulate_epidemic(replace(cfg, seed=cfg.seed + run))
+        yield MonitorContext(model, trace, domain, distances, interpretation)
+
+
+def _satisfied_at_start(ctx: MonitorContext, formula: Formula) -> int:
+    return len(satisfied_locations(monitor(ctx, formula), ctx, t=0.0))
 
 
 def sweep_safe_radius(cfg: EpidemicConfig, radii: Sequence[float], T: float, runs: int) -> SweepResult:
     """Monitor the safe-radius property across radii over repeated simulations.
 
-    Each run simulates once and monitors every radius on the same trace, so
-    per-run monotonicity in r is observable.  Counts are the number of
-    locations satisfied at time zero.
+    Each run simulates once and monitors every radius on the run's one
+    context, so per-run monotonicity in r is observable and the radii share
+    ``G[0,T] !infected``.  Counts are the number of locations satisfied at
+    time zero.
     """
-    interpretation = epidemic_interpretation(boolean_domain())
-    counts: list[list[int]] = [[] for _ in radii]
-    for model, trace in _simulations(cfg, runs):
-        for i, r in enumerate(radii):
-            counts[i].append(
-                count_satisfied(model, trace, safe_radius(r, T), interpretation)
-            )
-    return SweepResult(tuple(radii), tuple(tuple(c) for c in counts))
+    per_run = [[_satisfied_at_start(ctx, safe_radius(r, T)) for r in radii] for ctx in _run_contexts(cfg, runs)]
+    return SweepResult(tuple(radii), tuple(zip(*per_run)))
 
 
 def dangerous_days_counts(cfg: EpidemicConfig, runs: int) -> list[int]:
     """Satisfied-location counts of the dangerous-days property, one per run."""
-    interpretation = epidemic_interpretation(boolean_domain())
-    return [
-        count_satisfied(model, trace, dangerous_days(), interpretation)
-        for model, trace in _simulations(cfg, runs)
-    ]
+    return [_satisfied_at_start(ctx, dangerous_days()) for ctx in _run_contexts(cfg, runs)]

@@ -102,11 +102,17 @@ class SpatioTemporalSignal:
     ``[times[k], times[k+1])`` and the last row through ``end_time``.  The
     values are canonical (``canonical``): a float array holds no -0.0, so
     equal values are equal bit for bit, and no row repeats the row before.
+    Both arrays are read-only, as a trace's data is: a context keeps the
+    verdicts it returns (``MonitorContext.verdicts``).
     """
 
     times: np.ndarray
     values: np.ndarray
     end_time: float
+
+    def __post_init__(self):
+        self.times.flags.writeable = False
+        self.values.flags.writeable = False
 
     @classmethod
     def from_signals(cls, signals: Sequence[TemporalSignal]) -> "SpatioTemporalSignal":

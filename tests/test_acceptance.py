@@ -12,6 +12,7 @@ route enumeration on all 16 locations.
 import math
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -279,17 +280,18 @@ def test_criterion_4_identities():
         dist = rng.choice(["hop", "weight"])
         interval = Interval(0, rng.choice([1.0, 2.0]))
         tol = 0.0 if domain is BOOL else 1e-9
+        # each side on a fresh copy of the context: a context keeps its verdicts
         try:
-            ew = monitor(ctx, Everywhere(interval, dist, phi1))
-            dual = monitor(ctx, Not(Somewhere(interval, dist, Not(phi1))))
+            ew = monitor(replace(ctx), Everywhere(interval, dist, phi1))
+            dual = monitor(replace(ctx), Not(Somewhere(interval, dist, Not(phi1))))
             compare_spatiotemporal(ew, dual, domain, tol)
 
-            zero = monitor(ctx, Reach(Interval(0, 0), dist, phi1, phi2))
-            target = monitor(ctx, phi2)
+            zero = monitor(replace(ctx), Reach(Interval(0, 0), dist, phi1, phi2))
+            target = monitor(replace(ctx), phi2)
             compare_spatiotemporal(zero, target, domain, tol, allow_subdomain=True)
 
-            esc = monitor(ctx, Escape(Interval(0, UNBOUNDED), dist, phi1))
-            ident = monitor(ctx, phi1)
+            esc = monitor(replace(ctx), Escape(Interval(0, UNBOUNDED), dist, phi1))
+            ident = monitor(replace(ctx), phi1)
             compare_spatiotemporal(esc, ident, domain, tol, allow_subdomain=True)
         except SemanticError:
             continue

@@ -454,16 +454,39 @@ def test_simulate_invalid_config_field(tmp_path, capsys):
 
 def test_simulate_epidemic_unfittable_degree_spec_is_one_line(tmp_path, capsys):
     """p99 / mean past e^(z99^2 / 2) ~ 14.97 has no lognormal fit: one stderr
-    line naming the spec and the limit, exit code 2, and no file; it used to
-    be brentq's "f(a) and f(b) must have different signs"."""
+    line naming the field, the spec and the limit, exit code 2, and no file;
+    it used to be brentq's "f(a) and f(b) must have different signs"."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"static_degree": {"mean": 1.0, "p99": 20.0, "cutoff": 50.0}}))
     assert main(["simulate", "epidemic", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [
-        "error: no lognormal fits DegreeSpec(mean=1.0, p99=20.0, cutoff=50.0): "
+        "error: config field 'static_degree': no lognormal fits DegreeSpec(mean=1.0, p99=20.0, cutoff=50.0): "
         "p99 / mean must lie between 1.000000002 and 14.97, got 20"
     ]
+    assert not list(tmp_path.glob("x*"))
+
+
+@pytest.mark.parametrize(
+    "kind, cfg, line",
+    [
+        ("epidemic", {"static_degree": {"mean": 5, "p99": 4, "cutoff": 9}},
+         "config field 'static_degree': need 0 < mean < p99 <= cutoff, got DegreeSpec(mean=5, p99=4, cutoff=9)"),
+        ("epidemic", {"static_degree": {"mean": 5, "p99": 40, "cutoff": 90}, "dynamic_degree": {"mean": 5, "p99": 4, "cutoff": 9}},
+         "config field 'dynamic_degree': need 0 < mean < p99 <= cutoff, got DegreeSpec(mean=5, p99=4, cutoff=9)"),
+        ("manet", {"humidity": {"lo": 1, "hi": 0, "step": 0.1}}, "config field 'humidity': walk range [1, 0] is empty"),
+        ("manet", {"humidity": {"lo": 0, "hi": 1, "step": -1}}, "config field 'humidity': step must be nonnegative, got -1"),
+    ],
+    ids=["static-degree", "dynamic-degree", "walk-range", "walk-step"],
+)
+def test_nested_config_check_names_its_field(tmp_path, capsys, kind, cfg, line):
+    """A nested object's own check is prefixed once with the field it came
+    from, so of two degree specs the line names the one that failed; it
+    used to name only the spec, or a walk's step as field 'step'."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["simulate", kind, "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
     assert not list(tmp_path.glob("x*"))
 
 
@@ -505,8 +528,8 @@ def test_simulate_config_field_type_exit_code(tmp_path, capsys, kind, cfg, field
         ({"jitter": -1}, "jitter"),
         ({"jitter": 1e308}, "jitter"),
         ({"jitter": 9e307}, "jitter"),
-        ({"battery": {"lo": 0, "hi": 1, "step": -1}}, "step"),
-        ({"pollution": {"lo": 0, "hi": 200, "step": -1e-300}}, "step"),
+        ({"battery": {"lo": 0, "hi": 1, "step": -1}}, "battery"),
+        ({"pollution": {"lo": 0, "hi": 200, "step": -1e-300}}, "pollution"),
     ],
 )
 def test_simulate_manet_out_of_range_config_exit_code(tmp_path, capsys, cfg, field):

@@ -28,14 +28,19 @@ from strelmon.logic import (
     TRUE,
     UNBOUNDED,
     Until,
+    _CORE,
     _Parser,
     desugar,
     format_formula,
     format_number,
-    is_core,
     iter_subformulas,
     parse,
 )
+
+
+def is_core(node) -> bool:
+    """Whether every node under ``node`` is a core operator, as ``desugar`` returns."""
+    return all(isinstance(n, _CORE) for n in iter_subformulas(node))
 
 
 def test_parse_reach():

@@ -1,7 +1,10 @@
+import dataclasses
+import gc
 import importlib
 import json
 import math
 import random
+import weakref
 from bisect import bisect_right
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -61,6 +64,7 @@ from strelmon.oracle import (
     simple_path_escape,
     walk_reach,
 )
+from strelmon.scenarios import EpidemicConfig, epidemic_interpretation, safe_radius, simulate_epidemic
 from strelmon.signals import (
     SignalError,
     SpatioTemporalSignal,
@@ -740,7 +744,9 @@ def _async_temporal_instance(rng, domain):
 @pytest.mark.parametrize("domain", [BOOL, QUANT])
 def test_monitor_matches_per_location_sweep_reference(domain, monkeypatch):
     """The columnar sweep gives the per-location sweeps' verdicts, bit for
-    bit, on asynchronous traces over dyadic and decimal grids."""
+    bit, on asynchronous traces over dyadic and decimal grids.  Each side
+    runs on its own copy of the context, since a context keeps its
+    verdicts."""
     rng = random.Random(4099)
     compared = 0
     for _ in range(1000):
@@ -750,14 +756,14 @@ def test_monitor_matches_per_location_sweep_reference(domain, monkeypatch):
                 patch.setattr(engine, "monitor_until", _per_location_reference(segment_until_reference, domain))
                 patch.setattr(engine, "monitor_since", _per_location_reference(segment_since_reference, domain))
                 try:
-                    want = monitor(ctx, formula)
+                    want = monitor(dataclasses.replace(ctx), formula)
                 except SemanticError:
                     want = None
             if want is None:
                 with pytest.raises(SemanticError):
-                    monitor(ctx, formula)
+                    monitor(dataclasses.replace(ctx), formula)
                 continue
-            assert repr(monitor(ctx, formula).signals) == repr(want.signals), formula
+            assert repr(monitor(dataclasses.replace(ctx), formula).signals) == repr(want.signals), formula
             compared += 1
     assert compared > 2000
 
@@ -2437,8 +2443,8 @@ def test_each_snapshot_builds_one_edge_view_per_distance(monkeypatch):
     function and returns that one object: its CSR holds the mapped
     distances, ``src`` is the CSR's ``indices``, ``dst`` its rows in the same
     order and ``step`` the one distance or None.  A second ``monitor`` run
-    on the same context builds no view, since reach and escape read the
-    ones the first run cached."""
+    on a fresh copy of the context (same model, empty memo) builds no view,
+    since reach and escape read the ones the first run cached."""
     space = importlib.import_module("strelmon.space")
     built, edge_view = [], space.EdgeView
     monkeypatch.setattr(space, "EdgeView", lambda *args: built.append(args) or edge_view(*args))
@@ -2456,7 +2462,7 @@ def test_each_snapshot_builds_one_edge_view_per_distance(monkeypatch):
     first = monitor(ctx, formula)
     assert len(built) == 1
     built.clear()
-    second = monitor(ctx, formula)
+    second = monitor(dataclasses.replace(ctx), formula)
     assert built == [] and first.times.tobytes() == second.times.tobytes() and first.values.tobytes() == second.values.tobytes()
 
 
@@ -2832,7 +2838,9 @@ def test_nan_trace_value_is_an_error_not_a_verdict():
 def test_asynchronous_csv_trace_gives_the_in_memory_verdicts(domain, tmp_path):
     """load_trace keeps each location's own steps, and the monitor puts
     them on one grid: a saved asynchronous trace, loaded back, gives the
-    verdicts of the trace it was saved from, bit for bit."""
+    verdicts of the trace it was saved from, bit for bit.  Each formula
+    runs on fresh copies of both contexts, so no verdict comes from the
+    memo of an earlier formula."""
     rng = random.Random(1303)
     compared = 0
     for trial in range(40):
@@ -2854,12 +2862,12 @@ def test_asynchronous_csv_trace_gives_the_in_memory_verdicts(domain, tmp_path):
         assert [s.times for s in back.trace.signals] == [s.times for s in signals]
         for formula in [random_formula(rng, rng.randint(0, 3)) for _ in range(4)]:
             try:
-                want = monitor(ctx, formula)
+                want = monitor(dataclasses.replace(ctx), formula)
             except SemanticError:
                 with pytest.raises(SemanticError):
-                    monitor(back, formula)
+                    monitor(dataclasses.replace(back), formula)
                 continue
-            got = monitor(back, formula)
+            got = monitor(dataclasses.replace(back), formula)
             assert got.times.tobytes() == want.times.tobytes(), formula
             assert got.values.tobytes() == want.values.tobytes(), formula
             assert got.end_time == want.end_time
@@ -2923,7 +2931,7 @@ def test_monitor_equals_desugared_monitor():
             direct = monitor(ctx, formula)
         except SemanticError:
             continue
-        desugared = monitor(ctx, desugar(formula))
+        desugared = monitor(dataclasses.replace(ctx), desugar(formula))
         compare_spatiotemporal(direct, desugared, domain)
         checked += 1
 
@@ -3029,11 +3037,10 @@ def test_names_are_checked_before_any_operator_runs(monkeypatch):
 
     for kernel in ("reach", "escape", "monitor_until", "monitor_since"):
         monkeypatch.setattr(engine, kernel, operator_ran)
-    ctx = path3_ctx(BOOL)
-    ctx.interpretation = {
+    ctx = dataclasses.replace(path3_ctx(BOOL), interpretation={
         "nan_atom": lambda data: np.full(data.shape[:2], np.nan),
         "flat": lambda data: np.zeros(data.shape[1]),
-    }
+    })
     faults = {
         "nosuch": "atom 'nosuch' is neither a trace variable nor an interpreted name; "
         "variables are ['coord', 'router']",
@@ -3054,12 +3061,13 @@ def test_names_are_checked_before_any_operator_runs(monkeypatch):
 def test_nested_surround_is_evaluated_as_a_dag(domain):
     """33 left-nested surrounds (the most the depth cap admits), and X & X
     with X 16 of them, take one evaluation per distinct core node: as trees
-    they would grow 4x per level."""
+    they would grow 4x per level.  Each text runs on a fresh context, so
+    the second does not read the first's 16-level prefix from the memo."""
     ctx = path3_ctx(domain)
     x = left_nested_surround(16)
     for text in (left_nested_surround(33), f"({x}) & ({x})"):
         with deadline(2):
-            out = monitor(ctx, parse(text))
+            out = monitor(dataclasses.replace(ctx), parse(text))
         assert out.values.shape[1] == 3
 
 
@@ -3068,14 +3076,15 @@ def test_desugaring_a_core_formula_again_returns_it(domain):
     """desugar rewrites each node object of its input once, so the core of
     33 left-nested surrounds, about 4**33 nodes as a tree, desugars to
     itself, and ``monitor``, which desugars what it is given, takes the core
-    as it takes the text.  Walking the core as a tree took 4x per level."""
+    as it takes the text (on a fresh context, so not from the memo).
+    Walking the core as a tree took 4x per level."""
     text = left_nested_surround(33)
     core = desugar(parse(text))
     ctx = path3_ctx(domain)
     with deadline(2):
         same = desugar(core) is core
         out = monitor(ctx, core)
-    want = monitor(ctx, parse(text))
+    want = monitor(dataclasses.replace(ctx), parse(text))
     assert same and out.times.tobytes() == want.times.tobytes() and out.values.tobytes() == want.values.tobytes()
 
 
@@ -3223,7 +3232,7 @@ def test_golden_outputs_of_the_per_location_engine():
 
 def test_monitor_verdicts_hold_no_negative_zero():
     """The reals have one zero: on data full of +0.0 and -0.0, no verdict of
-    any subformula is -0.0."""
+    any subformula is -0.0, each evaluated as the root on a fresh context."""
     rng = random.Random(5150)
     dists = standard_distances()
     checked = 0
@@ -3233,7 +3242,7 @@ def test_monitor_verdicts_hold_no_negative_zero():
         for _ in range(4):
             for node in iter_subformulas(desugar(random_formula(rng, rng.randint(1, 3)))):
                 try:
-                    values = monitor(ctx, node).values
+                    values = monitor(dataclasses.replace(ctx), node).values
                 except SemanticError:
                     continue
                 assert not (np.signbit(values) & (values == 0)).any(), node
@@ -3256,3 +3265,111 @@ def test_quantitative_network16_consistency():
             bv = b.value_at(loc, 0.0)
             qv = q.value_at(loc, 0.0)
             assert (qv > 0) == (bv is True) or qv == 0
+
+
+# ---------------------------------------------------------------------------
+# the context keeps every verdict, keyed by the interned node
+
+
+def _memo_epidemic_ctx(seed: int) -> MonitorContext:
+    """A 30-person, 10-day simulated epidemic, Boolean, with its state atoms."""
+    model, trace = simulate_epidemic(EpidemicConfig(node_count=30, horizon_days=10, initial_infected=4, seed=seed))
+    return MonitorContext(model, trace, BOOL, standard_distances(), epidemic_interpretation(BOOL))
+
+
+def _memo_ring_ctx(domain) -> MonitorContext:
+    """Five locations on an undirected unit ring, x stepping at each integer."""
+    rng = random.Random(3301)
+    model = DynamicalSpatialModel.static(undirected_model(5, [(i, 1.0, (i + 1) % 5) for i in range(5)]))
+    signals = tuple(
+        TemporalSignal(tuple(float(k) for k in range(6)), tuple((rng.uniform(-1, 1),) for _ in range(6)), 6.0)
+        for _ in range(5)
+    )
+    return MonitorContext(model, Trace(("x",), signals), domain, standard_distances())
+
+
+def _same_verdict(a: SpatioTemporalSignal, b: SpatioTemporalSignal) -> bool:
+    return (a.times.tobytes(), a.values.tobytes(), a.end_time) == (b.times.tobytes(), b.values.tobytes(), b.end_time)
+
+
+def test_a_second_formula_runs_only_the_nodes_it_has_not_seen(monkeypatch):
+    """Two safe radii on one context: the second runs only its own nodes,
+    so the shared ``G[0,7] !infected`` runs once, and each verdict is the
+    one a fresh context gives."""
+    ctx = _memo_epidemic_ctx(11)
+    ran = []
+    original = engine._eval_node
+    monkeypatch.setattr(engine, "_eval_node", lambda ctx, node: ran.append(node) or original(ctx, node))
+    near, far = desugar(safe_radius(3.0, 7.0)), desugar(safe_radius(8.0, 7.0))
+    shared = desugar(Globally(Interval(0, 7), Not(Atomic("infected"))))
+    assert shared in set(iter_subformulas(near)) & set(iter_subformulas(far))
+    compound = {node for node in iter_subformulas(near) if not isinstance(node, Atomic)}
+    first = monitor(ctx, near)
+    assert len(ran) == len(compound) and set(ran) == compound
+    ran.clear()
+    second = monitor(ctx, far)
+    unseen = {node for node in iter_subformulas(far) if not isinstance(node, Atomic)} - compound
+    assert len(ran) == len(unseen) and set(ran) == unseen and shared not in ran and len(ran) < len(compound)
+    ran.clear()
+    assert monitor(ctx, far) is second and ran == []
+    assert set(ctx.verdicts) == set(iter_subformulas(near)) | set(iter_subformulas(far))
+    assert _same_verdict(first, monitor(dataclasses.replace(ctx), near))
+    assert _same_verdict(second, monitor(dataclasses.replace(ctx), far))
+
+
+def test_the_context_keeps_its_cores_alive():
+    """The memo is keyed by the node itself, so it holds every core it
+    evaluated: a dropped formula's core stays alive, no later node can take
+    its identity, and later formulas read their own verdicts.  The cores die
+    with the context."""
+    ctx = _memo_ring_ctx(QUANT)
+    formula = parse("(x > 0.3303) reach(hop)[0,2] F[0,1] (x < -0.3303)")
+    core = desugar(formula)
+    monitor(ctx, formula)
+    alive = weakref.ref(core)
+    del formula, core
+    gc.collect()
+    assert alive() is not None and alive() in ctx.verdicts
+    rng = random.Random(3302)
+    for _ in range(40):
+        a, b = rng.randint(-9, 9) / 10, rng.randint(-9, 9) / 10
+        text = f"(x > {a}) reach(hop)[0,{rng.randint(0, 3)}] F[0,{rng.randint(0, 2)}] (x < {b})"
+        assert _same_verdict(monitor(ctx, parse(text)), monitor(dataclasses.replace(ctx), parse(text))), text
+    del ctx
+    gc.collect()
+    assert alive() is None
+
+
+def test_a_context_is_frozen_and_replace_starts_an_empty_memo():
+    """Assigning a field of a context raises, the memo included, and
+    ``dataclasses.replace`` gives the same inputs with an empty memo."""
+    ctx = _memo_ring_ctx(BOOL)
+    for name, value in [("interpretation", {}), ("distances", {}), ("trace", ctx.trace), ("verdicts", {})]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ctx, name, value)
+    monitor(ctx, parse("somewhere(hop)[0,1] (x > 0)"))
+    assert len(ctx.verdicts) == 3
+    fresh = dataclasses.replace(ctx)
+    assert fresh.verdicts == {} and fresh.verdicts is not ctx.verdicts
+    assert (fresh.model, fresh.trace, fresh.domain, fresh.distances) == (ctx.model, ctx.trace, ctx.domain, ctx.distances)
+
+
+@pytest.mark.parametrize("domain", [BOOL, QUANT], ids=["boolean", "quantitative"])
+def test_a_returned_verdict_cannot_be_written_through(domain):
+    """A verdict's arrays are read-only, so a caller cannot change what the
+    memo answers later: writing raises ValueError, and the next call gives
+    the verdict unchanged."""
+    ctx = _memo_ring_ctx(domain)
+    formula = parse("!(x > 0) & G[0,2] somewhere(hop)[0,1] (x > 0.5)")
+    out = monitor(ctx, formula)
+    times, values = out.times.copy(), out.values.copy()
+    for array, cell in [(out.values, (0, 0)), (out.times, 0)]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[cell] = array[cell]
+    with pytest.raises(ValueError, match="read-only"):
+        out.values.fill(values.flat[0])
+    inner = ctx.verdicts[desugar(parse("x > 0"))]
+    with pytest.raises(ValueError, match="read-only"):
+        inner.values[0] = inner.values[0]
+    again = monitor(ctx, formula)
+    assert again.times.tobytes() == times.tobytes() and again.values.tobytes() == values.tobytes()

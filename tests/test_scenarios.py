@@ -447,6 +447,38 @@ def test_repeated_experiments_need_at_least_one_run(runs):
         dangerous_days_counts(cfg, runs=runs)
 
 
+def count_satisfied_reference(model, trace, formula, interpretation=None) -> int:
+    """The count each experiment took per formula before a run's formulas
+    shared one context, kept verbatim: a fresh context per formula."""
+    ctx = MonitorContext(
+        model=model,
+        trace=trace,
+        domain=boolean_domain(),
+        distances={name: make() for name, make in space.BUILTIN_DISTANCES.items()},
+        interpretation=interpretation,
+    )
+    return len(satisfied_locations(monitor(ctx, formula), ctx, t=0.0))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_context_per_run_gives_the_per_formula_counts(seed):
+    """The sweep and dangerous days monitor every formula of a run on the
+    run's one context; their rows are the counts of a fresh context per
+    formula, a repeated radius included."""
+    cfg = EpidemicConfig(node_count=50, horizon_days=12, initial_infected=5, seed=seed)
+    radii = (0.5, 3.0, 3.0, 8.0, 20.0)
+    interpretation = epidemic_interpretation(boolean_domain())
+    runs = [simulate_epidemic(replace(cfg, seed=cfg.seed + run)) for run in range(3)]
+    want = [
+        [count_satisfied_reference(model, trace, safe_radius(r, 7.0), interpretation) for model, trace in runs]
+        for r in radii
+    ]
+    assert sweep_safe_radius(cfg, radii, T=7.0, runs=3).counts == tuple(map(tuple, want))
+    assert dangerous_days_counts(cfg, runs=3) == [
+        count_satisfied_reference(model, trace, dangerous_days(), interpretation) for model, trace in runs
+    ]
+
+
 def test_sweep_checks_each_snapshot_distance_once(monkeypatch):
     """The built-in distance functions are singletons, so a snapshot maps and
     checks its weights once per distance function for the whole sweep, not
