@@ -484,21 +484,21 @@ def desugar(node: Formula) -> Formula:
     Nodes are interned, so the result is a DAG whose equal subformulas are
     one object: nested surrounds (each uses phi1 four times) grow by a
     constant per level, not 4x, and an identity walk visits each node once.
-    The rewrite visits each node object of its input once too (a memo by
-    identity for this call), so desugaring a core DAG again is as fast and
+    The rewrite visits each node object of its input once too (a memo keyed
+    by the node for this call), so desugaring a core DAG again is as fast and
     returns the same object.
     """
     return _rewrite(node, {})
 
 
-def _rewrite(node: Formula, memo: dict[int, Formula]) -> Formula:
-    """``node`` rewritten into the core fragment, memoised by node identity."""
-    if id(node) not in memo:
-        memo[id(node)] = _rewrite_node(node, memo)
-    return memo[id(node)]
+def _rewrite(node: Formula, memo: dict[Formula, Formula]) -> Formula:
+    """``node`` rewritten into the core fragment, memoised by the node."""
+    if node not in memo:
+        memo[node] = _rewrite_node(node, memo)
+    return memo[node]
 
 
-def _rewrite_node(node: Formula, memo: dict[int, Formula]) -> Formula:
+def _rewrite_node(node: Formula, memo: dict[Formula, Formula]) -> Formula:
     """``node``'s fields with its children rewritten, rebuilt as the same
     class if it is core, else as its definition in the core fragment."""
     fields = [_rewrite(v, memo) if isinstance(v, Formula) else v for v in vars(node).values()]
